@@ -247,25 +247,6 @@ def kraus_pair(e: Entangler, a: AncillaSpec, m: MeasBasis) -> KrausPair:
     )
 
 
-def measured_branches(
-    e: Entangler, payload: PureState, basis: MeasBasis
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus branches for a physically supplied ancilla payload, with the
-    measurement performed in the w_a-rotated copy of the requested basis.
-
-    This realizes the rewrite that absorbs the ancilla-side frames into the
-    prepared state and the measurement: parameters stay in canonical
-    coordinates for every preset regardless of its ancilla dressing.
-    """
-    em = assemble_entangler(e)
-    wa = e.frame.w_a
-    bp, bm = basis.bra_states()
-    return (
-        _contract(em, payload.amplitudes, wa @ bp.amplitudes),
-        _contract(em, payload.amplitudes, wa @ bm.amplitudes),
-    )
-
-
 @dataclass(frozen=True)
 class BranchReport:
     unitary_plus: bool

@@ -108,6 +108,14 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps / norm)
 
     @classmethod
+    def unchecked(cls, num_qubits: int, amplitudes: np.ndarray) -> "PureState":
+        """Wrap a 1-D unit vector as is: no check, no copy, no renormalisation."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "num_qubits", num_qubits)
+        object.__setattr__(out, "amplitudes", amplitudes)
+        return out
+
+    @classmethod
     def from_vector(cls, vec) -> "PureState":
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         return cls(num_qubits_of(vec.size), vec)
@@ -171,15 +179,43 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(0.5 * np.abs(eig).sum())
 
 
-def apply_unitary(state: PureState, u, qubits) -> PureState:
-    """Apply a k-qubit unitary to the given qubit indices of the state."""
-    u = _as_square(u)
+def apply_op(op, psi, qubits) -> np.ndarray:
+    """Apply a k-qubit operator to the given qubits of ``psi``.
+
+    The first axis of ``psi`` is the 2^n-dimensional state index; any further
+    axes ride along, so an identity matrix embeds the operator.
+    """
+    op = _as_square(op)
     qubits = [int(q) for q in qubits]
-    k = num_qubits_of(u.shape[0])
+    k = num_qubits_of(op.shape[0])
     if len(qubits) != k or len(set(qubits)) != k:
         raise ValueError(f"operator on {k} qubit(s) applied to targets {qubits}")
-    n = state.num_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    psi = np.tensordot(u.reshape([2] * (2 * k)), psi, axes=(range(k, 2 * k), qubits))
-    psi = np.moveaxis(psi, range(k), qubits)
-    return PureState(n, psi.reshape(-1))
+    n = num_qubits_of(psi.shape[0])
+    t = psi.reshape((2,) * n + psi.shape[1:])
+    t = np.tensordot(op.reshape((2,) * (2 * k)), t, axes=(range(k, 2 * k), qubits))
+    return np.moveaxis(t, range(k), qubits).reshape(psi.shape)
+
+
+def embed(op, qubits, n: int) -> np.ndarray:
+    """The 2^n x 2^n matrix of a k-qubit operator acting on the given qubits."""
+    return apply_op(op, np.eye(2**n, dtype=complex), qubits)
+
+
+_PHASE_OF_Y_COUNT = np.array([1, 1j, -1, -1j])
+_BIT_PARITY = np.array([bin(i).count("1") & 1 for i in range(MAX_DIM)])
+
+
+def apply_pauli_frame(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Apply one Pauli string per row of a (B, 2^n) state array.
+
+    ``x`` and ``z`` are (n, B) bit arrays: qubit q of row b gets X^x Z^z, times
+    i where both bits are set, so a set pair is Y.  Every factor is a
+    permutation and an exact phase in {1, i, -1, -i}, so the result equals the
+    dense Kronecker-product matrix applied to each row bit for bit.
+    """
+    n, dim = x.shape[0], states.shape[1]
+    weights = 1 << np.arange(n - 1, -1, -1)
+    src = np.arange(dim) ^ (weights @ x)[:, None]  # row b, index i reads i xor x_b
+    z_parity = _BIT_PARITY[src & (weights @ z)[:, None]]
+    phase = _PHASE_OF_Y_COUNT[(x & z).sum(axis=0) % 4][:, None] * (1 - 2 * z_parity)
+    return phase * np.take_along_axis(states, src, axis=1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AncillaSpec, rotation
-from .linalg import CZ, H, I2, PAULIS, PureState, dagger, tensor
+from .linalg import CZ, H, PAULIS, PureState, apply_pauli_frame, dagger, embed, tensor
 from .register import (
     PAYLOAD_BIT,
     AdaptiveAngle,
@@ -27,16 +27,16 @@ from .register import (
     GatePattern,
     QubitCorrection,
     SlotSpec,
-    _embed_two,
+    frame_bits,
     init_register,
     run_pattern,
     step_branch_operators,
+    walk_steps,
 )
 
 VARIANTS = ("single", "two")
 
 _XZ_OF = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_NAME_OF = {v: k for k, v in _XZ_OF.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +186,6 @@ class _PatternBuilder:
             for f in self.frames
         )
 
-    def _embed_target(self, gate: np.ndarray, qubits: tuple[int, ...]):
-        if len(qubits) == 1:
-            ops = [I2] * self.n
-            ops[qubits[0]] = gate
-            full = tensor(*ops) if self.n > 1 else gate
-        else:
-            full = _embed_two(gate, qubits[0], qubits[1], self.n)
-        self.target = full @ self.target
-
     def _rotation_label(self, kind: str) -> str:
         return {"J": "J_CANON", "RX": "RX_CANON", "RZ": "RZ_CANON"}[kind]
 
@@ -269,7 +260,7 @@ class _PatternBuilder:
         else:
             raise ValueError(f"not a rotation slot kind: {kind}")
         self.frames[q] = new
-        self._embed_target(gate, (q,))
+        self.target = embed(gate, (q,), self.n) @ self.target
         self._mark_slot(
             SlotSpec(
                 kind,
@@ -298,7 +289,7 @@ class _PatternBuilder:
             z_set=fr.x_set,
             z_const=fr.x_const,
         )
-        self._embed_target(H, (q,))
+        self.target = embed(H, (q,), self.n) @ self.target
         self._mark_slot(
             SlotSpec("ASSIST", (q,), None, (i1,), {"assist": i1}, labels=(lab,))
         )
@@ -354,7 +345,7 @@ class _PatternBuilder:
                 out_sets[base + 1] = out_sets[base + 1] ^ frozenset({i + PAYLOAD_BIT})
         self.frames[q1] = _Frame(out_sets[0], out_consts[0], out_sets[1], out_consts[1])
         self.frames[q2] = _Frame(out_sets[2], out_consts[2], out_sets[3], out_consts[3])
-        self._embed_target(spec.slot_target, (q1, q2))
+        self.target = embed(spec.slot_target, (q1, q2), self.n) @ self.target
         self._mark_slot(
             SlotSpec("CZ2", (q1, q2), None, (i,), {"couple": i}, labels=spec.labels)
         )
@@ -483,6 +474,10 @@ def euler_zxz(u) -> tuple[float, float, float]:
 _GATE_KINDS = ("H", "Rx", "Rz", "CZ")
 
 
+def _is_index(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class CircuitGate:
     kind: str
@@ -495,8 +490,12 @@ class CircuitGate:
         want = 2 if self.kind == "CZ" else 1
         if len(self.targets) != want or len(set(self.targets)) != want:
             raise ValueError(f"{self.kind} takes {want} distinct target(s)")
+        if not all(_is_index(t) for t in self.targets):
+            raise ValueError(f"{self.kind} targets must be qubit indices")
         if self.kind in ("Rx", "Rz") and self.angle is None:
             raise ValueError(f"{self.kind} needs an angle")
+        if isinstance(self.angle, bool) or not isinstance(self.angle, (int, float, type(None))):
+            raise ValueError(f"{self.kind} angle must be a real number")
 
     def matrix(self) -> np.ndarray:
         if self.kind == "H":
@@ -512,7 +511,7 @@ class CircuitDescription:
     gates: tuple[CircuitGate, ...]
 
     def __post_init__(self):
-        if not (1 <= self.num_qubits <= 4):
+        if not _is_index(self.num_qubits) or not 1 <= self.num_qubits <= 4:
             raise ValueError("circuits support 1 to 4 qubits")
         for g in self.gates:
             if any(t >= self.num_qubits for t in g.targets):
@@ -521,13 +520,7 @@ class CircuitDescription:
     def unitary(self) -> np.ndarray:
         out = np.eye(2**self.num_qubits, dtype=complex)
         for g in self.gates:
-            if g.kind == "CZ":
-                full = _embed_two(CZ, g.targets[0], g.targets[1], self.num_qubits)
-            else:
-                ops = [I2] * self.num_qubits
-                ops[g.targets[0]] = g.matrix()
-                full = tensor(*ops) if self.num_qubits > 1 else g.matrix()
-            out = full @ out
+            out = embed(g.matrix(), g.targets, self.num_qubits) @ out
         return out
 
     def to_json(self) -> str:
@@ -550,13 +543,15 @@ class CircuitDescription:
     @classmethod
     def from_json(cls, text: str) -> "CircuitDescription":
         doc = json.loads(text)
-        if doc.get("v") != 1:
+        if not isinstance(doc, dict) or doc.get("v") != 1:
             raise ValueError("unsupported circuit schema version")
-        gates = tuple(
-            CircuitGate(g["kind"], tuple(g["targets"]), g.get("angle"))
-            for g in doc["gates"]
-        )
-        return cls(int(doc["qubits"]), gates)
+        try:
+            gates = tuple(
+                CircuitGate(g["kind"], tuple(g["targets"]), g.get("angle")) for g in doc["gates"]
+            )
+            return cls(doc["qubits"], gates)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed circuit JSON: {exc!r}") from None
 
 
 _UNIT_FILLING = {
@@ -625,10 +620,12 @@ def _spanning_inputs(n: int) -> list[PureState]:
     return states
 
 
-def _phase_invariant_error(a: np.ndarray, b: np.ndarray) -> float:
-    ov = np.vdot(b, a)
-    phase = ov / abs(ov) if abs(ov) > 1e-14 else 1.0
-    return float(np.linalg.norm(a - phase * b))
+def _phase_invariant_error(a: np.ndarray, b: np.ndarray):
+    """min over the global phase c of ||a - c b||, for each row of ``a``."""
+    ov = np.asarray(a @ b.conj())
+    mag = np.abs(ov)
+    phase = np.divide(ov, mag, out=np.ones_like(ov), where=mag > 1e-14)
+    return np.linalg.norm(a - phase[..., None] * b, axis=-1)
 
 
 def verify_pattern(pattern: GatePattern, tol: float = 1e-9, max_flat_steps: int = 13) -> VerifyReport:
@@ -639,12 +636,13 @@ def verify_pattern(pattern: GatePattern, tol: float = 1e-9, max_flat_steps: int 
     Short patterns are enumerated flat; longer ones are verified slot by slot:
     within each slot all outcome combinations are expanded and shown to agree
     after relative frame correction before collapsing to the zero-outcome
-    branch, which carries the induction forward.
+    branch, which carries the induction forward.  A failed report's
+    ``detail`` names the slot, outcome bits and input index where it failed.
     """
     n = pattern.num_qubits
     if n > 3:
         raise ValueError("verify_pattern supports patterns on up to 3 qubits")
-    worst = 0.0
+    worst, where = 0.0, ""
     probs: tuple[float, ...] = ()
     use_flat = len(pattern.steps) <= max_flat_steps
     mode = "flat" if use_flat else "slotwise"
@@ -658,71 +656,50 @@ def verify_pattern(pattern: GatePattern, tol: float = 1e-9, max_flat_steps: int 
             total = res.total_probability()
             if abs(total - 1.0) > 1e-10:
                 return VerifyReport(False, 1.0, probs, mode, "probabilities do not sum to 1")
-            for br in res.branches:
-                err = _phase_invariant_error(br.corrected.amplitudes, expected)
-                worst = max(worst, err)
+            errs = _phase_invariant_error(
+                np.array([br.corrected.amplitudes for br in res.branches]), expected
+            )
+            b = int(np.argmax(errs))
+            err = float(errs[b])
+            at = f"branch outcomes {res.branches[b].outcomes} on input {idx}"
             if idx == 0:
                 probs = tuple(br.probability for br in res.branches)
+            del res  # free this input's branches before the next run
         else:
-            err, perr = _verify_slotwise(pattern, inp, expected, tol)
+            err, perr = _verify_slotwise(pattern, inp, expected, tol, idx)
             if perr:
                 return VerifyReport(False, 1.0, probs, mode, perr)
-            worst = max(worst, err)
-    return VerifyReport(worst <= tol, worst, probs, mode)
+            at = f"final frame on input {idx}"
+        if err > worst:
+            worst, where = err, at
+    valid = worst <= tol
+    return VerifyReport(valid, worst, probs, mode, "" if valid else f"{where}: error {worst:.3e}")
 
 
-def _verify_slotwise(pattern, inp, expected, tol):
+def _verify_slotwise(pattern, inp, expected, tol, input_index):
     """Walk the zero-outcome branch, showing at each slot that every outcome
     combination agrees with it after relative frame correction."""
-    n = pattern.num_qubits
+    zeros = np.zeros((len(pattern.steps), 1), dtype=np.int8)
     state = inp.amplitudes
-    start = 0
-    cache: dict = {}
-    for slot, corr in zip(pattern.slots, pattern.slot_boundaries):
-        k = len(slot.step_indices)
-        prefix = [0] * start
-        zero_bits = [c.bits(tuple(prefix + [0] * k)) for c in corr]
-        reps = []
-        total = 0.0
-        for m in range(2**k):
-            outs = [(m >> (k - 1 - j)) & 1 for j in range(k)]
-            st = state.copy()
-            p = 1.0
-            ok = True
-            for j, step_idx in enumerate(slot.step_indices):
-                step = pattern.steps[step_idx]
-                theta = step.basis_theta.resolve(prefix + outs)
-                key = (step_idx, round(theta, 12))
-                if key not in cache:
-                    cache[key] = step_branch_operators(step, theta, n)
-                st = cache[key][outs[j]] @ st
-                pj = float(np.vdot(st, st).real)
-                if pj < 1e-12:
-                    ok = False
-                    break
-                st = st / math.sqrt(pj)
-                p *= pj
-            if not ok:
-                continue
-            total += p
-            # frame of this combo relative to the zero-outcome branch
-            rel = np.array([[1.0]], dtype=complex)
-            for c, (x0, z0) in zip(corr, zero_bits):
-                x, z = c.bits(tuple(prefix + outs))
-                name = _NAME_OF[(x ^ x0, z ^ z0)]
-                rel = np.kron(rel, PAULIS[name])
-            reps.append((tuple(outs), p, rel @ st))
+    for slot_idx, (slot, corr) in enumerate(zip(pattern.slots, pattern.slot_boundaries)):
+        states, probs, bits = walk_steps(pattern, state[None], zeros, slot.step_indices)
+        total = probs.sum()
         if abs(total - 1.0) > 1e-9:
-            return 1.0, f"slot probabilities sum to {total}"
-        base = next(v for o, p, v in reps if o == tuple([0] * k))
-        for o, p, v in reps:
-            if _phase_invariant_error(v, base) > max(tol, 1e-9):
-                return 1.0, "slot branches disagree after correction"
-        state = base / np.linalg.norm(base)
-        start += k
+            return 1.0, f"slot {slot_idx} probabilities sum to {total}"
+        # frame of each combination relative to the zero-outcome branch, which
+        # comes first when it survives pruning; every corrected row equals it
+        x, z = frame_bits(corr, bits)
+        x0, z0 = frame_bits(corr, zeros)
+        rel = apply_pauli_frame(states, x ^ x0, z ^ z0)
+        errs = _phase_invariant_error(rel, rel[0])
+        b = int(np.argmax(errs))
+        if errs[b] > max(tol, 1e-9):
+            outs = bits[list(slot.step_indices), b].tolist()
+            return 1.0, (
+                f"slot {slot_idx} branches disagree after correction: outcomes {outs}"
+                f" on input {input_index}, error {errs[b]:.3e}"
+            )
+        state = rel[0]
     # the remaining representative is the zero-outcome branch; apply its frame
-    op = np.array([[1.0]], dtype=complex)
-    for name in pattern.correction_for(tuple([0] * len(pattern.steps))):
-        op = np.kron(op, PAULIS[name])
-    final = op @ state
-    return _phase_invariant_error(final, expected / np.linalg.norm(expected)), ""
+    final = apply_pauli_frame(state[None], *frame_bits(pattern.corrections, zeros))[0]
+    return float(_phase_invariant_error(final, expected / np.linalg.norm(expected))), ""

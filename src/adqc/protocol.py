@@ -13,20 +13,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AncillaSpec, MeasBasis, assemble_entangler, param_state, preset, rotation
-from .linalg import I2, PAULIS, DensityMatrix, PureState, trace_distance
+from .core import AncillaSpec, param_state, rotation
+from .linalg import I2, PAULIS, DensityMatrix, PureState, apply_pauli_frame, trace_distance
 from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, compile_circuit
 from .register import (
     AdaptiveAngle,
     AdqcStep,
     GatePattern,
     RegisterState,
-    _embed_two,
+    advance,
+    branch_step,
+    frame_bits,
     init_register,
+    step_branch_operators,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -70,11 +73,12 @@ class Message:
             if self.payload is None:
                 raise ValueError("ANCILLA message needs a payload")
             v = np.array(self.payload, dtype=complex)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-                raise ValueError("ANCILLA payload is not a unit state")
+            if v.shape != (2,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
+                raise ValueError("ANCILLA payload is not a one-qubit unit state")
         elif self.kind == "ANGLE":
-            if self.theta_grid is None:
-                raise ValueError("ANGLE message needs a grid index")
+            t = self.theta_grid
+            if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 0:
+                raise ValueError("ANGLE message needs a non-negative integer grid index")
         elif self.kind == "OUTCOME":
             if self.bit not in (0, 1):
                 raise ValueError("OUTCOME message needs a bit")
@@ -93,21 +97,21 @@ class Message:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Message":
-        if d["kind"] == "ANCILLA":
-            payload = tuple(complex(re, im) for re, im in d["payload"])
-            return cls("ANCILLA", d["slot"], payload=payload)
-        if d["kind"] == "ANGLE":
-            return cls("ANGLE", d["slot"], theta_grid=d["theta_grid"])
-        return cls("OUTCOME", d["slot"], bit=d["bit"])
+        try:
+            if d["kind"] == "ANCILLA":
+                payload = tuple(complex(re, im) for re, im in d["payload"])
+                return cls("ANCILLA", d["slot"], payload=payload)
+            if d["kind"] == "ANGLE":
+                return cls("ANGLE", d["slot"], theta_grid=d["theta_grid"])
+            return cls("OUTCOME", d["slot"], bit=d["bit"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed message: {exc!r}") from None
 
 
 @dataclass
 class ProtocolTranscript:
     messages: list[Message] = field(default_factory=list)
     client_log: list[dict] = field(default_factory=list)
-
-    def server_view(self) -> list[Message]:
-        return list(self.messages)
 
     def to_jsonl(self, view: str = "full") -> str:
         lines = [json.dumps({"view": view}, sort_keys=True)]
@@ -200,23 +204,13 @@ class Client:
         slot = self.secret.pattern.slots[slot_idx]
         d = self.secret.draws[slot_idx]
         gamma_eff = self.grid[d.gamma_index] + d.r_payload * math.pi
-
-        def parity(bits: frozenset[int]) -> int:
-            p = 0
-            for i in bits:
-                if i >= 1 << 20:
-                    p ^= self.payload_bits[i - (1 << 20)]
-                else:
-                    p ^= self.eff_outcomes[i]
-            return p
-
-        theta = slot.theta_sign * slot.theta_prime
-        if parity(slot.theta_negate):
-            theta = -theta
-        gterm = -gamma_eff
-        if parity(slot.gamma_negate):
-            gterm = -gterm
-        theta = theta + gterm + d.r_angle * math.pi
+        folded = AdaptiveAngle(
+            (
+                (slot.theta_sign * slot.theta_prime, slot.theta_negate),
+                (-gamma_eff, slot.gamma_negate),
+            )
+        )
+        theta = folded.resolve(self.eff_outcomes, self.payload_bits) + d.r_angle * math.pi
         k = round((theta % TWO_PI) / (TWO_PI / self.secret.grid_n)) % self.secret.grid_n
         self.transcript.client_log.append(
             {
@@ -272,97 +266,73 @@ def slot_rounds(slot) -> tuple[tuple[str, str], ...]:
 
 @dataclass(frozen=True)
 class ServerStepShape:
-    """Secret-free description of one step: where to couple and what message
-    kind resolves its basis."""
+    """Secret-free description of one step: where to couple, what message
+    kind resolves its basis, and which slot's messages drive it."""
 
     targets: tuple[int, ...]
     entangler_labels: tuple[str, ...]
     expects: str  # 'ANCILLA' | 'ANGLE'
+    slot: int
     basis_phi: float = 0.0
 
 
 def pattern_shape(pattern: GatePattern) -> tuple[ServerStepShape, ...]:
-    shapes = []
     angle_steps = {
         slot.roles["theta"] for slot in pattern.slots if "theta" in slot.roles
     }
-    for i, step in enumerate(pattern.steps):
-        shapes.append(
-            ServerStepShape(
-                step.targets,
-                step.entangler_labels,
-                "ANGLE" if i in angle_steps else "ANCILLA",
-                step.basis_phi,
-            )
+    slot_of = {i: k for k, slot in enumerate(pattern.slots) for i in slot.step_indices}
+    return tuple(
+        ServerStepShape(
+            step.targets,
+            step.entangler_labels,
+            "ANGLE" if i in angle_steps else "ANCILLA",
+            slot_of[i],
+            step.basis_phi,
         )
-    return tuple(shapes)
+        for i, step in enumerate(pattern.steps)
+    )
+
+
+def _message_operators(msg: Message, shape: ServerStepShape, grid_n: int, n: int) -> np.ndarray:
+    """Kraus pair of the step ``shape`` driven by ``msg``: the message's
+    ancilla measured at the fixed basis, or the standard ancilla measured at
+    the message's grid angle.  Rejects a message the step does not expect."""
+    if msg.kind != shape.expects:
+        raise ProtocolOrderError(f"expected a {shape.expects} message, got {msg.kind}")
+    if msg.slot != shape.slot:
+        raise ProtocolOrderError(f"expected a message for slot {shape.slot}, got slot {msg.slot}")
+    if msg.kind == "ANCILLA":
+        payload, theta = np.array(msg.payload, dtype=complex), 0.0
+    else:
+        if msg.theta_grid >= grid_n:
+            raise ValueError(f"grid index {msg.theta_grid} is outside the grid of size {grid_n}")
+        payload, theta = np.array([1.0, 0.0], dtype=complex), grid_angles(grid_n)[msg.theta_grid]
+    step = AdqcStep(
+        shape.targets,
+        shape.entangler_labels,
+        AncillaSpec(0.0, 0.0),
+        AdaptiveAngle.constant(theta),
+        shape.basis_phi,
+    )
+    return step_branch_operators(step, theta, n, payload)
 
 
 def server_step(
     state: RegisterState,
     msg: Message,
-    targets,
-    entangler_labels,
+    shape: ServerStepShape,
     grid_n: int = DEFAULT_GRID,
     outcome=None,
     rng=None,
-    expect: str | None = None,
 ):
     """Execute one step from a message: couple the (given or standard) ancilla
-    to the targets and measure.
+    to the shape's targets and measure.
 
     Returns (new_state, OUTCOME message, branch probability).
     """
-    if expect is not None and msg.kind != expect:
-        raise ProtocolOrderError(f"expected a {expect} message, got {msg.kind}")
-    if msg.kind == "ANCILLA":
-        payload = np.array(msg.payload, dtype=complex)
-        theta = 0.0
-    elif msg.kind == "ANGLE":
-        payload = np.array([1.0, 0.0], dtype=complex)  # standard ancilla
-        theta = grid_angles(grid_n)[msg.theta_grid]
-    else:
-        raise ProtocolOrderError("server received an OUTCOME message")
-
-    n = state.register.num_qubits
-    step = AdqcStep(
-        tuple(targets),
-        tuple(entangler_labels),
-        AncillaSpec(0.0, 0.0),
-        AdaptiveAngle.constant(theta),
-    )
-    ops = _branch_ops_with_payload(step, theta, n, payload)
-    vecs = [op @ state.register.amplitudes for op in ops]
-    probs = [float(np.vdot(v, v).real) for v in vecs]
-    if outcome is None:
-        if rng is None:
-            raise ValueError("sampling requires an rng")
-        s = 0 if rng.random() < probs[0] else 1
-    else:
-        s = int(outcome)
-        if probs[s] < 1e-12:
-            raise ValueError("forced branch has vanishing probability")
-    new_state = replace(
-        state,
-        register=PureState(n, vecs[s]),
-        outcome_log=state.outcome_log + (s,),
-    )
-    return new_state, Message("OUTCOME", msg.slot, bit=s), probs[s]
-
-
-def _branch_ops_with_payload(step, theta, n, payload):
-    """Branch operators of a step with an explicit physical ancilla payload."""
-    ents = [preset(lbl) for lbl in step.entangler_labels]
-    anc_pos = n
-    total = np.eye(2 ** (n + 1), dtype=complex)
-    for tgt, ent in zip(step.targets, ents):
-        total = _embed_two(assemble_entangler(ent), anc_pos, tgt, n + 1) @ total
-    last_wa = ents[-1].frame.w_a
-    basis = MeasBasis(theta, step.basis_phi)
-    bras = [last_wa @ b.amplitudes for b in basis.bra_states()]
-    dim = 2**n
-    t = total.reshape(dim, 2, dim, 2)
-    return [np.einsum("a,iajb,b->ij", b.conj(), t, payload) for b in bras]
+    ops = _message_operators(msg, shape, grid_n, state.register.num_qubits)
+    new_state, s, prob = advance(state, ops, outcome, rng)
+    return new_state, Message("OUTCOME", msg.slot, bit=s), prob
 
 
 class Server:
@@ -378,18 +348,9 @@ class Server:
     def handle(self, msg: Message, outcome=None) -> Message:
         if self.cursor >= len(self.shape):
             raise ProtocolOrderError("protocol already finished")
-        sh = self.shape[self.cursor]
-        self.state, out, prob = server_step(
-            self.state,
-            msg,
-            sh.targets,
-            sh.entangler_labels,
-            grid_n=self.grid_n,
-            outcome=outcome,
-            rng=self.rng,
-            expect=sh.expects,
+        self.state, out, _ = server_step(
+            self.state, msg, self.shape[self.cursor], self.grid_n, outcome, self.rng
         )
-        self.last_probability = prob
         self.cursor += 1
         return out
 
@@ -397,21 +358,6 @@ class Server:
 # ---------------------------------------------------------------------------
 # delegation driver
 # ---------------------------------------------------------------------------
-
-
-def client_prepare_ancilla(client: Client, slot_idx: int, role: str = "gamma") -> Message:
-    return client.prepare_ancilla(slot_idx, role)
-
-
-def client_angle(client: Client, slot_idx: int, s: int) -> Message:
-    """The basis-angle message, given the hidden-rotation round's outcome."""
-    client.record(slot_idx, "gamma", s)
-    return client.angle_message(slot_idx)
-
-
-def client_postprocess(client: Client, s_prime: int, slot_idx: int) -> int:
-    """Invert the rotation-round outcome when the angle carried a half-turn."""
-    return s_prime ^ client.secret.draws[slot_idx].r_angle
 
 
 @dataclass(frozen=True)
@@ -439,121 +385,94 @@ def run_delegation(
     pattern = secret.pattern
     n = pattern.num_qubits
     client = Client(secret)
-    shape = pattern_shape(pattern)
-    reference = PureState(
-        n,
-        pattern.target
-        @ init_register(n, input_state if input_state is not None else "0" * n).register.amplitudes,
+    start = init_register(n, input_state if input_state is not None else "0" * n).register
+    reference = PureState(n, pattern.target @ start.amplitudes)
+    if mode == "sample":
+        server = Server(pattern_shape(pattern), n, input_state, secret.grid_n, seed)
+        _dialogue(client, server)
+        raw, worst = server.state.register.amplitudes, None
+    elif mode == "enumerate":
+        raw, worst = _enumerated_dialogue(client, start.amplitudes)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    branch = [(client.eff_outcomes, client.payload_bits)]
+    final = PureState(n, _corrected(raw[None], pattern.corrections, branch)[0])
+    fid = final.fidelity(reference)
+    return DelegationResult(
+        final, reference, fid, client.transcript, None if worst is None else min(worst, fid)
     )
 
-    if mode == "sample":
-        server = Server(shape, n, input_state, secret.grid_n, seed)
-        _dialogue(client, server)
-        frame = client.final_frame()
-        final = _apply_frame_vec(server.state.register, frame)
-        fid = final.fidelity(reference)
-        return DelegationResult(final, reference, fid, client.transcript)
 
-    if mode != "enumerate":
-        raise ValueError(f"unknown mode {mode!r}")
+def _corrected(states: np.ndarray, corrections, branches) -> np.ndarray:
+    """Apply to each row the byproduct frame of its branch, given as the
+    client's (outcome bits, payload bits) lists."""
+    eff = np.array([b[0] for b in branches], dtype=np.int8).T
+    pay = np.array([b[1] for b in branches], dtype=np.int8).T
+    return apply_pauli_frame(states, *frame_bits(corrections, eff, pay))
 
-    worst = 1.0
-    server = Server(shape, n, input_state, secret.grid_n, seed=0)
-    state = server.state.register.amplitudes
-    start = 0
-    for slot_idx, slot in enumerate(pattern.slots):
-        rounds = slot_rounds(slot)
-        k = len(rounds)
-        combos = []
-        for m in range(2**k):
-            outs = [(m >> (k - 1 - j)) & 1 for j in range(k)]
-            probe = Client(secret)
-            probe.eff_outcomes = list(client.eff_outcomes)
-            probe.payload_bits = list(client.payload_bits)
-            st = PureState(n, state)
-            srv = Server(shape, n, st, secret.grid_n, seed=0)
-            srv.cursor = start
-            srv.state = replace(srv.state, outcome_log=(0,) * start)
-            p = 1.0
-            ok = True
-            for j, (role, kind) in enumerate(rounds):
-                msg = (
-                    probe.prepare_ancilla(slot_idx, role)
-                    if kind == "ANCILLA"
-                    else probe.angle_message(slot_idx)
-                )
-                try:
-                    out = srv.handle(msg, outcome=outs[j])
-                except ValueError:
-                    ok = False
-                    break
-                pr = _last_branch_probability(srv)
-                p *= pr
-                probe.record(slot_idx, role, out.bit)
-            if not ok:
-                continue
-            boundary = pattern.slot_boundaries[slot_idx]
-            frame = tuple(
-                c.pauli(tuple(probe.eff_outcomes), tuple(probe.payload_bits))
-                for c in boundary
-            )
-            combos.append((outs, p, _apply_frame_vec(srv.state.register, frame), probe))
-        total = sum(p for _, p, _, _ in combos)
-        if abs(total - 1.0) > 1e-9:
-            raise RuntimeError(f"slot {slot_idx} branch probabilities sum to {total}")
-        base = combos[0][2]
-        for outs, p, vec, _ in combos[1:]:
-            worst = min(worst, vec.fidelity(base))
-        # carry the first combo forward
-        _, _, _, probe0 = combos[0]
-        client.eff_outcomes = probe0.eff_outcomes
-        client.payload_bits = probe0.payload_bits
-        # replay the first combo on the real server to extend the transcript
-        srv = Server(shape, n, PureState(n, state), secret.grid_n, seed=0)
-        srv.cursor = start
-        srv.state = replace(srv.state, outcome_log=(0,) * start)
-        for j, (role, kind) in enumerate(slot_rounds(slot)):
-            msg = (
-                client.prepare_ancilla(slot_idx, role)
-                if kind == "ANCILLA"
-                else client.angle_message(slot_idx)
-            )
-            client.transcript.messages.append(msg)
-            out = srv.handle(msg, outcome=combos[0][0][j])
-            client.transcript.messages.append(out)
-            client.record(slot_idx, role, out.bit)
-        state = srv.state.register.amplitudes
-        start += k
 
-    frame = client.final_frame()
-    final = _apply_frame_vec(PureState(n, state), frame)
-    fid = final.fidelity(reference)
-    return DelegationResult(final, reference, fid, client.transcript, min(worst, fid))
+def _client_message(client: Client, slot_idx: int, role: str, kind: str) -> Message:
+    if kind == "ANCILLA":
+        return client.prepare_ancilla(slot_idx, role)
+    return client.angle_message(slot_idx)
 
 
 def _dialogue(client: Client, server: Server):
     for slot_idx, slot in enumerate(client.secret.pattern.slots):
         for role, kind in slot_rounds(slot):
-            msg = (
-                client.prepare_ancilla(slot_idx, role)
-                if kind == "ANCILLA"
-                else client.angle_message(slot_idx)
-            )
+            msg = _client_message(client, slot_idx, role, kind)
             client.transcript.messages.append(msg)
             out = server.handle(msg)
             client.transcript.messages.append(out)
             client.record(slot_idx, role, out.bit)
 
 
-def _last_branch_probability(server: Server) -> float:
-    return server.last_probability
-
-
-def _apply_frame_vec(state: PureState, frame) -> PureState:
-    op = np.array([[1.0]], dtype=complex)
-    for name in frame:
-        op = np.kron(op, PAULIS[name])
-    return PureState(state.num_qubits, op @ state.amplitudes)
+def _enumerated_dialogue(client: Client, state: np.ndarray):
+    """Expand every outcome combination of each slot with the real client's
+    messages (copying only its outcome and payload lists per combination) and
+    carry the first one forward into the transcript.  Returns the carried raw
+    register state and the worst fidelity between a combination and the first
+    after the slot-boundary frame."""
+    pattern = client.secret.pattern
+    shape = pattern_shape(pattern)
+    n, grid_n = pattern.num_qubits, client.secret.grid_n
+    log = client.transcript.client_log
+    worst = 1.0
+    for slot_idx, slot in enumerate(pattern.slots):
+        states, probs = state[None], np.ones(1)
+        # per combination: the client's outcome and payload lists, messages so far
+        branches = [(client.eff_outcomes, client.payload_bits, [])]
+        for role, kind in slot_rounds(slot):
+            n_log = len(log)
+            msgs = []
+            for eff, pay, _ in branches:
+                client.eff_outcomes, client.payload_bits = eff, pay
+                msgs.append(_client_message(client, slot_idx, role, kind))
+            del log[n_log + 1:]  # an angle round's log entry is the same on every branch
+            groups: dict[Message, int] = {}
+            which = np.array([groups.setdefault(m, len(groups)) for m in msgs])
+            step_shape = shape[slot.roles[role]]
+            pairs = [_message_operators(m, step_shape, grid_n, n) for m in groups]
+            states, parent, outs, p = branch_step(states, pairs, which)
+            probs = probs[parent] * p
+            children = []
+            for b, s in zip(parent.tolist(), outs.tolist()):
+                eff, pay, sent = branches[b]
+                client.eff_outcomes, client.payload_bits = list(eff), list(pay)
+                client.record(slot_idx, role, s)
+                reply = Message("OUTCOME", slot_idx, bit=s)
+                children.append((client.eff_outcomes, client.payload_bits, sent + [msgs[b], reply]))
+            branches = children
+        total = probs.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise RuntimeError(f"slot {slot_idx} branch probabilities sum to {total}")
+        corrected = _corrected(states, pattern.slot_boundaries[slot_idx], branches)
+        fids = np.abs(corrected[1:] @ corrected[0].conj()) ** 2
+        worst = min(worst, float(np.min(fids, initial=1.0)))
+        client.eff_outcomes, client.payload_bits, sent = branches[0]
+        client.transcript.messages.extend(sent)
+        state = states[0]
+    return state, worst
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,29 @@ whose byproduct corrections are recorded per qubit as outcome-parity sets.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import AncillaSpec, MeasBasis, assemble_entangler, preset
-from .linalg import PAULIS, PureState, dagger
+from .linalg import PureState, apply_pauli_frame, dagger, embed
 
 PRUNE_PROBABILITY = 1e-12
 PAYLOAD_BIT = 1 << 20  # set index i + PAYLOAD_BIT refers to step i's payload flip
+PAULI_NAMES = ("I", "X", "Z", "Y")  # the byproduct X^x Z^z (Y when both) at index x + 2 z
+
+
+def parity(bits, outcomes, payload_bits=None):
+    """XOR of the referenced bits: index i < PAYLOAD_BIT is ``outcomes[i]``,
+    index i + PAYLOAD_BIT is ``payload_bits[i]`` (zero when it is None).
+    Entries may be ints or bit arrays, giving the parity per element."""
+    p = 0
+    for i in bits:
+        if i < PAYLOAD_BIT:
+            p = p ^ (outcomes[i] & 1)
+        elif payload_bits is not None:
+            p = p ^ (payload_bits[i - PAYLOAD_BIT] & 1)
+    return p
 
 
 @dataclass(frozen=True)
@@ -34,17 +47,10 @@ class AdaptiveAngle:
     def constant(cls, value: float) -> "AdaptiveAngle":
         return cls(((float(value), frozenset()),))
 
-    def resolve(self, outcomes, payload_bits=None) -> float:
+    def resolve(self, outcomes, payload_bits=None):
         total = 0.0
         for value, negate_on in self.terms:
-            parity = 0
-            for i in negate_on:
-                if i >= PAYLOAD_BIT:
-                    if payload_bits:
-                        parity ^= payload_bits[i - PAYLOAD_BIT] & 1
-                else:
-                    parity ^= outcomes[i] & 1
-            total += -value if parity else value
+            total += value * (1 - 2 * parity(negate_on, outcomes, payload_bits))
         return total
 
     def max_dependency(self) -> int:
@@ -91,23 +97,14 @@ class QubitCorrection:
     z_const: int = 0
 
     def bits(self, outcomes, payload_bits=None) -> tuple[int, int]:
-        def bit(i: int) -> int:
-            if i >= PAYLOAD_BIT:
-                return payload_bits[i - PAYLOAD_BIT] & 1 if payload_bits else 0
-            return outcomes[i] & 1
-
-        x = self.x_const
-        for i in self.x_parity:
-            x ^= bit(i)
-        z = self.z_const
-        for i in self.z_parity:
-            z ^= bit(i)
-        return x, z
+        return (
+            self.x_const ^ parity(self.x_parity, outcomes, payload_bits),
+            self.z_const ^ parity(self.z_parity, outcomes, payload_bits),
+        )
 
     def pauli(self, outcomes, payload_bits=None) -> str:
-        return {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[
-            self.bits(outcomes, payload_bits)
-        ]
+        x, z = self.bits(outcomes, payload_bits)
+        return PAULI_NAMES[x + 2 * z]
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,6 @@ class GatePattern:
 @dataclass(frozen=True)
 class RegisterState:
     register: PureState
-    attached_ancilla: PureState | None = None
     pauli_frame: tuple[str, ...] = ()
     outcome_log: tuple[int, ...] = ()
 
@@ -191,54 +187,94 @@ def init_register(n: int, state="") -> RegisterState:
     return RegisterState(reg)
 
 
-def _embed_two(op4: np.ndarray, pos_a: int, pos_b: int, n_total: int) -> np.ndarray:
-    """Embed a 2-qubit operator (first factor at pos_a, second at pos_b)."""
-    op = op4.reshape(2, 2, 2, 2)
-    dim = 2**n_total
-    full = np.zeros((dim, dim), dtype=complex)
-    rest = [q for q in range(n_total) if q not in (pos_a, pos_b)]
-    for ao in range(2):
-        for bo in range(2):
-            for ai in range(2):
-                for bi in range(2):
-                    amp = op[ao, bo, ai, bi]
-                    if amp == 0:
-                        continue
-                    for r in range(2 ** len(rest)):
-                        idx_o = [0] * n_total
-                        idx_i = [0] * n_total
-                        idx_o[pos_a], idx_o[pos_b] = ao, bo
-                        idx_i[pos_a], idx_i[pos_b] = ai, bi
-                        for k, q in enumerate(rest):
-                            bit = (r >> k) & 1
-                            idx_o[q] = bit
-                            idx_i[q] = bit
-                        io = int("".join(map(str, idx_o)), 2)
-                        ii = int("".join(map(str, idx_i)), 2)
-                        full[io, ii] += amp
-    return full
-
-
-def step_branch_operators(step: AdqcStep, theta: float, n: int):
-    """The two register Kraus operators of a step (unnormalized), plus the
-    outcome ordering (plus branch first).  ``n`` is the register size."""
+def step_branch_operators(step: AdqcStep, theta: float, n: int, payload=None) -> np.ndarray:
+    """The two register Kraus operators of a step (unnormalized), plus branch
+    first, as a (2, 2^n, 2^n) array.  ``n`` is the register size.  ``payload``
+    is the physical ancilla ket; by default the step's canonical ancilla."""
     ents = [preset(lbl) for lbl in step.entangler_labels]
-    anc_pos = n  # ancilla appended as least significant qubit
     total = np.eye(2 ** (n + 1), dtype=complex)
     for tgt, ent in zip(step.targets, ents):
-        total = _embed_two(assemble_entangler(ent), anc_pos, tgt, n + 1) @ total
-    first_va = ents[0].frame.v_a
-    payload = dagger(first_va) @ step.ancilla.ket().amplitudes
+        # ancilla appended as the least significant qubit
+        total = embed(assemble_entangler(ent), (n, tgt), n + 1) @ total
+    if payload is None:
+        payload = dagger(ents[0].frame.v_a) @ step.ancilla.ket().amplitudes
     last_wa = ents[-1].frame.w_a
-    basis = MeasBasis(theta, step.basis_phi)
-    bras = [last_wa @ b.amplitudes for b in basis.bra_states()]
-
+    bras = [last_wa @ b.amplitudes for b in MeasBasis(theta, step.basis_phi).bra_states()]
     dim = 2**n
     t = total.reshape(dim, 2, dim, 2)  # (reg_out, anc_out, reg_in, anc_in)
-    ops = []
-    for b in bras:
-        ops.append(np.einsum("a,iajb,b->ij", b.conj(), t, payload))
-    return ops
+    return np.stack([np.einsum("a,iajb,b->ij", b.conj(), t, payload) for b in bras])
+
+
+def branch_step(states: np.ndarray, pairs, which: np.ndarray, outcome=None, rng=None):
+    """Advance a (B, 2^n) batch of normalized register states by one step.
+
+    ``which[b]`` picks branch b's Kraus pair from ``pairs``.  With neither
+    ``outcome`` nor ``rng`` every branch splits into both outcomes, ordered by
+    (branch, outcome), dropping children of conditional probability below
+    PRUNE_PROBABILITY.  Otherwise the single branch takes the forced
+    ``outcome`` or draws one with one ``rng.random()`` call.
+
+    Returns the new branches' normalized states, parent indices, outcome bits
+    and conditional probabilities.
+    """
+    vecs = np.empty((len(states), 2, states.shape[1]), dtype=complex)
+    for g, ops in enumerate(pairs):
+        sel = which == g
+        vecs[sel] = np.einsum("sij,bj->bsi", ops, states[sel])
+    re_im = vecs.view(float)
+    probs = np.einsum("bsi,bsi->bs", re_im, re_im)
+    if outcome is None and rng is None:
+        parent, out = np.nonzero(probs >= PRUNE_PROBABILITY)
+    else:
+        if outcome is None:
+            s = 0 if rng.random() < probs[0, 0] else 1
+        else:
+            s = int(outcome)
+            p_s = probs[0, s] if s in (0, 1) else 0.0
+            if p_s < PRUNE_PROBABILITY:
+                raise ValueError(f"forced branch {s} has probability {p_s:.3e}")
+        parent, out = np.zeros(1, dtype=int), np.array([s])
+    p = probs[parent, out]
+    return vecs[parent, out] / np.sqrt(p)[:, None], parent, out, p
+
+
+def walk_steps(pattern: GatePattern, states, bits, indices, rng=None):
+    """Run the pattern's steps at ``indices`` over a batch with
+    ``branch_step``; ``bits`` is the (steps, B) outcome-bit array the adaptive
+    angles read.  Kraus pairs are built once per step and basis angle rounded
+    to 12 digits.  Returns (states, probabilities, bits)."""
+    probs = np.ones(len(states))
+    for k in indices:
+        step = pattern.steps[k]
+        theta = np.broadcast_to(step.basis_theta.resolve(bits), (len(states),))
+        _, first, which = np.unique(np.round(theta, 12), return_index=True, return_inverse=True)
+        pairs = [step_branch_operators(step, theta[i], pattern.num_qubits) for i in first]
+        states, parent, out, p = branch_step(states, pairs, which, rng=rng)
+        probs = probs[parent] * p
+        bits = bits[:, parent]
+        bits[k] = out
+    return states, probs, bits
+
+
+def frame_bits(corrections, outcomes, payload_bits=None) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) byproduct bits of a batch: (n, B) arrays from (steps, B) bits."""
+    x = np.zeros((len(corrections), outcomes.shape[1]), dtype=np.int8)
+    z = np.zeros_like(x)
+    for q, c in enumerate(corrections):
+        x[q], z[q] = c.bits(outcomes, payload_bits)
+    return x, z
+
+
+def advance(state: RegisterState, ops: np.ndarray, outcome=None, rng=None):
+    """One forced or sampled step of a single register with the given Kraus
+    pair.  Returns (new_state, outcome_bit, branch probability)."""
+    if outcome is None and rng is None:
+        raise ValueError("sampling a step requires an rng")
+    single = np.zeros(1, dtype=int)
+    vecs, _, out, p = branch_step(state.register.amplitudes[None], [ops], single, outcome, rng)
+    s = int(out[0])
+    register = PureState.unchecked(state.register.num_qubits, vecs[0])
+    return replace(state, register=register, outcome_log=state.outcome_log + (s,)), s, float(p[0])
 
 
 def execute_step(state: RegisterState, step: AdqcStep, outcome=None, rng=None):
@@ -247,28 +283,11 @@ def execute_step(state: RegisterState, step: AdqcStep, outcome=None, rng=None):
     Returns (new_state, outcome_bit).  Forcing a branch whose probability is
     below 1e-12 is an error.
     """
-    if state.attached_ancilla is not None:
-        raise RuntimeError("an ancilla is already attached")
     n = state.register.num_qubits
     if any(t >= n for t in step.targets):
         raise ValueError("step targets outside the register")
     theta = step.basis_theta.resolve(state.outcome_log)
-    ops = step_branch_operators(step, theta, n)
-    vecs = [op @ state.register.amplitudes for op in ops]
-    probs = [float(np.vdot(v, v).real) for v in vecs]
-
-    if outcome is None:
-        if rng is None:
-            raise ValueError("sampling a step requires an rng")
-        s = 0 if rng.random() < probs[0] else 1
-    else:
-        s = int(outcome)
-        if probs[s] < PRUNE_PROBABILITY:
-            raise ValueError(f"forced branch {s} has probability {probs[s]:.3e}")
-    new_reg = PureState(n, vecs[s])
-    new_state = replace(
-        state, register=new_reg, outcome_log=state.outcome_log + (s,)
-    )
+    new_state, s, _ = advance(state, step_branch_operators(step, theta, n), outcome, rng)
     return new_state, s
 
 
@@ -289,18 +308,6 @@ class RunResult:
         return sum(b.probability for b in self.branches)
 
 
-def _apply_frame(state: PureState, frame) -> PureState:
-    op = np.array([[1.0]], dtype=complex)
-    for name in frame:
-        op = np.kron(op, PAULIS[name])
-    # Pauli application is exactly norm-preserving; skip renormalization so the
-    # corrected state is bit-identical to frame @ raw
-    out = PureState.__new__(PureState)
-    object.__setattr__(out, "num_qubits", state.num_qubits)
-    object.__setattr__(out, "amplitudes", op @ state.amplitudes)
-    return out
-
-
 def run_pattern(state: RegisterState, pattern: GatePattern, mode="enumerate", seed=None):
     """Execute a pattern.
 
@@ -311,64 +318,20 @@ def run_pattern(state: RegisterState, pattern: GatePattern, mode="enumerate", se
     """
     if pattern.num_qubits != state.register.num_qubits:
         raise ValueError("pattern size does not match the register")
-    base_log = len(state.outcome_log)
-    if base_log:
+    if state.outcome_log:
         raise ValueError("run_pattern expects a fresh outcome log")
-
-    def finish(st: RegisterState, prob: float) -> Branch:
-        frame = pattern.correction_for(st.outcome_log)
-        corrected = _apply_frame(st.register, frame)
-        final = replace(st, pauli_frame=frame)
-        return Branch(st.outcome_log, prob, final, frame, corrected)
-
-    cache: dict = {}
-
-    def cached_ops(k: int, step: AdqcStep, theta: float):
-        key = (k, round(theta, 12) % (2 * math.pi))
-        if key not in cache:
-            cache[key] = step_branch_operators(step, theta, pattern.num_qubits)
-        return cache[key]
-
-    if mode == "sample":
-        rng = np.random.default_rng(seed)
-        st, prob = state, 1.0
-        for k, step in enumerate(pattern.steps):
-            theta = step.basis_theta.resolve(st.outcome_log)
-            ops = cached_ops(k, step, theta)
-            vecs = [op @ st.register.amplitudes for op in ops]
-            probs = [float(np.vdot(v, v).real) for v in vecs]
-            s = 0 if rng.random() < probs[0] else 1
-            prob *= probs[s]
-            st = replace(
-                st,
-                register=PureState(st.register.num_qubits, vecs[s]),
-                outcome_log=st.outcome_log + (s,),
-            )
-        return RunResult((finish(st, prob),))
-
-    if mode != "enumerate":
+    if mode not in ("sample", "enumerate"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    branches = []
-    stack = [(state, 1.0, 0)]
-    while stack:
-        st, prob, k = stack.pop()
-        if k == len(pattern.steps):
-            branches.append(finish(st, prob))
-            continue
-        step = pattern.steps[k]
-        theta = step.basis_theta.resolve(st.outcome_log)
-        ops = cached_ops(k, step, theta)
-        for s in (1, 0):
-            vec = ops[s] @ st.register.amplitudes
-            p = float(np.vdot(vec, vec).real)
-            if p < PRUNE_PROBABILITY:
-                continue
-            nxt = replace(
-                st,
-                register=PureState(st.register.num_qubits, vec),
-                outcome_log=st.outcome_log + (s,),
-            )
-            stack.append((nxt, prob * p, k + 1))
-    branches.sort(key=lambda b: b.outcomes)
-    return RunResult(tuple(branches))
+    rng = np.random.default_rng(seed) if mode == "sample" else None
+    n, k = pattern.num_qubits, len(pattern.steps)
+    start = np.zeros((k, 1), dtype=np.int8)
+    states, probs, bits = walk_steps(pattern, state.register.amplitudes[None], start, range(k), rng)
+    x, z = frame_bits(pattern.corrections, bits)
+    corrected = apply_pauli_frame(states, x, z)
+    frames = zip(*[[PAULI_NAMES[v] for v in row] for row in (x + 2 * z).tolist()])
+    rows = zip(zip(*bits.tolist()), frames, probs.tolist(), states, corrected)
+    return RunResult(tuple(
+        Branch(outs, p, RegisterState(PureState.unchecked(n, raw), frame, outs), frame,
+               PureState.unchecked(n, fixed))
+        for outs, frame, p, raw, fixed in rows
+    ))

@@ -109,3 +109,28 @@ class TestArgumentHandling:
         code, out, _ = run_cli(capsys, "audit", "--out", str(path))
         assert code == 0
         assert json.loads(path.read_text()) == json.loads(out)
+
+
+class TestMalformedCircuit:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"v": 1, "qubits": 1},
+            {"v": 1, "gates": []},
+            {"v": 1, "qubits": "1", "gates": []},
+            {"v": 1, "qubits": 1.5, "gates": []},
+            {"v": 1, "qubits": 1, "gates": {"kind": "H"}},
+            {"v": 1, "qubits": 1, "gates": [{"kind": "H"}]},
+            {"v": 1, "qubits": 1, "gates": [{"targets": [0]}]},
+            {"v": 1, "qubits": 1, "gates": [{"kind": "H", "targets": [-1]}]},
+            {"v": 1, "qubits": 1, "gates": [{"kind": "Rz", "targets": [0], "angle": "x"}]},
+            [1, 2],
+        ],
+    )
+    def test_delegate_rejects_with_json_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "delegate", "--circuit", str(path), "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err)

@@ -8,10 +8,13 @@ from adqc.linalg import (
     H,
     I2,
     X,
+    Y,
     Z,
     DensityMatrix,
     PureState,
-    apply_unitary,
+    apply_op,
+    apply_pauli_frame,
+    embed,
     equal_up_to_global_phase,
     partial_trace,
     tensor,
@@ -135,10 +138,32 @@ class TestStates:
 
     def test_apply_unitary_targets(self):
         st = PureState.from_label("00")
-        flipped = apply_unitary(st, X, [1])
+        flipped = PureState(2, apply_op(X, st.amplitudes, [1]))
         np.testing.assert_allclose(flipped.amplitudes, [0, 1, 0, 0], atol=1e-15)
-        ent = apply_unitary(apply_unitary(st, H, [0]), CZ, [0, 1])
-        assert abs(np.linalg.norm(ent.amplitudes) - 1) < 1e-12
+        ent = apply_op(CZ, apply_op(H, st.amplitudes, [0]), [0, 1])
+        assert abs(np.linalg.norm(ent) - 1) < 1e-12
+
+    def test_embed_matches_kronecker_products_exactly(self):
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        assert np.array_equal(embed(u, [1], 3), tensor(I2, u, I2))
+        # v's first factor on qubit 2, its second on qubit 0
+        v = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        moved = tensor(v, I2).reshape([2] * 6).transpose(1, 2, 0, 4, 5, 3).reshape(8, 8)
+        assert np.array_equal(embed(v, [2, 0], 3), moved)
+        with pytest.raises(ValueError):
+            embed(u, [0, 1], 2)
+
+    def test_pauli_frame_matches_dense_operator_exactly(self):
+        rng = np.random.default_rng(6)
+        paulis = {(0, 0): I2, (1, 0): X, (0, 1): Z, (1, 1): Y}
+        states = rng.normal(size=(50, 8)) + 1j * rng.normal(size=(50, 8))
+        x = rng.integers(2, size=(3, 50))
+        z = rng.integers(2, size=(3, 50))
+        got = apply_pauli_frame(states, x, z)
+        for b in range(50):
+            op = tensor(*(paulis[(x[q, b], z[q, b])] for q in range(3)))
+            assert np.array_equal(got[b], op @ states[b])
 
     def test_trace_distance(self):
         a = PureState.from_label("0").density()

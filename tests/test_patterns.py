@@ -70,6 +70,23 @@ class TestStandardPatterns:
         rep = verify_pattern(bad)
         assert not rep.valid
         assert rep.worst_branch_error > 0.5
+        assert "branch outcomes (" in rep.detail and "on input " in rep.detail
+
+    def test_broken_slot_boundary_named(self):
+        """A wrong frame at one slot boundary of a slot-wise verified pattern
+        is reported with that slot's index."""
+        c = CircuitDescription(1, (CircuitGate("H", (0,)), CircuitGate("Rz", (0,), PI / 3)))
+        pat = compile_circuit(c, "single")
+        assert len(pat.steps) > 13
+        for slot in range(len(pat.slots)):
+            first = pat.slots[slot].step_indices[0]
+            boundaries = list(pat.slot_boundaries)
+            c0 = boundaries[slot][0]
+            boundaries[slot] = (replace(c0, x_parity=c0.x_parity ^ {first}),)
+            rep = verify_pattern(replace(pat, slot_boundaries=tuple(boundaries)))
+            assert not rep.valid and rep.mode == "slotwise"
+            assert rep.detail.startswith(f"slot {slot} branches disagree after correction")
+            assert "outcomes [" in rep.detail and "on input " in rep.detail
 
     def test_rotation_slot_step_counts(self):
         assert len(standard_pattern("J", 0.3, "single").steps) == 3

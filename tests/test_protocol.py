@@ -1,5 +1,6 @@
 """Client/server dialogue, transcripts, delegation correctness, blindness."""
 
+import hashlib
 import json
 import math
 
@@ -16,9 +17,6 @@ from adqc.protocol import (
     Server,
     SlotDraw,
     audit_blindness,
-    client_angle,
-    client_postprocess,
-    client_prepare_ancilla,
     grid_angles,
     pattern_shape,
     run_delegation,
@@ -42,12 +40,12 @@ class TestClientMessages:
         slot = next(i for i, s in enumerate(sec.pattern.slots) if s.kind == "RX")
         _force_draw(sec, slot, gamma_index=2, r_payload=0)  # gamma = pi/2
         cl = Client(sec)
-        msg = client_prepare_ancilla(cl, slot, "gamma")
+        msg = cl.prepare_ancilla(slot, "gamma")
         np.testing.assert_allclose(msg.payload, [1 / math.sqrt(2)] * 2, atol=1e-12)
 
         _force_draw(sec, slot, gamma_index=2, r_payload=1)  # gamma = 3 pi/2
         cl = Client(sec)
-        msg = client_prepare_ancilla(cl, slot, "gamma")
+        msg = cl.prepare_ancilla(slot, "gamma")
         expect = [math.cos(3 * PI / 4), math.sin(3 * PI / 4)]
         np.testing.assert_allclose(msg.payload, expect, atol=1e-12)
 
@@ -71,7 +69,8 @@ class TestClientMessages:
         assert sec.pattern.slots[slot].theta_prime == pytest.approx(PI / 4)
         _force_draw(sec, slot, gamma_index=2, r_payload=0, r_angle=0)
         cl = Client(sec)
-        msg = client_angle(cl, slot, 0)
+        cl.record(slot, "gamma", 0)
+        msg = cl.angle_message(slot)
         assert grid_angles(8)[msg.theta_grid] == pytest.approx(7 * PI / 4)
 
     def test_angle_half_turn_only(self):
@@ -79,18 +78,22 @@ class TestClientMessages:
         slot = next(i for i, s in enumerate(sec.pattern.slots) if s.kind == "RX")
         _force_draw(sec, slot, gamma_index=0, r_payload=0, r_angle=1)
         cl = Client(sec)
-        msg = client_angle(cl, slot, 0)
+        cl.record(slot, "gamma", 0)
+        msg = cl.angle_message(slot)
         assert grid_angles(8)[msg.theta_grid] == pytest.approx(PI)
 
     def test_postprocess(self):
         sec = _secret([CircuitGate("Rx", (0,), PI / 4)])
         slot = next(i for i, s in enumerate(sec.pattern.slots) if s.kind == "RX")
+        step = sec.pattern.slots[slot].roles["theta"]
         _force_draw(sec, slot, r_angle=1)
         cl = Client(sec)
-        assert client_postprocess(cl, 0, slot) == 1
+        cl.record(slot, "theta", 0)
+        assert cl.eff_outcomes[step] == 1
         _force_draw(sec, slot, r_angle=0)
         cl = Client(sec)
-        assert client_postprocess(cl, 1, slot) == 1
+        cl.record(slot, "theta", 1)
+        assert cl.eff_outcomes[step] == 1
 
     def test_angle_uniform_over_hidden_draws(self):
         """For fixed secret angle, outcome and coins, the angle message is a
@@ -126,6 +129,66 @@ class TestServer:
         for sh in pattern_shape(sec.pattern):
             assert not hasattr(sh, "theta_prime")
             assert sh.expects in ("ANCILLA", "ANGLE")
+
+
+class TestMalformedServerInput:
+    """Every malformed message is rejected at the trust boundary: none is
+    wrapped, broadcast or applied to another step.  One seeded fuzz per
+    boundary."""
+
+    def _server_at_angle_round(self):
+        """A server whose cursor sits on an ANGLE step, and that step's slot."""
+        sec = _secret([CircuitGate("Rx", (0,), PI / 4)])
+        shape = pattern_shape(sec.pattern)
+        server = Server(shape, 1, "0", 8, seed=0)
+        client = Client(sec)
+        slot = shape[0].slot
+        server.handle(client.prepare_ancilla(slot, "gamma"))
+        assert shape[server.cursor].expects == "ANGLE"
+        return server, shape[server.cursor].slot
+
+    def test_negative_grid_index(self):
+        rng = np.random.default_rng(101)
+        for k in rng.integers(-10_000, 0, size=25):
+            with pytest.raises(ValueError):
+                Message("ANGLE", 0, theta_grid=int(k))
+
+    def test_grid_index_beyond_the_grid(self):
+        rng = np.random.default_rng(102)
+        for k in rng.integers(8, 10_000, size=25):
+            server, slot = self._server_at_angle_round()
+            with pytest.raises(ValueError):
+                server.handle(Message("ANGLE", slot, theta_grid=int(k)))
+
+    def test_non_integer_grid_index_from_json(self):
+        rng = np.random.default_rng(103)
+        for t in [1.5, 2.0, "3", None, [1]] + list(rng.uniform(-20, 20, size=20)):
+            with pytest.raises(ValueError):
+                Message.from_dict({"kind": "ANGLE", "slot": 0, "theta_grid": t})
+        for bad in ({"slot": 0}, {"kind": "ANCILLA", "slot": 0, "payload": [1, 0]}, {"kind": "OUTCOME"}):
+            with pytest.raises(ValueError):
+                Message.from_dict(bad)
+
+    def test_ancilla_payload_of_wrong_length(self):
+        rng = np.random.default_rng(104)
+        for size in rng.choice([0, 1, 3, 4, 8], size=25):
+            v = rng.normal(size=size) + 1j * rng.normal(size=size)
+            v = v / np.linalg.norm(v) if size else v
+            with pytest.raises(ValueError):
+                Message("ANCILLA", 7, payload=tuple(v))
+
+    def test_message_for_another_slot(self):
+        rng = np.random.default_rng(105)
+        sec = _secret([CircuitGate("Rx", (0,), PI / 4)])
+        shape = pattern_shape(sec.pattern)
+        for other in rng.integers(-50, 50, size=25):
+            if other == shape[0].slot:
+                continue
+            server = Server(shape, 1, "0", 8, seed=0)
+            msg = Client(sec).prepare_ancilla(shape[0].slot, "gamma")
+            with pytest.raises(ProtocolOrderError):
+                server.handle(Message("ANCILLA", int(other), payload=msg.payload))
+            assert server.cursor == 0
 
 
 class TestDelegation:
@@ -187,6 +250,34 @@ class TestDelegation:
         with pytest.raises(ValueError):
             _secret([CircuitGate("Rz", (0,), 0.1234)])
 
+    # SHA-256 of to_jsonl(view="server") for seeded sample runs: the outcome
+    # bits depend on one rng draw per step against the branch probability
+    PINNED_TRANSCRIPTS = (
+        "0f5b0883e046e6b968e8d84becd718f8ae1f02a96e99a14cc0e1b79744ed433c",
+        "faa2186fd26a20041c0c49114294a16da52b5eee1d4de1ce4ce324388247927c",
+        "3735e4b9c845e4aa95b8e9f019bc06f71b1bc9f61ca0540fe2dcc39de67cc9a1",
+        "55c2ca074c4a3e1bacbe882128c33c436a916c24e24ae5844d39867be9a2696f",
+        "dcb76ceb916e603a8a86720f43e8ed8167102647569419103afec676fb51e88f",
+        "a8772e28accb42df6e3b51eb91206d194bab12db809634fd1a2f73613dcdb9d1",
+        "f3aa6876099a03c8a8505b7dc6be245884b9a02aa9f6985d1139c8e5797dbbc5",
+        "72b034c7aedeca2a44b1ca6be10b1b1779b2237aeb060798126f465888b5bd56",
+    )
+
+    def test_sampled_transcripts_are_pinned(self):
+        circuits = (
+            (1, (CircuitGate("H", (0,)), CircuitGate("Rz", (0,), PI / 4))),
+            (2, (CircuitGate("H", (0,)), CircuitGate("CZ", (0, 1)), CircuitGate("Rz", (1,), 3 * PI / 4))),
+            (2, (CircuitGate("Rx", (0,), PI / 2), CircuitGate("CZ", (1, 0)), CircuitGate("H", (1,)))),
+            (3, (CircuitGate("H", (2,)), CircuitGate("CZ", (1, 2)), CircuitGate("Rz", (0,), 5 * PI / 4))),
+        )
+        for i, pinned in enumerate(self.PINNED_TRANSCRIPTS):
+            n, gates = circuits[i // 2]
+            sec = ClientSecret(CircuitDescription(n, gates), ("single", "two")[i % 2], 8, 100 + i)
+            res = run_delegation(sec, seed=200 + i, mode="sample")
+            text = res.transcript.to_jsonl(view="server")
+            assert hashlib.sha256(text.encode()).hexdigest() == pinned, i
+            assert res.fidelity >= 1 - 1e-9
+
     def test_sampled_matches_reference_every_seed(self):
         circ = CircuitDescription(1, (CircuitGate("H", (0,)), CircuitGate("Rx", (0,), PI / 2)))
         sec = ClientSecret(circ, "two", 8, seed=2)
@@ -219,7 +310,7 @@ class TestTranscript:
         circ = CircuitDescription(1, (CircuitGate("H", (0,)), CircuitGate("Rz", (0,), PI / 2)))
         sec = ClientSecret(circ, "two", 8, seed=13)
         res = run_delegation(sec, seed=21, mode="sample")
-        msgs = res.transcript.server_view()
+        msgs = res.transcript.messages
         inbound = [m for m in msgs if m.kind != "OUTCOME"]
         outcomes = [m.bit for m in msgs if m.kind == "OUTCOME"]
         # serialize and reconstruct
@@ -233,8 +324,8 @@ class TestTranscript:
         b = _secret([CircuitGate("Rx", (0,), 5 * PI / 4)], seed=2)
         ra = run_delegation(a, seed=3, mode="sample")
         rb = run_delegation(b, seed=3, mode="sample")
-        kinds_a = [m.kind for m in ra.transcript.server_view()]
-        kinds_b = [m.kind for m in rb.transcript.server_view()]
+        kinds_a = [m.kind for m in ra.transcript.messages]
+        kinds_b = [m.kind for m in rb.transcript.messages]
         assert kinds_a == kinds_b
 
 

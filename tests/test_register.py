@@ -16,7 +16,7 @@ from adqc.register import (
     init_register,
     run_pattern,
 )
-from adqc.patterns import standard_pattern
+from adqc.patterns import CircuitDescription, CircuitGate, compile_circuit, standard_pattern
 
 PI = math.pi
 
@@ -95,6 +95,12 @@ class TestExecuteStep:
         st = init_register(1, "0")
         with pytest.raises(ValueError):
             execute_step(st, step, outcome=1)
+
+    def test_forced_outcome_outside_zero_one_rejected(self):
+        st = init_register(1, "0")
+        for outcome in (-1, 2):
+            with pytest.raises(ValueError):
+                execute_step(st, _gamma_step(gamma=0.9), outcome=outcome)
 
     def test_sampled_is_seed_deterministic(self):
         step = _gamma_step(gamma=1.1)
@@ -200,3 +206,68 @@ class TestStepValidation:
         assert len(table) == 2 ** len(pat.steps)
         for outs, frame in table.items():
             assert frame == pat.correction_for(outs)
+
+
+class TestKernelCrossCheck:
+    """run_pattern's batched enumeration against a step-by-step execute_step
+    replay, and sample mode against enumeration, on the six standard patterns
+    and one compiled two-qubit circuit per variant."""
+
+    PATTERNS = (
+        ("J", 0.7, "single"),
+        ("ASSIST", None, "single"),
+        ("CZ", None, "single"),
+        ("RX", 1.1, "two"),
+        ("RZ", 2.0, "two"),
+        ("CZ", None, "two"),
+    )
+    # replaying every branch of the 13- and 15-step CZ patterns would take
+    # tens of thousands of execute_step calls; larger runs replay a seeded subset
+    MAX_REPLAYS = 256
+
+    def _patterns(self):
+        for kind, theta, variant in self.PATTERNS:
+            yield standard_pattern(kind, theta, variant)
+        circuit = CircuitDescription(2, (CircuitGate("Rz", (1,), PI / 4),))
+        for variant in ("single", "two"):
+            yield compile_circuit(circuit, variant)
+
+    def _input(self, n, rng):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        return init_register(n, PureState(n, amps))
+
+    def test_enumerated_branches_match_step_replay(self):
+        rng = np.random.default_rng(31)
+        for pat in self._patterns():
+            start = self._input(pat.num_qubits, rng)
+            branches = run_pattern(start, pat, mode="enumerate").branches
+            if len(branches) > self.MAX_REPLAYS:
+                picks = sorted(rng.choice(len(branches), self.MAX_REPLAYS, replace=False))
+                branches = [branches[i] for i in picks]
+            replayed = {(): start}  # outcome prefix -> replayed state
+            for br in branches:
+                for k in range(len(br.outcomes)):
+                    prefix = br.outcomes[: k + 1]
+                    if prefix not in replayed:
+                        replayed[prefix], _ = execute_step(
+                            replayed[prefix[:-1]], pat.steps[k], outcome=prefix[-1]
+                        )
+                got = replayed[br.outcomes]
+                assert got.outcome_log == br.outcomes
+                np.testing.assert_allclose(
+                    got.register.amplitudes, br.raw.register.amplitudes, rtol=0, atol=1e-12
+                )
+
+    def test_sampled_trajectory_is_an_enumerated_branch(self):
+        rng = np.random.default_rng(32)
+        for pat in self._patterns():
+            start = self._input(pat.num_qubits, rng)
+            enumerated = {br.outcomes: br for br in run_pattern(start, pat).branches}
+            for seed in range(4):
+                (br,) = run_pattern(start, pat, mode="sample", seed=seed).branches
+                ref = enumerated[br.outcomes]
+                assert br.frame == ref.frame
+                assert abs(br.probability - ref.probability) < 1e-12
+                np.testing.assert_allclose(
+                    br.corrected.amplitudes, ref.corrected.amplitudes, rtol=0, atol=1e-12
+                )
