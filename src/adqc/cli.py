@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,12 +32,6 @@ from .patterns import (
 from .protocol import ClientSecret, audit_blindness, run_delegation
 
 SCHEMA_VERSION = 1
-
-
-def _worker_count() -> int:
-    cap = os.environ.get("ADQC_THREADS")
-    limit = max(1, int(cap)) if cap else 4
-    return max(1, min(limit, os.cpu_count() or 1))
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -103,24 +95,16 @@ def cmd_verify_tables(args) -> tuple[dict, bool]:
     }, ok
 
 
-def _sweep_chunk(chunk: tuple) -> dict:
-    points, seed, tol = chunk
-    return conditions.unitarity_relation_sweep(points, seed, tol)
-
-
 def cmd_sweep(args) -> tuple[dict, bool]:
-    # the chunking is fixed so reports do not depend on the worker cap
+    # eight fixed chunks, each seeded on its own, keep the report stable
     n_chunks = 8 if args.points >= 8 else 1
     chunk = args.points // n_chunks
     sizes = [chunk] * (n_chunks - 1) + [args.points - chunk * (n_chunks - 1)]
-    sizes = [s for s in sizes if s > 0]
-    jobs = [(s, args.seed * 1009 + i, args.tol) for i, s in enumerate(sizes)]
-    workers = _worker_count()
-    if workers == 1 or len(jobs) == 1:
-        parts = [_sweep_chunk(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sweep_chunk, jobs))
+    parts = [
+        conditions.unitarity_relation_sweep(size, args.seed * 1009 + i, args.tol)
+        for i, size in enumerate(sizes)
+        if size > 0
+    ]
     merged: dict = {}
     for part in parts:
         for key, value in part.items():

@@ -27,7 +27,7 @@ from .core import (
     kraus_pair,
     rotation,
 )
-from .linalg import I2, PAULIS, X, dagger, is_unitary
+from .linalg import I2, PAULIS, X, dagger, is_unitary, proportionality
 
 TWO_PI = 2.0 * math.pi
 
@@ -178,15 +178,6 @@ def _match_case(p: ParamPoint, tol: float) -> TableCase:
     return TableCase.NONE
 
 
-def _proportional_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """a == c*b for some nonzero c (positive scale times phase)."""
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[idx]) < tol:
-        return bool(np.abs(a).max() <= tol)
-    c = a[idx] / b[idx]
-    return abs(c) > tol and bool(np.abs(a - c * b).max() <= tol * max(1.0, abs(c)))
-
-
 def classify_parameters(p: ParamPoint, tol: float = 1e-9) -> TableCase:
     """Match the ancilla/basis parameters against the admissible-row patterns.
 
@@ -199,10 +190,16 @@ def classify_parameters(p: ParamPoint, tol: float = 1e-9) -> TableCase:
     if case is TableCase.NONE:
         return case
     pair = kraus_pair(_CZ_ENTANGLER, p.ancilla, p.basis)
-    exp_p, exp_m = _expected_rows(case, p)
-    ok_p = _proportional_up_to_phase(pair.k_plus, exp_p, max(tol, 1e-10))
-    ok_m = _proportional_up_to_phase(pair.k_minus, exp_m, max(tol, 1e-10))
-    if not (ok_p and ok_m):
+    t = max(tol, 1e-10)
+
+    def reproduces(k, expected) -> bool:
+        """k == c*expected for some nonzero c (positive scale times phase)."""
+        fit = proportionality(k, expected, t)
+        if fit is None:
+            return np.abs(k).max() <= t
+        return abs(fit[0]) > t and fit[1] <= t * max(1.0, abs(fit[0]))
+
+    if not all(map(reproduces, (pair.k_plus, pair.k_minus), _expected_rows(case, p))):
         raise TableVerificationError(
             f"pattern {case.value} matched at ancilla={p.ancilla}, basis={p.basis} "
             "but the computed branches do not reproduce the expected operators"

@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    CZ,
     H,
     I2,
     PAULIS,
     S_GATE,
-    SWAP,
     PureState,
     dagger,
     is_unitary,
+    proportionality,
     tensor,
 )
 
@@ -191,9 +190,6 @@ _PRESETS: dict[str, Entangler] = {
     ),
 }
 
-HHCZ_MATRIX = tensor(H, H) @ CZ
-SWAPCZ_MATRIX = SWAP @ CZ
-
 
 def preset(label: str) -> Entangler:
     try:
@@ -256,17 +252,6 @@ class BranchReport:
     scale: complex | None = None
 
 
-def _proportionality(a: np.ndarray, b: np.ndarray, tol: float) -> complex | None:
-    """Scalar c with a == c*b, or None."""
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[idx]) < 1e-12:
-        return None
-    c = a[idx] / b[idx]
-    if abs(c) < 1e-12 or np.abs(a - c * b).max() > tol * max(1.0, abs(c)):
-        return None
-    return complex(c)
-
-
 def branch_analysis(k: KrausPair, tol: float = 1e-9) -> BranchReport:
     """Check unitary-proportionality of each branch and one-step correctability.
 
@@ -283,8 +268,8 @@ def branch_analysis(k: KrausPair, tol: float = 1e-9) -> BranchReport:
     up, um = unitary_prop(k.k_plus), unitary_prop(k.k_minus)
     correction, scale = None, None
     for name, p in PAULIS.items():
-        c = _proportionality(k.k_minus, p @ k.k_plus, tol)
-        if c is not None:
-            correction, scale = name, c
+        fit = proportionality(k.k_minus, p @ k.k_plus, 1e-12)
+        if fit is not None and abs(fit[0]) >= 1e-12 and fit[1] <= tol * max(1.0, abs(fit[0])):
+            correction, scale = name, fit[0]
             break
     return BranchReport(up, um, correction is not None, correction, scale)

@@ -62,6 +62,16 @@ def is_unitary(m, tol: float = 1e-12) -> bool:
     return np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() < tol
 
 
+def proportionality(a: np.ndarray, b: np.ndarray, floor: float = 0.0) -> tuple[complex, float] | None:
+    """Fit a ~ c*b: the scalar c read off the largest-magnitude entry of b and
+    the residual max|a - c*b|, or None when that entry is below ``floor``."""
+    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+    if abs(b[idx]) < floor:
+        return None
+    c = a[idx] / b[idx]
+    return complex(c), float(np.abs(a - c * b).max())
+
+
 def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
     """True iff a == c*b entrywise for some unit-modulus scalar c.
 
@@ -72,13 +82,11 @@ def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[idx]) < tol:
+    fit = proportionality(a, b, tol)
+    if fit is None:
         return bool(np.abs(a).max() <= tol)
-    c = a[idx] / b[idx]
-    if abs(abs(c) - 1.0) > max(tol, 1e-9):
-        return False
-    return bool(np.abs(a - c * b).max() <= tol)
+    c, residual = fit
+    return abs(abs(c) - 1.0) <= max(tol, 1e-9) and residual <= tol
 
 
 _LABEL_KETS = {

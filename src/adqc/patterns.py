@@ -14,13 +14,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
 from .core import AncillaSpec, rotation
-from .linalg import CZ, H, PAULIS, PureState, apply_pauli_frame, dagger, embed, tensor
+from .linalg import (
+    CZ,
+    H,
+    PAULIS,
+    PureState,
+    apply_pauli_frame,
+    dagger,
+    embed,
+    proportionality,
+    tensor,
+)
 from .register import (
+    PAULI_NAMES,
     PAYLOAD_BIT,
     AdaptiveAngle,
     AdqcStep,
@@ -35,8 +48,7 @@ from .register import (
 )
 
 VARIANTS = ("single", "two")
-
-_XZ_OF = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+MAX_FLAT_STEPS = 13  # longer patterns are verified slot by slot
 
 
 # ---------------------------------------------------------------------------
@@ -50,28 +62,15 @@ def _pauli2(n1: str, n2: str) -> np.ndarray:
     return tensor(PAULIS[n1], PAULIS[n2])
 
 
-def _pauli_factor(m: np.ndarray, base: np.ndarray) -> tuple[str, str]:
-    """Names (P1, P2) with m = phase * (P1 x P2) @ base, |phase| = 1."""
-    for n1 in "IXYZ":
-        for n2 in "IXYZ":
-            cand = _pauli2(n1, n2) @ base
-            idx = np.unravel_index(np.argmax(np.abs(cand)), cand.shape)
-            c = m[idx] / cand[idx]
-            if abs(abs(c) - 1.0) < 1e-9 and np.abs(m - c * cand).max() < 1e-9:
-                return n1, n2
+def _pauli_bits(m: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Frame bits (x1, z1, x2, z2) of the Pauli pair P with
+    m = phase * P @ base, |phase| = 1."""
+    for i1, n1 in enumerate(PAULI_NAMES):
+        for i2, n2 in enumerate(PAULI_NAMES):
+            c, residual = proportionality(m, _pauli2(n1, n2) @ base)
+            if abs(abs(c) - 1.0) < 1e-9 and residual < 1e-9:
+                return np.array([i1 & 1, i1 >> 1, i2 & 1, i2 >> 1])
     raise RuntimeError("no Pauli factor relates the operators")
-
-
-def _conjugation_matrix(t: np.ndarray) -> np.ndarray:
-    """Binary 4x4 matrix of the frame conjugation (x1,z1,x2,z2) -> t P t^dag."""
-    cols = []
-    for gen in ("XI", "ZI", "IX", "IZ"):
-        m = t @ _pauli2(*gen) @ dagger(t)
-        n1, n2 = _pauli_factor(m, np.eye(4, dtype=complex))
-        x1, z1 = _XZ_OF[n1]
-        x2, z2 = _XZ_OF[n2]
-        cols.append((x1, z1, x2, z2))
-    return np.array(cols, dtype=int).T % 2
 
 
 def _slot_branch(labels: tuple[str, str], r: int, s: int) -> np.ndarray:
@@ -90,8 +89,9 @@ class Cz2Spec:
 
     labels: tuple[str, str]
     slot_target: np.ndarray
-    corrections: dict[tuple[int, int], tuple[str, str]]  # (r, s) -> Pauli pair
-    conj: np.ndarray
+    # binary 4x7 map from the bits (x1, z1, x2, z2, outcome, payload flip, 1)
+    # to the frame bits (x1, z1, x2, z2) after the slot
+    frame_map: np.ndarray
     pre_fixups: tuple[tuple[int, str, float], ...]  # (which qubit, kind, angle)
     post_fixups: tuple[tuple[int, str, float], ...]
 
@@ -113,47 +113,37 @@ def _build_cz2(variant: str) -> Cz2Spec:
         )
         post = ((0, "RZ", math.pi / 2), (0, "RX", math.pi / 2), (0, "RZ", math.pi / 2))
     target = fold @ _slot_branch(labels, 0, 0)
-    corr = {
-        (r, s): _pauli_factor(_slot_branch(labels, r, s), target)
-        for r in (0, 1)
-        for s in (0, 1)
+    # the branch of outcome s with payload flip r is a Pauli pair times the target
+    byproduct = {
+        (r, s): _pauli_bits(_slot_branch(labels, r, s), target) for r in (0, 1) for s in (0, 1)
     }
-    return Cz2Spec(labels, target, corr, _conjugation_matrix(target), pre, post)
+    payload_flip = byproduct[1, 0] ^ byproduct[0, 0]
+    if (payload_flip != byproduct[1, 1] ^ byproduct[0, 1]).any():
+        raise RuntimeError("payload-flip frame depends on the outcome")
+    # incoming frame generators conjugated through the slot target
+    conj = np.array([
+        _pauli_bits(target @ _pauli2(*gen) @ dagger(target), np.eye(4, dtype=complex))
+        for gen in ("XI", "ZI", "IX", "IZ")
+    ]).T
+    outcome_flip = byproduct[0, 1] ^ byproduct[0, 0]
+    frame_map = np.column_stack([conj, outcome_flip, payload_flip, byproduct[0, 0]])
+    return Cz2Spec(labels, target, frame_map, pre, post)
 
 
 CZ2_SPECS: dict[str, Cz2Spec] = {v: _build_cz2(v) for v in VARIANTS}
-
-
-def cz_payload_extra_frame(variant: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Frame bits ((x1,z1),(x2,z2)) a flipped two-target payload adds, same for
-    both outcomes."""
-    spec = CZ2_SPECS[variant]
-    extras = []
-    for s in (0, 1):
-        p0 = spec.corrections[(0, s)]
-        p1 = spec.corrections[(1, s)]
-        bits = []
-        for a, b in zip(p0, p1):
-            xa, za = _XZ_OF[a]
-            xb, zb = _XZ_OF[b]
-            bits.append((xa ^ xb, za ^ zb))
-        extras.append(tuple(bits))
-    if extras[0] != extras[1]:
-        raise RuntimeError("payload-flip frame depends on the outcome")
-    return extras[0]
 
 
 # ---------------------------------------------------------------------------
 # pattern builder with frame threading
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class _Frame:
-    x_set: frozenset[int] = frozenset()
-    x_const: int = 0
-    z_set: frozenset[int] = frozenset()
-    z_const: int = 0
+# one-qubit slot kind -> (entangler label, step roles in order, realized gate)
+_ONE_QUBIT_SLOTS = {
+    "J": ("J_CANON", ("gamma", "assist", "theta"), lambda t: H @ rotation("z", t)),
+    "RX": ("RX_CANON", ("gamma", "theta"), lambda t: rotation("x", t)),
+    "RZ": ("RZ_CANON", ("gamma", "theta"), lambda t: rotation("z", t)),
+    "ASSIST": ("J_CANON", ("assist",), lambda t: H),
+}
 
 
 class _PatternBuilder:
@@ -166,7 +156,7 @@ class _PatternBuilder:
         self.variant = variant
         self.steps: list[AdqcStep] = []
         self.slots: list[SlotSpec] = []
-        self.frames = [_Frame() for _ in range(num_qubits)]
+        self.frames = [QubitCorrection()] * num_qubits
         self.target = np.eye(2**num_qubits, dtype=complex)
         self.boundary_corrections: list[tuple[QubitCorrection, ...]] = []
 
@@ -176,179 +166,83 @@ class _PatternBuilder:
         self.steps.append(step)
         return len(self.steps) - 1
 
-    def _mark_slot(self, slot: SlotSpec):
+    def _close_slot(self, gate: np.ndarray, slot: SlotSpec):
+        """Embed the slot's gate in the target; record the slot and the frame
+        at its boundary."""
+        self.target = embed(gate, slot.qubits, self.n) @ self.target
         self.slots.append(slot)
-        self.boundary_corrections.append(self._corrections())
+        self.boundary_corrections.append(tuple(self.frames))
 
-    def _corrections(self) -> tuple[QubitCorrection, ...]:
-        return tuple(
-            QubitCorrection(f.x_set, f.x_const, f.z_set, f.z_const)
-            for f in self.frames
-        )
-
-    def _rotation_label(self, kind: str) -> str:
-        return {"J": "J_CANON", "RX": "RX_CANON", "RZ": "RZ_CANON"}[kind]
+    def _one_qubit_slot(self, kind: str, q: int, theta_prime: float | None):
+        """Emit a one-qubit slot, carrying the frame of ``q`` through each
+        step's kernel: X^s Rx(.) H for J_CANON, X^s Rx(.) for RX_CANON and
+        Z^s Rz(.) for RZ_CANON."""
+        label, roles, gate = _ONE_QUBIT_SLOTS[kind]
+        on_z = label == "RZ_CANON"
+        indices: dict[str, int] = {}
+        theta_fields = {}
+        for role in roles:
+            fr = self.frames[q]
+            if label == "J_CANON":  # H swaps the frame's X and Z parts
+                fr = QubitCorrection(fr.z_parity, fr.z_const, fr.x_parity, fr.x_const)
+            angle = AdaptiveAngle.constant(0.0)
+            if role == "theta":
+                # the Z part negates an X rotation, the X part a Z rotation; the
+                # payload's hidden angle is negated by every earlier outcome
+                negate, const = (fr.x_parity, fr.x_const) if on_z else (fr.z_parity, fr.z_const)
+                sign = -1.0 if const else 1.0
+                angle = AdaptiveAngle(((sign * theta_prime, negate),))
+                theta_fields = dict(
+                    theta_negate=negate, theta_sign=int(sign), gamma_negate=frozenset(indices.values())
+                )
+            i = indices[role] = self._emit(AdqcStep((q,), (label,), AncillaSpec(0.0, 0.0), angle))
+            if on_z:
+                self.frames[q] = replace(fr, z_parity=fr.z_parity ^ {i})
+            else:
+                self.frames[q] = replace(fr, x_parity=fr.x_parity ^ {i})
+        slot = SlotSpec(kind, (q,), theta_prime, tuple(indices.values()), indices, **theta_fields)
+        self._close_slot(gate(theta_prime), slot)
 
     # -- slots ----------------------------------------------------------------
 
     def add_rotation(self, kind: str, q: int, theta_prime: float):
-        lab = self._rotation_label(kind)
-        fr = self.frames[q]
-        anc0 = AncillaSpec(0.0, 0.0)
-        zero = AdaptiveAngle.constant(0.0)
-        if kind == "J":
-            i1 = self._emit(AdqcStep((q,), (lab,), anc0, zero))
-            i2 = self._emit(AdqcStep((q,), (lab,), anc0, zero))
-            negate = frozenset({i2}) ^ fr.x_set
-            sign = -1.0 if fr.x_const else 1.0
-            i3 = self._emit(
-                AdqcStep(
-                    (q,),
-                    (lab,),
-                    anc0,
-                    AdaptiveAngle(((sign * theta_prime, negate),)),
-                )
-            )
-            gate = H @ rotation("z", theta_prime)
-            roles = {"gamma": i1, "assist": i2, "theta": i3}
-            new = _Frame(
-                x_set=fr.z_set ^ frozenset({i1, i3}),
-                x_const=fr.z_const,
-                z_set=fr.x_set ^ frozenset({i2}),
-                z_const=fr.x_const,
-            )
-            idxs = (i1, i2, i3)
-            gneg = frozenset({i1, i2})
-        elif kind == "RX":
-            i1 = self._emit(AdqcStep((q,), (lab,), anc0, zero))
-            negate = fr.z_set
-            sign = -1.0 if fr.z_const else 1.0
-            i2 = self._emit(
-                AdqcStep(
-                    (q,), (lab,), anc0, AdaptiveAngle(((sign * theta_prime, negate),))
-                )
-            )
-            gate = rotation("x", theta_prime)
-            roles = {"gamma": i1, "theta": i2}
-            new = _Frame(
-                x_set=fr.x_set ^ frozenset({i1, i2}),
-                x_const=fr.x_const,
-                z_set=fr.z_set,
-                z_const=fr.z_const,
-            )
-            idxs = (i1, i2)
-            gneg = frozenset({i1})
-        elif kind == "RZ":
-            i1 = self._emit(AdqcStep((q,), (lab,), anc0, zero))
-            negate = fr.x_set
-            sign = -1.0 if fr.x_const else 1.0
-            i2 = self._emit(
-                AdqcStep(
-                    (q,), (lab,), anc0, AdaptiveAngle(((sign * theta_prime, negate),))
-                )
-            )
-            gate = rotation("z", theta_prime)
-            roles = {"gamma": i1, "theta": i2}
-            new = _Frame(
-                x_set=fr.x_set,
-                x_const=fr.x_const,
-                z_set=fr.z_set ^ frozenset({i1, i2}),
-                z_const=fr.z_const,
-            )
-            idxs = (i1, i2)
-            gneg = frozenset({i1})
-        else:
+        if kind not in ("J", "RX", "RZ"):
             raise ValueError(f"not a rotation slot kind: {kind}")
-        self.frames[q] = new
-        self.target = embed(gate, (q,), self.n) @ self.target
-        self._mark_slot(
-            SlotSpec(
-                kind,
-                (q,),
-                theta_prime,
-                idxs,
-                roles,
-                theta_negate=negate,
-                theta_sign=int(sign),
-                gamma_negate=gneg,
-                labels=(lab,),
-            )
-        )
+        self._one_qubit_slot(kind, q, theta_prime)
 
     def add_assist(self, q: int):
         if self.variant != "single":
             raise ValueError("assistant slots belong to the single-entangler variant")
-        lab = "J_CANON"
-        fr = self.frames[q]
-        i1 = self._emit(
-            AdqcStep((q,), (lab,), AncillaSpec(0.0, 0.0), AdaptiveAngle.constant(0.0))
-        )
-        self.frames[q] = _Frame(
-            x_set=fr.z_set ^ frozenset({i1}),
-            x_const=fr.z_const,
-            z_set=fr.x_set,
-            z_const=fr.x_const,
-        )
-        self.target = embed(H, (q,), self.n) @ self.target
-        self._mark_slot(
-            SlotSpec("ASSIST", (q,), None, (i1,), {"assist": i1}, labels=(lab,))
-        )
+        self._one_qubit_slot("ASSIST", q, None)
 
     def add_cz(self, q1: int, q2: int):
         spec = CZ2_SPECS[self.variant]
         for q, kind, ang in spec.pre_fixups:
             self.add_rotation(kind, (q1, q2)[q], ang)
         i = self._emit(
-            AdqcStep(
-                (q1, q2),
-                spec.labels,
-                CZ_SLOT_ANCILLA,
-                AdaptiveAngle.constant(0.0),
-            )
+            AdqcStep((q1, q2), spec.labels, CZ_SLOT_ANCILLA, AdaptiveAngle.constant(0.0))
         )
-        # conjugate incoming frames through the slot target, then add the
-        # outcome-dependent byproduct
+        # each outgoing frame bit xors incoming bits conjugated through the slot
+        # target, the outcome's byproduct and, through the step's payload bit,
+        # the fixed Pauli pair a flipped payload multiplies the step by
         f1, f2 = self.frames[q1], self.frames[q2]
-        in_sets = [f1.x_set, f1.z_set, f2.x_set, f2.z_set]
-        in_consts = [f1.x_const, f1.z_const, f2.x_const, f2.z_const]
-        m = spec.conj
-        out_sets, out_consts = [], []
-        for row in range(4):
-            sset: frozenset[int] = frozenset()
-            cbit = 0
-            for col in range(4):
-                if m[row, col]:
-                    sset ^= in_sets[col]
-                    cbit ^= in_consts[col]
-            out_sets.append(sset)
-            out_consts.append(cbit)
-        p0 = spec.corrections[(0, 0)]
-        p1 = spec.corrections[(0, 1)]
-        for qi, (a, b) in enumerate(zip(p0, p1)):
-            xa, za = _XZ_OF[a]
-            xb, zb = _XZ_OF[b]
-            base = 2 * qi
-            out_consts[base] ^= xa
-            out_consts[base + 1] ^= za
-            if xa ^ xb:
-                out_sets[base] = out_sets[base] ^ frozenset({i})
-            if za ^ zb:
-                out_sets[base + 1] = out_sets[base + 1] ^ frozenset({i})
-        # a flipped payload multiplies the step unitary by a fixed Pauli pair,
-        # tracked through the same sets via the step's payload bit
-        extra = cz_payload_extra_frame(self.variant)
-        for qi, (ex, ez) in enumerate(extra):
-            base = 2 * qi
-            if ex:
-                out_sets[base] = out_sets[base] ^ frozenset({i + PAYLOAD_BIT})
-            if ez:
-                out_sets[base + 1] = out_sets[base + 1] ^ frozenset({i + PAYLOAD_BIT})
-        self.frames[q1] = _Frame(out_sets[0], out_consts[0], out_sets[1], out_consts[1])
-        self.frames[q2] = _Frame(out_sets[2], out_consts[2], out_sets[3], out_consts[3])
-        self.target = embed(spec.slot_target, (q1, q2), self.n) @ self.target
-        self._mark_slot(
-            SlotSpec("CZ2", (q1, q2), None, (i,), {"couple": i}, labels=spec.labels)
+        parts = (
+            (f1.x_parity, f1.x_const),
+            (f1.z_parity, f1.z_const),
+            (f2.x_parity, f2.x_const),
+            (f2.z_parity, f2.z_const),
+            (frozenset({i}), 0),
+            (frozenset({i + PAYLOAD_BIT}), 0),
+            (frozenset(), 1),
         )
+        out = []
+        for row in spec.frame_map:
+            chosen = [part for part, on in zip(parts, row) if on]
+            out.append(reduce(xor, (p for p, _ in chosen), frozenset()))
+            out.append(reduce(xor, (c for _, c in chosen), 0))
+        self.frames[q1] = QubitCorrection(*out[:4])
+        self.frames[q2] = QubitCorrection(*out[4:])
+        self._close_slot(spec.slot_target, SlotSpec("CZ2", (q1, q2), None, (i,), {"couple": i}))
         for q, kind, ang in spec.post_fixups:
             self.add_rotation(kind, (q1, q2)[q], ang)
 
@@ -365,7 +259,7 @@ class _PatternBuilder:
             steps=tuple(self.steps),
             target=built,
             target_qubits=tuple(range(self.n)),
-            corrections=self._corrections(),
+            corrections=tuple(self.frames),
             slots=tuple(self.slots),
             slot_boundaries=tuple(self.boundary_corrections),
         )
@@ -628,7 +522,7 @@ def _phase_invariant_error(a: np.ndarray, b: np.ndarray):
     return np.linalg.norm(a - phase[..., None] * b, axis=-1)
 
 
-def verify_pattern(pattern: GatePattern, tol: float = 1e-9, max_flat_steps: int = 13) -> VerifyReport:
+def verify_pattern(pattern: GatePattern, tol: float = 1e-9) -> VerifyReport:
     """Check the pattern-validity contract by branch enumeration.
 
     Every corrected branch must reproduce ``target @ input`` up to a global
@@ -644,7 +538,7 @@ def verify_pattern(pattern: GatePattern, tol: float = 1e-9, max_flat_steps: int 
         raise ValueError("verify_pattern supports patterns on up to 3 qubits")
     worst, where = 0.0, ""
     probs: tuple[float, ...] = ()
-    use_flat = len(pattern.steps) <= max_flat_steps
+    use_flat = len(pattern.steps) <= MAX_FLAT_STEPS
     mode = "flat" if use_flat else "slotwise"
     if not use_flat and not pattern.slots:
         raise ValueError("pattern too long for flat enumeration and has no slots")

@@ -47,10 +47,11 @@ def grid_angles(grid_n: int) -> tuple[float, ...]:
 
 
 def grid_index(theta: float, grid_n: int) -> int:
+    """Index of the grid point at ``theta``, which must lie within 1e-9 of it
+    (distances taken modulo 2 pi)."""
     k = round((theta % TWO_PI) / (TWO_PI / grid_n)) % grid_n
-    if abs((theta % TWO_PI) - k * TWO_PI / grid_n) > 1e-9 and abs(
-        (theta % TWO_PI) - TWO_PI - (k - grid_n) * TWO_PI / grid_n
-    ) > 1e-9:
+    d = (theta - k * TWO_PI / grid_n) % TWO_PI
+    if min(d, TWO_PI - d) > 1e-9:
         raise ValueError(f"angle {theta} does not lie on the grid of size {grid_n}")
     return k
 
@@ -211,7 +212,7 @@ class Client:
             )
         )
         theta = folded.resolve(self.eff_outcomes, self.payload_bits) + d.r_angle * math.pi
-        k = round((theta % TWO_PI) / (TWO_PI / self.secret.grid_n)) % self.secret.grid_n
+        k = grid_index(theta, self.secret.grid_n)
         self.transcript.client_log.append(
             {
                 "slot": slot_idx,
@@ -239,11 +240,6 @@ class Client:
         elif role == "theta":
             eff ^= d.r_angle
         self.eff_outcomes[step] = eff
-
-    def final_frame(self) -> tuple[str, ...]:
-        return self.secret.pattern.correction_for(
-            tuple(self.eff_outcomes), tuple(self.payload_bits)
-        )
 
 
 def slot_rounds(slot) -> tuple[tuple[str, str], ...]:
@@ -493,8 +489,8 @@ class AuditReport:
 
 def audit_blindness(
     grid_n: int = DEFAULT_GRID,
-    theta_prime: float = math.pi / 4,
-    theta_prime_alt: float = 3 * math.pi / 4,
+    theta_prime: float | None = None,
+    theta_prime_alt: float | None = None,
     input_theta: float = 2 * math.pi / 3,
     input_phi: float = math.pi / 5,
     always_r0: bool = False,
@@ -506,9 +502,13 @@ def audit_blindness(
     uniform on the grid and its distribution is independent of the secret
     angle.  (c) After the hidden-rotation round the register state averaged
     over the coin is the same fixed diagonal matrix for every hidden value.
+    The two secret angles default to the grid points 1 and 3 (pi/4 and
+    3 pi/4 on the 8-point grid); an off-grid secret raises ValueError.
     ``always_r0`` models a sabotaged client that never flips its payload.
     """
     grid = grid_angles(grid_n)
+    theta_prime = grid[1] if theta_prime is None else theta_prime
+    theta_prime_alt = grid[3] if theta_prime_alt is None else theta_prime_alt
     rs = (0,) if always_r0 else (0, 1)
 
     # (a) payload mixing, per fixed gamma
@@ -526,17 +526,15 @@ def audit_blindness(
 
     # (b) angle distribution: theta = s_theta*theta' - (-1)^{s} gamma + r pi
     def angle_distribution(tp: float) -> np.ndarray:
-        counts = np.zeros(grid_n)
-        weight = 1.0 / (grid_n * len(rs) * 2 * 2)
+        counts = np.zeros(grid_n, dtype=int)
         for gi in range(grid_n):
             for r_pay in rs:
                 gamma_eff = grid[gi] + r_pay * math.pi
                 for s in (0, 1):  # hidden-round outcome, probability 1/2 each
                     for r_ang in (0, 1):
                         theta = tp - (-1.0 if s else 1.0) * gamma_eff + r_ang * math.pi
-                        k = round((theta % TWO_PI) / (TWO_PI / grid_n)) % grid_n
-                        counts[k] += weight
-        return counts
+                        counts[grid_index(theta, grid_n)] += 1
+        return counts / counts.sum()
 
     da = angle_distribution(theta_prime)
     db = angle_distribution(theta_prime_alt)

@@ -119,7 +119,6 @@ class SlotSpec:
     theta_negate: frozenset[int] = frozenset()
     theta_sign: int = 1
     gamma_negate: frozenset[int] = frozenset()
-    labels: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -161,14 +160,7 @@ class GatePattern:
 @dataclass(frozen=True)
 class RegisterState:
     register: PureState
-    pauli_frame: tuple[str, ...] = ()
     outcome_log: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not self.pauli_frame:
-            object.__setattr__(
-                self, "pauli_frame", ("I",) * self.register.num_qubits
-            )
 
 
 def init_register(n: int, state="") -> RegisterState:
@@ -331,7 +323,7 @@ def run_pattern(state: RegisterState, pattern: GatePattern, mode="enumerate", se
     frames = zip(*[[PAULI_NAMES[v] for v in row] for row in (x + 2 * z).tolist()])
     rows = zip(zip(*bits.tolist()), frames, probs.tolist(), states, corrected)
     return RunResult(tuple(
-        Branch(outs, p, RegisterState(PureState.unchecked(n, raw), frame, outs), frame,
+        Branch(outs, p, RegisterState(PureState.unchecked(n, raw), outs), frame,
                PureState.unchecked(n, fixed))
         for outs, frame, p, raw, fixed in rows
     ))

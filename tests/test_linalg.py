@@ -17,6 +17,7 @@ from adqc.linalg import (
     embed,
     equal_up_to_global_phase,
     partial_trace,
+    proportionality,
     tensor,
     trace_distance,
 )
@@ -121,6 +122,18 @@ class TestGlobalPhaseEquality:
         assert equal_up_to_global_phase(u, a, 1e-10)
         assert equal_up_to_global_phase(a, b, 1e-10)
         assert equal_up_to_global_phase(u, b, 1e-10)
+
+
+class TestProportionality:
+    def test_scale_and_residual(self):
+        c, residual = proportionality(2j * X + 1e-3 * Z, X)
+        assert c == 2j
+        assert residual == pytest.approx(1e-3)
+
+    def test_floor_guards_a_vanishing_b(self):
+        assert proportionality(X, 1e-13 * X, 1e-12) is None
+        c, residual = proportionality(X, 1e-13 * X)
+        assert abs(c) == pytest.approx(1e13) and residual < 1e-3
 
 
 class TestStates:

@@ -1,5 +1,7 @@
 """Pattern builders, tiles, circuit compilation and enumeration-based checks."""
 
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -250,3 +252,62 @@ class TestFrozenSlotData:
         for variant in ("single", "two"):
             got = invariants(CZ2_SPECS[variant].slot_target)
             np.testing.assert_allclose(got, ref, atol=1e-10)
+
+
+def _canonical(pattern) -> list:
+    """Steps, corrections, slots and slot boundaries, every set sorted."""
+
+    def frames(corrections):
+        return [[sorted(c.x_parity), c.x_const, sorted(c.z_parity), c.z_const] for c in corrections]
+
+    steps = [
+        [list(s.targets), list(s.entangler_labels), s.ancilla.gamma, s.ancilla.delta,
+         [[v, sorted(neg)] for v, neg in s.basis_theta.terms], s.basis_phi]
+        for s in pattern.steps
+    ]
+    slots = [
+        [sl.kind, list(sl.qubits), sl.theta_prime, list(sl.step_indices), sorted(sl.roles.items()),
+         sorted(sl.theta_negate), sl.theta_sign, sorted(sl.gamma_negate)]
+        for sl in pattern.slots
+    ]
+    return [steps, frames(pattern.corrections), slots, [frames(b) for b in pattern.slot_boundaries]]
+
+
+def _seeded_circuits(count: int, seed: int):
+    """Circuits on 1 to 4 qubits with grid and off-grid angles and padding."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = 1 + i % 4
+        gates = []
+        for _ in range(int(rng.integers(0, 5))):
+            kind = str(rng.choice(["H", "Rx", "Rz", "CZ"] if n > 1 else ["H", "Rx", "Rz"]))
+            if kind == "CZ":
+                gates.append(CircuitGate("CZ", tuple(int(q) for q in rng.choice(n, 2, replace=False))))
+            elif kind == "H":
+                gates.append(CircuitGate("H", (int(rng.integers(n)),)))
+            else:
+                ang = float(rng.integers(8)) * PI / 4 if i % 2 else float(rng.uniform(-PI, PI))
+                gates.append(CircuitGate(kind, (int(rng.integers(n)),), ang))
+        yield CircuitDescription(n, tuple(gates)), i % 3
+
+
+class TestPatternPin:
+    # SHA-256 over the canonical form of the six standard patterns and of 40
+    # seeded compiled circuits in both variants
+    PINNED = "616d959eed651b106d168981fb3b86fa929b216fe925ea8f22d7ad2cf4db517e"
+
+    def test_built_patterns_are_pinned(self):
+        standard = [
+            standard_pattern(kind, theta, variant)
+            for kind, theta, variant in (
+                ("J", 0.7, "single"), ("ASSIST", None, "single"), ("CZ", None, "single"),
+                ("RX", 1.1, "two"), ("RZ", 2.0, "two"), ("CZ", None, "two"),
+            )
+        ]
+        compiled = [
+            compile_circuit(circuit, variant, pad)
+            for circuit, pad in _seeded_circuits(40, 5)
+            for variant in ("single", "two")
+        ]
+        doc = json.dumps([_canonical(p) for p in standard + compiled])
+        assert hashlib.sha256(doc.encode()).hexdigest() == self.PINNED

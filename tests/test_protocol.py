@@ -18,6 +18,7 @@ from adqc.protocol import (
     SlotDraw,
     audit_blindness,
     grid_angles,
+    grid_index,
     pattern_shape,
     run_delegation,
     slot_rounds,
@@ -352,6 +353,31 @@ class TestAudit:
     def test_larger_grid(self):
         rep = audit_blindness(grid_n=16)
         assert rep.passed
+
+    def test_every_even_grid_is_exact(self):
+        for grid_n in range(4, 33, 2):
+            rep = audit_blindness(grid_n=grid_n)
+            assert rep.passed, grid_n
+            assert rep.angle_tvd == 0.0 and rep.angle_max_nonuniformity == 0.0, grid_n
+
+    def test_off_grid_secret_rejected(self):
+        with pytest.raises(ValueError):
+            audit_blindness(grid_n=8, theta_prime=0.3)
+        with pytest.raises(ValueError):
+            audit_blindness(grid_n=12, theta_prime_alt=PI / 4)
+
+
+class TestGridIndex:
+    def test_points_near_the_wrap_around(self):
+        assert grid_index(2 * PI - 1e-12, 8) == 0
+        assert grid_index(-1e-12, 8) == 0
+        assert grid_index(7 * PI / 4 + 1e-12, 8) == 7
+        assert grid_index(-PI / 2, 8) == 6
+
+    def test_off_grid_angles_raise(self):
+        for theta in (0.1, 2 * PI - 1e-6, -1e-6, PI / 4 + 1e-7):
+            with pytest.raises(ValueError):
+                grid_index(theta, 8)
 
 
 class TestJointDistribution:

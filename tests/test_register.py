@@ -8,6 +8,7 @@ import pytest
 from adqc.core import AncillaSpec, rotation
 from adqc.linalg import CZ, PAULIS, PureState, X, equal_up_to_global_phase, tensor
 from adqc.register import (
+    PAULI_NAMES,
     AdaptiveAngle,
     AdqcStep,
     GatePattern,
@@ -170,8 +171,9 @@ class TestRunPattern:
         st = init_register(2, PureState(2, amps))
         for s in (0, 1):
             new, _ = execute_step(st, step, outcome=s)
-            p1, p2 = spec.corrections[(0, s)]
-            corr = tensor(PAULIS[p1], PAULIS[p2])
+            # frame bits after the slot from a clean frame, outcome s, unflipped payload
+            x1, z1, x2, z2 = spec.frame_map @ np.array([0, 0, 0, 0, s, 0, 1]) % 2
+            corr = tensor(PAULIS[PAULI_NAMES[x1 + 2 * z1]], PAULIS[PAULI_NAMES[x2 + 2 * z2]])
             got = corr @ new.register.amplitudes
             expect = spec.slot_target @ st.register.amplitudes
             assert equal_up_to_global_phase(
