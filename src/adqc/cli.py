@@ -96,37 +96,10 @@ def cmd_verify_tables(args) -> tuple[dict, bool]:
 
 
 def cmd_sweep(args) -> tuple[dict, bool]:
-    # eight fixed chunks, each seeded on its own, keep the report stable
-    n_chunks = 8 if args.points >= 8 else 1
-    chunk = args.points // n_chunks
-    sizes = [chunk] * (n_chunks - 1) + [args.points - chunk * (n_chunks - 1)]
-    parts = [
-        conditions.unitarity_relation_sweep(size, args.seed * 1009 + i, args.tol)
-        for i, size in enumerate(sizes)
-        if size > 0
-    ]
-    merged: dict = {}
-    for part in parts:
-        for key, value in part.items():
-            if key == "agreement_rate":
-                continue
-            merged[key] = merged.get(key, 0) + value
-    numer = (
-        merged["relation_agreements"]
-        + merged["unitary_on_constraint"]
-        + merged["violations_detected"]
-        + merged["correctability_agreements"]
-    )
-    denom = (
-        merged["relation_checks"]
-        + merged["unitary_on_constraint"]
-        + merged["nonunitary_on_constraint"]
-        + merged["violating_points"]
-        + merged["correctability_checks"]
-    )
-    merged["agreement_rate"] = numer / max(denom, 1)
-    ok = merged["agreement_rate"] == 1.0
-    return merged, ok
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
+    report = conditions.unitarity_relation_sweep(args.points, args.seed, args.tol)
+    return report, report["agreement_rate"] == 1.0
 
 
 def _random_circuit(rng: np.random.Generator, grid_n: int) -> CircuitDescription:

@@ -27,7 +27,7 @@ from .core import (
     kraus_pair,
     rotation,
 )
-from .linalg import I2, PAULIS, X, dagger, is_unitary, proportionality
+from .linalg import I2, PAULIS, X, dagger, is_unitary, phase_invariant_error, proportionality
 
 TWO_PI = 2.0 * math.pi
 
@@ -232,12 +232,6 @@ def vw_form_check(v, w, tol: float = 1e-9) -> bool:
     return ix_form or yz_form
 
 
-def _phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
-    tr = np.trace(dagger(b) @ a)
-    phase = tr / abs(tr) if abs(tr) > 1e-14 else 1.0
-    return float(np.abs(a - phase * b).max())
-
-
 def l_hiding_residual(v, w, theta: float, gamma: float, s: int) -> float:
     """How far W Rx(theta) V W Rx((-1)^s gamma) V is from W Rx(theta') V W V
     with theta' = theta +/- (-1)^s gamma; the minimum over the two signs.
@@ -252,7 +246,7 @@ def l_hiding_residual(v, w, theta: float, gamma: float, s: int) -> float:
     best = math.inf
     for pm in (1.0, -1.0):
         rhs = w @ rotation("x", theta + pm * sgn * gamma) @ v @ w @ v
-        best = min(best, _phase_invariant_distance(lhs, rhs))
+        best = min(best, float(phase_invariant_error(lhs.ravel(), rhs.ravel())))
     return best
 
 
@@ -264,7 +258,7 @@ def l_hiding_sign(v, w, probe_theta: float = 0.9, probe_gamma: float = 0.7) -> i
     lhs = w @ rotation("x", probe_theta) @ v @ w @ rotation("x", probe_gamma) @ v
     for pm in (1, -1):
         rhs = w @ rotation("x", probe_theta + pm * probe_gamma) @ v @ w @ v
-        if _phase_invariant_distance(lhs, rhs) < 1e-9:
+        if phase_invariant_error(lhs.ravel(), rhs.ravel()) < 1e-9:
             return pm
     return 0
 

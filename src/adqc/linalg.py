@@ -72,6 +72,15 @@ def proportionality(a: np.ndarray, b: np.ndarray, floor: float = 0.0) -> tuple[c
     return complex(c), float(np.abs(a - c * b).max())
 
 
+def phase_invariant_error(a: np.ndarray, b: np.ndarray):
+    """min over the global phase c of ||a - c b||, for each row of ``a``;
+    ``b`` is one vector or one per row."""
+    ov = np.asarray(np.einsum("...i,...i->...", a, b.conj()))
+    mag = np.abs(ov)
+    phase = np.divide(ov, mag, out=np.ones_like(ov), where=mag > 1e-14)
+    return np.linalg.norm(a - phase[..., None] * b, axis=-1)
+
+
 def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
     """True iff a == c*b entrywise for some unit-modulus scalar c.
 

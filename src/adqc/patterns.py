@@ -29,6 +29,7 @@ from .linalg import (
     apply_pauli_frame,
     dagger,
     embed,
+    phase_invariant_error,
     proportionality,
     tensor,
 )
@@ -514,86 +515,105 @@ def _spanning_inputs(n: int) -> list[PureState]:
     return states
 
 
-def _phase_invariant_error(a: np.ndarray, b: np.ndarray):
-    """min over the global phase c of ||a - c b||, for each row of ``a``."""
-    ov = np.asarray(a @ b.conj())
-    mag = np.abs(ov)
-    phase = np.divide(ov, mag, out=np.ones_like(ov), where=mag > 1e-14)
-    return np.linalg.norm(a - phase[..., None] * b, axis=-1)
-
-
 def verify_pattern(pattern: GatePattern, tol: float = 1e-9) -> VerifyReport:
     """Check the pattern-validity contract by branch enumeration.
 
     Every corrected branch must reproduce ``target @ input`` up to a global
     phase on a spanning input set, and branch probabilities must sum to one.
-    Short patterns are enumerated flat; longer ones are verified slot by slot:
-    within each slot all outcome combinations are expanded and shown to agree
-    after relative frame correction before collapsing to the zero-outcome
-    branch, which carries the induction forward.  A failed report's
-    ``detail`` names the slot, outcome bits and input index where it failed.
+    Short patterns are enumerated flat; longer ones are verified slot by slot
+    (``_verify_slotwise``).  A failed report's ``detail`` names the slot,
+    outcome bits and input index where it failed.
     """
     n = pattern.num_qubits
-    if n > 3:
-        raise ValueError("verify_pattern supports patterns on up to 3 qubits")
+    inputs = _spanning_inputs(n)
+    if len(pattern.steps) > MAX_FLAT_STEPS:
+        if not pattern.slots:
+            raise ValueError("pattern too long for flat enumeration and has no slots")
+        return _verify_slotwise(pattern, inputs, tol)
     worst, where = 0.0, ""
     probs: tuple[float, ...] = ()
-    use_flat = len(pattern.steps) <= MAX_FLAT_STEPS
-    mode = "flat" if use_flat else "slotwise"
-    if not use_flat and not pattern.slots:
-        raise ValueError("pattern too long for flat enumeration and has no slots")
-
-    for idx, inp in enumerate(_spanning_inputs(n)):
-        expected = pattern.target @ inp.amplitudes
-        if use_flat:
-            res = run_pattern(init_register(n, inp), pattern, mode="enumerate")
-            total = res.total_probability()
-            if abs(total - 1.0) > 1e-10:
-                return VerifyReport(False, 1.0, probs, mode, "probabilities do not sum to 1")
-            errs = _phase_invariant_error(
-                np.array([br.corrected.amplitudes for br in res.branches]), expected
-            )
-            b = int(np.argmax(errs))
-            err = float(errs[b])
-            at = f"branch outcomes {res.branches[b].outcomes} on input {idx}"
-            if idx == 0:
-                probs = tuple(br.probability for br in res.branches)
-            del res  # free this input's branches before the next run
-        else:
-            err, perr = _verify_slotwise(pattern, inp, expected, tol, idx)
-            if perr:
-                return VerifyReport(False, 1.0, probs, mode, perr)
-            at = f"final frame on input {idx}"
-        if err > worst:
-            worst, where = err, at
-    valid = worst <= tol
-    return VerifyReport(valid, worst, probs, mode, "" if valid else f"{where}: error {worst:.3e}")
-
-
-def _verify_slotwise(pattern, inp, expected, tol, input_index):
-    """Walk the zero-outcome branch, showing at each slot that every outcome
-    combination agrees with it after relative frame correction."""
-    zeros = np.zeros((len(pattern.steps), 1), dtype=np.int8)
-    state = inp.amplitudes
-    for slot_idx, (slot, corr) in enumerate(zip(pattern.slots, pattern.slot_boundaries)):
-        states, probs, bits = walk_steps(pattern, state[None], zeros, slot.step_indices)
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-9:
-            return 1.0, f"slot {slot_idx} probabilities sum to {total}"
-        # frame of each combination relative to the zero-outcome branch, which
-        # comes first when it survives pruning; every corrected row equals it
-        x, z = frame_bits(corr, bits)
-        x0, z0 = frame_bits(corr, zeros)
-        rel = apply_pauli_frame(states, x ^ x0, z ^ z0)
-        errs = _phase_invariant_error(rel, rel[0])
+    for idx, inp in enumerate(inputs):
+        res = run_pattern(init_register(n, inp), pattern, mode="enumerate")
+        total = res.total_probability()
+        if abs(total - 1.0) > 1e-10:
+            return VerifyReport(False, 1.0, probs, "flat", "probabilities do not sum to 1")
+        errs = phase_invariant_error(
+            np.array([br.corrected.amplitudes for br in res.branches]), pattern.target @ inp.amplitudes
+        )
         b = int(np.argmax(errs))
-        if errs[b] > max(tol, 1e-9):
-            outs = bits[list(slot.step_indices), b].tolist()
-            return 1.0, (
-                f"slot {slot_idx} branches disagree after correction: outcomes {outs}"
-                f" on input {input_index}, error {errs[b]:.3e}"
+        if errs[b] > worst:
+            worst, where = float(errs[b]), f"branch outcomes {res.branches[b].outcomes} on input {idx}"
+        if idx == 0:
+            probs = tuple(br.probability for br in res.branches)
+        del res  # free this input's branches before the next run
+    valid = worst <= tol
+    return VerifyReport(valid, worst, probs, "flat", "" if valid else f"{where}: error {worst:.3e}")
+
+
+def _pivot_bits(sets, inside) -> list[int]:
+    """Outcome bits outside ``inside`` whose settings, every other bit zero,
+    give the parities of ``sets`` every joint value the bits outside
+    ``inside`` can give them: one pivot per independent set, by GF(2)
+    elimination.  Payload bits are zero in verification and are skipped."""
+    basis: list[tuple[int, int]] = []
+    for s in sets:
+        m = sum(1 << i for i in s if i < PAYLOAD_BIT and i not in inside)
+        for p, v in basis:
+            if m >> p & 1:
+                m ^= v
+        if m:
+            basis.append((m.bit_length() - 1, m))
+    return [p for p, _ in basis]
+
+
+def _verify_slotwise(pattern: GatePattern, inputs, tol: float) -> VerifyReport:
+    """Walk the slots, carrying one corrected state per input.
+
+    Earlier outcomes reach a slot only through the parities of its incoming
+    and outgoing frames and its angle terms.  Each slot runs in one batch
+    over every input and every history of earlier outcomes on the pivot bits
+    of those parities, each started from the carried state under its incoming
+    frame; after the outgoing frame every branch must match its input's first
+    branch, which is carried on.  The final corrections close the walk as an
+    empty last slot, and the carried states must equal ``target @ input``.
+    """
+    n, k = pattern.num_qubits, len(pattern.steps)
+    carried = np.array([inp.amplitudes for inp in inputs])
+    expected = carried @ pattern.target.T
+    frames_in = ((QubitCorrection(),) * n,) + pattern.slot_boundaries
+    stages = list(zip(pattern.slots, pattern.slot_boundaries)) + [(None, pattern.corrections)]
+    worst, where = 0.0, ""
+    for slot_idx, ((slot, f_out), f_in) in enumerate(zip(stages, frames_in)):
+        steps = list(slot.step_indices) if slot else []
+        label = f"slot {slot_idx} branches" if slot else "final corrections"
+        sets = [s for c in f_in + f_out for s in (c.x_parity, c.z_parity)]
+        sets += [negate for i in steps for _, negate in pattern.steps[i].basis_theta.terms]
+        pivots = _pivot_bits(sets, set(steps))
+        n_hist = 2 ** len(pivots)
+        bits = np.zeros((k, len(carried) * n_hist), dtype=np.int8)
+        bits[pivots] = np.tile(np.arange(n_hist) >> np.arange(len(pivots))[:, None] & 1, len(carried))
+        starts = apply_pauli_frame(np.repeat(carried, n_hist, axis=0), *frame_bits(f_in, bits))
+        states, probs, bits, origin = walk_steps(pattern, starts, bits, steps)
+        totals = np.bincount(origin, probs, len(starts))
+        row = int(np.argmax(np.abs(totals - 1.0)))
+        if abs(totals[row] - 1.0) > 1e-9:
+            detail = f"{label} probabilities sum to {totals[row]} on input {row // n_hist}"
+            return VerifyReport(False, 1.0, (), "slotwise", detail)
+        corrected = apply_pauli_frame(states, *frame_bits(f_out, bits))
+        carried = corrected[np.searchsorted(origin, np.arange(len(carried)) * n_hist)]
+        errs = phase_invariant_error(corrected, carried[origin // n_hist])
+        b = int(np.argmax(errs))
+        if errs[b] > worst:
+            history = {i: int(bits[i, b]) for i in sorted(pivots)}
+            worst, where = float(errs[b]), (
+                f"{label} disagree after correction: outcomes {bits[steps, b].tolist()}"
+                f" after earlier outcomes {history} on input {origin[b] // n_hist}"
             )
-        state = rel[0]
-    # the remaining representative is the zero-outcome branch; apply its frame
-    final = apply_pauli_frame(state[None], *frame_bits(pattern.corrections, zeros))[0]
-    return float(_phase_invariant_error(final, expected / np.linalg.norm(expected))), ""
+        if worst > tol:
+            return VerifyReport(False, worst, (), "slotwise", f"{where}, error {worst:.3e}")
+    errs = phase_invariant_error(carried, expected / np.linalg.norm(expected, axis=1)[:, None])
+    b = int(np.argmax(errs))
+    if errs[b] > worst:
+        worst, where = float(errs[b]), f"final frame on input {b}"
+    valid = worst <= tol
+    return VerifyReport(valid, worst, (), "slotwise", "" if valid else f"{where}: error {worst:.3e}")

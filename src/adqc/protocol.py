@@ -11,15 +11,17 @@ the client's coin) or a grid angle whose distribution is exactly uniform.
 """
 from __future__ import annotations
 
+import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AncillaSpec, param_state, rotation
-from .linalg import I2, PAULIS, DensityMatrix, PureState, apply_pauli_frame, trace_distance
-from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, compile_circuit
+from .core import AncillaSpec, param_state
+from .linalg import I2, H, DensityMatrix, PureState, apply_pauli_frame, trace_distance
+from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, CircuitGate, compile_circuit
 from .register import (
     AdaptiveAngle,
     AdqcStep,
@@ -34,6 +36,8 @@ from .register import (
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_GRID = 8
+# register input of the audited hidden-rotation round: cos(pi/3)|+> + sin(pi/3) e^(i pi/5)|->
+AUDIT_INPUT = H @ np.array([math.cos(math.pi / 3), math.sin(math.pi / 3) * cmath.exp(1j * math.pi / 5)])
 
 
 class ProtocolOrderError(RuntimeError):
@@ -491,87 +495,70 @@ def audit_blindness(
     grid_n: int = DEFAULT_GRID,
     theta_prime: float | None = None,
     theta_prime_alt: float | None = None,
-    input_theta: float = 2 * math.pi / 3,
-    input_phi: float = math.pi / 5,
     always_r0: bool = False,
 ) -> AuditReport:
-    """Exhaustive blindness checks on the rotation-slot dialogue.
+    """Exhaustive blindness checks on the implemented ``Client`` and
+    ``server_step``, run on the RX slot of the one-gate circuit
+    Rx(theta_prime) in the two-entangler variant.
 
     (a) For every hidden-rotation value the ancilla payload averaged over the
-    client's coin is maximally mixed.  (b) The basis-angle message is exactly
-    uniform on the grid and its distribution is independent of the secret
-    angle.  (c) After the hidden-rotation round the register state averaged
-    over the coin is the same fixed diagonal matrix for every hidden value.
-    The two secret angles default to the grid points 1 and 3 (pi/4 and
-    3 pi/4 on the 8-point grid); an off-grid secret raises ValueError.
-    ``always_r0`` models a sabotaged client that never flips its payload.
+    client's coin is maximally mixed.  (b) For either parity of the incoming
+    frame the basis-angle message, over every hidden value, coin and
+    hidden-round outcome, is exactly uniform on the grid and its distribution
+    is independent of the secret angle.  (c) After the hidden-rotation round
+    on ``AUDIT_INPUT`` the register state averaged over the coin is the same
+    fixed diagonal matrix for every hidden value and outcome.  The two secret
+    angles default to the grid points 1 and 3 (pi/4 and 3 pi/4 on the
+    8-point grid); an off-grid secret raises ValueError.  ``always_r0`` pins
+    the payload coin to 0, as a sabotaged client would.
     """
     grid = grid_angles(grid_n)
-    theta_prime = grid[1] if theta_prime is None else theta_prime
-    theta_prime_alt = grid[3] if theta_prime_alt is None else theta_prime_alt
     rs = (0,) if always_r0 else (0, 1)
+    secrets = (grid[1] if theta_prime is None else theta_prime,
+               grid[3] if theta_prime_alt is None else theta_prime_alt)
+    start = init_register(1, PureState(1, AUDIT_INPUT))
+    payloads, posts = [], []  # coin-averaged density matrices
+    counts = np.zeros((2, 2, grid_n), dtype=int)  # per secret and incoming frame parity
+    for which, tp in enumerate(secrets):
+        secret = ClientSecret(CircuitDescription(1, (CircuitGate("Rx", (0,), tp),)), "two", grid_n, 0)
+        slot_idx = [sl.kind for sl in secret.pattern.slots].index("RX")
+        slot = secret.pattern.slots[slot_idx]
+        shape = pattern_shape(secret.pattern)[slot.roles["gamma"]]
+        for gi in range(grid_n):
+            payload, post = np.zeros((2, 2), dtype=complex), np.zeros((2, 2, 2), dtype=complex)
+            for r in rs:
+                secret.draws[slot_idx] = SlotDraw(gi, r)
+                msg = Client(secret).prepare_ancilla(slot_idx, "gamma")
+                ket = np.array(msg.payload)
+                payload += np.outer(ket, ket.conj()) / len(rs)
+                for s in (0, 1):
+                    v = server_step(start, msg, shape, grid_n, outcome=s)[0].register.amplitudes
+                    post[s] += np.outer(v, v.conj()) / len(rs)
+                    for r_angle, parity in itertools.product((0, 1), (0, 1)):
+                        secret.draws[slot_idx] = SlotDraw(gi, r, 0, r_angle)
+                        client = Client(secret)
+                        # one earlier outcome sets the frame parity the angle reads
+                        client.eff_outcomes[min(slot.theta_negate)] = parity
+                        client.record(slot_idx, "gamma", s)
+                        counts[which, parity, client.angle_message(slot_idx).theta_grid] += 1
+            payloads.append(payload)
+            posts.extend(post)
 
-    # (a) payload mixing, per fixed gamma
     eye_half = DensityMatrix(1, I2 / 2)
     worst_td = 0.0
-    for g in grid:
-        avg = np.zeros((2, 2), dtype=complex)
-        for r in (0, 1):
-            if always_r0:
-                r = 0
-            ket = param_state("+", g + r * math.pi, 0.0).amplitudes
-            avg += 0.5 * np.outer(ket, ket.conj())
+    for avg in payloads:
         rho = DensityMatrix(1, (avg + avg.conj().T) / 2 / np.trace(avg).real)
         worst_td = max(worst_td, trace_distance(rho, eye_half))
 
-    # (b) angle distribution: theta = s_theta*theta' - (-1)^{s} gamma + r pi
-    def angle_distribution(tp: float) -> np.ndarray:
-        counts = np.zeros(grid_n, dtype=int)
-        for gi in range(grid_n):
-            for r_pay in rs:
-                gamma_eff = grid[gi] + r_pay * math.pi
-                for s in (0, 1):  # hidden-round outcome, probability 1/2 each
-                    for r_ang in (0, 1):
-                        theta = tp - (-1.0 if s else 1.0) * gamma_eff + r_ang * math.pi
-                        counts[grid_index(theta, grid_n)] += 1
-        return counts / counts.sum()
+    dist = counts / counts.sum(axis=2, keepdims=True)
+    nonuni = float(np.abs(dist - 1.0 / grid_n).max())
+    tvd = float(0.5 * np.abs(dist[0] - dist[1]).sum(axis=1).max())
 
-    da = angle_distribution(theta_prime)
-    db = angle_distribution(theta_prime_alt)
-    nonuni = float(np.abs(da - 1.0 / grid_n).max())
-    tvd = float(0.5 * np.abs(da - db).sum())
-
-    # (c) averaged post-round register state in the |+/-> basis
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    psi = (
-        math.cos(input_theta / 2) * np.array([1, 1], dtype=complex) / math.sqrt(2)
-        + math.sin(input_theta / 2)
-        * complex(math.cos(input_phi), math.sin(input_phi))
-        * np.array([1, -1], dtype=complex)
-        / math.sqrt(2)
-    )
-    expected = np.diag(
-        [math.cos(input_theta / 2) ** 2, math.sin(input_theta / 2) ** 2]
-    ).astype(complex)
-    diag_err = 0.0
-    rhos = []
-    for g in grid:
-        for s in (0, 1):
-            avg = np.zeros((2, 2), dtype=complex)
-            for r in (0, 1):
-                if always_r0:
-                    r = 0
-                k = np.linalg.matrix_power(PAULIS["X"], s) @ rotation(
-                    "x", (-1.0 if s else 1.0) * (g + r * math.pi)
-                )
-                v = k @ psi
-                avg += 0.5 * np.outer(v, v.conj())
-            rho_pm = hadamard @ avg @ hadamard  # to the |+/-> basis
-            rhos.append(rho_pm)
-            diag_err = max(diag_err, float(np.abs(rho_pm - expected).max()))
-    spread = 0.0
-    for r1 in rhos:
-        spread = max(spread, float(np.abs(r1 - rhos[0]).max()))
+    # the register in the |+/-> basis keeps the input's |+/-> populations
+    expected = np.diag(np.abs(H @ AUDIT_INPUT) ** 2)
+    rhos = [H @ avg @ H for avg in posts]
+    diag_err = max(float(np.abs(rho - expected).max()) for rho in rhos)
+    spread = max(float(np.abs(rho - rhos[0]).max()) for rho in rhos)
 
     passed = worst_td <= 1e-12 and nonuni == 0.0 and tvd == 0.0 and diag_err <= 1e-10
     return AuditReport(grid_n, worst_td, nonuni, tvd, diag_err, spread, passed)

@@ -234,8 +234,10 @@ def walk_steps(pattern: GatePattern, states, bits, indices, rng=None):
     """Run the pattern's steps at ``indices`` over a batch with
     ``branch_step``; ``bits`` is the (steps, B) outcome-bit array the adaptive
     angles read.  Kraus pairs are built once per step and basis angle rounded
-    to 12 digits.  Returns (states, probabilities, bits)."""
+    to 12 digits.  Returns (states, probabilities, bits, the start row of each
+    branch)."""
     probs = np.ones(len(states))
+    origin = np.arange(len(states))
     for k in indices:
         step = pattern.steps[k]
         theta = np.broadcast_to(step.basis_theta.resolve(bits), (len(states),))
@@ -243,9 +245,10 @@ def walk_steps(pattern: GatePattern, states, bits, indices, rng=None):
         pairs = [step_branch_operators(step, theta[i], pattern.num_qubits) for i in first]
         states, parent, out, p = branch_step(states, pairs, which, rng=rng)
         probs = probs[parent] * p
+        origin = origin[parent]
         bits = bits[:, parent]
         bits[k] = out
-    return states, probs, bits
+    return states, probs, bits, origin
 
 
 def frame_bits(corrections, outcomes, payload_bits=None) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +320,7 @@ def run_pattern(state: RegisterState, pattern: GatePattern, mode="enumerate", se
     rng = np.random.default_rng(seed) if mode == "sample" else None
     n, k = pattern.num_qubits, len(pattern.steps)
     start = np.zeros((k, 1), dtype=np.int8)
-    states, probs, bits = walk_steps(pattern, state.register.amplitudes[None], start, range(k), rng)
+    states, probs, bits, _ = walk_steps(pattern, state.register.amplitudes[None], start, range(k), rng)
     x, z = frame_bits(pattern.corrections, bits)
     corrected = apply_pauli_frame(states, x, z)
     frames = zip(*[[PAULI_NAMES[v] for v in row] for row in (x + 2 * z).tolist()])

@@ -49,6 +49,13 @@ class TestSweep:
         _, out2, _ = run_cli(capsys, "sweep", "--points", "120", "--seed", "4")
         assert out1 == out2
 
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    def test_non_positive_point_count_rejected(self, capsys, points):
+        code, out, err = run_cli(capsys, "sweep", "--points", points)
+        assert code == 2
+        assert out == ""
+        assert "--points" in json.loads(err)["error"]
+
 
 class TestDelegate:
     def test_fidelity_one(self, capsys, circuit_file):

@@ -17,6 +17,7 @@ from adqc.linalg import (
     embed,
     equal_up_to_global_phase,
     partial_trace,
+    phase_invariant_error,
     proportionality,
     tensor,
     trace_distance,
@@ -134,6 +135,18 @@ class TestProportionality:
         assert proportionality(X, 1e-13 * X, 1e-12) is None
         c, residual = proportionality(X, 1e-13 * X)
         assert abs(c) == pytest.approx(1e13) and residual < 1e-3
+
+
+class TestPhaseInvariantError:
+    def test_rows_against_one_vector_and_one_per_row(self):
+        b = np.array([1.0, 1j]) / np.sqrt(2)
+        a = np.array([np.exp(0.3j) * b, [1.0, 0.0]])
+        d = np.sqrt(2 - np.sqrt(2))  # |1> against (|0> + i|1>)/sqrt(2) at the best phase
+        np.testing.assert_allclose(phase_invariant_error(a, b), [0.0, d], atol=1e-15)
+        np.testing.assert_allclose(phase_invariant_error(a, a[::-1]), [d, d], atol=1e-15)
+
+    def test_orthogonal_vectors_keep_their_full_distance(self):
+        assert phase_invariant_error(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(np.sqrt(2))
 
 
 class TestStates:

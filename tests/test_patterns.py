@@ -20,7 +20,7 @@ from adqc.patterns import (
     universal_tile,
     verify_pattern,
 )
-from adqc.register import QubitCorrection
+from adqc.register import AdaptiveAngle, QubitCorrection
 
 PI = math.pi
 
@@ -89,6 +89,49 @@ class TestStandardPatterns:
             assert not rep.valid and rep.mode == "slotwise"
             assert rep.detail.startswith(f"slot {slot} branches disagree after correction")
             assert "outcomes [" in rep.detail and "on input " in rep.detail
+
+    def test_cross_slot_angle_dependence_checked(self):
+        """Dropping the earlier-slot outcomes from one rotation step's angle
+        is caught slot-wise exactly where it changes the gate: wherever the
+        slot angle is not 0, at that slot."""
+        circuits = (
+            (CircuitDescription(1, (CircuitGate("H", (0,)), CircuitGate("Rz", (0,), PI / 3))), "single"),
+            (CircuitDescription(1, tuple(CircuitGate(k, (0,), a) for k, a in
+                                         (("Rx", 0.5), ("Rz", PI / 3), ("Rx", 1.0)))), "two"),
+        )
+        mutants = rejected = 0
+        for circuit, variant in circuits:
+            pat = compile_circuit(circuit, variant)
+            for k, slot in enumerate(pat.slots):
+                if "theta" not in slot.roles:
+                    continue
+                i = slot.roles["theta"]
+                ((value, negate),) = pat.steps[i].basis_theta.terms
+                kept = negate & set(slot.step_indices)
+                if kept == negate:
+                    continue
+                steps = list(pat.steps)
+                steps[i] = replace(steps[i], basis_theta=AdaptiveAngle(((value, kept),)))
+                rep = verify_pattern(replace(pat, steps=tuple(steps)))
+                mutants += 1
+                assert rep.mode == "slotwise"
+                assert rep.valid == (slot.theta_prime == 0.0), (variant, k, rep)
+                if not rep.valid:
+                    rejected += 1
+                    assert rep.detail.startswith(f"slot {k} branches disagree after correction")
+                    assert "after earlier outcomes {" in rep.detail
+        assert (mutants, rejected) == (13, 6)
+
+    def test_four_qubit_circuits_verified(self):
+        c = CircuitDescription(4, (CircuitGate("H", (3,)), CircuitGate("CZ", (0, 3)),
+                                   CircuitGate("Rx", (1,), PI / 4), CircuitGate("CZ", (1, 2))))
+        for variant in ("single", "two"):
+            pat = compile_circuit(c, variant)
+            rep = verify_pattern(pat)
+            assert rep.valid and rep.mode == "slotwise", (variant, rep)
+            broken = replace(pat, corrections=(QubitCorrection(x_const=1),) + pat.corrections[1:])
+            rep = verify_pattern(broken)
+            assert not rep.valid and rep.detail.startswith("final corrections disagree"), rep
 
     def test_rotation_slot_step_counts(self):
         assert len(standard_pattern("J", 0.3, "single").steps) == 3

@@ -360,6 +360,33 @@ class TestAudit:
             assert rep.passed, grid_n
             assert rep.angle_tvd == 0.0 and rep.angle_max_nonuniformity == 0.0, grid_n
 
+    @staticmethod
+    def _with_draw(monkeypatch, method, **fields):
+        """Patch a Client method to run with some of its slot draw replaced."""
+        real = getattr(Client, method)
+
+        def patched(self, slot_idx, *args):
+            saved = self.secret.draws[slot_idx]
+            self.secret.draws[slot_idx] = SlotDraw(**{**vars(saved), **fields})
+            try:
+                return real(self, slot_idx, *args)
+            finally:
+                self.secret.draws[slot_idx] = saved
+
+        monkeypatch.setattr(Client, method, patched)
+
+    def test_audit_sees_a_payload_without_the_coin_flip(self, monkeypatch):
+        self._with_draw(monkeypatch, "prepare_ancilla", r_payload=0)
+        rep = audit_blindness(grid_n=8)
+        assert rep.ancilla_trace_distance > 0.4
+        assert not rep.passed
+
+    def test_audit_sees_an_angle_without_the_hidden_rotation(self, monkeypatch):
+        self._with_draw(monkeypatch, "angle_message", gamma_index=0, r_payload=0)
+        rep = audit_blindness(grid_n=8)
+        assert rep.angle_tvd > 0 and rep.angle_max_nonuniformity > 0
+        assert not rep.passed
+
     def test_off_grid_secret_rejected(self):
         with pytest.raises(ValueError):
             audit_blindness(grid_n=8, theta_prime=0.3)
