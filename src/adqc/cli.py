@@ -61,7 +61,13 @@ _TABLE_POINTS = {
 }
 
 
+def _require_count(value: int, flag: str, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 def cmd_verify_tables(args) -> tuple[dict, bool]:
+    _require_count(args.negatives, "--negatives", 0)
     rows = {}
     ok = True
     for name, (g, d, t, f) in _TABLE_POINTS.items():
@@ -96,8 +102,7 @@ def cmd_verify_tables(args) -> tuple[dict, bool]:
 
 
 def cmd_sweep(args) -> tuple[dict, bool]:
-    if args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
+    _require_count(args.points, "--points", 1)
     report = conditions.unitarity_relation_sweep(args.points, args.seed, args.tol)
     return report, report["agreement_rate"] == 1.0
 
@@ -120,6 +125,7 @@ def _random_circuit(rng: np.random.Generator, grid_n: int) -> CircuitDescription
 
 
 def cmd_verify_patterns(args) -> tuple[dict, bool]:
+    _require_count(args.circuits, "--circuits", 0)
     results = {}
     ok = True
     named = [

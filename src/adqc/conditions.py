@@ -23,8 +23,12 @@ from .core import (
     Entangler,
     LocalFrame,
     MeasBasis,
-    branch_analysis,
+    analyse_kraus,
+    assemble_entangler,
+    basis_kets,
+    contract_kraus,
     kraus_pair,
+    param_kets,
     rotation,
 )
 from .linalg import I2, PAULIS, X, dagger, is_unitary, phase_invariant_error, proportionality
@@ -64,21 +68,44 @@ class TableVerificationError(RuntimeError):
     reproduce the row's expected operator content: an implementation bug."""
 
 
+def _constraint(g, d, t, f):
+    return np.sin(t) * np.cos(g) * np.sin(f) - np.cos(t) * np.sin(g) * np.sin(d)
+
+
+def _angles(p: ParamPoint) -> tuple[float, float, float, float]:
+    return p.ancilla.gamma, p.ancilla.delta, p.basis.theta, p.basis.phi
+
+
 def constraint_residual(p: ParamPoint) -> float:
     """sin(theta) cos(gamma) sin(phi) - cos(theta) sin(gamma) sin(delta).
 
     Zero iff both Kraus branches are proportional to unitaries.
     """
-    g, d = p.ancilla.gamma, p.ancilla.delta
-    t, f = p.basis.theta, p.basis.phi
-    return math.sin(t) * math.cos(g) * math.sin(f) - math.cos(t) * math.sin(g) * math.sin(d)
+    return float(_constraint(*_angles(p)))
 
 
-def _uv(a: AncillaSpec, m: MeasBasis) -> tuple[float, float]:
-    g, d, t, f = a.gamma, a.delta, m.theta, m.phi
-    u = math.cos(g) * math.cos(t) + math.sin(g) * math.sin(t) * math.cos(d - f)
-    v = math.cos(g) * math.cos(t) - math.sin(g) * math.sin(t) * math.cos(d + f)
+def _uv(g, d, t, f):
+    u = np.cos(g) * np.cos(t) + np.sin(g) * np.sin(t) * np.cos(d - f)
+    v = np.cos(g) * np.cos(t) - np.sin(g) * np.sin(t) * np.cos(d + f)
     return u, v
+
+
+# the relation is singular (0/0 form) where its denominator radicand is this small
+DEGENERATE_DEN = 1e-12
+
+
+def _radicands(g, d, t, f):
+    """(1 - u^2, floored at 0, and 1 - v^2): the relation's ratio is their quotient."""
+    u, v = _uv(g, d, t, f)
+    return np.maximum(1.0 - u * u, 0.0), 1.0 - v * v
+
+
+def _required(num, den):
+    return np.arctan((num / den) ** 0.25)
+
+
+def _relation(ax, num, den):
+    return np.tan(ax) ** 2 - np.sqrt(num / den)
 
 
 def fg_coefficients(p: ParamPoint) -> tuple[float, float, float, float]:
@@ -86,14 +113,10 @@ def fg_coefficients(p: ParamPoint) -> tuple[float, float, float, float]:
     parts of the two branches.  Requires the constraint to hold within 1e-9."""
     if abs(constraint_residual(p)) > 1e-9:
         raise ValueError("fg_coefficients requires the parameter constraint to hold")
-    u, v = _uv(p.ancilla, p.basis)
-    c, s = math.cos(p.alpha_x), math.sin(p.alpha_x)
-    rt = lambda x: math.sqrt(max(x, 0.0))
-    f_plus = c / math.sqrt(2) * rt(1 + u)
-    f_minus = c / math.sqrt(2) * rt(1 - u)
-    g_plus = s / math.sqrt(2) * rt(1 - v)
-    g_minus = s / math.sqrt(2) * rt(1 + v)
-    return f_plus, f_minus, g_plus, g_minus
+    u, v = _uv(*_angles(p))
+    c, s = np.cos(p.alpha_x) / np.sqrt(2), np.sin(p.alpha_x) / np.sqrt(2)
+    rt = lambda x: np.sqrt(np.maximum(x, 0.0))
+    return tuple(float(x) for x in (c * rt(1 + u), c * rt(1 - u), s * rt(1 - v), s * rt(1 + v)))
 
 
 def required_alpha_x(a: AncillaSpec, m: MeasBasis) -> float:
@@ -103,24 +126,20 @@ def required_alpha_x(a: AncillaSpec, m: MeasBasis) -> float:
     returned angle lies in (0, pi/2); it falls inside the chamber [0, pi/4]
     exactly when the ratio is at most one.
     """
-    u, v = _uv(a, m)
-    num = max(1.0 - u * u, 0.0)
-    den = 1.0 - v * v
-    if den <= 1e-12:
+    num, den = _radicands(a.gamma, a.delta, m.theta, m.phi)
+    if den <= DEGENERATE_DEN:
         raise DegenerateRelationError(
             f"relation denominator vanishes at ancilla={a}, basis={m}"
         )
-    return math.atan((num / den) ** 0.25)
+    return float(_required(num, den))
 
 
 def relation_residual(p: ParamPoint) -> float:
     """tan^2(alpha_x) - sqrt((1-u^2)/(1-v^2)); zero iff the relation holds."""
-    u, v = _uv(p.ancilla, p.basis)
-    num = max(1.0 - u * u, 0.0)
-    den = 1.0 - v * v
-    if den <= 1e-12:
+    num, den = _radicands(*_angles(p))
+    if den <= DEGENERATE_DEN:
         raise DegenerateRelationError("relation denominator vanishes")
-    return math.tan(p.alpha_x) ** 2 - math.sqrt(num / den)
+    return float(_relation(p.alpha_x, num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +286,75 @@ def l_hiding_sign(v, w, probe_theta: float = 0.9, probe_gamma: float = 0.7) -> i
 # sweep
 # ---------------------------------------------------------------------------
 
+# Points per array pass.  Every family is drawn and checked in blocks of at
+# most this many points, so memory stays bounded at any point count.
+SWEEP_BLOCK = 4096
+
+
+def _blocks(total: int):
+    for start in range(0, total, SWEEP_BLOCK):
+        yield min(SWEEP_BLOCK, total - start)
+
+
+def _rejection_sample(rng: np.random.Generator, n: int, draw) -> np.ndarray:
+    """The first n accepted columns of ``draw(rng, m) -> (rows, keep)``,
+    drawing about twice the shortfall of candidates per round."""
+    parts, have = [], 0
+    while have < n:
+        rows, keep = draw(rng, 2 * (n - have) + 16)
+        parts.append(rows[:, keep])
+        have += parts[-1].shape[1]
+    return np.concatenate(parts, axis=1)[:, :n]
+
+
+def _draw_constraint(rng: np.random.Generator, m: int):
+    """Candidate rows (g, d, t, f, alpha_x): half with delta = phi = 0, half
+    with phi solved from the constraint for a random delta, rejected where that
+    solution is ill-conditioned or has no real angle."""
+    g, t = rng.uniform(0, TWO_PI, (2, m))
+    flat = rng.random(m) < 0.5
+    d = np.where(flat, 0.0, rng.uniform(0, TWO_PI, m))
+    den = np.sin(t) * np.cos(g)
+    solvable = np.abs(den) >= 1e-3
+    sf = np.divide(np.cos(t) * np.sin(g) * np.sin(d), den, out=np.zeros(m), where=solvable)
+    keep = flat | (solvable & (np.abs(sf) <= 1.0))
+    f = np.arcsin(np.clip(sf, -1.0, 1.0))  # 0 wherever delta = 0
+    ax = rng.uniform(1e-3, math.pi / 4, m)
+    return np.stack([g, d, t, f, ax]), keep
+
+
+def _draw_violating(rng: np.random.Generator, m: int):
+    """Candidate rows (g, d, t, f) violating the constraint by more than 0.05."""
+    rows = rng.uniform(0.3, TWO_PI - 0.3, (4, m))
+    return rows, np.abs(_constraint(*rows)) > 0.05
+
 
 def sample_constraint_point(rng: np.random.Generator) -> ParamPoint:
     """Random constraint-satisfying point with a random chamber alpha_x."""
-    while True:
-        g, t = rng.uniform(0, TWO_PI, 2)
-        if rng.random() < 0.5:
-            d, f = 0.0, 0.0
-        else:
-            d = rng.uniform(0, TWO_PI)
-            den = math.sin(t) * math.cos(g)
-            if abs(den) < 1e-3:
-                continue
-            sf = math.cos(t) * math.sin(g) * math.sin(d) / den
-            if abs(sf) > 1.0:
-                continue
-            f = math.asin(sf)
-        ax = rng.uniform(1e-3, math.pi / 4)
-        return ParamPoint(ax, AncillaSpec(g, d), MeasBasis(t, f))
+    g, d, t, f, ax = _rejection_sample(rng, 1, _draw_constraint)[:, 0]
+    return ParamPoint(ax, AncillaSpec(g, d), MeasBasis(t, f))
+
+
+def _separated(rng: np.random.Generator, low: float, high: float, avoid: np.ndarray, gap: float):
+    """Uniform draws on [low, high), one per entry of ``avoid``, redrawn until
+    each lies at least ``gap`` from its entry."""
+    x = rng.uniform(low, high, avoid.shape)
+    close = np.abs(x - avoid) < gap
+    while close.any():
+        x[close] = rng.uniform(low, high, int(close.sum()))
+        close = np.abs(x - avoid) < gap
+    return x
+
+
+def _branches(ax, g, d, t, f, tol: float):
+    """``analyse_kraus`` of the bare entangler of strength ax[i] measured at
+    row i of the angle arrays."""
+    strengths = np.zeros(ax.shape + (3,))
+    strengths[:, 0] = ax
+    pairs = contract_kraus(
+        assemble_entangler(_CZ_ENTANGLER, strengths), param_kets("+", g, d), basis_kets(t, f)
+    )
+    return analyse_kraus(pairs, tol)
 
 
 def unitarity_relation_sweep(
@@ -299,87 +369,54 @@ def unitarity_relation_sweep(
     Additionally, on the rotation-row family (gamma = 0, phi = delta = 0) the
     pair is one-step correctable iff alpha_x matches the relation: there the
     relation value is always pi/4.
+
+    Each family is drawn and checked as arrays, SWEEP_BLOCK points at a time.
     """
     rng = np.random.default_rng(seed)
-    ent = lambda ax: Entangler(CartanParams(ax), LocalFrame(), "sweep")
-    agree = 0
-    disagree = 0
-    excluded = 0
-    unit_ok = 0
-    unit_fail = 0
-    viol_detected = 0
-    viol_missed = 0
-    corr_agree = 0
-    corr_disagree = 0
+    agree = disagree = excluded = unit_ok = unit_fail = 0
+    viol_detected = viol_missed = corr_agree = corr_disagree = 0
 
-    for _ in range(num_points):
-        p = sample_constraint_point(rng)
-        try:
-            ax_req = required_alpha_x(p.ancilla, p.basis)
-        except DegenerateRelationError:
-            excluded += 1
-            continue
-
-        # relation <-> matching alpha_x, probed at the singled-out value and at
-        # a well-separated random one
-        candidates = [min(ax_req, math.pi / 4)] if ax_req <= math.pi / 4 else []
-        ax_rand = rng.uniform(0.0, math.pi / 4)
-        while abs(ax_rand - ax_req) < 1e-2:
-            ax_rand = rng.uniform(0.0, math.pi / 4)
-        candidates.append(ax_rand)
-        for ax in candidates:
-            q = ParamPoint(ax, p.ancilla, p.basis)
-            holds = abs(relation_residual(q)) <= tol
-            matches = abs(ax - ax_req) <= tol
-            if holds == matches:
-                agree += 1
-            else:
-                disagree += 1
-
+    for n in _blocks(num_points):
+        g, d, t, f, ax = _rejection_sample(rng, n, _draw_constraint)
+        num, den = _radicands(g, d, t, f)
+        live = den > DEGENERATE_DEN
+        excluded += n - int(live.sum())
+        g, d, t, f, ax, num, den = (x[live] for x in (g, d, t, f, ax, num, den))
+        ax_req = _required(num, den)
+        # relation <-> matching alpha_x, probed at the singled-out value (when
+        # it lies in the chamber) and at a well-separated random one
+        ax_rand = _separated(rng, 0.0, math.pi / 4, ax_req, 1e-2)
+        for probe, probed in ((ax_req, ax_req <= math.pi / 4), (ax_rand, True)):
+            holds = np.abs(_relation(probe, num, den)) <= tol
+            matches = np.abs(probe - ax_req) <= tol
+            hits = (holds == matches) & probed
+            agree += int(hits.sum())
+            disagree += int(np.sum(probed & ~hits))
         # constraint -> unitary-proportional branches
-        pair = kraus_pair(ent(p.alpha_x), p.ancilla, p.basis)
-        rep = branch_analysis(pair, tol)
-        if rep.unitary_plus and rep.unitary_minus:
-            unit_ok += 1
-        else:
-            unit_fail += 1
+        unitary = _branches(ax, g, d, t, f, tol)[0].all(axis=1)
+        unit_ok += int(unitary.sum())
+        unit_fail += int((~unitary).sum())
 
     # violating points: unitarity must fail with a clear margin
     n_viol = max(num_points // 10, 1)
-    for _ in range(n_viol):
-        while True:
-            g, d, t = rng.uniform(0.3, TWO_PI - 0.3, 3)
-            f = rng.uniform(0.3, TWO_PI - 0.3)
-            pt = ParamPoint(math.pi / 4, AncillaSpec(g, d), MeasBasis(t, f))
-            if abs(constraint_residual(pt)) > 0.05:
-                break
-        pair = kraus_pair(ent(math.pi / 4), pt.ancilla, pt.basis)
-        rep = branch_analysis(pair, tol)
-        if rep.unitary_plus and rep.unitary_minus:
-            viol_missed += 1
-        else:
-            viol_detected += 1
+    for n in _blocks(n_viol):
+        g, d, t, f = _rejection_sample(rng, n, _draw_violating)
+        unitary = _branches(np.full(n, math.pi / 4), g, d, t, f, tol)[0].all(axis=1)
+        viol_detected += int((~unitary).sum())
+        viol_missed += int(unitary.sum())
 
     # rotation-row family: correctable <-> alpha_x matches the relation (pi/4)
     n_corr = max(num_points // 10, 1)
-    for _ in range(n_corr):
-        t = rng.uniform(0.2, math.pi - 0.2)
-        anc = AncillaSpec(0.0)
-        bas = MeasBasis(t, 0.0)
-        ax_req = required_alpha_x(anc, bas)
-        for ax in (math.pi / 4, rng.uniform(0.05, math.pi / 4 - 0.05)):
-            pair = kraus_pair(ent(ax), anc, bas)
-            rep = branch_analysis(pair, tol)
-            correctable = (
-                rep.one_step_correctable
-                and rep.scale is not None
-                and abs(abs(rep.scale) - 1.0) <= 1e-7
-            )
-            matches = abs(ax - ax_req) <= tol
-            if correctable == matches:
-                corr_agree += 1
-            else:
-                corr_disagree += 1
+    for n in _blocks(n_corr):
+        t = rng.uniform(0.2, math.pi - 0.2, n)
+        zero = np.zeros(n)
+        ax_req = _required(*_radicands(zero, zero, t, zero))
+        for ax in (np.full(n, math.pi / 4), rng.uniform(0.05, math.pi / 4 - 0.05, n)):
+            _, correction, scale = _branches(ax, zero, zero, t, zero, tol)
+            correctable = (correction >= 0) & (np.abs(np.abs(scale) - 1.0) <= 1e-7)
+            matches = np.abs(ax - ax_req) <= tol
+            corr_agree += int((correctable == matches).sum())
+            corr_disagree += int((correctable != matches).sum())
 
     total_pairs = agree + disagree
     return {

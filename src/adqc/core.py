@@ -17,14 +17,18 @@ from .linalg import (
     I2,
     PAULIS,
     S_GATE,
+    X,
+    Y,
+    Z,
     PureState,
-    dagger,
+    fit_scale,
     is_unitary,
-    proportionality,
-    tensor,
 )
 
 TWO_PI = 2.0 * math.pi
+XX, YY, ZZ = (np.kron(p, p) for p in (X, Y, Z))
+PAULI_NAMES = tuple(PAULIS)
+_PAULI_STACK = np.stack(list(PAULIS.values()))
 
 
 def _reduce_angle(a: float) -> float:
@@ -123,20 +127,30 @@ class KrausPair:
     k_minus: np.ndarray
     p_plus: float
     p_minus: float
-    branch_form: tuple[BranchForm | None, BranchForm | None] = (None, None)
+
+
+def param_kets(sign: str, theta, phi) -> np.ndarray:
+    """Amplitudes of ``|+_{theta,phi}>`` or ``|-_{theta,phi}>``, shape (..., 2)
+    for scalar or equal-shape array angles."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    ph = np.cos(phi) + 1j * np.sin(phi)
+    if sign == "+":
+        return np.stack(np.broadcast_arrays(c + 0j, ph * s), axis=-1)
+    if sign == "-":
+        return np.stack(np.broadcast_arrays(s + 0j, -ph * c), axis=-1)
+    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+
+
+def basis_kets(theta, phi) -> np.ndarray:
+    """The ``|+_{theta,phi}>`` and ``|-_{theta,phi}>`` amplitudes as rows,
+    shape (..., 2, 2): row t is measurement outcome t."""
+    return np.stack([param_kets("+", theta, phi), param_kets("-", theta, phi)], axis=-2)
 
 
 def param_state(sign: str, theta: float, phi: float) -> PureState:
     """``|+_{theta,phi}>`` or ``|-_{theta,phi}>`` depending on sign."""
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    ph = complex(math.cos(phi), math.sin(phi))
-    if sign == "+":
-        vec = np.array([c, ph * s], dtype=complex)
-    elif sign == "-":
-        vec = np.array([s, -ph * c], dtype=complex)
-    else:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return PureState(1, vec)
+    return PureState(1, param_kets(sign, theta, phi))
 
 
 def rotation(axis: str, theta: float) -> np.ndarray:
@@ -148,20 +162,30 @@ def rotation(axis: str, theta: float) -> np.ndarray:
     return math.cos(theta / 2) * I2 - 1j * math.sin(theta / 2) * p
 
 
-def weyl_interaction(p: CartanParams) -> np.ndarray:
-    """The canonical 4x4 interaction; its three terms commute, so it is the
-    product of the three single-axis exponentials."""
+def weyl_interaction(p) -> np.ndarray:
+    """The canonical 4x4 interaction of a CartanParams, or one per row of an
+    (..., 3) array of (alpha_x, alpha_y, alpha_z) strengths, shape (..., 4, 4).
+    Its three terms commute, so it is the product of the three single-axis
+    exponentials."""
+    if isinstance(p, CartanParams):
+        p = (p.alpha_x, p.alpha_y, p.alpha_z)
+    a = np.asarray(p, dtype=float)
     out = np.eye(4, dtype=complex)
-    for a, pauli in ((p.alpha_x, "X"), (p.alpha_y, "Y"), (p.alpha_z, "Z")):
-        pp = tensor(PAULIS[pauli], PAULIS[pauli])
-        out = out @ (math.cos(a) * np.eye(4) - 1j * math.sin(a) * pp)
+    for k, pp in enumerate((XX, YY, ZZ)):
+        c, s = np.cos(a[..., k])[..., None, None], np.sin(a[..., k])[..., None, None]
+        out = out @ (c * np.eye(4) - 1j * s * pp)
     return out
 
 
-def assemble_entangler(e: Entangler) -> np.ndarray:
-    """Dressed 4x4 unitary (w_a @ w_s) D (v_a @ v_s), ancilla as first factor."""
+def assemble_entangler(e: Entangler, strengths=None) -> np.ndarray:
+    """Dressed 4x4 unitary (w_a @ w_s) D (v_a @ v_s), ancilla as first factor.
+
+    ``strengths``, an (..., 3) array, replaces ``e.cartan``: the result is one
+    entangler per row, each dressed with the frame of ``e``.
+    """
     f = e.frame
-    return tensor(f.w_a, f.w_s) @ weyl_interaction(e.cartan) @ tensor(f.v_a, f.v_s)
+    d = weyl_interaction(e.cartan if strengths is None else strengths)
+    return np.kron(f.w_a, f.w_s) @ d @ np.kron(f.v_a, f.v_s)
 
 
 _CZ_CARTAN = CartanParams(math.pi / 4, 0.0, 0.0)
@@ -202,15 +226,20 @@ def preset_labels() -> tuple[str, ...]:
     return tuple(_PRESETS)
 
 
-def _contract(entangler_matrix: np.ndarray, anc_ket: np.ndarray, meas_state: np.ndarray) -> np.ndarray:
-    e4 = entangler_matrix.reshape(2, 2, 2, 2)  # (a_out, s_out, a_in, s_in)
-    return np.einsum("a,aibj,b->ij", meas_state.conj(), e4, anc_ket)
+def contract_kraus(entanglers: np.ndarray, kets: np.ndarray, bras: np.ndarray) -> np.ndarray:
+    """System Kraus pairs of N measured ancillas: (N, 4, 4) entanglers, (N, 2)
+    ancilla kets and (N, 2, 2) measurement states, row t for outcome t, give
+    an (N, 2, 2, 2) array, outcome first."""
+    e4 = entanglers.reshape(-1, 2, 2, 2, 2)  # (n, a_out, s_out, a_in, s_in)
+    return np.einsum("nta,naibj,nb->ntij", bras.conj(), e4, kets)
 
 
-def _branch_form(k: np.ndarray, tol: float = 1e-9) -> BranchForm | None:
+def branch_form(k: np.ndarray, tol: float = 1e-9) -> BranchForm | None:
+    """The I/X split of one branch operator, or None when it has Y or Z parts
+    or its I and X parts are not phase-orthogonal."""
     ci = np.trace(k) / 2
-    cx = np.trace(PAULIS["X"] @ k) / 2
-    if np.abs(k - ci * I2 - cx * PAULIS["X"]).max() > tol:
+    cx = np.trace(X @ k) / 2
+    if np.abs(k - ci * I2 - cx * X).max() > tol:
         return None
     f, g = abs(ci), abs(cx)
     if g < tol:
@@ -229,18 +258,13 @@ def kraus_pair(e: Entangler, a: AncillaSpec, m: MeasBasis) -> KrausPair:
 
     Branch probabilities are quoted for a maximally mixed system input.
     """
-    em = assemble_entangler(e)
-    anc = a.ket().amplitudes
-    bp, bm = m.bra_states()
-    kp = _contract(em, anc, bp.amplitudes)
-    km = _contract(em, anc, bm.amplitudes)
-    return KrausPair(
-        kp,
-        km,
-        float(np.trace(dagger(kp) @ kp).real / 2),
-        float(np.trace(dagger(km) @ km).real / 2),
-        (_branch_form(kp), _branch_form(km)),
-    )
+    k = contract_kraus(
+        assemble_entangler(e)[None],
+        param_kets("+", a.gamma, a.delta)[None],
+        basis_kets(m.theta, m.phi)[None],
+    )[0]
+    p = np.einsum("tij,tij->t", k.conj(), k).real / 2
+    return KrausPair(k[0], k[1], float(p[0]), float(p[1]))
 
 
 @dataclass(frozen=True)
@@ -252,6 +276,31 @@ class BranchReport:
     scale: complex | None = None
 
 
+def analyse_kraus(k: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Branch analysis of an (N, 2, 2, 2) stack of Kraus pairs.
+
+    Returns, per row, the unitary-proportionality of each branch ((N, 2) bool:
+    K^dag K = lambda I with |lambda| > 1e-12), the index into PAULI_NAMES of
+    the first Pauli P with ``k_minus = c P k_plus`` (-1 for none), and that
+    scale c (nan for none).  The fit is ``linalg.fit_scale`` with floor 1e-12;
+    it counts when |c| >= 1e-12 and the residual is at most tol * max(1, |c|).
+    """
+    gram = np.swapaxes(k, -1, -2).conj() @ k
+    lam = (gram[..., 0, 0] + gram[..., 1, 1]) / 2
+    off = np.abs(gram - lam[..., None, None] * I2).max(axis=(-2, -1))
+    unitary = (np.abs(lam) > 1e-12) & (off < tol)
+    n = len(k)
+    pk = np.einsum("pij,njk->npik", _PAULI_STACK, k[:, 0]).reshape(n, 4, 4)
+    km = np.broadcast_to(k[:, None, 1].reshape(n, 1, 4), pk.shape)
+    c, residual, fitted = fit_scale(km, pk, 1e-12)
+    mag = np.abs(c)
+    ok = fitted & (mag >= 1e-12) & (residual <= tol * np.maximum(1.0, mag))
+    found = ok.any(axis=1)
+    correction = np.where(found, np.argmax(ok, axis=1), -1)
+    scale = np.where(found, c[np.arange(n), correction], np.nan)
+    return unitary, correction, scale
+
+
 def branch_analysis(k: KrausPair, tol: float = 1e-9) -> BranchReport:
     """Check unitary-proportionality of each branch and one-step correctability.
 
@@ -260,16 +309,10 @@ def branch_analysis(k: KrausPair, tol: float = 1e-9) -> BranchReport:
     so a single outcome-conditioned Pauli correction makes the step
     deterministic (c is a unit phase exactly when the branches are balanced).
     """
-    def unitary_prop(m):
-        g = dagger(m) @ m
-        lam = np.trace(g) / 2
-        return abs(lam) > 1e-12 and np.abs(g - lam * I2).max() < tol
-
-    up, um = unitary_prop(k.k_plus), unitary_prop(k.k_minus)
-    correction, scale = None, None
-    for name, p in PAULIS.items():
-        fit = proportionality(k.k_minus, p @ k.k_plus, 1e-12)
-        if fit is not None and abs(fit[0]) >= 1e-12 and fit[1] <= tol * max(1.0, abs(fit[0])):
-            correction, scale = name, fit[0]
-            break
-    return BranchReport(up, um, correction is not None, correction, scale)
+    unitary, correction, scale = analyse_kraus(np.stack([k.k_plus, k.k_minus])[None], tol)
+    c = int(correction[0])
+    if c < 0:
+        return BranchReport(bool(unitary[0, 0]), bool(unitary[0, 1]), False)
+    return BranchReport(
+        bool(unitary[0, 0]), bool(unitary[0, 1]), True, PAULI_NAMES[c], complex(scale[0])
+    )

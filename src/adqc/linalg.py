@@ -62,14 +62,25 @@ def is_unitary(m, tol: float = 1e-12) -> bool:
     return np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() < tol
 
 
+def fit_scale(a: np.ndarray, b: np.ndarray, floor: float = 0.0):
+    """Fit a ~ c*b along the last axis, for every leading index: the scalar c
+    read off the largest-magnitude entry of b, the residual max|a - c*b| and
+    whether that entry reaches ``floor`` (where it does not, c and the
+    residual mean nothing)."""
+    idx = np.argmax(np.abs(b), axis=-1)[..., None]
+    pivot = np.take_along_axis(b, idx, axis=-1)
+    fitted = np.abs(pivot[..., 0]) >= floor
+    c = np.take_along_axis(a, idx, axis=-1) / np.where(fitted[..., None], pivot, 1.0)
+    return c[..., 0], np.abs(a - c * b).max(axis=-1), fitted
+
+
 def proportionality(a: np.ndarray, b: np.ndarray, floor: float = 0.0) -> tuple[complex, float] | None:
-    """Fit a ~ c*b: the scalar c read off the largest-magnitude entry of b and
-    the residual max|a - c*b|, or None when that entry is below ``floor``."""
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[idx]) < floor:
+    """Fit a ~ c*b over all entries (``fit_scale`` on one row): the scalar c
+    and the residual, or None when b's largest entry is below ``floor``."""
+    c, residual, fitted = fit_scale(np.reshape(a, (1, -1)), np.reshape(b, (1, -1)), floor)
+    if not fitted[0]:
         return None
-    c = a[idx] / b[idx]
-    return complex(c), float(np.abs(a - c * b).max())
+    return complex(c[0]), float(residual[0])
 
 
 def phase_invariant_error(a: np.ndarray, b: np.ndarray):

@@ -56,6 +56,21 @@ class TestSweep:
         assert out == ""
         assert "--points" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-patterns", "--circuits", "-3"),
+            ("verify-patterns", "--circuits", "-1"),
+            ("verify-tables", "--negatives", "-4"),
+            ("verify-tables", "--negatives", "-1"),
+        ],
+    )
+    def test_negative_counts_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert argv[1] in json.loads(err)["error"]
+
 
 class TestDelegate:
     def test_fidelity_one(self, capsys, circuit_file):

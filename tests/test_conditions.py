@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from adqc import conditions
 from adqc.conditions import (
+    SWEEP_BLOCK,
     DegenerateRelationError,
     ParamPoint,
     TableCase,
@@ -27,7 +29,10 @@ from adqc.core import (
     Entangler,
     LocalFrame,
     MeasBasis,
+    analyse_kraus,
+    basis_kets,
     kraus_pair,
+    param_kets,
     rotation,
 )
 from adqc.linalg import H, I2, X, Y, Z
@@ -262,3 +267,39 @@ class TestSweep:
         assert report["nonunitary_on_constraint"] == 0
         assert report["violations_missed"] == 0
         assert report["correctability_disagreements"] == 0
+
+    @pytest.mark.parametrize("points", [1, 100, SWEEP_BLOCK + 1])
+    def test_counts_cover_every_point(self, points):
+        report = unitarity_relation_sweep(points, seed=2, tol=1e-9)
+        assert report["agreement_rate"] == 1.0
+        assert (
+            report["unitary_on_constraint"]
+            + report["nonunitary_on_constraint"]
+            + report["excluded_degenerate"]
+            == points
+        )
+        assert report["violations_detected"] + report["violations_missed"] == report["violating_points"]
+        assert report["correctability_checks"] == 2 * max(points // 10, 1)
+
+    def test_bras_without_phi_on_minus_fail_unitarity(self, monkeypatch):
+        """A minus-outcome bra that drops phi breaks the constraint's branches."""
+
+        def broken(theta, phi):
+            kets = basis_kets(theta, phi)
+            kets[..., 1, :] = param_kets("-", theta, np.zeros_like(phi))
+            return kets
+
+        monkeypatch.setattr(conditions, "basis_kets", broken)
+        report = unitarity_relation_sweep(400, seed=1, tol=1e-9)
+        assert report["nonunitary_on_constraint"] > 0
+        assert report["agreement_rate"] < 1.0
+
+    def test_forced_unitarity_misses_violations(self, monkeypatch):
+        def always_unitary(k, tol=1e-9):
+            unitary, correction, scale = analyse_kraus(k, tol)
+            return np.ones_like(unitary), correction, scale
+
+        monkeypatch.setattr(conditions, "analyse_kraus", always_unitary)
+        report = unitarity_relation_sweep(400, seed=1, tol=1e-9)
+        assert report["violations_missed"] > 0
+        assert report["agreement_rate"] < 1.0

@@ -12,9 +12,15 @@ from adqc.core import (
     Entangler,
     LocalFrame,
     MeasBasis,
+    PAULI_NAMES,
+    analyse_kraus,
     assemble_entangler,
+    basis_kets,
     branch_analysis,
+    branch_form,
+    contract_kraus,
     kraus_pair,
+    param_kets,
     param_state,
     preset,
     preset_labels,
@@ -236,7 +242,7 @@ class TestKrausPair:
 
     def test_branch_form_split(self):
         pair = kraus_pair(CZ_CANON, AncillaSpec(0.9, 0), MeasBasis(0, 0))
-        bf_p, bf_m = pair.branch_form
+        bf_p, bf_m = branch_form(pair.k_plus), branch_form(pair.k_minus)
         assert bf_p is not None and bf_m is not None
         assert abs(bf_p.f - abs(math.cos(0.45)) / math.sqrt(2)) < 1e-12
         assert abs(bf_p.g - abs(math.sin(0.45)) / math.sqrt(2)) < 1e-12
@@ -246,7 +252,7 @@ class TestKrausPair:
         two branches are opposite; this is what lets a single X correct them."""
         for t in (0.4, 1.3, 2.1):
             pair = kraus_pair(CZ_CANON, AncillaSpec(0, 0), MeasBasis(t, 0))
-            bf_p, bf_m = pair.branch_form
+            bf_p, bf_m = branch_form(pair.k_plus), branch_form(pair.k_minus)
             assert bf_p is not None and bf_m is not None
             assert bf_p.n_parity != bf_m.n_parity
 
@@ -283,3 +289,50 @@ class TestBranchAnalysis:
         pair = kraus_pair(CZ_CANON, AncillaSpec(1.0, 1.0), MeasBasis(0.5, 1.3))
         rep = branch_analysis(pair)
         assert not (rep.unitary_plus and rep.unitary_minus)
+
+
+def _kernel_points(rng):
+    """Random, rotation-row, constraint-violating and table-row (ancilla, basis) pairs."""
+    points = [
+        (AncillaSpec(*rng.uniform(0, 2 * math.pi, 2)), MeasBasis(*rng.uniform(0, 2 * math.pi, 2)))
+        for _ in range(6)
+    ]
+    points += [(AncillaSpec(0.0), MeasBasis(rng.uniform(0.2, math.pi - 0.2))) for _ in range(4)]
+    return points + [(AncillaSpec(1.0, 1.0), MeasBasis(0.5, 1.3)), (AncillaSpec(0.9), MeasBasis(0.0))]
+
+
+class TestBatchedKernel:
+    """Each row of the batched contraction and analysis equals the one-row call
+    that kraus_pair and branch_analysis make, for every preset: SWAPCZ has
+    alpha_y != 0 and HHCZ dressed frames on both sides."""
+
+    def test_rows_match_single_calls(self):
+        rng = np.random.default_rng(31)
+        rows, ents = [], []
+        for label in preset_labels():
+            e = preset(label)
+            c = e.cartan
+            points = _kernel_points(rng)
+            strengths = np.tile([c.alpha_x, c.alpha_y, c.alpha_z], (len(points), 1))
+            ents.append(assemble_entangler(e, strengths))
+            rows += [(e, a, m) for a, m in points]
+        kets = param_kets("+", [a.gamma for _, a, _ in rows], [a.delta for _, a, _ in rows])
+        bras = basis_kets([m.theta for _, _, m in rows], [m.phi for _, _, m in rows])
+        pairs = contract_kraus(np.concatenate(ents), kets, bras)
+        unitary, correction, scale = analyse_kraus(pairs)
+        assert pairs.shape == (len(rows), 2, 2, 2)
+        assert unitary.any() and not unitary.all()
+        assert (correction >= 0).any() and (correction < 0).any()
+        for i, (e, a, m) in enumerate(rows):
+            single = kraus_pair(e, a, m)
+            assert np.abs(pairs[i, 0] - single.k_plus).max() <= 1e-15, (e.label, i)
+            assert np.abs(pairs[i, 1] - single.k_minus).max() <= 1e-15, (e.label, i)
+            rep = branch_analysis(single)
+            assert (rep.unitary_plus, rep.unitary_minus) == tuple(unitary[i]), (e.label, i)
+            assert rep.one_step_correctable == (correction[i] >= 0)
+            if rep.one_step_correctable:
+                assert rep.correction == PAULI_NAMES[correction[i]]
+                assert rep.scale == scale[i]
+            else:
+                assert rep.correction is None and rep.scale is None
+                assert np.isnan(scale[i])
