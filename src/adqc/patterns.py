@@ -49,7 +49,7 @@ from .register import (
 )
 
 VARIANTS = ("single", "two")
-MAX_FLAT_STEPS = 13  # longer patterns are verified slot by slot
+MAX_FLAT_STEPS = 13  # longest slotless pattern enumerated flat
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +520,18 @@ def verify_pattern(pattern: GatePattern, tol: float = 1e-9) -> VerifyReport:
 
     Every corrected branch must reproduce ``target @ input`` up to a global
     phase on a spanning input set, and branch probabilities must sum to one.
-    Short patterns are enumerated flat; longer ones are verified slot by slot
-    (``_verify_slotwise``).  A failed report's ``detail`` names the slot,
-    outcome bits and input index where it failed.
+    A pattern of more than one slot is verified slot by slot
+    (``_verify_slotwise``); one of at most one slot is enumerated flat, which
+    runs the same branches, and a slotless one only up to ``MAX_FLAT_STEPS``
+    steps.  A failed report's ``detail`` names the slot, outcome bits and
+    input index where it failed.
     """
     n = pattern.num_qubits
     inputs = _spanning_inputs(n)
-    if len(pattern.steps) > MAX_FLAT_STEPS:
-        if not pattern.slots:
-            raise ValueError("pattern too long for flat enumeration and has no slots")
+    if len(pattern.slots) > 1:
         return _verify_slotwise(pattern, inputs, tol)
+    if not pattern.slots and len(pattern.steps) > MAX_FLAT_STEPS:
+        raise ValueError("pattern too long for flat enumeration and has no slots")
     worst, where = 0.0, ""
     probs: tuple[float, ...] = ()
     for idx, inp in enumerate(inputs):

@@ -46,7 +46,7 @@ class ProtocolOrderError(RuntimeError):
 
 def grid_angles(grid_n: int) -> tuple[float, ...]:
     if grid_n < 4 or grid_n % 2:
-        raise ValueError("grid size must be an even integer >= 4")
+        raise ValueError(f"grid size must be an even integer >= 4, got {grid_n}")
     return tuple(TWO_PI * k / grid_n for k in range(grid_n))
 
 
@@ -154,6 +154,7 @@ class ClientSecret:
     draws: list[SlotDraw] = field(init=False)
 
     def __post_init__(self):
+        grid_angles(self.grid_n)  # the grid size itself must be valid
         self.pattern = compile_circuit(self.circuit, self.variant)
         for slot in self.pattern.slots:
             if slot.theta_prime is not None:

@@ -8,6 +8,7 @@ whose byproduct corrections are recorded per qubit as outcome-parity sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -139,6 +140,12 @@ class GatePattern:
                 raise ValueError(f"step {i} depends on a non-earlier outcome")
             if any(t >= self.num_qubits for t in step.targets):
                 raise ValueError(f"step {i} targets outside the register")
+        # slot-wise verification runs only the steps the slots list
+        covered = [i for slot in self.slots for i in slot.step_indices]
+        if self.slots and covered != list(range(len(self.steps))):
+            raise ValueError("slots must list every step once, in order")
+        if len(self.slot_boundaries) != len(self.slots):
+            raise ValueError("one boundary frame per slot required")
 
     def correction_for(self, outcomes, payload_bits=None) -> tuple[str, ...]:
         if len(outcomes) != len(self.steps):
@@ -179,21 +186,30 @@ def init_register(n: int, state="") -> RegisterState:
     return RegisterState(reg)
 
 
+@cache
+def _coupling(labels: tuple[str, ...], targets: tuple[int, ...], n: int) -> np.ndarray:
+    """A step's dressed couplings embedded in the register plus ancilla,
+    applied in listed order, as one read-only (2^(n+1), 2^(n+1)) matrix."""
+    total = np.eye(2 ** (n + 1), dtype=complex)
+    for tgt, lbl in zip(targets, labels):
+        # ancilla appended as the least significant qubit
+        total = embed(assemble_entangler(preset(lbl)), (n, tgt), n + 1) @ total
+    total.flags.writeable = False
+    return total
+
+
 def step_branch_operators(step: AdqcStep, theta: float, n: int, payload=None) -> np.ndarray:
     """The two register Kraus operators of a step (unnormalized), plus branch
     first, as a (2, 2^n, 2^n) array.  ``n`` is the register size.  ``payload``
-    is the physical ancilla ket; by default the step's canonical ancilla."""
-    ents = [preset(lbl) for lbl in step.entangler_labels]
-    total = np.eye(2 ** (n + 1), dtype=complex)
-    for tgt, ent in zip(step.targets, ents):
-        # ancilla appended as the least significant qubit
-        total = embed(assemble_entangler(ent), (n, tgt), n + 1) @ total
+    is the physical ancilla ket; by default the step's canonical ancilla.  The
+    coupling is built once per (labels, targets, n)."""
+    labels = tuple(step.entangler_labels)
     if payload is None:
-        payload = dagger(ents[0].frame.v_a) @ step.ancilla.ket().amplitudes
-    last_wa = ents[-1].frame.w_a
+        payload = dagger(preset(labels[0]).frame.v_a) @ step.ancilla.ket().amplitudes
+    last_wa = preset(labels[-1]).frame.w_a
     bras = [last_wa @ b.amplitudes for b in MeasBasis(theta, step.basis_phi).bra_states()]
     dim = 2**n
-    t = total.reshape(dim, 2, dim, 2)  # (reg_out, anc_out, reg_in, anc_in)
+    t = _coupling(labels, tuple(step.targets), n).reshape(dim, 2, dim, 2)  # (reg_out, anc_out, reg_in, anc_in)
     return np.stack([np.einsum("a,iajb,b->ij", b.conj(), t, payload) for b in bras])
 
 

@@ -93,6 +93,15 @@ class TestDelegate:
         assert out == ""
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("grid", ["0", "-4", "5"])
+    def test_invalid_grid_rejected(self, capsys, circuit_file, grid):
+        code, out, err = run_cli(
+            capsys, "delegate", "--circuit", circuit_file, "--seed", "1", "--grid", grid
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == f"grid size must be an even integer >= 4, got {grid}"
+
     def test_transcript_written(self, capsys, circuit_file, tmp_path):
         log = tmp_path / "t.jsonl"
         code, out, _ = run_cli(

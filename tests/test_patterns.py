@@ -4,12 +4,13 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from adqc.core import rotation
-from adqc.linalg import CZ, H, equal_up_to_global_phase, tensor
+from adqc.core import AncillaSpec, rotation
+from adqc.linalg import CZ, H, PureState, equal_up_to_global_phase, phase_invariant_error, tensor
 from adqc.patterns import (
     CZ2_SPECS,
     CircuitDescription,
@@ -20,7 +21,7 @@ from adqc.patterns import (
     universal_tile,
     verify_pattern,
 )
-from adqc.register import AdaptiveAngle, QubitCorrection
+from adqc.register import AdaptiveAngle, AdqcStep, QubitCorrection, init_register, run_pattern
 
 PI = math.pi
 
@@ -137,6 +138,93 @@ class TestStandardPatterns:
         assert len(standard_pattern("J", 0.3, "single").steps) == 3
         assert len(standard_pattern("RX", 0.3, "two").steps) == 2
         assert len(standard_pattern("RZ", 0.3, "two").steps) == 2
+
+
+def _brute_force_valid(pat, tol=1e-9) -> bool:
+    """Every enumerated branch, corrected, equals ``target @ input`` up to a
+    global phase on the basis states, |+...+> and |+i...+i>."""
+    n = pat.num_qubits
+    inputs = list(np.eye(2**n, dtype=complex)) + [
+        np.ones(2**n, dtype=complex), reduce(np.kron, [np.array([1.0, 1j])] * n)
+    ]
+    for amps in inputs:
+        inp = PureState(n, amps)
+        res = run_pattern(init_register(n, inp), pat, mode="enumerate")
+        if abs(res.total_probability() - 1.0) > 1e-10:
+            return False
+        corrected = np.array([br.corrected.amplitudes for br in res.branches])
+        if phase_invariant_error(corrected, pat.target @ inp.amplitudes).max() > tol:
+            return False
+    return True
+
+
+def _mutants(pat):
+    """Each angle term with one outcome bit dropped or its sign flipped, and
+    each final correction with one outcome bit toggled in one parity."""
+    for i, step in enumerate(pat.steps):
+        terms = step.basis_theta.terms
+        for j, (value, negate) in enumerate(terms):
+            changed = [(value, negate - {b}) for b in sorted(negate)]
+            changed += [(-value, negate)] if value else []
+            for term in changed:
+                angle = AdaptiveAngle(terms[:j] + (term,) + terms[j + 1:])
+                steps = pat.steps[:i] + (replace(step, basis_theta=angle),) + pat.steps[i + 1:]
+                yield replace(pat, steps=steps)
+    for q, c in enumerate(pat.corrections):
+        for name in ("x_parity", "z_parity"):
+            for i in range(len(pat.steps)):
+                flipped = replace(c, **{name: getattr(c, name) ^ {i}})
+                yield replace(pat, corrections=pat.corrections[:q] + (flipped,) + pat.corrections[q + 1:])
+
+
+class TestSlotwiseVerification:
+    def test_routing_by_slot_count(self):
+        assert verify_pattern(standard_pattern("CZ", None, "single")).mode == "slotwise"
+        for kind, theta, variant in (
+            ("J", 0.7, "single"), ("ASSIST", None, "single"), ("RX", 1.1, "two"), ("RZ", 2.0, "two"),
+        ):
+            assert verify_pattern(standard_pattern(kind, theta, variant)).mode == "flat", kind
+
+    def test_verdicts_match_brute_force(self):
+        """On multi-slot patterns of at most 13 steps and a seeded subset of
+        their mutants, the slot walk accepts exactly what enumerating every
+        branch of the whole pattern accepts."""
+        rng = np.random.default_rng(23)
+        patterns = [(standard_pattern("CZ", None, "single"), 1)]
+        for variant, gate_counts in (("single", (1, 1)), ("two", (1, 1, 2))):
+            for count in gate_counts:
+                gates = tuple(
+                    CircuitGate(kind, (0,), None if kind == "H" else float(rng.uniform(-PI, PI)))
+                    for kind in rng.choice(["H", "Rx", "Rz"], count)
+                )
+                picks = 8 if count == 1 else 6  # a 12-step brute force costs 3x a 10-step one
+                patterns.append((compile_circuit(CircuitDescription(1, gates), variant), picks))
+        verdicts = []
+        for pat, picks in patterns:
+            assert len(pat.slots) > 1 and len(pat.steps) <= 13
+            mutants = list(_mutants(pat))
+            chosen = [pat] + [mutants[m] for m in rng.choice(len(mutants), picks, replace=False)]
+            for candidate in chosen:
+                rep = verify_pattern(candidate)
+                assert rep.mode == "slotwise"
+                assert rep.valid == _brute_force_valid(candidate), rep
+                verdicts.append(rep.valid)
+        assert (len(verdicts), verdicts.count(False)) == (45, 36)
+
+    def test_slots_must_cover_every_step_in_order(self):
+        """Slot-wise verification runs only the steps the slots list, so a
+        pattern whose slots miss, reorder or drop steps is refused."""
+        pat = standard_pattern("CZ", None, "two")
+        extra = AdqcStep((0,), ("J_CANON",), AncillaSpec(0.0, 0.0), AdaptiveAngle.constant(0.0))
+        slots, boundaries = pat.slots, pat.slot_boundaries
+        for fields in (
+            {"steps": pat.steps + (extra,)},
+            {"slots": (slots[1], slots[0]) + slots[2:]},
+            {"slots": slots[:3] + slots[4:], "slot_boundaries": boundaries[:3] + boundaries[4:]},
+            {"slot_boundaries": boundaries[:-1]},
+        ):
+            with pytest.raises(ValueError):
+                replace(pat, **fields)
 
 
 class TestUniversalTile:

@@ -1,12 +1,13 @@
 """The stepping machine: forced/sampled measurement, enumeration, frames."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from adqc.core import AncillaSpec, rotation
-from adqc.linalg import CZ, PAULIS, PureState, X, equal_up_to_global_phase, tensor
+from adqc.core import AncillaSpec, MeasBasis, assemble_entangler, preset, preset_labels, rotation
+from adqc.linalg import CZ, PAULIS, PureState, X, dagger, embed, equal_up_to_global_phase, tensor
 from adqc.register import (
     PAULI_NAMES,
     AdaptiveAngle,
@@ -14,8 +15,10 @@ from adqc.register import (
     GatePattern,
     QubitCorrection,
     execute_step,
+    _coupling,
     init_register,
     run_pattern,
+    step_branch_operators,
 )
 from adqc.patterns import CircuitDescription, CircuitGate, compile_circuit, standard_pattern
 
@@ -208,6 +211,50 @@ class TestStepValidation:
         assert len(table) == 2 ** len(pat.steps)
         for outs, frame in table.items():
             assert frame == pat.correction_for(outs)
+
+
+def _uncached_branch_operators(step, theta, n):
+    """step_branch_operators with the coupling rebuilt on every call."""
+    ents = [preset(lbl) for lbl in step.entangler_labels]
+    total = np.eye(2 ** (n + 1), dtype=complex)
+    for tgt, ent in zip(step.targets, ents):
+        total = embed(assemble_entangler(ent), (n, tgt), n + 1) @ total
+    payload = dagger(ents[0].frame.v_a) @ step.ancilla.ket().amplitudes
+    bras = [ents[-1].frame.w_a @ b.amplitudes for b in MeasBasis(theta, step.basis_phi).bra_states()]
+    t = total.reshape(2**n, 2, 2**n, 2)
+    return np.stack([np.einsum("a,iajb,b->ij", b.conj(), t, payload) for b in bras])
+
+
+class TestCouplingCache:
+    def test_cached_coupling_gives_identical_operators(self):
+        """Every preset label and label pair on every target layout of 1 to
+        3 qubits gives bit-identical Kraus pairs to the uncached build."""
+        rng = np.random.default_rng(41)
+        labels = preset_labels()
+        cases = 0
+        for n in (1, 2, 3):
+            layouts = [((t,), (lbl,)) for t in range(n) for lbl in labels]
+            layouts += [
+                (targets, pair)
+                for targets in itertools.permutations(range(n), 2)
+                for pair in itertools.product(labels, repeat=2)
+            ]
+            for targets, pair in layouts:
+                gamma, delta, theta, phi = rng.uniform(0, 2 * PI, size=4)
+                step = AdqcStep(targets, pair, AncillaSpec(gamma, delta),
+                                AdaptiveAngle.constant(theta), phi)
+                for _ in range(2):  # the second call reads the cache
+                    assert np.array_equal(
+                        step_branch_operators(step, theta, n), _uncached_branch_operators(step, theta, n)
+                    ), (n, targets, pair)
+                cases += 1
+        assert cases == 6 * 6 + 36 * 8
+
+    def test_cached_coupling_is_read_only(self):
+        total = _coupling(("J_CANON", "RZ_CANON"), (1, 0), 2)
+        with pytest.raises(ValueError):
+            total[0, 0] = 0.0
+        assert _coupling(("J_CANON", "RZ_CANON"), (1, 0), 2) is total
 
 
 class TestKernelCrossCheck:
