@@ -258,15 +258,15 @@ def main(argv=None) -> int:
     }
     try:
         body, ok = args.func(args)
+        report = {
+            "schema": {"name": args.schema, "version": SCHEMA_VERSION},
+            "config": config,
+            "pass": bool(ok),
+            **body,
+        }
+        _emit(report, args.out)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    report = {
-        "schema": {"name": args.schema, "version": SCHEMA_VERSION},
-        "config": config,
-        "pass": bool(ok),
-        **body,
-    }
-    _emit(report, args.out)
     return 0 if ok else 1
 
 

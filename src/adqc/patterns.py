@@ -387,10 +387,16 @@ class CircuitGate:
             raise ValueError(f"{self.kind} takes {want} distinct target(s)")
         if not all(_is_index(t) for t in self.targets):
             raise ValueError(f"{self.kind} targets must be qubit indices")
-        if self.kind in ("Rx", "Rz") and self.angle is None:
+        if self.kind not in ("Rx", "Rz"):
+            if self.angle is not None:
+                raise ValueError(f"{self.kind} takes no angle")
+            return
+        if self.angle is None:
             raise ValueError(f"{self.kind} needs an angle")
-        if isinstance(self.angle, bool) or not isinstance(self.angle, (int, float, type(None))):
+        if isinstance(self.angle, bool) or not isinstance(self.angle, (int, float)):
             raise ValueError(f"{self.kind} angle must be a real number")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"{self.kind} angle must be finite, got {self.angle}")
 
     def matrix(self) -> np.ndarray:
         if self.kind == "H":

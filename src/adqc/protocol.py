@@ -19,23 +19,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AncillaSpec, param_state
+from .core import param_state
 from .linalg import I2, H, DensityMatrix, PureState, apply_pauli_frame, trace_distance
 from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, CircuitGate, compile_circuit
 from .register import (
     AdaptiveAngle,
-    AdqcStep,
     GatePattern,
     RegisterState,
     advance,
+    branch_operators,
     branch_step,
     frame_bits,
     init_register,
-    step_branch_operators,
 )
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_GRID = 8
+STANDARD_PAYLOAD = (1 + 0j, 0j)  # |0>, the ancilla an ANGLE round couples
 # register input of the audited hidden-rotation round: cos(pi/3)|+> + sin(pi/3) e^(i pi/5)|->
 AUDIT_INPUT = H @ np.array([math.cos(math.pi / 3), math.sin(math.pi / 3) * cmath.exp(1j * math.pi / 5)])
 
@@ -65,6 +65,10 @@ def grid_index(theta: float, grid_n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Message:
     kind: str  # 'ANCILLA' | 'ANGLE' | 'OUTCOME'
@@ -74,19 +78,23 @@ class Message:
     bit: int | None = None
 
     def __post_init__(self):
+        if not _is_int(self.slot):
+            raise ValueError(f"message slot must be an integer, got {self.slot!r}")
         if self.kind == "ANCILLA":
             if self.payload is None:
                 raise ValueError("ANCILLA message needs a payload")
             v = np.array(self.payload, dtype=complex)
-            if v.shape != (2,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
+            # NaN fails every comparison, so finiteness is checked on its own
+            if v.shape != (2,) or not np.isfinite(v).all() or abs(np.linalg.norm(v) - 1.0) > 1e-9:
                 raise ValueError("ANCILLA payload is not a one-qubit unit state")
         elif self.kind == "ANGLE":
-            t = self.theta_grid
-            if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 0:
-                raise ValueError("ANGLE message needs a non-negative integer grid index")
+            if not _is_int(self.theta_grid) or self.theta_grid < 0:
+                raise ValueError(
+                    f"ANGLE message theta_grid must be a non-negative integer, got {self.theta_grid!r}"
+                )
         elif self.kind == "OUTCOME":
-            if self.bit not in (0, 1):
-                raise ValueError("OUTCOME message needs a bit")
+            if not _is_int(self.bit) or self.bit not in (0, 1):
+                raise ValueError(f"OUTCOME message bit must be 0 or 1, got {self.bit!r}")
         else:
             raise ValueError(f"unknown message kind {self.kind!r}")
 
@@ -102,7 +110,10 @@ class Message:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Message":
+        """Parse a wire message; its slot must also be non-negative."""
         try:
+            if _is_int(d["slot"]) and d["slot"] < 0:
+                raise ValueError(f"message slot must be non-negative, got {d['slot']}")
             if d["kind"] == "ANCILLA":
                 payload = tuple(complex(re, im) for re, im in d["payload"])
                 return cls("ANCILLA", d["slot"], payload=payload)
@@ -303,19 +314,12 @@ def _message_operators(msg: Message, shape: ServerStepShape, grid_n: int, n: int
     if msg.slot != shape.slot:
         raise ProtocolOrderError(f"expected a message for slot {shape.slot}, got slot {msg.slot}")
     if msg.kind == "ANCILLA":
-        payload, theta = np.array(msg.payload, dtype=complex), 0.0
+        payload, theta = tuple(complex(z) for z in msg.payload), 0.0
     else:
         if msg.theta_grid >= grid_n:
             raise ValueError(f"grid index {msg.theta_grid} is outside the grid of size {grid_n}")
-        payload, theta = np.array([1.0, 0.0], dtype=complex), grid_angles(grid_n)[msg.theta_grid]
-    step = AdqcStep(
-        shape.targets,
-        shape.entangler_labels,
-        AncillaSpec(0.0, 0.0),
-        AdaptiveAngle.constant(theta),
-        shape.basis_phi,
-    )
-    return step_branch_operators(step, theta, n, payload)
+        payload, theta = STANDARD_PAYLOAD, grid_angles(grid_n)[msg.theta_grid]
+    return branch_operators(shape.entangler_labels, shape.targets, n, payload, theta, shape.basis_phi)
 
 
 def server_step(

@@ -8,7 +8,7 @@ whose byproduct corrections are recorded per qubit as outcome-parity sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .linalg import PureState, apply_pauli_frame, dagger, embed
 PRUNE_PROBABILITY = 1e-12
 PAYLOAD_BIT = 1 << 20  # set index i + PAYLOAD_BIT refers to step i's payload flip
 PAULI_NAMES = ("I", "X", "Z", "Y")  # the byproduct X^x Z^z (Y when both) at index x + 2 z
+# Kraus pairs kept by branch_operators: at most 8 MiB of arrays at n = 4
+KRAUS_CACHE_SIZE = 1024
 
 
 def parity(bits, outcomes, payload_bits=None):
@@ -198,19 +200,34 @@ def _coupling(labels: tuple[str, ...], targets: tuple[int, ...], n: int) -> np.n
     return total
 
 
-def step_branch_operators(step: AdqcStep, theta: float, n: int, payload=None) -> np.ndarray:
+def step_branch_operators(step: AdqcStep, theta: float, n: int) -> np.ndarray:
     """The two register Kraus operators of a step (unnormalized), plus branch
-    first, as a (2, 2^n, 2^n) array.  ``n`` is the register size.  ``payload``
-    is the physical ancilla ket; by default the step's canonical ancilla.  The
-    coupling is built once per (labels, targets, n)."""
-    labels = tuple(step.entangler_labels)
-    if payload is None:
-        payload = dagger(preset(labels[0]).frame.v_a) @ step.ancilla.ket().amplitudes
+    first, as a read-only (2, 2^n, 2^n) array, for the step's canonical
+    ancilla measured at basis angle ``theta``.  ``n`` is the register size."""
+    return branch_operators(
+        tuple(step.entangler_labels), tuple(step.targets), n, step.ancilla, float(theta), float(step.basis_phi)
+    )
+
+
+@lru_cache(maxsize=KRAUS_CACHE_SIZE)
+def branch_operators(labels: tuple[str, ...], targets: tuple[int, ...], n: int, ancilla,
+                     theta: float, phi: float) -> np.ndarray:
+    """Kraus pair of the couplings ``labels`` on ``targets`` of an n-qubit
+    register, measured in the basis (theta, phi), as a read-only
+    (2, 2^n, 2^n) array.  ``ancilla`` is a canonical ``AncillaSpec`` or the
+    physical ancilla ket as a tuple of two complex amplitudes.  Built once per
+    exact input; the embedded coupling is shared by every basis and ancilla."""
+    if isinstance(ancilla, AncillaSpec):
+        payload = dagger(preset(labels[0]).frame.v_a) @ ancilla.ket().amplitudes
+    else:
+        payload = np.array(ancilla, dtype=complex)
     last_wa = preset(labels[-1]).frame.w_a
-    bras = [last_wa @ b.amplitudes for b in MeasBasis(theta, step.basis_phi).bra_states()]
+    bras = [last_wa @ b.amplitudes for b in MeasBasis(theta, phi).bra_states()]
     dim = 2**n
-    t = _coupling(labels, tuple(step.targets), n).reshape(dim, 2, dim, 2)  # (reg_out, anc_out, reg_in, anc_in)
-    return np.stack([np.einsum("a,iajb,b->ij", b.conj(), t, payload) for b in bras])
+    t = _coupling(labels, targets, n).reshape(dim, 2, dim, 2)  # (reg_out, anc_out, reg_in, anc_in)
+    ops = np.stack([np.einsum("a,iajb,b->ij", b.conj(), t, payload) for b in bras])
+    ops.flags.writeable = False
+    return ops
 
 
 def branch_step(states: np.ndarray, pairs, which: np.ndarray, outcome=None, rng=None):
@@ -249,9 +266,9 @@ def branch_step(states: np.ndarray, pairs, which: np.ndarray, outcome=None, rng=
 def walk_steps(pattern: GatePattern, states, bits, indices, rng=None):
     """Run the pattern's steps at ``indices`` over a batch with
     ``branch_step``; ``bits`` is the (steps, B) outcome-bit array the adaptive
-    angles read.  Kraus pairs are built once per step and basis angle rounded
-    to 12 digits.  Returns (states, probabilities, bits, the start row of each
-    branch)."""
+    angles read.  Branches whose basis angles agree to 12 digits share the
+    Kraus pair of their group's first angle.  Returns (states, probabilities,
+    bits, the start row of each branch)."""
     probs = np.ones(len(states))
     origin = np.arange(len(states))
     for k in indices:

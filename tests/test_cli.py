@@ -142,6 +142,15 @@ class TestArgumentHandling:
         assert json.loads(path.read_text()) == json.loads(out)
 
 
+    def test_out_file_in_a_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "audit", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert "missing" in json.loads(err)["error"]
+        assert not path.exists()
+
+
 class TestMalformedCircuit:
     @pytest.mark.parametrize(
         "doc",
@@ -165,3 +174,21 @@ class TestMalformedCircuit:
         assert code == 2
         assert out == ""
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize(
+        "gate, message",
+        [
+            ({"kind": "H", "targets": [0], "angle": 0.5}, "H takes no angle"),
+            ({"kind": "CZ", "targets": [0, 1], "angle": 1.0}, "CZ takes no angle"),
+            ({"kind": "Rz", "targets": [0], "angle": float("nan")}, "Rz angle must be finite, got nan"),
+            ({"kind": "Rx", "targets": [1], "angle": float("inf")}, "Rx angle must be finite, got inf"),
+            ({"kind": "Rx", "targets": [1], "angle": float("-inf")}, "Rx angle must be finite, got -inf"),
+        ],
+    )
+    def test_delegate_rejects_a_bad_gate_angle(self, capsys, tmp_path, gate, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"v": 1, "qubits": 2, "gates": [gate]}))  # NaN and inf as JSON extensions
+        code, out, err = run_cli(capsys, "delegate", "--circuit", str(path), "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == message

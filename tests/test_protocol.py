@@ -178,6 +178,39 @@ class TestMalformedServerInput:
             with pytest.raises(ValueError):
                 Message("ANCILLA", 7, payload=tuple(v))
 
+    def test_from_dict_fuzz(self):
+        """Seeded wire messages with at most one bad field: a valid one
+        round-trips, a bad one raises ValueError naming its field."""
+        rng = np.random.default_rng(106)
+        nan, inf = float("nan"), float("inf")
+        bad = {
+            "slot": ["x", -3, True, 1.5, None, [1], -1],
+            "bit": [True, False, 1.0, 0.0, 2, -1, "1", None],
+            "payload": [[[nan, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, nan]], [[nan, nan], [nan, nan]],
+                        [[inf, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            "theta_grid": [-1, 1.5, True, "3", None],
+        }
+        field_of = {"ANCILLA": "payload", "ANGLE": "theta_grid", "OUTCOME": "bit"}
+        accepted = rejected = 0
+        for _ in range(400):
+            kind = str(rng.choice(list(field_of)))
+            amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+            amps /= np.linalg.norm(amps)
+            d = {"kind": kind, "slot": int(rng.integers(50)), "payload": [[z.real, z.imag] for z in amps],
+                 "theta_grid": int(rng.integers(64)), "bit": int(rng.integers(2))}
+            corrupt = str(rng.choice(["", "slot", field_of[kind]]))
+            if corrupt:
+                values = bad[corrupt]
+                d[corrupt] = values[int(rng.integers(len(values)))]
+                with pytest.raises(ValueError, match=corrupt):
+                    Message.from_dict(d)
+                rejected += 1
+            else:
+                msg = Message.from_dict(d)
+                assert Message.from_dict(json.loads(json.dumps(msg.to_dict()))) == msg
+                accepted += 1
+        assert accepted > 100 and rejected > 200
+
     def test_message_for_another_slot(self):
         rng = np.random.default_rng(105)
         sec = _secret([CircuitGate("Rx", (0,), PI / 4)])

@@ -9,18 +9,22 @@ import pytest
 from adqc.core import AncillaSpec, MeasBasis, assemble_entangler, preset, preset_labels, rotation
 from adqc.linalg import CZ, PAULIS, PureState, X, dagger, embed, equal_up_to_global_phase, tensor
 from adqc.register import (
+    KRAUS_CACHE_SIZE,
     PAULI_NAMES,
     AdaptiveAngle,
     AdqcStep,
     GatePattern,
     QubitCorrection,
+    advance,
+    branch_operators,
     execute_step,
     _coupling,
     init_register,
     run_pattern,
     step_branch_operators,
 )
-from adqc.patterns import CircuitDescription, CircuitGate, compile_circuit, standard_pattern
+from adqc.patterns import CircuitDescription, CircuitGate, compile_circuit, standard_pattern, verify_pattern
+from adqc.protocol import Message, _message_operators, grid_angles, pattern_shape, server_step
 
 PI = math.pi
 
@@ -213,13 +217,15 @@ class TestStepValidation:
             assert frame == pat.correction_for(outs)
 
 
-def _uncached_branch_operators(step, theta, n):
-    """step_branch_operators with the coupling rebuilt on every call."""
+def _uncached_branch_operators(step, theta, n, payload=None):
+    """step_branch_operators with nothing cached: the coupling, the payload
+    and the measurement bras are rebuilt on every call."""
     ents = [preset(lbl) for lbl in step.entangler_labels]
     total = np.eye(2 ** (n + 1), dtype=complex)
     for tgt, ent in zip(step.targets, ents):
         total = embed(assemble_entangler(ent), (n, tgt), n + 1) @ total
-    payload = dagger(ents[0].frame.v_a) @ step.ancilla.ket().amplitudes
+    if payload is None:
+        payload = dagger(ents[0].frame.v_a) @ step.ancilla.ket().amplitudes
     bras = [ents[-1].frame.w_a @ b.amplitudes for b in MeasBasis(theta, step.basis_phi).bra_states()]
     t = total.reshape(2**n, 2, 2**n, 2)
     return np.stack([np.einsum("a,iajb,b->ij", b.conj(), t, payload) for b in bras])
@@ -255,6 +261,81 @@ class TestCouplingCache:
         with pytest.raises(ValueError):
             total[0, 0] = 0.0
         assert _coupling(("J_CANON", "RZ_CANON"), (1, 0), 2) is total
+
+
+class TestKrausCache:
+    """The bounded Kraus-pair cache under every stepping path."""
+
+    def _message_reference(self, msg, shape, grid_n, n):
+        """The uncached Kraus pair of the step ``shape`` driven by ``msg``."""
+        if msg.kind == "ANCILLA":
+            payload, theta = np.array(msg.payload, dtype=complex), 0.0
+        else:
+            payload, theta = np.array([1.0, 0.0], dtype=complex), grid_angles(grid_n)[msg.theta_grid]
+        step = AdqcStep(shape.targets, shape.entangler_labels, AncillaSpec(0.0),
+                        AdaptiveAngle.constant(theta), shape.basis_phi)
+        return _uncached_branch_operators(step, theta, n, payload)
+
+    def test_message_operators_match_the_uncached_build(self):
+        """Seeded ANCILLA and ANGLE messages on every step of a compiled
+        three-qubit circuit, in both variants: the server's Kraus pair and
+        its post-measurement states equal the uncached build's bit for bit."""
+        rng = np.random.default_rng(43)
+        circuit = CircuitDescription(3, (
+            CircuitGate("Rx", (0,), PI / 4), CircuitGate("CZ", (2, 0)),
+            CircuitGate("H", (1,)), CircuitGate("CZ", (1, 2)), CircuitGate("Rz", (2,), 3 * PI / 4),
+        ))
+        grid_n, n, cases = 8, 3, 0
+        for variant in ("single", "two"):
+            for shape in pattern_shape(compile_circuit(circuit, variant)):
+                if shape.expects == "ANCILLA":
+                    amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+                    msg = Message("ANCILLA", shape.slot, payload=tuple(amps / np.linalg.norm(amps)))
+                else:
+                    msg = Message("ANGLE", shape.slot, theta_grid=int(rng.integers(grid_n)))
+                want = self._message_reference(msg, shape, grid_n, n)
+                assert np.array_equal(_message_operators(msg, shape, grid_n, n), want), shape
+                amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+                state = init_register(n, PureState(n, amps))
+                for s in (0, 1):
+                    got, reply, p = server_step(state, msg, shape, grid_n, outcome=s)
+                    ref, _, p_ref = advance(state, want, outcome=s)
+                    assert reply.bit == s and p == p_ref
+                    assert np.array_equal(got.register.amplitudes, ref.register.amplitudes)
+                cases += 1
+        assert cases > 20
+
+    def test_theta_and_theta_plus_two_pi_are_separate_entries(self):
+        rng = np.random.default_rng(44)
+        for _ in range(10):
+            theta = float(rng.uniform(0, 2 * PI))
+            step = _gamma_step(q=1, gamma=float(rng.uniform(0, 2 * PI)), label="J_CANON")
+            before = branch_operators.cache_info()
+            first = step_branch_operators(step, theta, 2)
+            second = step_branch_operators(step, theta + 2 * PI, 2)
+            assert branch_operators.cache_info().misses == before.misses + 2
+            assert np.array_equal(first, _uncached_branch_operators(step, theta, 2))
+            assert np.array_equal(second, _uncached_branch_operators(step, theta + 2 * PI, 2))
+
+    def test_cached_pairs_refuse_writes(self):
+        ops = step_branch_operators(_gamma_step(gamma=0.3, theta=0.2), 0.2, 1)
+        with pytest.raises(ValueError):
+            ops[0, 0, 0] = 0.0
+        assert step_branch_operators(_gamma_step(gamma=0.3, theta=0.2), 0.2, 1) is ops
+
+    def test_second_verification_adds_no_misses(self):
+        circuit = CircuitDescription(2, (
+            CircuitGate("Rz", (0,), 5 * PI / 4), CircuitGate("CZ", (0, 1)), CircuitGate("Rx", (1,), PI / 2),
+        ))
+        for variant in ("single", "two"):
+            pattern = compile_circuit(circuit, variant)
+            assert verify_pattern(pattern).valid
+            misses = branch_operators.cache_info().misses
+            assert verify_pattern(pattern).valid
+            assert branch_operators.cache_info().misses == misses
+
+    def test_bound_is_the_module_constant(self):
+        assert branch_operators.cache_info().maxsize == KRAUS_CACHE_SIZE
 
 
 class TestKernelCrossCheck:
