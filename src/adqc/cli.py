@@ -198,14 +198,25 @@ def cmd_audit(args) -> tuple[dict, bool]:
 
 
 def _tol(value: str) -> float:
-    tol = float(value)
+    try:
+        tol = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {value!r}") from None
     if not (0.0 < tol <= 1e-3):
         raise argparse.ArgumentTypeError("tolerance must lie in (0, 1e-3]")
     return tol
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 2 with a JSON error on stderr, as every other bad
+    input does; ``--help`` is unchanged."""
+
+    def error(self, message):
+        sys.exit(_fail(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adqc",
         description="measurement-driven gate simulation: verification and blind delegation",
     )

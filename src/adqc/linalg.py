@@ -234,16 +234,20 @@ _BIT_PARITY = np.array([bin(i).count("1") & 1 for i in range(MAX_DIM)])
 
 
 def apply_pauli_frame(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Apply one Pauli string per row of a (B, 2^n) state array.
+    """Apply one Pauli string per row of a (B, 2^n, ...) state array, on axis 1.
 
     ``x`` and ``z`` are (n, B) bit arrays: qubit q of row b gets X^x Z^z, times
     i where both bits are set, so a set pair is Y.  Every factor is a
     permutation and an exact phase in {1, i, -1, -i}, so the result equals the
-    dense Kronecker-product matrix applied to each row bit for bit.
+    dense Kronecker-product matrix applied to each row bit for bit.  Trailing
+    axes ride along: a (B, 2^n, 2^n) batch of operators is multiplied on the
+    left.
     """
     n, dim = x.shape[0], states.shape[1]
     weights = 1 << np.arange(n - 1, -1, -1)
     src = np.arange(dim) ^ (weights @ x)[:, None]  # row b, index i reads i xor x_b
     z_parity = _BIT_PARITY[src & (weights @ z)[:, None]]
     phase = _PHASE_OF_Y_COUNT[(x & z).sum(axis=0) % 4][:, None] * (1 - 2 * z_parity)
-    return phase * np.take_along_axis(states, src, axis=1)
+    tail = (1,) * (states.ndim - 2)
+    moved = np.take_along_axis(states, src.reshape(src.shape + tail), axis=1)
+    return phase.reshape(phase.shape + tail) * moved

@@ -26,6 +26,7 @@ from .linalg import (
     H,
     PAULIS,
     PureState,
+    apply_op,
     apply_pauli_frame,
     dagger,
     embed,
@@ -522,22 +523,24 @@ def _spanning_inputs(n: int) -> list[PureState]:
 
 
 def verify_pattern(pattern: GatePattern, tol: float = 1e-9) -> VerifyReport:
-    """Check the pattern-validity contract by branch enumeration.
+    """Check the pattern-validity contract: every corrected outcome branch
+    realizes ``target`` up to a global phase, and the branches are complete.
 
-    Every corrected branch must reproduce ``target @ input`` up to a global
-    phase on a spanning input set, and branch probabilities must sum to one.
-    A pattern of more than one slot is verified slot by slot
-    (``_verify_slotwise``); one of at most one slot is enumerated flat, which
-    runs the same branches, and a slotless one only up to ``MAX_FLAT_STEPS``
-    steps.  A failed report's ``detail`` names the slot, outcome bits and
-    input index where it failed.
+    A pattern of more than one slot is checked slot by slot at the operator
+    level (``_verify_slotwise``): each slot's branch operators on its own
+    qubits, from one Choi input, under every history of earlier outcomes it
+    reads.  A failed report's ``detail`` names the slot, its outcome bits and
+    the earlier outcomes where it failed.  A pattern of at most one slot is
+    enumerated flat on a spanning input set (a slotless one only up to
+    ``MAX_FLAT_STEPS`` steps), and its ``detail`` names the outcome bits and
+    the input index.
     """
-    n = pattern.num_qubits
-    inputs = _spanning_inputs(n)
     if len(pattern.slots) > 1:
-        return _verify_slotwise(pattern, inputs, tol)
+        return _verify_slotwise(pattern, tol)
     if not pattern.slots and len(pattern.steps) > MAX_FLAT_STEPS:
         raise ValueError("pattern too long for flat enumeration and has no slots")
+    n = pattern.num_qubits
+    inputs = _spanning_inputs(n)
     worst, where = 0.0, ""
     probs: tuple[float, ...] = ()
     for idx, inp in enumerate(inputs):
@@ -574,54 +577,125 @@ def _pivot_bits(sets, inside) -> list[int]:
     return [p for p, _ in basis]
 
 
-def _verify_slotwise(pattern: GatePattern, inputs, tol: float) -> VerifyReport:
-    """Walk the slots, carrying one corrected state per input.
+@dataclass(frozen=True)
+class _Stage:
+    """One stage of the slot-wise check: a slot, or the final corrections as
+    an empty slot, restricted to its local qubits."""
 
-    Earlier outcomes reach a slot only through the parities of its incoming
-    and outgoing frames and its angle terms.  Each slot runs in one batch
-    over every input and every history of earlier outcomes on the pivot bits
-    of those parities, each started from the carried state under its incoming
-    frame; after the outgoing frame every branch must match its input's first
-    branch, which is carried on.  The final corrections close the walk as an
-    empty last slot, and the carried states must equal ``target @ input``.
-    """
-    n, k = pattern.num_qubits, len(pattern.steps)
-    carried = np.array([inp.amplitudes for inp in inputs])
-    expected = carried @ pattern.target.T
+    label: str  # "slot {k} branches" or "final corrections"
+    steps: tuple[int, ...]
+    qubits: tuple[int, ...]  # local qubits, ascending
+    frame_in: tuple[QubitCorrection, ...]  # frames of the local qubits
+    frame_out: tuple[QubitCorrection, ...]
+    pivots: tuple[int, ...]
+
+
+def _stages(pattern: GatePattern) -> tuple[list[_Stage], list[AdqcStep]]:
+    """The pattern's stages, and its steps with targets renumbered onto their
+    stage's local qubits.  A stage's local qubits are the ones its steps
+    target plus any whose frame changes across it; a frame on any other qubit
+    appears on both sides and cancels exactly, since a Pauli squares to I."""
+    n = pattern.num_qubits
     frames_in = ((QubitCorrection(),) * n,) + pattern.slot_boundaries
-    stages = list(zip(pattern.slots, pattern.slot_boundaries)) + [(None, pattern.corrections)]
-    worst, where = 0.0, ""
-    for slot_idx, ((slot, f_out), f_in) in enumerate(zip(stages, frames_in)):
-        steps = list(slot.step_indices) if slot else []
-        label = f"slot {slot_idx} branches" if slot else "final corrections"
-        sets = [s for c in f_in + f_out for s in (c.x_parity, c.z_parity)]
+    frames_out = pattern.slot_boundaries + (pattern.corrections,)
+    step_lists = [slot.step_indices for slot in pattern.slots] + [()]
+    stages, local_steps = [], list(pattern.steps)
+    for index, (steps, f_in, f_out) in enumerate(zip(step_lists, frames_in, frames_out)):
+        touched = {t for i in steps for t in pattern.steps[i].targets}
+        qubits = tuple(sorted(touched | {q for q in range(n) if f_in[q] != f_out[q]}))
+        if not qubits:
+            continue  # nothing acts and no frame changes
+        for i in steps:
+            targets = tuple(qubits.index(t) for t in pattern.steps[i].targets)
+            if targets != pattern.steps[i].targets:
+                local_steps[i] = replace(pattern.steps[i], targets=targets)
+        frame_in, frame_out = tuple(f_in[q] for q in qubits), tuple(f_out[q] for q in qubits)
+        sets = [s for c in frame_in + frame_out for s in (c.x_parity, c.z_parity)]
         sets += [negate for i in steps for _, negate in pattern.steps[i].basis_theta.terms]
-        pivots = _pivot_bits(sets, set(steps))
-        n_hist = 2 ** len(pivots)
-        bits = np.zeros((k, len(carried) * n_hist), dtype=np.int8)
-        bits[pivots] = np.tile(np.arange(n_hist) >> np.arange(len(pivots))[:, None] & 1, len(carried))
-        starts = apply_pauli_frame(np.repeat(carried, n_hist, axis=0), *frame_bits(f_in, bits))
-        states, probs, bits, origin = walk_steps(pattern, starts, bits, steps)
-        totals = np.bincount(origin, probs, len(starts))
-        row = int(np.argmax(np.abs(totals - 1.0)))
-        if abs(totals[row] - 1.0) > 1e-9:
-            detail = f"{label} probabilities sum to {totals[row]} on input {row // n_hist}"
+        pivots = tuple(_pivot_bits(sets, set(steps)))
+        label = f"slot {index} branches" if index < len(pattern.slots) else "final corrections"
+        stages.append(_Stage(label, steps, qubits, frame_in, frame_out, pivots))
+    return stages, local_steps
+
+
+def _run_stages(stages: list[_Stage], local_steps: list[AdqcStep]):
+    """Run stages of one local size and step count in one batch, each history
+    of each stage started from the normalized identity on its local qubits
+    under its incoming frame.  Yields, per stage, its corrected branch
+    operators P_out K_b P_in (each of unit Frobenius norm) as a
+    (branches, 2^m, 2^m) array, their (steps, branches) outcome bits, each
+    branch's distance from the stage's first branch and the distance
+    ||sum_b K_b^dagger K_b - I|| of each history."""
+    m = len(stages[0].qubits)
+    dim = 2**m
+    offsets = np.cumsum([0] + [2 ** len(st.pivots) for st in stages])
+    bits = np.zeros((len(local_steps), offsets[-1]), dtype=np.int8)
+    plan = np.empty((len(stages[0].steps), offsets[-1]), dtype=int)
+    x = np.empty((m, offsets[-1]), dtype=np.int8)
+    z = np.empty_like(x)
+    for st, lo, hi in zip(stages, offsets, offsets[1:]):
+        bits[list(st.pivots), lo:hi] = np.arange(hi - lo) >> np.arange(len(st.pivots))[:, None] & 1
+        plan[:, lo:hi] = np.array(st.steps, dtype=int)[:, None]
+        x[:, lo:hi], z[:, lo:hi] = frame_bits(st.frame_in, bits[:, lo:hi])
+    choi = np.broadcast_to(np.eye(dim, dtype=complex) / math.sqrt(dim), (offsets[-1], dim, dim))
+    states, probs, bits, origin = walk_steps(local_steps, apply_pauli_frame(choi, x, z), bits, plan)
+    bounds = np.searchsorted(origin, offsets)  # branches stay in start-row order
+    x = np.empty((m, len(states)), dtype=np.int8)
+    z = np.empty_like(x)
+    for st, lo, hi in zip(stages, bounds, bounds[1:]):
+        x[:, lo:hi], z[:, lo:hi] = frame_bits(st.frame_out, bits[:, lo:hi])
+    ops = apply_pauli_frame(states, x, z)
+    flat = ops.reshape(len(ops), -1)
+    errs = phase_invariant_error(flat, flat[np.repeat(bounds[:-1], np.diff(bounds))])
+    gram = np.zeros((offsets[-1], dim, dim), dtype=complex)  # sum_b K_b^dagger K_b per history
+    np.add.at(gram, origin, np.einsum("bji,bjk->bik", states.conj(), states) * (dim * probs)[:, None, None])
+    incomplete = np.linalg.norm(gram - np.eye(dim), axis=(1, 2))
+    for i, st in enumerate(stages):
+        lo, hi = bounds[i], bounds[i + 1]
+        yield ops[lo:hi], bits[:, lo:hi], errs[lo:hi], incomplete[offsets[i]:offsets[i + 1]]
+
+
+def _verify_slotwise(pattern: GatePattern, tol: float) -> VerifyReport:
+    """Check every slot at the operator level on its own qubits.
+
+    Each stage (a slot, then the final corrections as an empty slot) starts
+    from one Choi input, the normalized identity on its local qubits, for
+    every history of earlier outcomes on the pivot bits of its local frames
+    and angle terms.  Stages do not depend on one another, so all stages of
+    one local size and step count run in one batch.  Three checks must hold:
+    every corrected branch operator P_out K_b P_in is proportional to its
+    stage's first branch; sum_b K_b^dagger K_b = I for every history; and the
+    ordered product of the stages' first branches is proportional to
+    ``target``.
+    """
+    stages, local_steps = _stages(pattern)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, st in enumerate(stages):
+        groups.setdefault((len(st.qubits), len(st.steps)), []).append(i)
+    results = {}
+    for members in groups.values():
+        results.update(zip(members, _run_stages([stages[i] for i in members], local_steps)))
+    worst = 0.0
+    product = np.eye(2**pattern.num_qubits, dtype=complex)
+    for i, st in enumerate(stages):
+        ops, bits, errs, incomplete = results[i]
+        h = int(np.argmax(incomplete))
+        if incomplete[h] > 1e-9:
+            history = {p: h >> j & 1 for j, p in enumerate(st.pivots)}
+            detail = (f"{st.label} are incomplete: sum of K^dagger K is {incomplete[h]:.3e} from I"
+                      f" after earlier outcomes {history}")
             return VerifyReport(False, 1.0, (), "slotwise", detail)
-        corrected = apply_pauli_frame(states, *frame_bits(f_out, bits))
-        carried = corrected[np.searchsorted(origin, np.arange(len(carried)) * n_hist)]
-        errs = phase_invariant_error(corrected, carried[origin // n_hist])
         b = int(np.argmax(errs))
-        if errs[b] > worst:
-            history = {i: int(bits[i, b]) for i in sorted(pivots)}
-            worst, where = float(errs[b]), (
-                f"{label} disagree after correction: outcomes {bits[steps, b].tolist()}"
-                f" after earlier outcomes {history} on input {origin[b] // n_hist}"
-            )
-        if worst > tol:
-            return VerifyReport(False, worst, (), "slotwise", f"{where}, error {worst:.3e}")
-    errs = phase_invariant_error(carried, expected / np.linalg.norm(expected, axis=1)[:, None])
-    b = int(np.argmax(errs))
-    if errs[b] > worst:
-        worst, where = float(errs[b]), f"final frame on input {b}"
+        worst = max(worst, float(errs[b]))
+        if errs[b] > tol:
+            history = {p: int(bits[p, b]) for p in st.pivots}
+            detail = (f"{st.label} disagree after correction: outcomes {bits[list(st.steps), b].tolist()}"
+                      f" after earlier outcomes {history}, error {errs[b]:.3e}")
+            return VerifyReport(False, float(errs[b]), (), "slotwise", detail)
+        product = apply_op(ops[0], product, st.qubits)
+    unit = [m.reshape(-1) / np.linalg.norm(m) for m in (product, pattern.target)]
+    err = float(phase_invariant_error(*unit))
+    worst = max(worst, err)
     valid = worst <= tol
-    return VerifyReport(valid, worst, (), "slotwise", "" if valid else f"{where}: error {worst:.3e}")
+    detail = "" if valid else f"final corrections disagree with the target: error {err:.3e}"
+    return VerifyReport(valid, worst, (), "slotwise", detail)

@@ -35,6 +35,10 @@ from .register import (
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_GRID = 8
+# largest grid size: its spacing 2 pi / 2^16 (about 1e-4) stays five orders of
+# magnitude above grid_index's 1e-9 tolerance, and an audit's time grows
+# linearly with the size
+MAX_GRID = 1 << 16
 STANDARD_PAYLOAD = (1 + 0j, 0j)  # |0>, the ancilla an ANGLE round couples
 # register input of the audited hidden-rotation round: cos(pi/3)|+> + sin(pi/3) e^(i pi/5)|->
 AUDIT_INPUT = H @ np.array([math.cos(math.pi / 3), math.sin(math.pi / 3) * cmath.exp(1j * math.pi / 5)])
@@ -44,10 +48,22 @@ class ProtocolOrderError(RuntimeError):
     """A message arrived out of protocol order."""
 
 
-def grid_angles(grid_n: int) -> tuple[float, ...]:
+def check_grid(grid_n: int) -> None:
+    """Reject a grid size that is not an even integer in [4, MAX_GRID]."""
     if grid_n < 4 or grid_n % 2:
         raise ValueError(f"grid size must be an even integer >= 4, got {grid_n}")
-    return tuple(TWO_PI * k / grid_n for k in range(grid_n))
+    if grid_n > MAX_GRID:
+        raise ValueError(f"grid size must be at most {MAX_GRID}, got {grid_n}")
+
+
+def grid_angle(k: int, grid_n: int) -> float:
+    """Angle of grid point ``k``, the same float ``grid_angles`` holds."""
+    return TWO_PI * k / grid_n
+
+
+def grid_angles(grid_n: int) -> tuple[float, ...]:
+    check_grid(grid_n)
+    return tuple(grid_angle(k, grid_n) for k in range(grid_n))
 
 
 def grid_index(theta: float, grid_n: int) -> int:
@@ -165,7 +181,7 @@ class ClientSecret:
     draws: list[SlotDraw] = field(init=False)
 
     def __post_init__(self):
-        grid_angles(self.grid_n)  # the grid size itself must be valid
+        check_grid(self.grid_n)
         self.pattern = compile_circuit(self.circuit, self.variant)
         for slot in self.pattern.slots:
             if slot.theta_prime is not None:
@@ -190,7 +206,6 @@ class Client:
 
     def __init__(self, secret: ClientSecret):
         self.secret = secret
-        self.grid = grid_angles(secret.grid_n)
         n_steps = len(secret.pattern.steps)
         self.eff_outcomes = [0] * n_steps
         self.payload_bits = [0] * n_steps
@@ -203,7 +218,7 @@ class Client:
         slot = self.secret.pattern.slots[slot_idx]
         d = self.secret.draws[slot_idx]
         if role == "gamma":
-            gamma = self.grid[d.gamma_index] + d.r_payload * math.pi
+            gamma = grid_angle(d.gamma_index, self.secret.grid_n) + d.r_payload * math.pi
             ket = param_state("+", gamma, 0.0)
         elif role == "assist":
             bit = d.r_assist if "gamma" in slot.roles else d.r_payload
@@ -220,7 +235,7 @@ class Client:
         """Step-3 style basis angle, folding the secret and its hiding."""
         slot = self.secret.pattern.slots[slot_idx]
         d = self.secret.draws[slot_idx]
-        gamma_eff = self.grid[d.gamma_index] + d.r_payload * math.pi
+        gamma_eff = grid_angle(d.gamma_index, self.secret.grid_n) + d.r_payload * math.pi
         folded = AdaptiveAngle(
             (
                 (slot.theta_sign * slot.theta_prime, slot.theta_negate),
@@ -316,9 +331,10 @@ def _message_operators(msg: Message, shape: ServerStepShape, grid_n: int, n: int
     if msg.kind == "ANCILLA":
         payload, theta = tuple(complex(z) for z in msg.payload), 0.0
     else:
+        check_grid(grid_n)
         if msg.theta_grid >= grid_n:
             raise ValueError(f"grid index {msg.theta_grid} is outside the grid of size {grid_n}")
-        payload, theta = STANDARD_PAYLOAD, grid_angles(grid_n)[msg.theta_grid]
+        payload, theta = STANDARD_PAYLOAD, grid_angle(msg.theta_grid, grid_n)
     return branch_operators(shape.entangler_labels, shape.targets, n, payload, theta, shape.basis_phi)
 
 
@@ -517,10 +533,10 @@ def audit_blindness(
     8-point grid); an off-grid secret raises ValueError.  ``always_r0`` pins
     the payload coin to 0, as a sabotaged client would.
     """
-    grid = grid_angles(grid_n)
+    check_grid(grid_n)
     rs = (0,) if always_r0 else (0, 1)
-    secrets = (grid[1] if theta_prime is None else theta_prime,
-               grid[3] if theta_prime_alt is None else theta_prime_alt)
+    secrets = (grid_angle(1, grid_n) if theta_prime is None else theta_prime,
+               grid_angle(3, grid_n) if theta_prime_alt is None else theta_prime_alt)
     start = init_register(1, PureState(1, AUDIT_INPUT))
     payloads, posts = [], []  # coin-averaged density matrices
     counts = np.zeros((2, 2, grid_n), dtype=int)  # per secret and incoming frame parity

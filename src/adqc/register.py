@@ -231,22 +231,24 @@ def branch_operators(labels: tuple[str, ...], targets: tuple[int, ...], n: int, 
 
 
 def branch_step(states: np.ndarray, pairs, which: np.ndarray, outcome=None, rng=None):
-    """Advance a (B, 2^n) batch of normalized register states by one step.
+    """Advance a (B, 2^n, ...) batch of normalized register states by one step.
 
-    ``which[b]`` picks branch b's Kraus pair from ``pairs``.  With neither
-    ``outcome`` nor ``rng`` every branch splits into both outcomes, ordered by
-    (branch, outcome), dropping children of conditional probability below
-    PRUNE_PROBABILITY.  Otherwise the single branch takes the forced
-    ``outcome`` or draws one with one ``rng.random()`` call.
+    ``which[b]`` picks branch b's Kraus pair from ``pairs``, applied on axis 1;
+    trailing axes ride along, so a (B, 2^n, 2^n) batch of Choi states steps
+    its register half.  With neither ``outcome`` nor ``rng`` every branch
+    splits into both outcomes, ordered by (branch, outcome), dropping children
+    of conditional probability below PRUNE_PROBABILITY.  Otherwise the single
+    branch takes the forced ``outcome`` or draws one with one ``rng.random()``
+    call.
 
     Returns the new branches' normalized states, parent indices, outcome bits
     and conditional probabilities.
     """
-    vecs = np.empty((len(states), 2, states.shape[1]), dtype=complex)
+    vecs = np.empty((len(states), 2) + states.shape[1:], dtype=complex)
     for g, ops in enumerate(pairs):
         sel = which == g
-        vecs[sel] = np.einsum("sij,bj->bsi", ops, states[sel])
-    re_im = vecs.view(float)
+        vecs[sel] = np.einsum("sij,bj...->bsi...", ops, states[sel])
+    re_im = vecs.reshape(len(states), 2, -1).view(float)
     probs = np.einsum("bsi,bsi->bs", re_im, re_im)
     if outcome is None and rng is None:
         parent, out = np.nonzero(probs >= PRUNE_PROBABILITY)
@@ -260,27 +262,50 @@ def branch_step(states: np.ndarray, pairs, which: np.ndarray, outcome=None, rng=
                 raise ValueError(f"forced branch {s} has probability {p_s:.3e}")
         parent, out = np.zeros(1, dtype=int), np.array([s])
     p = probs[parent, out]
-    return vecs[parent, out] / np.sqrt(p)[:, None], parent, out, p
+    scale = np.sqrt(p).reshape((-1,) + (1,) * (states.ndim - 1))
+    return vecs[parent, out] / scale, parent, out, p
 
 
-def walk_steps(pattern: GatePattern, states, bits, indices, rng=None):
-    """Run the pattern's steps at ``indices`` over a batch with
-    ``branch_step``; ``bits`` is the (steps, B) outcome-bit array the adaptive
-    angles read.  Branches whose basis angles agree to 12 digits share the
-    Kraus pair of their group's first angle.  Returns (states, probabilities,
+def _step_pairs(step: AdqcStep, bits: np.ndarray, n: int):
+    """The distinct Kraus pairs of one step over a batch of outcome bits, and
+    each row's index into them (a scalar when the angle is constant).  Rows
+    whose angles agree to 12 digits share the pair of their group's first
+    angle."""
+    theta = step.basis_theta.resolve(bits)
+    if np.ndim(theta) == 0:
+        return [step_branch_operators(step, theta, n)], 0
+    _, first, group = np.unique(np.round(theta, 12), return_index=True, return_inverse=True)
+    return [step_branch_operators(step, theta[i], n) for i in first], group
+
+
+def walk_steps(steps, states, bits, plan, rng=None):
+    """Run steps over a batch with ``branch_step``.
+
+    ``states`` holds one row per branch with the register on axis 1, and the
+    targets of ``steps`` index that register; ``bits`` is the
+    (len(steps), B) outcome-bit array the adaptive angles read.  ``plan``
+    lists the step indices to run in order; an entry is one index for every
+    row or an array of one index per row.  Returns (states, probabilities,
     bits, the start row of each branch)."""
+    n = states.shape[1].bit_length() - 1
     probs = np.ones(len(states))
     origin = np.arange(len(states))
-    for k in indices:
-        step = pattern.steps[k]
-        theta = np.broadcast_to(step.basis_theta.resolve(bits), (len(states),))
-        _, first, which = np.unique(np.round(theta, 12), return_index=True, return_inverse=True)
-        pairs = [step_branch_operators(step, theta[i], pattern.num_qubits) for i in first]
-        states, parent, out, p = branch_step(states, pairs, which, rng=rng)
+    plan = np.asarray(plan, dtype=int)
+    plan = np.broadcast_to(plan[:, None] if plan.ndim == 1 else plan, (len(plan), len(states)))
+    for j in range(len(plan)):
+        row = plan[j]
+        groups = [(row[0], slice(None))] if (row == row[0]).all() else [(k, row == k) for k in np.unique(row)]
+        pairs: dict[int, tuple[int, np.ndarray]] = {}  # each distinct cached pair -> (index, pair)
+        which = np.empty(len(states), dtype=int)
+        for k, sel in groups:
+            ops, group = _step_pairs(steps[k], bits[:, sel], n)
+            which[sel] = np.array([pairs.setdefault(id(o), (len(pairs), o))[0] for o in ops])[group]
+        states, parent, out, p = branch_step(states, [o for _, o in pairs.values()], which, rng=rng)
         probs = probs[parent] * p
         origin = origin[parent]
+        plan = plan[:, parent]
         bits = bits[:, parent]
-        bits[k] = out
+        bits[plan[j], np.arange(len(parent))] = out
     return states, probs, bits, origin
 
 
@@ -353,7 +378,7 @@ def run_pattern(state: RegisterState, pattern: GatePattern, mode="enumerate", se
     rng = np.random.default_rng(seed) if mode == "sample" else None
     n, k = pattern.num_qubits, len(pattern.steps)
     start = np.zeros((k, 1), dtype=np.int8)
-    states, probs, bits, _ = walk_steps(pattern, state.register.amplitudes[None], start, range(k), rng)
+    states, probs, bits, _ = walk_steps(pattern.steps, state.register.amplitudes[None], start, range(k), rng)
     x, z = frame_bits(pattern.corrections, bits)
     corrected = apply_pauli_frame(states, x, z)
     frames = zip(*[[PAULI_NAMES[v] for v in row] for row in (x + 2 * z).tolist()])

@@ -7,6 +7,7 @@ import pytest
 
 from adqc.cli import main
 from adqc.patterns import CircuitDescription, CircuitGate
+from adqc.protocol import MAX_GRID
 
 
 @pytest.fixture
@@ -102,6 +103,14 @@ class TestDelegate:
         assert out == ""
         assert json.loads(err)["error"] == f"grid size must be an even integer >= 4, got {grid}"
 
+    @pytest.mark.parametrize("command", ["delegate", "audit"])
+    def test_grid_above_the_bound_rejected(self, capsys, circuit_file, command):
+        argv = ["delegate", "--circuit", circuit_file, "--seed", "1"] if command == "delegate" else ["audit"]
+        code, out, err = run_cli(capsys, *argv, "--grid", "1000000000")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == f"grid size must be at most {MAX_GRID}, got 1000000000"
+
     def test_transcript_written(self, capsys, circuit_file, tmp_path):
         log = tmp_path / "t.jsonl"
         code, out, _ = run_cli(
@@ -134,6 +143,29 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             main(["verify-tables", "--tol", "0.5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["sweep", "--points", "abc"], "argument --points: invalid int value: 'abc'"),
+            (["sweep", "--tol", "abc"], "argument --tol: tolerance must be a number, got 'abc'"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ],
+    )
+    def test_argument_errors_are_json(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith(error)
+
+    def test_help_is_plain_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.out.startswith("usage: adqc sweep") and captured.err == ""
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -89,7 +89,7 @@ class TestStandardPatterns:
             rep = verify_pattern(replace(pat, slot_boundaries=tuple(boundaries)))
             assert not rep.valid and rep.mode == "slotwise"
             assert rep.detail.startswith(f"slot {slot} branches disagree after correction")
-            assert "outcomes [" in rep.detail and "on input " in rep.detail
+            assert "outcomes [" in rep.detail and "after earlier outcomes {" in rep.detail
 
     def test_cross_slot_angle_dependence_checked(self):
         """Dropping the earlier-slot outcomes from one rotation step's angle
@@ -210,6 +210,59 @@ class TestSlotwiseVerification:
                 assert rep.valid == _brute_force_valid(candidate), rep
                 verdicts.append(rep.valid)
         assert (len(verdicts), verdicts.count(False)) == (45, 36)
+
+    def test_boundary_frame_of_an_untouched_qubit_checked(self):
+        """A slot's outcome bit toggled into its boundary frame on a qubit the
+        slot does not touch is rejected at that slot: the changed frame makes
+        the qubit local to the slot."""
+        rng = np.random.default_rng(31)
+        mutants = rejected = 0
+        for i in range(6):
+            n = 2 + i % 3
+            gates = []
+            for kind in rng.choice(["H", "Rx", "Rz", "CZ"], int(rng.integers(1, 4))):
+                if kind == "CZ":
+                    gates.append(CircuitGate("CZ", tuple(int(q) for q in rng.choice(n, 2, replace=False))))
+                else:
+                    angle = None if kind == "H" else float(rng.uniform(-PI, PI))
+                    gates.append(CircuitGate(str(kind), (int(rng.integers(n)),), angle))
+            pat = compile_circuit(CircuitDescription(n, tuple(gates)), ("single", "two")[i % 2])
+            for k, slot in enumerate(pat.slots):
+                for q in set(range(n)) - set(slot.qubits):
+                    for bit in slot.step_indices:
+                        for name in ("x_parity", "z_parity"):
+                            c = pat.slot_boundaries[k][q]
+                            frame = list(pat.slot_boundaries[k])
+                            frame[q] = replace(c, **{name: getattr(c, name) ^ {bit}})
+                            boundaries = list(pat.slot_boundaries)
+                            boundaries[k] = tuple(frame)
+                            rep = verify_pattern(replace(pat, slot_boundaries=tuple(boundaries)))
+                            mutants += 1
+                            if not rep.valid:
+                                rejected += 1
+                                assert rep.detail.startswith(f"slot {k} branches disagree after correction")
+        assert (mutants, rejected) == (444, 444)
+
+    def test_incomplete_kraus_pairs_named(self, monkeypatch):
+        """Kraus pairs scaled by 0.9 in one slot keep every branch
+        proportional to the right operator; only the completeness check sees
+        that sum_b K_b^dagger K_b = 0.81 I, and names the slot."""
+        import adqc.register as register
+
+        pat = standard_pattern("CZ", None, "two")
+        labels = CZ2_SPECS["two"].labels
+        slot = [sl.kind for sl in pat.slots].index("CZ2")
+        exact = register.step_branch_operators
+
+        def scaled(step, theta, n):
+            ops = exact(step, theta, n)
+            return 0.9 * ops if step.entangler_labels == labels else ops
+
+        monkeypatch.setattr(register, "step_branch_operators", scaled)
+        rep = verify_pattern(pat)
+        assert not rep.valid
+        assert rep.detail.startswith(f"slot {slot} branches are incomplete"), rep.detail
+        assert "after earlier outcomes {" in rep.detail
 
     def test_slots_must_cover_every_step_in_order(self):
         """Slot-wise verification runs only the steps the slots list, so a

@@ -16,7 +16,9 @@ from adqc.protocol import (
     ProtocolOrderError,
     Server,
     SlotDraw,
+    MAX_GRID,
     audit_blindness,
+    grid_angle,
     grid_angles,
     grid_index,
     pattern_shape,
@@ -438,6 +440,27 @@ class TestGridIndex:
         for theta in (0.1, 2 * PI - 1e-6, -1e-6, PI / 4 + 1e-7):
             with pytest.raises(ValueError):
                 grid_index(theta, 8)
+
+    def test_grid_angle_is_the_grid_entry(self):
+        for grid_n in (4, 8, 12, 1000):
+            assert [grid_angle(k, grid_n) for k in range(grid_n)] == list(grid_angles(grid_n))
+
+    def test_delegation_at_the_largest_grid_builds_no_grid(self, monkeypatch):
+        """Client and server compute each grid angle directly, so a delegation
+        at MAX_GRID never builds the grid; one step above it is refused."""
+        import adqc.protocol as protocol
+
+        calls = []
+        monkeypatch.setattr(protocol, "grid_angles", lambda n: calls.append(n) or grid_angles(n))
+        quarter = 2 * PI * (MAX_GRID // 4) / MAX_GRID
+        gates = (CircuitGate("H", (0,)), CircuitGate("Rz", (0,), quarter),
+                 CircuitGate("Rx", (0,), 3 * quarter))
+        for variant in ("single", "two"):
+            res = run_delegation(_secret(gates, variant=variant, grid=MAX_GRID), seed=4, mode="enumerate")
+            assert res.worst_branch_fidelity >= 1 - 1e-9
+        assert calls == []
+        with pytest.raises(ValueError, match=f"at most {MAX_GRID}"):
+            _secret(gates, grid=MAX_GRID + 2)
 
 
 class TestJointDistribution:
