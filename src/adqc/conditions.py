@@ -357,6 +357,54 @@ def _branches(ax, g, d, t, f, tol: float):
     return analyse_kraus(pairs, tol)
 
 
+# point families whose rows share the Kraus check
+_CONSTRAINT, _VIOLATING, _CORRECTION = range(3)
+
+
+class _KrausChecks:
+    """The Kraus check of every point family, queued in draw order and run
+    through ``_branches`` in calls of at most SWEEP_BLOCK rows, so small
+    families share one call and memory stays bounded.
+
+    A queued row is (ax, g, d, t, f, family, matches); ``matches`` is whether
+    a correction probe's alpha_x matches the relation.  ``tally[2 * family +
+    passed]`` counts the checked rows, where a constraint point passes when
+    both branches are unitary-proportional, a violating point when they are
+    not, and a correction probe when its correctability equals ``matches``.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.parts: list[np.ndarray] = []
+        self.queued = 0
+        self.tally = np.zeros(6, dtype=int)
+
+    def add(self, family: int, ax, g, d, t, f, matches=False) -> None:
+        rows = np.empty((7, len(t)))
+        for i, column in enumerate((ax, g, d, t, f, family, matches)):
+            rows[i] = column
+        self.parts.append(rows)
+        self.queued += len(t)
+        while self.queued >= SWEEP_BLOCK:
+            self._run(SWEEP_BLOCK)
+
+    def finish(self) -> np.ndarray:
+        if self.queued:
+            self._run(self.queued)
+        return self.tally
+
+    def _run(self, n: int) -> None:
+        rows = np.concatenate(self.parts, axis=1)
+        self.parts, self.queued = [rows[:, n:]], self.queued - n
+        ax, g, d, t, f, family, matches = rows[:, :n]
+        unitary, correction, scale = _branches(ax, g, d, t, f, self.tol)
+        unitary = unitary.all(axis=1)
+        correctable = (correction >= 0) & (np.abs(np.abs(scale) - 1.0) <= 1e-7)
+        family = family.astype(int)
+        passed = np.choose(family, (unitary, ~unitary, correctable == (matches > 0)))
+        self.tally += np.bincount(2 * family + passed, minlength=6)
+
+
 def unitarity_relation_sweep(
     num_points: int = 10_000, seed: int = 0, tol: float = 1e-9
 ) -> dict:
@@ -370,11 +418,16 @@ def unitarity_relation_sweep(
     pair is one-step correctable iff alpha_x matches the relation: there the
     relation value is always pi/4.
 
-    Each family is drawn and checked as arrays, SWEEP_BLOCK points at a time.
+    Each family is drawn as arrays, SWEEP_BLOCK points at a time.  The Kraus
+    checks of all families are queued in draw order and run SWEEP_BLOCK rows
+    at a time, so a small sweep makes one kernel call.  ``num_points`` below 1
+    raises ValueError.
     """
+    if num_points < 1:
+        raise ValueError(f"the sweep needs at least 1 point, got {num_points}")
     rng = np.random.default_rng(seed)
-    agree = disagree = excluded = unit_ok = unit_fail = 0
-    viol_detected = viol_missed = corr_agree = corr_disagree = 0
+    checks = _KrausChecks(tol)
+    agree = disagree = excluded = 0
 
     for n in _blocks(num_points):
         g, d, t, f, ax = _rejection_sample(rng, n, _draw_constraint)
@@ -393,31 +446,25 @@ def unitarity_relation_sweep(
             agree += int(hits.sum())
             disagree += int(np.sum(probed & ~hits))
         # constraint -> unitary-proportional branches
-        unitary = _branches(ax, g, d, t, f, tol)[0].all(axis=1)
-        unit_ok += int(unitary.sum())
-        unit_fail += int((~unitary).sum())
+        checks.add(_CONSTRAINT, ax, g, d, t, f)
 
     # violating points: unitarity must fail with a clear margin
     n_viol = max(num_points // 10, 1)
     for n in _blocks(n_viol):
         g, d, t, f = _rejection_sample(rng, n, _draw_violating)
-        unitary = _branches(np.full(n, math.pi / 4), g, d, t, f, tol)[0].all(axis=1)
-        viol_detected += int((~unitary).sum())
-        viol_missed += int(unitary.sum())
+        checks.add(_VIOLATING, math.pi / 4, g, d, t, f)
 
     # rotation-row family: correctable <-> alpha_x matches the relation (pi/4)
     n_corr = max(num_points // 10, 1)
     for n in _blocks(n_corr):
         t = rng.uniform(0.2, math.pi - 0.2, n)
-        zero = np.zeros(n)
-        ax_req = _required(*_radicands(zero, zero, t, zero))
+        ax_req = _required(*_radicands(0.0, 0.0, t, 0.0))
         for ax in (np.full(n, math.pi / 4), rng.uniform(0.05, math.pi / 4 - 0.05, n)):
-            _, correction, scale = _branches(ax, zero, zero, t, zero, tol)
-            correctable = (correction >= 0) & (np.abs(np.abs(scale) - 1.0) <= 1e-7)
-            matches = np.abs(ax - ax_req) <= tol
-            corr_agree += int((correctable == matches).sum())
-            corr_disagree += int((correctable != matches).sum())
+            checks.add(_CORRECTION, ax, 0.0, 0.0, t, 0.0, np.abs(ax - ax_req) <= tol)
 
+    unit_fail, unit_ok, viol_missed, viol_detected, corr_disagree, corr_agree = (
+        int(x) for x in checks.finish()
+    )
     total_pairs = agree + disagree
     return {
         "points": num_points,

@@ -28,7 +28,24 @@ from .linalg import (
 TWO_PI = 2.0 * math.pi
 XX, YY, ZZ = (np.kron(p, p) for p in (X, Y, Z))
 PAULI_NAMES = tuple(PAULIS)
+# Each Pauli, in PAULI_NAMES order, as a signed row permutation: row i of P k
+# is _PAULI_SIGNS[p, i] * k[_PAULI_ROWS[p, i]].
 _PAULI_STACK = np.stack(list(PAULIS.values()))
+_PAULI_ROWS = np.abs(_PAULI_STACK).argmax(axis=-1)
+_PAULI_SIGNS = np.take_along_axis(_PAULI_STACK, _PAULI_ROWS[..., None], axis=-1)
+# The unnormalised Bell states Phi+, Phi-, Psi+, Psi- as columns.  They
+# diagonalise XX, YY and ZZ together; row k of _BELL_SIGNS holds the
+# eigenvalues of (XX, YY, ZZ) on column k.
+_BELL = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]], dtype=complex)
+_BELL_SIGNS = np.stack([np.diag(_BELL.T @ pp @ _BELL).real / 2 for pp in (XX, YY, ZZ)], axis=1)
+
+
+def _bell_projectors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """w |b_k><b_k| v for each normalised Bell state b_k, flattened to (4, 16)."""
+    return np.einsum("ik,kj->kij", w @ _BELL, _BELL.T @ v).reshape(4, 16) / 2
+
+
+_BARE_PROJECTORS = _bell_projectors(np.eye(4), np.eye(4))
 
 
 def _reduce_angle(a: float) -> float:
@@ -88,12 +105,18 @@ class CartanParams:
 
 @dataclass(frozen=True)
 class LocalFrame:
-    """Single-qubit dressings: pre-factors v_*, post-factors w_* (a=ancilla, s=system)."""
+    """Single-qubit dressings: pre-factors v_*, post-factors w_* (a=ancilla, s=system).
+
+    ``bell_projectors`` is derived: the Bell projectors dressed by the frame,
+    kron(w_a, w_s) |b_k><b_k| kron(v_a, v_s), flattened to one row per Bell
+    state.
+    """
 
     v_s: np.ndarray = field(default_factory=lambda: I2.copy())
     v_a: np.ndarray = field(default_factory=lambda: I2.copy())
     w_s: np.ndarray = field(default_factory=lambda: I2.copy())
     w_a: np.ndarray = field(default_factory=lambda: I2.copy())
+    bell_projectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("v_s", "v_a", "w_s", "w_a"):
@@ -101,6 +124,8 @@ class LocalFrame:
             if m.shape != (2, 2) or not is_unitary(m):
                 raise ValueError(f"frame factor {name} is not a 2x2 unitary")
             object.__setattr__(self, name, m)
+        w, v = np.kron(self.w_a, self.w_s), np.kron(self.v_a, self.v_s)
+        object.__setattr__(self, "bell_projectors", _bell_projectors(w, v))
 
 
 @dataclass(frozen=True)
@@ -162,30 +187,37 @@ def rotation(axis: str, theta: float) -> np.ndarray:
     return math.cos(theta / 2) * I2 - 1j * math.sin(theta / 2) * p
 
 
+def _strengths(p) -> np.ndarray:
+    if isinstance(p, CartanParams):
+        p = (p.alpha_x, p.alpha_y, p.alpha_z)
+    return np.asarray(p, dtype=float)
+
+
+def _bell_sum(strengths: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """sum_k exp(-i a . s_k) projectors[k] for each row a of the strengths."""
+    phases = np.exp(-1j * (strengths @ _BELL_SIGNS.T))
+    return (phases @ projectors).reshape(strengths.shape[:-1] + (4, 4))
+
+
 def weyl_interaction(p) -> np.ndarray:
     """The canonical 4x4 interaction of a CartanParams, or one per row of an
     (..., 3) array of (alpha_x, alpha_y, alpha_z) strengths, shape (..., 4, 4).
-    Its three terms commute, so it is the product of the three single-axis
-    exponentials."""
-    if isinstance(p, CartanParams):
-        p = (p.alpha_x, p.alpha_y, p.alpha_z)
-    a = np.asarray(p, dtype=float)
-    out = np.eye(4, dtype=complex)
-    for k, pp in enumerate((XX, YY, ZZ)):
-        c, s = np.cos(a[..., k])[..., None, None], np.sin(a[..., k])[..., None, None]
-        out = out @ (c * np.eye(4) - 1j * s * pp)
-    return out
+    Its three terms are diagonal together in the Bell basis, so it is
+    sum_k exp(-i a . s_k) |b_k><b_k| with s_k the (XX, YY, ZZ) eigenvalues of
+    Bell state b_k."""
+    return _bell_sum(_strengths(p), _BARE_PROJECTORS)
 
 
 def assemble_entangler(e: Entangler, strengths=None) -> np.ndarray:
-    """Dressed 4x4 unitary (w_a @ w_s) D (v_a @ v_s), ancilla as first factor.
+    """Dressed 4x4 unitary (w_a @ w_s) D (v_a @ v_s), ancilla as first factor:
+    the phases of D on the four Bell states times the frame's dressed Bell
+    projectors, one (..., 4) @ (4, 16) product.
 
     ``strengths``, an (..., 3) array, replaces ``e.cartan``: the result is one
     entangler per row, each dressed with the frame of ``e``.
     """
-    f = e.frame
-    d = weyl_interaction(e.cartan if strengths is None else strengths)
-    return np.kron(f.w_a, f.w_s) @ d @ np.kron(f.v_a, f.v_s)
+    a = _strengths(e.cartan if strengths is None else strengths)
+    return _bell_sum(a, e.frame.bell_projectors)
 
 
 _CZ_CARTAN = CartanParams(math.pi / 4, 0.0, 0.0)
@@ -229,9 +261,13 @@ def preset_labels() -> tuple[str, ...]:
 def contract_kraus(entanglers: np.ndarray, kets: np.ndarray, bras: np.ndarray) -> np.ndarray:
     """System Kraus pairs of N measured ancillas: (N, 4, 4) entanglers, (N, 2)
     ancilla kets and (N, 2, 2) measurement states, row t for outcome t, give
-    an (N, 2, 2, 2) array, outcome first."""
-    e4 = entanglers.reshape(-1, 2, 2, 2, 2)  # (n, a_out, s_out, a_in, s_in)
-    return np.einsum("nta,naibj,nb->ntij", bras.conj(), e4, kets)
+    an (N, 2, 2, 2) array, outcome first.  Each ancilla index has two values,
+    so both contractions are two-term sums of broadcast products."""
+    e = entanglers.reshape(-1, 2, 2, 2, 2)  # (n, a_out, s_out, a_in, s_in)
+    ket = kets[:, :, None, None, None]
+    m = ket[:, 0] * e[..., 0, :] + ket[:, 1] * e[..., 1, :]  # (n, a_out, s_out, s_in)
+    bra = bras.conj()[..., None, None]  # (n, t, a_out, 1, 1)
+    return bra[:, :, 0] * m[:, None, 0] + bra[:, :, 1] * m[:, None, 1]
 
 
 def branch_form(k: np.ndarray, tol: float = 1e-9) -> BranchForm | None:
@@ -276,6 +312,17 @@ class BranchReport:
     scale: complex | None = None
 
 
+def _unitary_proportional(k: np.ndarray, tol: float) -> np.ndarray:
+    """K^dag K = lambda I with |lambda| > 1e-12, for each 2x2 K in k.  The Gram
+    matrix is a two-term sum over the rows of K."""
+    gram = k[..., 0, :, None].conj() * k[..., 0, None, :]
+    gram += k[..., 1, :, None].conj() * k[..., 1, None, :]
+    lam = (gram[..., 0, 0] + gram[..., 1, 1]) / 2
+    gram[..., 0, 0] -= lam
+    gram[..., 1, 1] -= lam
+    return (np.abs(lam) > 1e-12) & (np.abs(gram).max(axis=(-2, -1)) < tol)
+
+
 def analyse_kraus(k: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Branch analysis of an (N, 2, 2, 2) stack of Kraus pairs.
 
@@ -285,12 +332,11 @@ def analyse_kraus(k: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndar
     scale c (nan for none).  The fit is ``linalg.fit_scale`` with floor 1e-12;
     it counts when |c| >= 1e-12 and the residual is at most tol * max(1, |c|).
     """
-    gram = np.swapaxes(k, -1, -2).conj() @ k
-    lam = (gram[..., 0, 0] + gram[..., 1, 1]) / 2
-    off = np.abs(gram - lam[..., None, None] * I2).max(axis=(-2, -1))
-    unitary = (np.abs(lam) > 1e-12) & (off < tol)
+    unitary = _unitary_proportional(k, tol)
     n = len(k)
-    pk = np.einsum("pij,njk->npik", _PAULI_STACK, k[:, 0]).reshape(n, 4, 4)
+    pk = np.take(k[:, 0], _PAULI_ROWS, axis=1)
+    pk *= _PAULI_SIGNS
+    pk = pk.reshape(n, 4, 4)
     km = np.broadcast_to(k[:, None, 1].reshape(n, 1, 4), pk.shape)
     c, residual, fitted = fit_scale(km, pk, 1e-12)
     mag = np.abs(c)

@@ -71,7 +71,9 @@ def fit_scale(a: np.ndarray, b: np.ndarray, floor: float = 0.0):
     pivot = np.take_along_axis(b, idx, axis=-1)
     fitted = np.abs(pivot[..., 0]) >= floor
     c = np.take_along_axis(a, idx, axis=-1) / np.where(fitted[..., None], pivot, 1.0)
-    return c[..., 0], np.abs(a - c * b).max(axis=-1), fitted
+    gap = c * b
+    gap -= a  # |c b - a|, without a second temporary
+    return c[..., 0], np.abs(gap).max(axis=-1), fitted
 
 
 def proportionality(a: np.ndarray, b: np.ndarray, floor: float = 0.0) -> tuple[complex, float] | None:

@@ -1,5 +1,7 @@
 """Closed-form conditions: constraint, coefficients, relation, tables, hiding."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -280,6 +282,68 @@ class TestSweep:
         )
         assert report["violations_detected"] + report["violations_missed"] == report["violating_points"]
         assert report["correctability_checks"] == 2 * max(points // 10, 1)
+
+    @pytest.mark.parametrize("points", [0, -5])
+    def test_rejects_fewer_than_one_point(self, points):
+        with pytest.raises(ValueError, match="at least 1 point"):
+            unitarity_relation_sweep(points)
+
+    # SHA-256 of json.dumps(report, sort_keys=True), per (points, seed)
+    PINNED_REPORTS = {
+        (1, 0): "ea784ab3876dfd6ae2a6c81de7d20b9617ffe73cc6b73ffb725ca7d799e5e4e0",
+        (1, 3): "e20c91f96963437c703070a8176ec9013ebef3de65a41bbe177bde3ccb564087",
+        (1, 11): "ea784ab3876dfd6ae2a6c81de7d20b9617ffe73cc6b73ffb725ca7d799e5e4e0",
+        (7, 0): "e96c7598bbc919679a6e67b4466026bf8959e56e3363519b1f107d5f7a6c0778",
+        (7, 3): "f57726c3179f7b9258b48b16acb2916fc836d7db7ab2f16b29825cbbe0ad6263",
+        (7, 11): "c01b5d74b6fbd53de519cc652670d84f977eb9b99c213dadc8c0230e05d7f522",
+        (100, 0): "bcee26ff579c42504c9196c5d83cd97743bed546c326fd077477b4b90286e536",
+        (100, 3): "bcee26ff579c42504c9196c5d83cd97743bed546c326fd077477b4b90286e536",
+        (100, 11): "bcb8015313a7bbce34f4f866b23c18bf3e8105221cb64fcd2eae1ee9017cda69",
+        (SWEEP_BLOCK + 1, 0): "02872fd27dbaf63d06146cb0b14ea0f1ed8a5c3d099f8fd51929a11291f880a5",
+        (SWEEP_BLOCK + 1, 3): "c902a6320457eec623f8f716233e9aca5c0db533491b48da541ced5b5c2fca2d",
+        (SWEEP_BLOCK + 1, 11): "59a2c42ab76d02f0c32445681fac550fd4cfc15a75d6779d6b15badaef484340",
+        (10_000, 0): "6abbcdd3000c6b574d86f8059aec2a31fc0c827a58f4e5ed40cd3a19ca335b5d",
+        (10_000, 3): "869254a835a2d56786fdae59692200844b8fb2654cdd07fc1ee3301bb15202f5",
+        (10_000, 11): "31d8e13e359cd68e4f8046d6429b2360d5bf251b7fe2759ed91b2369d12965c0",
+    }
+
+    @pytest.mark.parametrize("points, seed", sorted(PINNED_REPORTS))
+    def test_reports_pinned(self, points, seed):
+        """Reports stay byte for byte what the sweep gave before its Kraus checks
+        were queued across families onto the Bell-basis kernel."""
+        report = unitarity_relation_sweep(points, seed=seed)
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == self.PINNED_REPORTS[points, seed]
+
+    @staticmethod
+    def _kernel_calls(monkeypatch):
+        rows = []
+
+        def counted(ax, *args):
+            rows.append(len(ax))
+            return branches(ax, *args)
+
+        branches = conditions._branches
+        monkeypatch.setattr(conditions, "_branches", counted)
+        return rows
+
+    def test_small_sweep_makes_one_kernel_call(self, monkeypatch):
+        rows = self._kernel_calls(monkeypatch)
+        report = unitarity_relation_sweep(100, seed=4)
+        assert report["agreement_rate"] == 1.0
+        assert len(rows) == 1
+
+    @pytest.mark.parametrize("points", [SWEEP_BLOCK + 1, 10_000])
+    def test_kernel_calls_bounded_and_cover_every_row(self, monkeypatch, points):
+        rows = self._kernel_calls(monkeypatch)
+        report = unitarity_relation_sweep(points, seed=5)
+        assert max(rows) <= SWEEP_BLOCK
+        assert sum(rows) == (
+            points
+            - report["excluded_degenerate"]
+            + report["violating_points"]
+            + report["correctability_checks"]
+        )
 
     def test_bras_without_phi_on_minus_fail_unitarity(self, monkeypatch):
         """A minus-outcome bra that drops phi breaks the constraint's branches."""

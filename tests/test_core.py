@@ -302,9 +302,28 @@ def _kernel_points(rng):
 
 
 class TestBatchedKernel:
-    """Each row of the batched contraction and analysis equals the one-row call
-    that kraus_pair and branch_analysis make, for every preset: SWAPCZ has
-    alpha_y != 0 and HHCZ dressed frames on both sides."""
+    """Each row of the batched assembly, contraction and analysis equals the
+    one-row call that kraus_pair and branch_analysis make, for every preset:
+    SWAPCZ has alpha_y != 0 and HHCZ dressed frames on both sides."""
+
+    def test_rows_with_their_own_strengths(self):
+        """Each row of a batch carries its own in-chamber strengths: it equals
+        the dressed matrix exponential and the scalar call on that row."""
+        rng = np.random.default_rng(32)
+        for label in preset_labels():
+            e = preset(label)
+            az = rng.uniform(0, math.pi / 4, 12)
+            ay = rng.uniform(az, math.pi / 4)
+            ax = rng.uniform(ay, math.pi / 4)
+            strengths = np.stack([ax, ay, az], axis=1)
+            got = assemble_entangler(e, strengths)
+            f = e.frame
+            for row, u in zip(strengths, got):
+                ham = row[0] * tensor(X, X) + row[1] * tensor(Y, Y) + row[2] * tensor(Z, Z)
+                dressed = tensor(f.w_a, f.w_s) @ expm(-1j * ham) @ tensor(f.v_a, f.v_s)
+                assert np.abs(u - dressed).max() <= 1e-12, label
+                single = assemble_entangler(Entangler(CartanParams(*row), f))
+                assert np.abs(u - single).max() <= 1e-15, label
 
     def test_rows_match_single_calls(self):
         rng = np.random.default_rng(31)
