@@ -19,9 +19,6 @@ import numpy as np
 
 from .core import (
     AncillaSpec,
-    CartanParams,
-    Entangler,
-    LocalFrame,
     MeasBasis,
     analyse_kraus,
     assemble_entangler,
@@ -29,11 +26,10 @@ from .core import (
     contract_kraus,
     kraus_pair,
     param_kets,
+    preset,
     rotation,
 )
-from .linalg import I2, PAULIS, X, dagger, is_unitary, phase_invariant_error, proportionality
-
-TWO_PI = 2.0 * math.pi
+from .linalg import I2, PAULIS, TWO_PI, X, dagger, fit_scale, is_unitary, phase_invariant_error
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ def relation_residual(p: ParamPoint) -> float:
 # table classification
 # ---------------------------------------------------------------------------
 
-_CZ_ENTANGLER = Entangler(CartanParams(math.pi / 4), LocalFrame(), "CZ_CANON")
+_CZ_ENTANGLER = preset("CZ_CANON")
 
 
 def _ang_eq(a: float, b: float, tol: float) -> bool:
@@ -210,15 +206,15 @@ def classify_parameters(p: ParamPoint, tol: float = 1e-9) -> TableCase:
         return case
     pair = kraus_pair(_CZ_ENTANGLER, p.ancilla, p.basis)
     t = max(tol, 1e-10)
-
-    def reproduces(k, expected) -> bool:
-        """k == c*expected for some nonzero c (positive scale times phase)."""
-        fit = proportionality(k, expected, t)
-        if fit is None:
-            return np.abs(k).max() <= t
-        return abs(fit[0]) > t and fit[1] <= t * max(1.0, abs(fit[0]))
-
-    if not all(map(reproduces, (pair.k_plus, pair.k_minus), _expected_rows(case, p))):
+    # each branch k == c*expected for some nonzero c (positive scale times
+    # phase); an expected row below the floor admits only a vanishing branch
+    k = np.stack([pair.k_plus, pair.k_minus]).reshape(2, 4)
+    expected = np.stack(_expected_rows(case, p)).reshape(2, 4)
+    c, residual, fitted = fit_scale(k, expected, t)
+    mag = np.abs(c)
+    reproduces = np.where(fitted, (mag > t) & (residual <= t * np.maximum(1.0, mag)),
+                          np.abs(k).max(axis=1) <= t)
+    if not reproduces.all():
         raise TableVerificationError(
             f"pattern {case.value} matched at ancilla={p.ancilla}, basis={p.basis} "
             "but the computed branches do not reproduce the expected operators"

@@ -15,8 +15,10 @@ import numpy as np
 from .linalg import (
     H,
     I2,
+    PAULI_NAMES,
     PAULIS,
     S_GATE,
+    TWO_PI,
     X,
     Y,
     Z,
@@ -25,12 +27,10 @@ from .linalg import (
     is_unitary,
 )
 
-TWO_PI = 2.0 * math.pi
 XX, YY, ZZ = (np.kron(p, p) for p in (X, Y, Z))
-PAULI_NAMES = tuple(PAULIS)
 # Each Pauli, in PAULI_NAMES order, as a signed row permutation: row i of P k
 # is _PAULI_SIGNS[p, i] * k[_PAULI_ROWS[p, i]].
-_PAULI_STACK = np.stack(list(PAULIS.values()))
+_PAULI_STACK = np.stack([PAULIS[name] for name in PAULI_NAMES])
 _PAULI_ROWS = np.abs(_PAULI_STACK).argmax(axis=-1)
 _PAULI_SIGNS = np.take_along_axis(_PAULI_STACK, _PAULI_ROWS[..., None], axis=-1)
 # The unnormalised Bell states Phi+, Phi-, Psi+, Psi- as columns.  They
@@ -49,8 +49,7 @@ _BARE_PROJECTORS = _bell_projectors(np.eye(4), np.eye(4))
 
 
 def _reduce_angle(a: float) -> float:
-    a = float(a) % TWO_PI
-    return a + TWO_PI if a < 0 else a
+    return float(a) % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -103,20 +102,21 @@ class CartanParams:
                 raise ValueError(f"{name}={a} outside the chamber bound [0, pi/4]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalFrame:
     """Single-qubit dressings: pre-factors v_*, post-factors w_* (a=ancilla, s=system).
 
     ``bell_projectors`` is derived: the Bell projectors dressed by the frame,
     kron(w_a, w_s) |b_k><b_k| kron(v_a, v_s), flattened to one row per Bell
-    state.
+    state.  Frames compare and hash by identity, since their fields are
+    arrays.
     """
 
     v_s: np.ndarray = field(default_factory=lambda: I2.copy())
     v_a: np.ndarray = field(default_factory=lambda: I2.copy())
     w_s: np.ndarray = field(default_factory=lambda: I2.copy())
     w_a: np.ndarray = field(default_factory=lambda: I2.copy())
-    bell_projectors: np.ndarray = field(init=False, repr=False, compare=False)
+    bell_projectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("v_s", "v_a", "w_s", "w_a"):
@@ -327,10 +327,11 @@ def analyse_kraus(k: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndar
     """Branch analysis of an (N, 2, 2, 2) stack of Kraus pairs.
 
     Returns, per row, the unitary-proportionality of each branch ((N, 2) bool:
-    K^dag K = lambda I with |lambda| > 1e-12), the index into PAULI_NAMES of
-    the first Pauli P with ``k_minus = c P k_plus`` (-1 for none), and that
-    scale c (nan for none).  The fit is ``linalg.fit_scale`` with floor 1e-12;
-    it counts when |c| >= 1e-12 and the residual is at most tol * max(1, |c|).
+    K^dag K = lambda I with |lambda| > 1e-12), the index into the bit-ordered
+    PAULI_NAMES (X^x Z^z at x + 2 z) of the first Pauli P in that order with
+    ``k_minus = c P k_plus`` (-1 for none), and that scale c (nan for none).
+    The fit is ``linalg.fit_scale`` with floor 1e-12; it counts when
+    |c| >= 1e-12 and the residual is at most tol * max(1, |c|).
     """
     unitary = _unitary_proportional(k, tol)
     n = len(k)

@@ -7,12 +7,14 @@ ancilla is the largest object anything downstream needs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_DIM = 32
 DEFAULT_TOL = 1e-10
+TWO_PI = 2.0 * math.pi
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -25,6 +27,7 @@ SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
+PAULI_NAMES = ("I", "X", "Z", "Y")  # the byproduct X^x Z^z (Y when both) at index x + 2 z
 
 
 def _as_square(m) -> np.ndarray:
@@ -76,15 +79,6 @@ def fit_scale(a: np.ndarray, b: np.ndarray, floor: float = 0.0):
     return c[..., 0], np.abs(gap).max(axis=-1), fitted
 
 
-def proportionality(a: np.ndarray, b: np.ndarray, floor: float = 0.0) -> tuple[complex, float] | None:
-    """Fit a ~ c*b over all entries (``fit_scale`` on one row): the scalar c
-    and the residual, or None when b's largest entry is below ``floor``."""
-    c, residual, fitted = fit_scale(np.reshape(a, (1, -1)), np.reshape(b, (1, -1)), floor)
-    if not fitted[0]:
-        return None
-    return complex(c[0]), float(residual[0])
-
-
 def phase_invariant_error(a: np.ndarray, b: np.ndarray):
     """min over the global phase c of ||a - c b||, for each row of ``a``;
     ``b`` is one vector or one per row."""
@@ -95,20 +89,13 @@ def phase_invariant_error(a: np.ndarray, b: np.ndarray):
 
 
 def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """True iff a == c*b entrywise for some unit-modulus scalar c.
-
-    The phase candidate is read off the largest-magnitude entry of b; an
-    all-zero b matches only an all-zero a.
-    """
+    """True iff ||a - c b|| <= tol, in the 2-norm over all entries, for the
+    best unit-modulus scalar c (``phase_invariant_error``)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    fit = proportionality(a, b, tol)
-    if fit is None:
-        return bool(np.abs(a).max() <= tol)
-    c, residual = fit
-    return abs(abs(c) - 1.0) <= max(tol, 1e-9) and residual <= tol
+    return bool(phase_invariant_error(a.ravel(), b.ravel()) <= tol)
 
 
 _LABEL_KETS = {

@@ -24,18 +24,18 @@ from .core import AncillaSpec, rotation
 from .linalg import (
     CZ,
     H,
+    PAULI_NAMES,
     PAULIS,
     PureState,
     apply_op,
     apply_pauli_frame,
     dagger,
     embed,
+    equal_up_to_global_phase,
     phase_invariant_error,
-    proportionality,
     tensor,
 )
 from .register import (
-    PAULI_NAMES,
     PAYLOAD_BIT,
     AdaptiveAngle,
     AdqcStep,
@@ -69,8 +69,7 @@ def _pauli_bits(m: np.ndarray, base: np.ndarray) -> np.ndarray:
     m = phase * P @ base, |phase| = 1."""
     for i1, n1 in enumerate(PAULI_NAMES):
         for i2, n2 in enumerate(PAULI_NAMES):
-            c, residual = proportionality(m, _pauli2(n1, n2) @ base)
-            if abs(abs(c) - 1.0) < 1e-9 and residual < 1e-9:
+            if equal_up_to_global_phase(m, _pauli2(n1, n2) @ base, 1e-9):
                 return np.array([i1 & 1, i1 >> 1, i2 & 1, i2 >> 1])
     raise RuntimeError("no Pauli factor relates the operators")
 
@@ -252,8 +251,7 @@ class _PatternBuilder:
         built = self.target
         if target is not None:
             # allow an exact stated target differing only by a global phase
-            tr = np.trace(dagger(target) @ built)
-            if abs(abs(tr) - built.shape[0]) > 1e-8:
+            if not equal_up_to_global_phase(built, target, 1e-8):
                 raise RuntimeError("built pattern does not realize the stated target")
             built = target
         return GatePattern(
@@ -357,8 +355,7 @@ def euler_zxz(u) -> tuple[float, float, float]:
     a = (apc + amc) / 2.0
     c = (apc - amc) / 2.0
     chk = rotation("z", c) @ rotation("x", b) @ rotation("z", a)
-    tr = np.trace(dagger(chk) @ v)
-    if abs(abs(tr) - 2.0) > 1e-7:
+    if not equal_up_to_global_phase(v, chk, 1e-7):
         raise RuntimeError("Euler decomposition failed to reassemble")
     return a, b, c
 

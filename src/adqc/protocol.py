@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import param_state
-from .linalg import I2, H, DensityMatrix, PureState, apply_pauli_frame, trace_distance
+from .linalg import I2, H, TWO_PI, DensityMatrix, PureState, apply_pauli_frame, trace_distance
 from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, CircuitGate, compile_circuit
 from .register import (
     AdaptiveAngle,
@@ -33,7 +33,6 @@ from .register import (
     init_register,
 )
 
-TWO_PI = 2.0 * math.pi
 DEFAULT_GRID = 8
 # largest grid size: its spacing 2 pi / 2^16 (about 1e-4) stays five orders of
 # magnitude above grid_index's 1e-9 tolerance, and an audit's time grows
@@ -516,7 +515,6 @@ def audit_blindness(
     grid_n: int = DEFAULT_GRID,
     theta_prime: float | None = None,
     theta_prime_alt: float | None = None,
-    always_r0: bool = False,
 ) -> AuditReport:
     """Exhaustive blindness checks on the implemented ``Client`` and
     ``server_step``, run on the RX slot of the one-gate circuit
@@ -530,11 +528,9 @@ def audit_blindness(
     on ``AUDIT_INPUT`` the register state averaged over the coin is the same
     fixed diagonal matrix for every hidden value and outcome.  The two secret
     angles default to the grid points 1 and 3 (pi/4 and 3 pi/4 on the
-    8-point grid); an off-grid secret raises ValueError.  ``always_r0`` pins
-    the payload coin to 0, as a sabotaged client would.
+    8-point grid); an off-grid secret raises ValueError.
     """
     check_grid(grid_n)
-    rs = (0,) if always_r0 else (0, 1)
     secrets = (grid_angle(1, grid_n) if theta_prime is None else theta_prime,
                grid_angle(3, grid_n) if theta_prime_alt is None else theta_prime_alt)
     start = init_register(1, PureState(1, AUDIT_INPUT))
@@ -547,14 +543,14 @@ def audit_blindness(
         shape = pattern_shape(secret.pattern)[slot.roles["gamma"]]
         for gi in range(grid_n):
             payload, post = np.zeros((2, 2), dtype=complex), np.zeros((2, 2, 2), dtype=complex)
-            for r in rs:
+            for r in (0, 1):
                 secret.draws[slot_idx] = SlotDraw(gi, r)
                 msg = Client(secret).prepare_ancilla(slot_idx, "gamma")
                 ket = np.array(msg.payload)
-                payload += np.outer(ket, ket.conj()) / len(rs)
+                payload += np.outer(ket, ket.conj()) / 2
                 for s in (0, 1):
                     v = server_step(start, msg, shape, grid_n, outcome=s)[0].register.amplitudes
-                    post[s] += np.outer(v, v.conj()) / len(rs)
+                    post[s] += np.outer(v, v.conj()) / 2
                     for r_angle, parity in itertools.product((0, 1), (0, 1)):
                         secret.draws[slot_idx] = SlotDraw(gi, r, 0, r_angle)
                         client = Client(secret)

@@ -8,16 +8,15 @@ whose byproduct corrections are recorded per qubit as outcome-parity sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .core import AncillaSpec, MeasBasis, assemble_entangler, preset
-from .linalg import PureState, apply_pauli_frame, dagger, embed
+from .linalg import PAULI_NAMES, PureState, apply_pauli_frame, dagger, embed
 
 PRUNE_PROBABILITY = 1e-12
 PAYLOAD_BIT = 1 << 20  # set index i + PAYLOAD_BIT refers to step i's payload flip
-PAULI_NAMES = ("I", "X", "Z", "Y")  # the byproduct X^x Z^z (Y when both) at index x + 2 z
 # Kraus pairs kept by branch_operators: at most 8 MiB of arrays at n = 4
 KRAUS_CACHE_SIZE = 1024
 
@@ -105,10 +104,6 @@ class QubitCorrection:
             self.z_const ^ parity(self.z_parity, outcomes, payload_bits),
         )
 
-    def pauli(self, outcomes, payload_bits=None) -> str:
-        x, z = self.bits(outcomes, payload_bits)
-        return PAULI_NAMES[x + 2 * z]
-
 
 @dataclass(frozen=True)
 class SlotSpec:
@@ -149,22 +144,6 @@ class GatePattern:
         if len(self.slot_boundaries) != len(self.slots):
             raise ValueError("one boundary frame per slot required")
 
-    def correction_for(self, outcomes, payload_bits=None) -> tuple[str, ...]:
-        if len(outcomes) != len(self.steps):
-            raise ValueError("need one outcome per step")
-        return tuple(c.pauli(outcomes, payload_bits) for c in self.corrections)
-
-    def correction_table(self) -> dict[tuple[int, ...], tuple[str, ...]]:
-        """Extensional outcome-vector -> Pauli-string map (patterns <= 14 steps)."""
-        k = len(self.steps)
-        if k > 14:
-            raise ValueError("correction table too large; use correction_for")
-        table = {}
-        for m in range(2**k):
-            outs = tuple((m >> (k - 1 - j)) & 1 for j in range(k))
-            table[outs] = self.correction_for(outs)
-        return table
-
 
 @dataclass(frozen=True)
 class RegisterState:
@@ -188,18 +167,6 @@ def init_register(n: int, state="") -> RegisterState:
     return RegisterState(reg)
 
 
-@cache
-def _coupling(labels: tuple[str, ...], targets: tuple[int, ...], n: int) -> np.ndarray:
-    """A step's dressed couplings embedded in the register plus ancilla,
-    applied in listed order, as one read-only (2^(n+1), 2^(n+1)) matrix."""
-    total = np.eye(2 ** (n + 1), dtype=complex)
-    for tgt, lbl in zip(targets, labels):
-        # ancilla appended as the least significant qubit
-        total = embed(assemble_entangler(preset(lbl)), (n, tgt), n + 1) @ total
-    total.flags.writeable = False
-    return total
-
-
 def step_branch_operators(step: AdqcStep, theta: float, n: int) -> np.ndarray:
     """The two register Kraus operators of a step (unnormalized), plus branch
     first, as a read-only (2, 2^n, 2^n) array, for the step's canonical
@@ -216,15 +183,19 @@ def branch_operators(labels: tuple[str, ...], targets: tuple[int, ...], n: int, 
     register, measured in the basis (theta, phi), as a read-only
     (2, 2^n, 2^n) array.  ``ancilla`` is a canonical ``AncillaSpec`` or the
     physical ancilla ket as a tuple of two complex amplitudes.  Built once per
-    exact input; the embedded coupling is shared by every basis and ancilla."""
+    exact input: the couplings are embedded in the register plus ancilla
+    (appended as the least significant qubit) and applied in listed order."""
     if isinstance(ancilla, AncillaSpec):
         payload = dagger(preset(labels[0]).frame.v_a) @ ancilla.ket().amplitudes
     else:
         payload = np.array(ancilla, dtype=complex)
     last_wa = preset(labels[-1]).frame.w_a
     bras = [last_wa @ b.amplitudes for b in MeasBasis(theta, phi).bra_states()]
+    total = np.eye(2 ** (n + 1), dtype=complex)
+    for tgt, lbl in zip(targets, labels):
+        total = embed(assemble_entangler(preset(lbl)), (n, tgt), n + 1) @ total
     dim = 2**n
-    t = _coupling(labels, targets, n).reshape(dim, 2, dim, 2)  # (reg_out, anc_out, reg_in, anc_in)
+    t = total.reshape(dim, 2, dim, 2)  # (reg_out, anc_out, reg_in, anc_in)
     ops = np.stack([np.einsum("a,iajb,b->ij", b.conj(), t, payload) for b in bras])
     ops.flags.writeable = False
     return ops

@@ -53,7 +53,7 @@ class TestAcceptance:
     def test_2_table_reproduction(self):
         """All six parameter rows classify and their computed Kraus operators
         confirm within 1e-10; 1000 random non-matching points give NONE."""
-        from adqc.conditions import ParamPoint, _match_case
+        from adqc.conditions import ParamPoint, TableVerificationError
 
         rows = {
             TableCase.T1_IDENTITY: (0.0, 0.3, 0.0, 0.0),
@@ -70,14 +70,13 @@ class TestAcceptance:
             ok = ok and got is case
         rng = np.random.default_rng(2024)
         false_pos = 0
-        checked = 0
-        while checked < 1000:
+        checked = 1000
+        for _ in range(checked):  # every drawn point counts, with no prefilter
             g, d, t, f = rng.uniform(0.2, 2 * PI - 0.2, 4)
             p = ParamPoint(PI / 4, AncillaSpec(g, d), MeasBasis(t, f))
-            if _match_case(p, 1e-9) is not TableCase.NONE:
-                continue
-            checked += 1
-            if classify_parameters(p, 1e-9) is not TableCase.NONE:
+            try:
+                false_pos += classify_parameters(p, 1e-9) is not TableCase.NONE
+            except TableVerificationError:
                 false_pos += 1
         _verdict(
             2,

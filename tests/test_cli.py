@@ -35,6 +35,23 @@ class TestVerifyTables:
         assert report["false_positives"] == 0
         assert report["schema"] == {"name": "verify-tables", "version": 1}
 
+    def test_a_matcher_that_accepts_negatives_fails(self, capsys, monkeypatch):
+        """A row matcher that claims T2_MATCHED for every gamma above pi
+        turns random negatives into false positives, and the run fails."""
+        from adqc import conditions
+
+        exact = conditions._match_case
+
+        def sabotaged(p, tol):
+            return conditions.TableCase.T2_MATCHED if p.ancilla.gamma > math.pi else exact(p, tol)
+
+        monkeypatch.setattr(conditions, "_match_case", sabotaged)
+        code, out, _ = run_cli(capsys, "verify-tables", "--negatives", "200")
+        report = json.loads(out)
+        assert code == 1 and not report["pass"]
+        assert report["random_negatives"] == 200
+        assert report["false_positives"] > 0
+
 
 class TestSweep:
     def test_small_sweep(self, capsys):

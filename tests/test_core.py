@@ -149,6 +149,19 @@ class TestEntanglerPresets:
         with pytest.raises(KeyError):
             preset("NOPE")
 
+    def test_equality_is_a_bool(self):
+        j = preset("J_CANON")
+        assert (j == Entangler(j.cartan, j.frame, j.label)) is True
+        assert (j == Entangler(j.cartan, LocalFrame(v_s=H, w_a=H), j.label)) is False
+        assert (j == preset("RX_CANON")) is False
+
+    def test_presets_hash(self):
+        labels = preset_labels()
+        presets = [preset(label) for label in labels]
+        assert len(set(presets)) == len(labels)
+        assert {e: e.label for e in presets}[preset("J_CANON")] == "J_CANON"
+        assert len({e.frame for e in presets}) == len(labels)
+
 
 CZ_CANON = preset("CZ_CANON")
 

@@ -16,9 +16,9 @@ from adqc.linalg import (
     apply_pauli_frame,
     embed,
     equal_up_to_global_phase,
+    fit_scale,
     partial_trace,
     phase_invariant_error,
-    proportionality,
     tensor,
     trace_distance,
 )
@@ -104,6 +104,13 @@ class TestGlobalPhaseEquality:
     def test_orthogonal_paulis(self):
         assert not equal_up_to_global_phase(X, Z, 1e-12)
 
+    def test_tolerance_bounds_the_two_norm(self):
+        """Every entry is off by 0.6 tol, so the entrywise max is inside tol
+        but the 2-norm over the four entries (1.2 tol) is not."""
+        off = X + 0.6e-10 * np.ones((2, 2))
+        assert not equal_up_to_global_phase(off, X, 1e-10)
+        assert equal_up_to_global_phase(off, X, 1.3e-10)
+
     def test_zero_matrix_handling(self):
         zero = np.zeros((2, 2))
         assert equal_up_to_global_phase(zero, zero)
@@ -125,16 +132,22 @@ class TestGlobalPhaseEquality:
         assert equal_up_to_global_phase(u, b, 1e-10)
 
 
+def _fit_one(a, b, floor=0.0):
+    """``fit_scale`` of two matrices flattened to one row each."""
+    c, residual, fitted = fit_scale(np.reshape(a, (1, -1)), np.reshape(b, (1, -1)), floor)
+    return c[0], residual[0], fitted[0]
+
+
 class TestProportionality:
     def test_scale_and_residual(self):
-        c, residual = proportionality(2j * X + 1e-3 * Z, X)
+        c, residual, _ = _fit_one(2j * X + 1e-3 * Z, X)
         assert c == 2j
         assert residual == pytest.approx(1e-3)
 
     def test_floor_guards_a_vanishing_b(self):
-        assert proportionality(X, 1e-13 * X, 1e-12) is None
-        c, residual = proportionality(X, 1e-13 * X)
-        assert abs(c) == pytest.approx(1e13) and residual < 1e-3
+        assert not _fit_one(X, 1e-13 * X, 1e-12)[2]
+        c, residual, fitted = _fit_one(X, 1e-13 * X)
+        assert fitted and abs(c) == pytest.approx(1e13) and residual < 1e-3
 
 
 class TestPhaseInvariantError:

@@ -380,11 +380,6 @@ class TestAudit:
             rep = audit_blindness(grid_n=8, theta_prime=tp, theta_prime_alt=tpa)
             assert rep.angle_tvd == 0.0
 
-    def test_sabotaged_client_detected(self):
-        rep = audit_blindness(grid_n=8, always_r0=True)
-        assert rep.ancilla_trace_distance > 0.4
-        assert not rep.passed
-
     def test_larger_grid(self):
         rep = audit_blindness(grid_n=16)
         assert rep.passed

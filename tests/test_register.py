@@ -18,7 +18,6 @@ from adqc.register import (
     advance,
     branch_operators,
     execute_step,
-    _coupling,
     init_register,
     run_pattern,
     step_branch_operators,
@@ -209,13 +208,6 @@ class TestStepValidation:
         with pytest.raises(ValueError):
             AdqcStep((0, 0), ("CZ_CANON", "CZ_CANON"), AncillaSpec(0, 0), AdaptiveAngle.constant(0))
 
-    def test_correction_table_extensional(self):
-        pat = standard_pattern("RX", 0.5, "two")
-        table = pat.correction_table()
-        assert len(table) == 2 ** len(pat.steps)
-        for outs, frame in table.items():
-            assert frame == pat.correction_for(outs)
-
 
 def _uncached_branch_operators(step, theta, n, payload=None):
     """step_branch_operators with nothing cached: the coupling, the payload
@@ -255,12 +247,6 @@ class TestCouplingCache:
                     ), (n, targets, pair)
                 cases += 1
         assert cases == 6 * 6 + 36 * 8
-
-    def test_cached_coupling_is_read_only(self):
-        total = _coupling(("J_CANON", "RZ_CANON"), (1, 0), 2)
-        with pytest.raises(ValueError):
-            total[0, 0] = 0.0
-        assert _coupling(("J_CANON", "RZ_CANON"), (1, 0), 2) is total
 
 
 class TestKrausCache:
