@@ -298,19 +298,54 @@ class TestDelegation:
         "f3aa6876099a03c8a8505b7dc6be245884b9a02aa9f6985d1139c8e5797dbbc5",
         "72b034c7aedeca2a44b1ca6be10b1b1779b2237aeb060798126f465888b5bd56",
     )
+    # SHA-256 of to_jsonl(view="full"), which adds the client log, for the
+    # same cases run in sample and in enumerate mode
+    PINNED_FULL_TRANSCRIPTS = {
+        "sample": (
+            "2026a5b90127ffa80d4c4493f7c0c705fc44179df25a0138dca934ff49bb4f85",
+            "1f66d1c0350ade35946796361f39dc8950694025b963a6be98612e0fdc92ce98",
+            "3644928ceae10193c19014bb85e1eac3836317aefac666202535b955393a5c89",
+            "ae256434b4cde4cb961b55a18f3bdc01f98f7bcdfee12772a3401ca9683bb1bd",
+            "027b56b12444960629904022a9e7e559088249d90c8590583bd51e85e7bf1e89",
+            "c26271eb7c1fbddb2621ebd40952f644479ae895cae51552d2fbe818f8ab95fa",
+            "4d2208fd56a86e97250ad5cb096333f5fe3d33366492cf6a785c4b28d884a47e",
+            "7acf13744db10b6082725ef0593ca2681b8aaabbe1b735419031d5f64136b581",
+        ),
+        "enumerate": (
+            "772e1f8db799786031f6e7affa8bc5a6cd6f96a23b70acb96b5b8112cfa3ed0b",
+            "1f096c49fb85e367b0a15a3b4c1c117e4f14354073160169f7e0731bd51cd24e",
+            "c146a4d8e4971c77d1ce096818e3237bb803c8a70c1ad630f8556f4bfd8022a2",
+            "33309eabe544a0136e4c783d95a0ad576389e8ef1f4b79d57e6d806dad10f046",
+            "a97cf2a7c28cb7b04e7306253ead77d2961802cea5a756d97549684a28127276",
+            "018f1a81f79b72e1d93ae91e6d145bfbfd19d82b8560d7bdcd662bf66986b65f",
+            "1820e3096277a5400e333b319f7589c083d0feb0124cc2da34a358aca8170036",
+            "8872c7793a662fbcd68e9e3c953236e3ec2019f77d981aeb52a91221deae4dfd",
+        ),
+    }
+    PINNED_CIRCUITS = (
+        (1, (CircuitGate("H", (0,)), CircuitGate("Rz", (0,), PI / 4))),
+        (2, (CircuitGate("H", (0,)), CircuitGate("CZ", (0, 1)), CircuitGate("Rz", (1,), 3 * PI / 4))),
+        (2, (CircuitGate("Rx", (0,), PI / 2), CircuitGate("CZ", (1, 0)), CircuitGate("H", (1,)))),
+        (3, (CircuitGate("H", (2,)), CircuitGate("CZ", (1, 2)), CircuitGate("Rz", (0,), 5 * PI / 4))),
+    )
+
+    def _pinned_run(self, i, mode):
+        n, gates = self.PINNED_CIRCUITS[i // 2]
+        sec = ClientSecret(CircuitDescription(n, gates), ("single", "two")[i % 2], 8, 100 + i)
+        return run_delegation(sec, seed=200 + i, mode=mode)
 
     def test_sampled_transcripts_are_pinned(self):
-        circuits = (
-            (1, (CircuitGate("H", (0,)), CircuitGate("Rz", (0,), PI / 4))),
-            (2, (CircuitGate("H", (0,)), CircuitGate("CZ", (0, 1)), CircuitGate("Rz", (1,), 3 * PI / 4))),
-            (2, (CircuitGate("Rx", (0,), PI / 2), CircuitGate("CZ", (1, 0)), CircuitGate("H", (1,)))),
-            (3, (CircuitGate("H", (2,)), CircuitGate("CZ", (1, 2)), CircuitGate("Rz", (0,), 5 * PI / 4))),
-        )
         for i, pinned in enumerate(self.PINNED_TRANSCRIPTS):
-            n, gates = circuits[i // 2]
-            sec = ClientSecret(CircuitDescription(n, gates), ("single", "two")[i % 2], 8, 100 + i)
-            res = run_delegation(sec, seed=200 + i, mode="sample")
+            res = self._pinned_run(i, "sample")
             text = res.transcript.to_jsonl(view="server")
+            assert hashlib.sha256(text.encode()).hexdigest() == pinned, i
+            assert res.fidelity >= 1 - 1e-9
+
+    @pytest.mark.parametrize("mode", ["sample", "enumerate"])
+    def test_full_transcripts_are_pinned(self, mode):
+        for i, pinned in enumerate(self.PINNED_FULL_TRANSCRIPTS[mode]):
+            res = self._pinned_run(i, mode)
+            text = res.transcript.to_jsonl(view="full")
             assert hashlib.sha256(text.encode()).hexdigest() == pinned, i
             assert res.fidelity >= 1 - 1e-9
 
