@@ -178,8 +178,9 @@ def cmd_delegate(args) -> tuple[dict, bool]:
         with open(args.transcript, "w") as f:
             f.write(result.transcript.to_jsonl(view=args.view))
         report["transcript"] = args.transcript
-    ok = result.fidelity >= 1.0 - 1e-9
-    return report, ok
+    # enumerate mode gates on its worst branch, not only on the carried one
+    worst = result.fidelity if result.worst_branch_fidelity is None else result.worst_branch_fidelity
+    return report, worst >= 1.0 - 1e-9
 
 
 def cmd_audit(args) -> tuple[dict, bool]:

@@ -49,7 +49,9 @@ _BARE_PROJECTORS = _bell_projectors(np.eye(4), np.eye(4))
 
 
 def _reduce_angle(a: float) -> float:
-    return float(a) % TWO_PI
+    """``a`` modulo 2 pi in [0, 2 pi): float ``%`` rounds a tiny negative ``a`` up to 2 pi."""
+    a = float(a) % TWO_PI
+    return 0.0 if a == TWO_PI else a
 
 
 @dataclass(frozen=True)

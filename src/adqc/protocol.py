@@ -12,18 +12,16 @@ the client's coin) or a grid angle whose distribution is exactly uniform.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import param_state
-from .linalg import I2, H, TWO_PI, DensityMatrix, PureState, apply_pauli_frame, trace_distance
+from .core import param_kets
+from .linalg import I2, H, TWO_PI, PureState, apply_pauli_frame
 from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, CircuitGate, compile_circuit
 from .register import (
-    AdaptiveAngle,
     GatePattern,
     RegisterState,
     advance,
@@ -31,6 +29,7 @@ from .register import (
     branch_step,
     frame_bits,
     init_register,
+    parity,
 )
 
 DEFAULT_GRID = 8
@@ -55,14 +54,9 @@ def check_grid(grid_n: int) -> None:
         raise ValueError(f"grid size must be at most {MAX_GRID}, got {grid_n}")
 
 
-def grid_angle(k: int, grid_n: int) -> float:
-    """Angle of grid point ``k``, the same float ``grid_angles`` holds."""
+def grid_angle(k, grid_n: int):
+    """Angle of grid point ``k``, an integer or an integer array."""
     return TWO_PI * k / grid_n
-
-
-def grid_angles(grid_n: int) -> tuple[float, ...]:
-    check_grid(grid_n)
-    return tuple(grid_angle(k, grid_n) for k in range(grid_n))
 
 
 def grid_index(theta: float, grid_n: int) -> int:
@@ -159,117 +153,129 @@ class ProtocolTranscript:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SlotDraw:
-    gamma_index: int | None = None
-    r_payload: int = 0
-    r_assist: int = 0
-    r_angle: int = 0
-
-
-@dataclass
+@dataclass(eq=False)  # the draws are arrays: compare secrets by identity
 class ClientSecret:
     """Everything the server must never learn: the circuit, the per-slot
-    angles, and the random draws that hide them."""
+    angles (``theta_index``: grid indices, 0 where a slot has none), and the
+    random draws that hide them.  Each draw field is a (B, slots) integer
+    array, one row per delegation, 0 where a slot draws nothing; the seed
+    draws one row, and a batch (the audit's) replaces them."""
 
     circuit: CircuitDescription
     variant: str
     grid_n: int
     seed: int
     pattern: GatePattern = field(init=False)
-    draws: list[SlotDraw] = field(init=False)
+    theta_index: tuple[int, ...] = field(init=False)
+    gamma_index: np.ndarray = field(init=False)
+    r_payload: np.ndarray = field(init=False)
+    r_assist: np.ndarray = field(init=False)
+    r_angle: np.ndarray = field(init=False)
 
     def __post_init__(self):
         check_grid(self.grid_n)
         self.pattern = compile_circuit(self.circuit, self.variant)
-        for slot in self.pattern.slots:
-            if slot.theta_prime is not None:
-                grid_index(slot.theta_prime, self.grid_n)  # angles must be on-grid
+        # angles must be on-grid
+        self.theta_index = tuple(0 if slot.theta_prime is None else grid_index(slot.theta_prime, self.grid_n)
+                                 for slot in self.pattern.slots)
         rng = np.random.default_rng(self.seed)
-        self.draws = []
-        for slot in self.pattern.slots:
-            d = SlotDraw()
+        draws = np.zeros((4, 1, len(self.pattern.slots)), dtype=np.int64)
+        gamma, payload, assist, angle = draws[:, 0]
+        for j, slot in enumerate(self.pattern.slots):
             if slot.kind in ("J", "RX", "RZ"):
-                d.gamma_index = int(rng.integers(self.grid_n))
-                d.r_payload = int(rng.integers(2))
-                d.r_angle = int(rng.integers(2))
+                gamma[j], payload[j], angle[j] = rng.integers(self.grid_n), rng.integers(2), rng.integers(2)
                 if slot.kind == "J":
-                    d.r_assist = int(rng.integers(2))
+                    assist[j] = rng.integers(2)
             else:  # ASSIST, CZ2
-                d.r_payload = int(rng.integers(2))
-            self.draws.append(d)
+                payload[j] = rng.integers(2)
+        self.gamma_index, self.r_payload, self.r_assist, self.r_angle = draws
+
+
+def _unit_rows(kets: np.ndarray) -> np.ndarray:
+    """Each row scaled to unit norm as ``PureState`` scales one vector:
+    ``np.linalg.norm`` of a complex vector adds the dot product of its real
+    parts to that of its imaginary parts, so a row keeps its last bits (a
+    batched ``norm(axis=-1)`` sums in another order and loses them)."""
+    re, im = kets.real[:, None], kets.imag[:, None]
+    return kets / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
 
 
 class Client:
-    """Drives one delegation; produces outgoing messages and digests outcomes."""
+    """Drives a batch of B delegations of one secret circuit, one per row:
+    produces their outgoing messages and digests their outcomes.
+
+    The effective outcomes and the payload-flip bits are (steps, B) int8
+    arrays, laid out like the outcome bits of ``register.walk_steps``.  The
+    secret's draws hold B rows, or one row that every row shares."""
 
     def __init__(self, secret: ClientSecret):
         self.secret = secret
-        n_steps = len(secret.pattern.steps)
-        self.eff_outcomes = [0] * n_steps
-        self.payload_bits = [0] * n_steps
+        shape = (len(secret.pattern.steps), len(secret.r_payload))
+        self.eff_outcomes = np.zeros(shape, dtype=np.int8)
+        self.payload_bits = np.zeros(shape, dtype=np.int8)
         self.transcript = ProtocolTranscript()
+
+    def _rows(self, values: np.ndarray) -> np.ndarray:
+        b = self.eff_outcomes.shape[1]
+        return values if len(values) == b else np.broadcast_to(values, (b,) + values.shape[1:])
+
+    def take(self, rows) -> None:
+        """Keep the given rows of the outcome and payload bits (a row may
+        repeat); the secret's draws must be the one shared row."""
+        self.eff_outcomes = self.eff_outcomes[:, rows]
+        self.payload_bits = self.payload_bits[:, rows]
 
     # -- message producers ----------------------------------------------------
 
-    def prepare_ancilla(self, slot_idx: int, role: str) -> Message:
-        """Step-1 style quantum message for the given round of a slot."""
-        slot = self.secret.pattern.slots[slot_idx]
-        d = self.secret.draws[slot_idx]
+    def prepare_ancilla(self, slot_idx: int, role: str) -> np.ndarray:
+        """(B, 2) kets of the ancilla sent in the given round of a slot."""
+        slot, sec = self.secret.pattern.slots[slot_idx], self.secret
+        coin = sec.r_payload[:, slot_idx]
         if role == "gamma":
-            gamma = grid_angle(d.gamma_index, self.secret.grid_n) + d.r_payload * math.pi
-            ket = param_state("+", gamma, 0.0)
+            theta, phi = grid_angle(sec.gamma_index[:, slot_idx], sec.grid_n) + coin * math.pi, 0.0
         elif role == "assist":
-            bit = d.r_assist if "gamma" in slot.roles else d.r_payload
-            ket = param_state("+", bit * math.pi, 0.0)
+            if "gamma" in slot.roles:
+                coin = sec.r_assist[:, slot_idx]
+            theta, phi = coin * math.pi, 0.0
         elif role == "couple":
-            anc = CZ_SLOT_ANCILLA
-            ket = param_state("+", anc.gamma + d.r_payload * math.pi, anc.delta)
-            self.payload_bits[slot.roles["couple"]] = d.r_payload
+            theta, phi = CZ_SLOT_ANCILLA.gamma + coin * math.pi, CZ_SLOT_ANCILLA.delta
+            self.payload_bits[slot.roles["couple"]] = coin
         else:
             raise ValueError(f"no ancilla round for role {role!r}")
-        return Message("ANCILLA", slot_idx, payload=tuple(ket.amplitudes))
+        return self._rows(_unit_rows(param_kets("+", theta, phi)))
 
-    def angle_message(self, slot_idx: int) -> Message:
-        """Step-3 style basis angle, folding the secret and its hiding."""
-        slot = self.secret.pattern.slots[slot_idx]
-        d = self.secret.draws[slot_idx]
-        gamma_eff = grid_angle(d.gamma_index, self.secret.grid_n) + d.r_payload * math.pi
-        folded = AdaptiveAngle(
-            (
-                (slot.theta_sign * slot.theta_prime, slot.theta_negate),
-                (-gamma_eff, slot.gamma_negate),
-            )
-        )
-        theta = folded.resolve(self.eff_outcomes, self.payload_bits) + d.r_angle * math.pi
-        k = grid_index(theta, self.secret.grid_n)
-        self.transcript.client_log.append(
-            {
-                "slot": slot_idx,
-                "kind": slot.kind,
-                "theta_prime": slot.theta_prime,
-                "gamma_index": d.gamma_index,
-                "r_payload": d.r_payload,
-                "r_angle": d.r_angle,
-                "theta_sign": slot.theta_sign,
-            }
-        )
-        return Message("ANGLE", slot_idx, theta_grid=k)
+    def angle_message(self, slot_idx: int) -> np.ndarray:
+        """(B,) grid indices of the basis angle, folding the secret and its
+        hiding in exact integer arithmetic: with pi = N/2 grid steps,
+        k = s1*sign*k_theta' - s2*(k_gamma + r_payload*N/2) + r_angle*N/2
+        (mod N), where s1 and s2 are the signs of the slot's two outcome
+        parities."""
+        slot, sec = self.secret.pattern.slots[slot_idx], self.secret
+        half = sec.grid_n // 2
+        k_theta = slot.theta_sign * sec.theta_index[slot_idx]
+        gamma = sec.gamma_index[:, slot_idx] + sec.r_payload[:, slot_idx] * half
+        k = (np.where(parity(slot.theta_negate, self.eff_outcomes, self.payload_bits), -k_theta, k_theta)
+             + np.where(parity(slot.gamma_negate, self.eff_outcomes, self.payload_bits), gamma, -gamma)
+             + sec.r_angle[:, slot_idx] * half) % sec.grid_n
+        # the slot's draws: one value when every row shares one draw
+        draw = {name: getattr(sec, name)[:, slot_idx].tolist() for name in ("gamma_index", "r_payload", "r_angle")}
+        self.transcript.client_log.append({
+            "slot": slot_idx, "kind": slot.kind, "theta_prime": slot.theta_prime,
+            "theta_sign": slot.theta_sign, **{name: v[0] if len(v) == 1 else v for name, v in draw.items()},
+        })
+        return self._rows(k)
 
     # -- outcome digestion ------------------------------------------------------
 
-    def record(self, slot_idx: int, role: str, outcome: int):
-        slot = self.secret.pattern.slots[slot_idx]
-        d = self.secret.draws[slot_idx]
-        step = slot.roles[role]
-        eff = outcome
-        if role == "assist" and "gamma" in slot.roles:
-            eff ^= d.r_assist
-        elif role == "assist":
-            eff ^= d.r_payload  # standalone assistant slot
+    def record(self, slot_idx: int, role: str, outcomes):
+        """Digest the (B,) outcome bits of a round: undo its coin."""
+        slot, sec = self.secret.pattern.slots[slot_idx], self.secret
+        coin = 0
+        if role == "assist":  # a J slot's assistant, or a standalone assistant slot
+            coin = (sec.r_assist if "gamma" in slot.roles else sec.r_payload)[:, slot_idx]
         elif role == "theta":
-            eff ^= d.r_angle
-        self.eff_outcomes[step] = eff
+            coin = sec.r_angle[:, slot_idx]
+        self.eff_outcomes[slot.roles[role]] = outcomes ^ coin
 
 
 def slot_rounds(slot) -> tuple[tuple[str, str], ...]:
@@ -415,32 +421,34 @@ def run_delegation(
         raw, worst = _enumerated_dialogue(client, start.amplitudes)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    branch = [(client.eff_outcomes, client.payload_bits)]
-    final = PureState(n, _corrected(raw[None], pattern.corrections, branch)[0])
+    final = PureState(n, _corrected(raw[None], pattern.corrections, client)[0])
     fid = final.fidelity(reference)
     return DelegationResult(
         final, reference, fid, client.transcript, None if worst is None else min(worst, fid)
     )
 
 
-def _corrected(states: np.ndarray, corrections, branches) -> np.ndarray:
-    """Apply to each row the byproduct frame of its branch, given as the
-    client's (outcome bits, payload bits) lists."""
-    eff = np.array([b[0] for b in branches], dtype=np.int8).T
-    pay = np.array([b[1] for b in branches], dtype=np.int8).T
-    return apply_pauli_frame(states, *frame_bits(corrections, eff, pay))
+def _corrected(states: np.ndarray, corrections, client: Client) -> np.ndarray:
+    """Apply to each row the byproduct frame of the client's row."""
+    return apply_pauli_frame(states, *frame_bits(corrections, client.eff_outcomes, client.payload_bits))
 
 
-def _client_message(client: Client, slot_idx: int, role: str, kind: str) -> Message:
-    if kind == "ANCILLA":
-        return client.prepare_ancilla(slot_idx, role)
-    return client.angle_message(slot_idx)
+def _round_messages(client: Client, slot_idx: int, role: str, kind: str):
+    """The client's messages of one round: the distinct messages over its
+    rows, and each row's index into them."""
+    values = client.prepare_ancilla(slot_idx, role) if kind == "ANCILLA" else client.angle_message(slot_idx)
+    if (values == values[0]).all():  # every ancilla round of a one-row draw: no sort
+        distinct, which = values[:1], np.zeros(len(values), dtype=int)
+    else:  # a ket compares as one row; indices sort as plain integers, much faster than rows
+        distinct, which = np.unique(values, return_inverse=True, axis=0 if values.ndim > 1 else None)
+    fields = [{"payload": tuple(v)} if kind == "ANCILLA" else {"theta_grid": int(v)} for v in distinct]
+    return [Message(kind, slot_idx, **f) for f in fields], which.reshape(-1)
 
 
 def _dialogue(client: Client, server: Server):
     for slot_idx, slot in enumerate(client.secret.pattern.slots):
         for role, kind in slot_rounds(slot):
-            msg = _client_message(client, slot_idx, role, kind)
+            (msg,), _ = _round_messages(client, slot_idx, role, kind)
             client.transcript.messages.append(msg)
             out = server.handle(msg)
             client.transcript.messages.append(out)
@@ -448,49 +456,33 @@ def _dialogue(client: Client, server: Server):
 
 
 def _enumerated_dialogue(client: Client, state: np.ndarray):
-    """Expand every outcome combination of each slot with the real client's
-    messages (copying only its outcome and payload lists per combination) and
-    carry the first one forward into the transcript.  Returns the carried raw
-    register state and the worst fidelity between a combination and the first
-    after the slot-boundary frame."""
+    """Expand every outcome combination of each slot, one client row per
+    combination, and carry the first one (row 0) forward into the transcript.
+    Returns the carried raw register state and the worst fidelity between a
+    combination and the first after the slot-boundary frame."""
     pattern = client.secret.pattern
     shape = pattern_shape(pattern)
     n, grid_n = pattern.num_qubits, client.secret.grid_n
-    log = client.transcript.client_log
     worst = 1.0
     for slot_idx, slot in enumerate(pattern.slots):
         states, probs = state[None], np.ones(1)
-        # per combination: the client's outcome and payload lists, messages so far
-        branches = [(client.eff_outcomes, client.payload_bits, [])]
         for role, kind in slot_rounds(slot):
-            n_log = len(log)
-            msgs = []
-            for eff, pay, _ in branches:
-                client.eff_outcomes, client.payload_bits = eff, pay
-                msgs.append(_client_message(client, slot_idx, role, kind))
-            del log[n_log + 1:]  # an angle round's log entry is the same on every branch
-            groups: dict[Message, int] = {}
-            which = np.array([groups.setdefault(m, len(groups)) for m in msgs])
+            msgs, which = _round_messages(client, slot_idx, role, kind)
             step_shape = shape[slot.roles[role]]
-            pairs = [_message_operators(m, step_shape, grid_n, n) for m in groups]
+            pairs = [_message_operators(m, step_shape, grid_n, n) for m in msgs]
             states, parent, outs, p = branch_step(states, pairs, which)
             probs = probs[parent] * p
-            children = []
-            for b, s in zip(parent.tolist(), outs.tolist()):
-                eff, pay, sent = branches[b]
-                client.eff_outcomes, client.payload_bits = list(eff), list(pay)
-                client.record(slot_idx, role, s)
-                reply = Message("OUTCOME", slot_idx, bit=s)
-                children.append((client.eff_outcomes, client.payload_bits, sent + [msgs[b], reply]))
-            branches = children
+            client.take(parent)
+            client.record(slot_idx, role, outs)
+            # children are ordered by (parent, outcome), so row 0 descends from row 0
+            client.transcript.messages += [msgs[which[0]], Message("OUTCOME", slot_idx, bit=int(outs[0]))]
         total = probs.sum()
         if abs(total - 1.0) > 1e-9:
             raise RuntimeError(f"slot {slot_idx} branch probabilities sum to {total}")
-        corrected = _corrected(states, pattern.slot_boundaries[slot_idx], branches)
+        corrected = _corrected(states, pattern.slot_boundaries[slot_idx], client)
         fids = np.abs(corrected[1:] @ corrected[0].conj()) ** 2
         worst = min(worst, float(np.min(fids, initial=1.0)))
-        client.eff_outcomes, client.payload_bits, sent = branches[0]
-        client.transcript.messages.extend(sent)
+        client.take([0])
         state = states[0]
     return state, worst
 
@@ -534,48 +526,51 @@ def audit_blindness(
     secrets = (grid_angle(1, grid_n) if theta_prime is None else theta_prime,
                grid_angle(3, grid_n) if theta_prime_alt is None else theta_prime_alt)
     start = init_register(1, PureState(1, AUDIT_INPUT))
-    payloads, posts = [], []  # coin-averaged density matrices
-    counts = np.zeros((2, 2, grid_n), dtype=int)  # per secret and incoming frame parity
-    for which, tp in enumerate(secrets):
+    # one client row per (hidden index, payload coin, hidden-round outcome,
+    # angle coin, incoming frame parity), in that C order
+    gi, r_payload, s, r_angle, frame = (
+        a.ravel() for a in np.meshgrid(np.arange(grid_n), *[(0, 1)] * 4, indexing="ij")
+    )
+    kets, counts, posts = [], [], []
+    for tp in secrets:
         secret = ClientSecret(CircuitDescription(1, (CircuitGate("Rx", (0,), tp),)), "two", grid_n, 0)
         slot_idx = [sl.kind for sl in secret.pattern.slots].index("RX")
         slot = secret.pattern.slots[slot_idx]
+        draws = np.zeros((4, len(gi), len(secret.pattern.slots)), dtype=np.int64)  # only the RX slot's are read
+        draws[[0, 1, 3], :, slot_idx] = gi, r_payload, r_angle
+        secret.gamma_index, secret.r_payload, secret.r_assist, secret.r_angle = draws
+        client = Client(secret)
+        # the rows of outcome, angle coin and frame parity 0: (hidden index, coin)
+        payload = client.prepare_ancilla(slot_idx, "gamma")[::8].reshape(grid_n, 2, 2)
+        # one earlier outcome sets the frame parity the angle reads
+        client.eff_outcomes[min(slot.theta_negate)] = frame
+        client.record(slot_idx, "gamma", s)
+        angles = client.angle_message(slot_idx)
+        counts.append(np.bincount(frame * grid_n + angles, minlength=2 * grid_n).reshape(2, grid_n))
+        # (c): the server's step on every payload, at either outcome
         shape = pattern_shape(secret.pattern)[slot.roles["gamma"]]
-        for gi in range(grid_n):
-            payload, post = np.zeros((2, 2), dtype=complex), np.zeros((2, 2, 2), dtype=complex)
-            for r in (0, 1):
-                secret.draws[slot_idx] = SlotDraw(gi, r)
-                msg = Client(secret).prepare_ancilla(slot_idx, "gamma")
-                ket = np.array(msg.payload)
-                payload += np.outer(ket, ket.conj()) / 2
-                for s in (0, 1):
-                    v = server_step(start, msg, shape, grid_n, outcome=s)[0].register.amplitudes
-                    post[s] += np.outer(v, v.conj()) / 2
-                    for r_angle, parity in itertools.product((0, 1), (0, 1)):
-                        secret.draws[slot_idx] = SlotDraw(gi, r, 0, r_angle)
-                        client = Client(secret)
-                        # one earlier outcome sets the frame parity the angle reads
-                        client.eff_outcomes[min(slot.theta_negate)] = parity
-                        client.record(slot_idx, "gamma", s)
-                        counts[which, parity, client.angle_message(slot_idx).theta_grid] += 1
-            payloads.append(payload)
-            posts.extend(post)
+        msgs = [Message("ANCILLA", slot_idx, payload=tuple(k)) for k in payload.reshape(-1, 2)]
+        after = [server_step(start, m, shape, grid_n, outcome=s)[0].register.amplitudes for m in msgs for s in (0, 1)]
+        kets.append(payload)
+        posts.append(np.reshape(after, (grid_n, 2, 2, 2)))  # (hidden index, coin, outcome, amplitude)
 
-    eye_half = DensityMatrix(1, I2 / 2)
-    worst_td = 0.0
-    for avg in payloads:
-        rho = DensityMatrix(1, (avg + avg.conj().T) / 2 / np.trace(avg).real)
-        worst_td = max(worst_td, trace_distance(rho, eye_half))
+    def coin_average(v):  # density matrices averaged over the coin axis 1
+        return (v[..., :, None] * v.conj()[..., None, :] / 2).sum(axis=1)
 
+    avg = coin_average(np.concatenate(kets))
+    rho = (avg + avg.conj().swapaxes(1, 2)) / 2 / np.trace(avg, axis1=1, axis2=2).real[:, None, None]
+    worst_td = float((0.5 * np.abs(np.linalg.eigvalsh(rho - I2 / 2)).sum(axis=1)).max())
+
+    counts = np.stack(counts)  # per secret and incoming frame parity
     dist = counts / counts.sum(axis=2, keepdims=True)
     nonuni = float(np.abs(dist - 1.0 / grid_n).max())
     tvd = float(0.5 * np.abs(dist[0] - dist[1]).sum(axis=1).max())
 
     # the register in the |+/-> basis keeps the input's |+/-> populations
     expected = np.diag(np.abs(H @ AUDIT_INPUT) ** 2)
-    rhos = [H @ avg @ H for avg in posts]
-    diag_err = max(float(np.abs(rho - expected).max()) for rho in rhos)
-    spread = max(float(np.abs(rho - rhos[0]).max()) for rho in rhos)
+    rhos = H @ coin_average(np.concatenate(posts)).reshape(-1, 2, 2) @ H
+    diag_err = float(np.abs(rhos - expected).max())
+    spread = float(np.abs(rhos - rhos[0]).max())
 
     passed = worst_td <= 1e-12 and nonuni == 0.0 and tvd == 0.0 and diag_err <= 1e-10
     return AuditReport(grid_n, worst_td, nonuni, tvd, diag_err, spread, passed)

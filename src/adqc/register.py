@@ -24,14 +24,15 @@ KRAUS_CACHE_SIZE = 1024
 def parity(bits, outcomes, payload_bits=None):
     """XOR of the referenced bits: index i < PAYLOAD_BIT is ``outcomes[i]``,
     index i + PAYLOAD_BIT is ``payload_bits[i]`` (zero when it is None).
-    Entries may be ints or bit arrays, giving the parity per element."""
+    Entries may be ints or bit arrays (parity per element); the low bit is
+    taken once, at the end, halving the calls on arrays."""
     p = 0
     for i in bits:
         if i < PAYLOAD_BIT:
-            p = p ^ (outcomes[i] & 1)
+            p = p ^ outcomes[i]
         elif payload_bits is not None:
-            p = p ^ (payload_bits[i - PAYLOAD_BIT] & 1)
-    return p
+            p = p ^ payload_bits[i - PAYLOAD_BIT]
+    return p & 1
 
 
 @dataclass(frozen=True)

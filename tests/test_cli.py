@@ -1,5 +1,6 @@
 """CLI contract: JSON reports, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 
@@ -127,6 +128,22 @@ class TestDelegate:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == f"grid size must be at most {MAX_GRID}, got 1000000000"
+
+    def test_enumerate_fails_on_its_worst_branch(self, capsys, circuit_file, monkeypatch):
+        """A carried branch of fidelity one does not pass an enumerated run
+        whose worst branch misses the target."""
+        from adqc import cli
+
+        real = cli.run_delegation
+
+        def one_bad_branch(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), worst_branch_fidelity=0.25)
+
+        monkeypatch.setattr(cli, "run_delegation", one_bad_branch)
+        code, out, _ = run_cli(capsys, "delegate", "--circuit", circuit_file, "--seed", "1", "--mode", "enumerate")
+        report = json.loads(out)
+        assert code == 1 and report["pass"] is False
+        assert report["fidelity"] >= 1 - 1e-9 and report["worst_branch_fidelity"] == 0.25
 
     def test_transcript_written(self, capsys, circuit_file, tmp_path):
         log = tmp_path / "t.jsonl"

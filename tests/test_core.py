@@ -66,6 +66,17 @@ class TestParamState:
             assert abs(np.vdot(a, b)) < 1e-14
 
 
+class TestAngleReduction:
+    def test_tiny_negative_angles_reduce_below_two_pi(self):
+        """Float ``%`` rounds -1e-20 % 2 pi up to exactly 2 pi; the reduced
+        angles lie in [0, 2 pi)."""
+        assert AncillaSpec(-1e-20).gamma == 0.0
+        assert AncillaSpec(0.3, -1e-20).delta == 0.0
+        assert MeasBasis(-1e-17).theta == 0.0
+        assert MeasBasis(0.3, -1e-17).phi == 0.0
+        assert AncillaSpec(-1e-3).gamma == pytest.approx(2 * math.pi - 1e-3)
+
+
 class TestRotation:
     def test_identity(self):
         np.testing.assert_allclose(rotation("x", 0), I2, atol=1e-15)

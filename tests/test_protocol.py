@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from adqc.core import AncillaSpec
 from adqc.linalg import I2, PureState, trace_distance, DensityMatrix
 from adqc.patterns import CircuitDescription, CircuitGate
 from adqc.protocol import (
@@ -15,11 +16,9 @@ from adqc.protocol import (
     Message,
     ProtocolOrderError,
     Server,
-    SlotDraw,
     MAX_GRID,
     audit_blindness,
     grid_angle,
-    grid_angles,
     grid_index,
     pattern_shape,
     run_delegation,
@@ -34,7 +33,18 @@ def _secret(gates, n=1, variant="two", grid=8, seed=11):
 
 
 def _force_draw(secret, slot, **kw):
-    secret.draws[slot] = SlotDraw(**{**vars(secret.draws[slot]), **kw})
+    for name, value in kw.items():
+        getattr(secret, name)[:, slot] = value
+
+
+def _zero_draws(secret, rows):
+    """Replace the secret's draws by ``rows`` rows of zeros."""
+    draws = np.zeros((4, rows, len(secret.pattern.slots)), dtype=int)
+    secret.gamma_index, secret.r_payload, secret.r_assist, secret.r_angle = draws
+
+
+def _ancilla_message(client, slot, role):
+    return Message("ANCILLA", slot, payload=tuple(client.prepare_ancilla(slot, role)[0]))
 
 
 class TestClientMessages:
@@ -42,15 +52,40 @@ class TestClientMessages:
         sec = _secret([CircuitGate("Rx", (0,), PI / 4)])
         slot = next(i for i, s in enumerate(sec.pattern.slots) if s.kind == "RX")
         _force_draw(sec, slot, gamma_index=2, r_payload=0)  # gamma = pi/2
-        cl = Client(sec)
-        msg = cl.prepare_ancilla(slot, "gamma")
-        np.testing.assert_allclose(msg.payload, [1 / math.sqrt(2)] * 2, atol=1e-12)
+        kets = Client(sec).prepare_ancilla(slot, "gamma")
+        assert kets.shape == (1, 2)
+        np.testing.assert_allclose(kets[0], [1 / math.sqrt(2)] * 2, atol=1e-12)
 
         _force_draw(sec, slot, gamma_index=2, r_payload=1)  # gamma = 3 pi/2
-        cl = Client(sec)
-        msg = cl.prepare_ancilla(slot, "gamma")
+        kets = Client(sec).prepare_ancilla(slot, "gamma")
         expect = [math.cos(3 * PI / 4), math.sin(3 * PI / 4)]
-        np.testing.assert_allclose(msg.payload, expect, atol=1e-12)
+        np.testing.assert_allclose(kets[0], expect, atol=1e-12)
+
+    def test_kets_equal_the_scalar_states_bit_for_bit(self):
+        """A batch of ancilla kets equals, row by row, the PureState of each
+        draw's angle: the transcript pins rest on the last bits."""
+        from adqc.core import param_state
+        from adqc.patterns import CZ_SLOT_ANCILLA
+
+        for grid_n in (8, 256, 1024):
+            sec = _secret([CircuitGate("Rx", (0,), PI / 4)], grid=grid_n)
+            slot = next(i for i, s in enumerate(sec.pattern.slots) if s.kind == "RX")
+            gi, r = (a.ravel() for a in np.meshgrid(np.arange(grid_n), (0, 1), indexing="ij"))
+            _zero_draws(sec, len(gi))
+            _force_draw(sec, slot, gamma_index=gi, r_payload=r)
+            kets = Client(sec).prepare_ancilla(slot, "gamma")
+            for k, g, c in zip(kets, gi.tolist(), r.tolist()):
+                assert k.tobytes() == param_state("+", grid_angle(g, grid_n) + c * PI, 0.0).amplitudes.tobytes()
+        # the assistant and CZ-coupling rounds, at either coin
+        sec = _secret([CircuitGate("H", (0,)), CircuitGate("CZ", (0, 1))], n=2, variant="single")
+        _zero_draws(sec, 2)
+        for slot_idx, slot in enumerate(sec.pattern.slots):
+            _force_draw(sec, slot_idx, r_payload=[0, 1], r_assist=[0, 1])
+            for role in set(slot.roles) & {"assist", "couple"}:
+                kets = Client(sec).prepare_ancilla(slot_idx, role)
+                anc = CZ_SLOT_ANCILLA if role == "couple" else AncillaSpec(0.0, 0.0)
+                for c in (0, 1):
+                    assert kets[c].tobytes() == param_state("+", anc.gamma + c * PI, anc.delta).amplitudes.tobytes()
 
     def test_coin_average_is_maximally_mixed(self):
         sec = _secret([CircuitGate("Rx", (0,), PI / 4)])
@@ -59,7 +94,7 @@ class TestClientMessages:
             avg = np.zeros((2, 2), dtype=complex)
             for r in (0, 1):
                 _force_draw(sec, slot, gamma_index=gi, r_payload=r)
-                v = np.array(Client(sec).prepare_ancilla(slot, "gamma").payload)
+                v = Client(sec).prepare_ancilla(slot, "gamma")[0]
                 avg += 0.5 * np.outer(v, v.conj())
             rho = DensityMatrix(1, (avg + avg.conj().T) / 2)
             assert trace_distance(rho, DensityMatrix(1, I2 / 2)) < 1e-12
@@ -73,8 +108,8 @@ class TestClientMessages:
         _force_draw(sec, slot, gamma_index=2, r_payload=0, r_angle=0)
         cl = Client(sec)
         cl.record(slot, "gamma", 0)
-        msg = cl.angle_message(slot)
-        assert grid_angles(8)[msg.theta_grid] == pytest.approx(7 * PI / 4)
+        (k,) = cl.angle_message(slot)
+        assert grid_angle(k, 8) == pytest.approx(7 * PI / 4)
 
     def test_angle_half_turn_only(self):
         sec = _secret([CircuitGate("Rx", (0,), 0.0)])
@@ -82,8 +117,8 @@ class TestClientMessages:
         _force_draw(sec, slot, gamma_index=0, r_payload=0, r_angle=1)
         cl = Client(sec)
         cl.record(slot, "gamma", 0)
-        msg = cl.angle_message(slot)
-        assert grid_angles(8)[msg.theta_grid] == pytest.approx(PI)
+        (k,) = cl.angle_message(slot)
+        assert grid_angle(k, 8) == pytest.approx(PI)
 
     def test_postprocess(self):
         sec = _secret([CircuitGate("Rx", (0,), PI / 4)])
@@ -92,11 +127,11 @@ class TestClientMessages:
         _force_draw(sec, slot, r_angle=1)
         cl = Client(sec)
         cl.record(slot, "theta", 0)
-        assert cl.eff_outcomes[step] == 1
+        assert cl.eff_outcomes[step].tolist() == [1]
         _force_draw(sec, slot, r_angle=0)
         cl = Client(sec)
         cl.record(slot, "theta", 1)
-        assert cl.eff_outcomes[step] == 1
+        assert cl.eff_outcomes[step].tolist() == [1]
 
     def test_angle_uniform_over_hidden_draws(self):
         """For fixed secret angle, outcome and coins, the angle message is a
@@ -110,8 +145,48 @@ class TestClientMessages:
                     _force_draw(sec, slot, gamma_index=gi, r_payload=0, r_angle=r)
                     cl = Client(sec)
                     cl.record(slot, "gamma", s)
-                    seen.add(cl.angle_message(slot).theta_grid)
+                    seen.add(int(cl.angle_message(slot)[0]))
                 assert seen == set(range(8))
+
+
+class TestIntegerFold:
+    @staticmethod
+    def _float_fold(theta_prime, sign, p_theta, p_gamma, k_gamma, r_payload, r_angle, grid_n):
+        """The basis angle as the client folded it in floats before the
+        integer fold, read back with grid_index."""
+        gamma_eff = grid_angle(k_gamma, grid_n) + r_payload * PI
+        total = 0.0
+        total += sign * theta_prime * (1 - 2 * p_theta)
+        total += -gamma_eff * (1 - 2 * p_gamma)
+        return grid_index(total + r_angle * PI, grid_n)
+
+    def test_batched_index_equals_the_float_fold(self):
+        """For every even grid size N in 4..32 and every (k_theta', k_gamma,
+        r_payload, r_angle, theta parity, gamma parity, sign), the batched
+        angle_message index equals the float fold's."""
+        from dataclasses import replace
+
+        for grid_n in range(4, 33, 2):
+            rows = [a.ravel() for a in np.meshgrid(np.arange(grid_n), *[(0, 1)] * 4, indexing="ij")]
+            k_gamma, r_payload, r_angle, p_theta, p_gamma = rows
+            for k_theta in range(grid_n):
+                sec = _secret([CircuitGate("Rx", (0,), grid_angle(k_theta, grid_n))], grid=grid_n)
+                j = next(i for i, s in enumerate(sec.pattern.slots) if s.kind == "RX")
+                assert sec.theta_index[j] == k_theta
+                _zero_draws(sec, len(k_gamma))
+                _force_draw(sec, j, gamma_index=k_gamma, r_payload=r_payload, r_angle=r_angle)
+                pattern, slot = sec.pattern, sec.pattern.slots[j]
+                for sign in (1, -1):
+                    # outcome bits 0 and 1 drive the two parities
+                    spec = replace(slot, theta_sign=sign, theta_negate=frozenset({0}), gamma_negate=frozenset({1}))
+                    sec.pattern = replace(pattern, slots=pattern.slots[:j] + (spec,) + pattern.slots[j + 1:])
+                    client = Client(sec)
+                    client.eff_outcomes[0], client.eff_outcomes[1] = p_theta, p_gamma
+                    got = client.angle_message(j)
+                    want = [self._float_fold(slot.theta_prime, sign, *row, grid_n)
+                            for row in zip(p_theta.tolist(), p_gamma.tolist(), k_gamma.tolist(),
+                                           r_payload.tolist(), r_angle.tolist())]
+                    assert got.tolist() == want, (grid_n, k_theta, sign)
 
 
 class TestServer:
@@ -146,7 +221,7 @@ class TestMalformedServerInput:
         server = Server(shape, 1, "0", 8, seed=0)
         client = Client(sec)
         slot = shape[0].slot
-        server.handle(client.prepare_ancilla(slot, "gamma"))
+        server.handle(_ancilla_message(client, slot, "gamma"))
         assert shape[server.cursor].expects == "ANGLE"
         return server, shape[server.cursor].slot
 
@@ -221,7 +296,7 @@ class TestMalformedServerInput:
             if other == shape[0].slot:
                 continue
             server = Server(shape, 1, "0", 8, seed=0)
-            msg = Client(sec).prepare_ancilla(shape[0].slot, "gamma")
+            msg = _ancilla_message(Client(sec), shape[0].slot, "gamma")
             with pytest.raises(ProtocolOrderError):
                 server.handle(Message("ANCILLA", int(other), payload=msg.payload))
             assert server.cursor == 0
@@ -431,12 +506,16 @@ class TestAudit:
         real = getattr(Client, method)
 
         def patched(self, slot_idx, *args):
-            saved = self.secret.draws[slot_idx]
-            self.secret.draws[slot_idx] = SlotDraw(**{**vars(saved), **fields})
+            saved = {name: getattr(self.secret, name) for name in fields}
+            for name, value in fields.items():
+                draws = saved[name].copy()
+                draws[:, slot_idx] = value
+                setattr(self.secret, name, draws)
             try:
                 return real(self, slot_idx, *args)
             finally:
-                self.secret.draws[slot_idx] = saved
+                for name, draws in saved.items():
+                    setattr(self.secret, name, draws)
 
         monkeypatch.setattr(Client, method, patched)
 
@@ -471,24 +550,15 @@ class TestGridIndex:
             with pytest.raises(ValueError):
                 grid_index(theta, 8)
 
-    def test_grid_angle_is_the_grid_entry(self):
-        for grid_n in (4, 8, 12, 1000):
-            assert [grid_angle(k, grid_n) for k in range(grid_n)] == list(grid_angles(grid_n))
-
-    def test_delegation_at_the_largest_grid_builds_no_grid(self, monkeypatch):
+    def test_delegation_at_the_largest_grid_builds_no_grid(self):
         """Client and server compute each grid angle directly, so a delegation
-        at MAX_GRID never builds the grid; one step above it is refused."""
-        import adqc.protocol as protocol
-
-        calls = []
-        monkeypatch.setattr(protocol, "grid_angles", lambda n: calls.append(n) or grid_angles(n))
+        at MAX_GRID runs exactly; one step above it is refused."""
         quarter = 2 * PI * (MAX_GRID // 4) / MAX_GRID
         gates = (CircuitGate("H", (0,)), CircuitGate("Rz", (0,), quarter),
                  CircuitGate("Rx", (0,), 3 * quarter))
         for variant in ("single", "two"):
             res = run_delegation(_secret(gates, variant=variant, grid=MAX_GRID), seed=4, mode="enumerate")
             assert res.worst_branch_fidelity >= 1 - 1e-9
-        assert calls == []
         with pytest.raises(ValueError, match=f"at most {MAX_GRID}"):
             _secret(gates, grid=MAX_GRID + 2)
 
@@ -515,7 +585,7 @@ class TestJointDistribution:
                                 )
                                 cl = Client(sec)
                                 cl.record(slot, "gamma", s1)
-                                k = cl.angle_message(slot).theta_grid
+                                k = int(cl.angle_message(slot)[0])
                                 # both rounds have exactly balanced branches
                                 dist[(k, s1, s2)] += 1.0 / (8 * 2 * 2 * 2 * 2)
             return dist

@@ -23,7 +23,7 @@ from adqc.register import (
     step_branch_operators,
 )
 from adqc.patterns import CircuitDescription, CircuitGate, compile_circuit, standard_pattern, verify_pattern
-from adqc.protocol import Message, _message_operators, grid_angles, pattern_shape, server_step
+from adqc.protocol import Message, _message_operators, grid_angle, pattern_shape, server_step
 
 PI = math.pi
 
@@ -257,7 +257,7 @@ class TestKrausCache:
         if msg.kind == "ANCILLA":
             payload, theta = np.array(msg.payload, dtype=complex), 0.0
         else:
-            payload, theta = np.array([1.0, 0.0], dtype=complex), grid_angles(grid_n)[msg.theta_grid]
+            payload, theta = np.array([1.0, 0.0], dtype=complex), grid_angle(msg.theta_grid, grid_n)
         step = AdqcStep(shape.targets, shape.entangler_labels, AncillaSpec(0.0),
                         AdaptiveAngle.constant(theta), shape.basis_phi)
         return _uncached_branch_operators(step, theta, n, payload)
