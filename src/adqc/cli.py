@@ -11,26 +11,13 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
-from . import conditions
-from .conditions import (
-    AncillaSpec,
-    MeasBasis,
-    ParamPoint,
-    TableCase,
-    TableVerificationError,
-    classify_parameters,
-)
-from .patterns import (
-    CircuitDescription,
-    CircuitGate,
-    compile_circuit,
-    standard_pattern,
-    verify_pattern,
-)
-from .protocol import ClientSecret, audit_blindness, run_delegation
+# The subcommand modules (conditions, patterns, protocol) are imported by the
+# first subcommand that needs them, so ``import adqc.cli`` stays cheap; each
+# subcommand calls them through module attributes.
 
 SCHEMA_VERSION = 1
 
@@ -68,13 +55,15 @@ def _require_count(value: int, flag: str, least: int) -> None:
 
 
 def cmd_verify_tables(args) -> tuple[dict, bool]:
+    from . import conditions
+
     _require_count(args.negatives, "--negatives", 0)
     rows = {}
     ok = True
     for name, (g, d, t, f) in _TABLE_POINTS.items():
-        point = ParamPoint(math.pi / 4, AncillaSpec(g, d), MeasBasis(t, f))
+        point = conditions.ParamPoint(math.pi / 4, conditions.AncillaSpec(g, d), conditions.MeasBasis(t, f))
         try:
-            got = classify_parameters(point, args.tol)
+            got = conditions.classify_parameters(point, args.tol)
             passed = got.value == name
         except Exception as exc:  # verification mismatch is a failure, not a crash
             got, passed = None, False
@@ -89,10 +78,10 @@ def cmd_verify_tables(args) -> tuple[dict, bool]:
     false_positives = 0
     for _ in range(args.negatives):
         g, d, t, f = rng.uniform(0.2, 2 * math.pi - 0.2, 4)
-        point = ParamPoint(math.pi / 4, AncillaSpec(g, d), MeasBasis(t, f))
+        point = conditions.ParamPoint(math.pi / 4, conditions.AncillaSpec(g, d), conditions.MeasBasis(t, f))
         try:
-            false_positives += classify_parameters(point, args.tol) is not TableCase.NONE
-        except TableVerificationError:
+            false_positives += conditions.classify_parameters(point, args.tol) is not conditions.TableCase.NONE
+        except conditions.TableVerificationError:
             false_positives += 1
     ok = ok and false_positives == 0
     return {
@@ -103,29 +92,35 @@ def cmd_verify_tables(args) -> tuple[dict, bool]:
 
 
 def cmd_sweep(args) -> tuple[dict, bool]:
+    from . import conditions
+
     _require_count(args.points, "--points", 1)
     report = conditions.unitarity_relation_sweep(args.points, args.seed, args.tol)
     return report, report["agreement_rate"] == 1.0
 
 
-def _random_circuit(rng: np.random.Generator, grid_n: int) -> CircuitDescription:
+def _random_circuit(rng: np.random.Generator, grid_n: int):
+    from . import patterns
+
     n = int(rng.integers(1, 3))
     gates = []
     depth = int(rng.integers(1, 5))
     for _ in range(depth):
         kind = rng.choice(["H", "Rx", "Rz", "CZ"] if n == 2 else ["H", "Rx", "Rz"])
         if kind == "CZ":
-            gates.append(CircuitGate("CZ", (0, 1)))
+            gates.append(patterns.CircuitGate("CZ", (0, 1)))
         else:
             q = int(rng.integers(n))
             ang = float(rng.integers(grid_n)) * 2 * math.pi / grid_n
             gates.append(
-                CircuitGate(kind, (q,), ang if kind in ("Rx", "Rz") else None)
+                patterns.CircuitGate(kind, (q,), ang if kind in ("Rx", "Rz") else None)
             )
-    return CircuitDescription(n, tuple(gates))
+    return patterns.CircuitDescription(n, tuple(gates))
 
 
 def cmd_verify_patterns(args) -> tuple[dict, bool]:
+    from . import patterns
+
     _require_count(args.circuits, "--circuits", 0)
     results = {}
     ok = True
@@ -138,8 +133,8 @@ def cmd_verify_patterns(args) -> tuple[dict, bool]:
         ("CZ", None, "two"),
     ]
     for kind, theta, variant in named:
-        pat = standard_pattern(kind, theta, variant)
-        rep = verify_pattern(pat, args.tol)
+        pat = patterns.standard_pattern(kind, theta, variant)
+        rep = patterns.verify_pattern(pat, args.tol)
         key = f"{variant}:{kind}"
         results[key] = {
             "valid": rep.valid,
@@ -152,7 +147,7 @@ def cmd_verify_patterns(args) -> tuple[dict, bool]:
     for i in range(args.circuits):
         circ = _random_circuit(rng, 8)
         variant = "single" if i % 2 else "two"
-        rep = verify_pattern(compile_circuit(circ, variant), args.tol)
+        rep = patterns.verify_pattern(patterns.compile_circuit(circ, variant), args.tol)
         compiled.append(
             {"qubits": circ.num_qubits, "gates": len(circ.gates), "variant": variant, "valid": rep.valid}
         )
@@ -162,10 +157,12 @@ def cmd_verify_patterns(args) -> tuple[dict, bool]:
 
 
 def cmd_delegate(args) -> tuple[dict, bool]:
+    from . import patterns, protocol
+
     with open(args.circuit) as f:
-        circuit = CircuitDescription.from_json(f.read())
-    secret = ClientSecret(circuit, args.variant, args.grid, args.seed)
-    result = run_delegation(secret, seed=args.seed, mode=args.mode)
+        circuit = patterns.CircuitDescription.from_json(f.read())
+    secret = protocol.ClientSecret(circuit, args.variant, args.grid, args.seed)
+    result = protocol.run_delegation(secret, seed=args.seed, mode=args.mode)
     report = {
         "fidelity": result.fidelity,
         "qubits": circuit.num_qubits,
@@ -184,7 +181,9 @@ def cmd_delegate(args) -> tuple[dict, bool]:
 
 
 def cmd_audit(args) -> tuple[dict, bool]:
-    rep = audit_blindness(grid_n=args.grid)
+    from . import protocol
+
+    rep = protocol.audit_blindness(grid_n=args.grid)
     return {
         "ancilla_trace_distance": rep.ancilla_trace_distance,
         "angle_max_nonuniformity": rep.angle_max_nonuniformity,
@@ -217,7 +216,12 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_fail(message))
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one.  It stores no handler: ``main`` looks up ``cmd_<subcommand>`` when
+    it runs, so a handler wrapped or patched after the first call is the one
+    that runs."""
     parser = _Parser(
         prog="adqc",
         description="measurement-driven gate simulation: verification and blind delegation",
@@ -228,19 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tol, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--negatives", type=int, default=1000)
-    p.set_defaults(func=cmd_verify_tables, schema="verify-tables")
 
     p = sub.add_parser("sweep", help="unitarity and strength-relation sweep")
     p.add_argument("--points", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tol, default=1e-9)
-    p.set_defaults(func=cmd_sweep, schema="sweep")
 
     p = sub.add_parser("verify-patterns", help="validate standard and compiled patterns")
     p.add_argument("--tol", type=_tol, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--circuits", type=int, default=10)
-    p.set_defaults(func=cmd_verify_patterns, schema="verify-patterns")
 
     p = sub.add_parser("delegate", help="run a blind delegated circuit")
     p.add_argument("--circuit", required=True)
@@ -250,11 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["sample", "enumerate"], default="sample")
     p.add_argument("--transcript", help="write the message log to this JSONL file")
     p.add_argument("--view", choices=["full", "server"], default="full")
-    p.set_defaults(func=cmd_delegate, schema="delegate")
 
     p = sub.add_parser("audit", help="exhaustive blindness audit")
     p.add_argument("--grid", type=int, default=8)
-    p.set_defaults(func=cmd_audit, schema="audit")
 
     for sp in sub.choices.values():
         sp.add_argument("--out", help="also write the JSON report to this path")
@@ -262,17 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "schema") and v is not None
-    }
+    args = build_parser().parse_args(argv)
+    config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        body, ok = args.func(args)
+        body, ok = handler(args)
         report = {
-            "schema": {"name": args.schema, "version": SCHEMA_VERSION},
+            "schema": {"name": args.command, "version": SCHEMA_VERSION},
             "config": config,
             "pass": bool(ok),
             **body,

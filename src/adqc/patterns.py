@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from operator import xor
 
 import numpy as np
@@ -131,7 +131,15 @@ def _build_cz2(variant: str) -> Cz2Spec:
     return Cz2Spec(labels, target, frame_map, pre, post)
 
 
-CZ2_SPECS: dict[str, Cz2Spec] = {v: _build_cz2(v) for v in VARIANTS}
+@cache
+def cz2_spec(variant: str) -> Cz2Spec:
+    """The two-target slot data of ``variant``, built on first use; every
+    caller shares it, so its arrays are read-only."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    spec = _build_cz2(variant)
+    spec.slot_target.flags.writeable = spec.frame_map.flags.writeable = False
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +225,7 @@ class _PatternBuilder:
         self._one_qubit_slot("ASSIST", q, None)
 
     def add_cz(self, q1: int, q2: int):
-        spec = CZ2_SPECS[self.variant]
+        spec = cz2_spec(self.variant)
         for q, kind, ang in spec.pre_fixups:
             self.add_rotation(kind, (q1, q2)[q], ang)
         i = self._emit(
@@ -664,32 +672,39 @@ def _verify_slotwise(pattern: GatePattern, tol: float) -> VerifyReport:
     stage's first branch; sum_b K_b^dagger K_b = I for every history; and the
     ordered product of the stages' first branches is proportional to
     ``target``.
+
+    Batches run in order of their first stage, and after each batch the
+    stages are checked in order as far as results reach, so the check stops
+    at the first failing stage without running the batches after it.
     """
     stages, local_steps = _stages(pattern)
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}  # in order of each batch's first stage
     for i, st in enumerate(stages):
         groups.setdefault((len(st.qubits), len(st.steps)), []).append(i)
     results = {}
-    for members in groups.values():
-        results.update(zip(members, _run_stages([stages[i] for i in members], local_steps)))
     worst = 0.0
     product = np.eye(2**pattern.num_qubits, dtype=complex)
-    for i, st in enumerate(stages):
-        ops, bits, errs, incomplete = results[i]
-        h = int(np.argmax(incomplete))
-        if incomplete[h] > 1e-9:
-            history = {p: h >> j & 1 for j, p in enumerate(st.pivots)}
-            detail = (f"{st.label} are incomplete: sum of K^dagger K is {incomplete[h]:.3e} from I"
-                      f" after earlier outcomes {history}")
-            return VerifyReport(False, 1.0, (), "slotwise", detail)
-        b = int(np.argmax(errs))
-        worst = max(worst, float(errs[b]))
-        if errs[b] > tol:
-            history = {p: int(bits[p, b]) for p in st.pivots}
-            detail = (f"{st.label} disagree after correction: outcomes {bits[list(st.steps), b].tolist()}"
-                      f" after earlier outcomes {history}, error {errs[b]:.3e}")
-            return VerifyReport(False, float(errs[b]), (), "slotwise", detail)
-        product = apply_op(ops[0], product, st.qubits)
+    i = 0  # the first stage not yet checked
+    for members in groups.values():
+        results.update(zip(members, _run_stages([stages[k] for k in members], local_steps)))
+        while i in results:
+            st = stages[i]
+            ops, bits, errs, incomplete = results.pop(i)
+            h = int(np.argmax(incomplete))
+            if incomplete[h] > 1e-9:
+                history = {p: h >> j & 1 for j, p in enumerate(st.pivots)}
+                detail = (f"{st.label} are incomplete: sum of K^dagger K is {incomplete[h]:.3e} from I"
+                          f" after earlier outcomes {history}")
+                return VerifyReport(False, 1.0, (), "slotwise", detail)
+            b = int(np.argmax(errs))
+            worst = max(worst, float(errs[b]))
+            if errs[b] > tol:
+                history = {p: int(bits[p, b]) for p in st.pivots}
+                detail = (f"{st.label} disagree after correction: outcomes {bits[list(st.steps), b].tolist()}"
+                          f" after earlier outcomes {history}, error {errs[b]:.3e}")
+                return VerifyReport(False, float(errs[b]), (), "slotwise", detail)
+            product = apply_op(ops[0], product, st.qubits)
+            i += 1
     unit = [m.reshape(-1) / np.linalg.norm(m) for m in (product, pattern.target)]
     err = float(phase_invariant_error(*unit))
     worst = max(worst, err)

@@ -258,10 +258,12 @@ class Client:
              + np.where(parity(slot.gamma_negate, self.eff_outcomes, self.payload_bits), gamma, -gamma)
              + sec.r_angle[:, slot_idx] * half) % sec.grid_n
         # the slot's draws: one value when every row shares one draw
-        draw = {name: getattr(sec, name)[:, slot_idx].tolist() for name in ("gamma_index", "r_payload", "r_angle")}
+        shared = len(sec.r_payload) == 1
         self.transcript.client_log.append({
-            "slot": slot_idx, "kind": slot.kind, "theta_prime": slot.theta_prime,
-            "theta_sign": slot.theta_sign, **{name: v[0] if len(v) == 1 else v for name, v in draw.items()},
+            "slot": slot_idx, "kind": slot.kind, "theta_prime": slot.theta_prime, "theta_sign": slot.theta_sign,
+            **{name: draw.item(0, slot_idx) if shared else draw[:, slot_idx].tolist()
+               for name, draw in (("gamma_index", sec.gamma_index), ("r_payload", sec.r_payload),
+                                  ("r_angle", sec.r_angle))},
         })
         return self._rows(k)
 

@@ -217,9 +217,15 @@ def branch_step(states: np.ndarray, pairs, which: np.ndarray, outcome=None, rng=
     and conditional probabilities.
     """
     vecs = np.empty((len(states), 2) + states.shape[1:], dtype=complex)
-    for g, ops in enumerate(pairs):
-        sel = which == g
-        vecs[sel] = np.einsum("sij,bj...->bsi...", ops, states[sel])
+    if len(pairs) == 1:  # every sampled delegation round: the sort below costs ~10% of a delegate op
+        vecs[:] = np.einsum("sij,bj...->bsi...", pairs[0], np.ascontiguousarray(states))
+    else:
+        # one stable sort groups each pair's rows in row order, one slice per pair
+        order = np.argsort(which, kind="stable")
+        bounds = np.searchsorted(which[order], np.arange(len(pairs) + 1))
+        grouped = states[order]
+        for ops, lo, hi in zip(pairs, bounds, bounds[1:]):
+            vecs[order[lo:hi]] = np.einsum("sij,bj...->bsi...", ops, grouped[lo:hi])
     re_im = vecs.reshape(len(states), 2, -1).view(float)
     probs = np.einsum("bsi,bsi->bs", re_im, re_im)
     if outcome is None and rng is None:

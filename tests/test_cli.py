@@ -3,9 +3,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adqc
 from adqc.cli import main
 from adqc.patterns import CircuitDescription, CircuitGate
 from adqc.protocol import MAX_GRID
@@ -132,14 +137,14 @@ class TestDelegate:
     def test_enumerate_fails_on_its_worst_branch(self, capsys, circuit_file, monkeypatch):
         """A carried branch of fidelity one does not pass an enumerated run
         whose worst branch misses the target."""
-        from adqc import cli
+        from adqc import protocol
 
-        real = cli.run_delegation
+        real = protocol.run_delegation
 
         def one_bad_branch(*args, **kwargs):
             return dataclasses.replace(real(*args, **kwargs), worst_branch_fidelity=0.25)
 
-        monkeypatch.setattr(cli, "run_delegation", one_bad_branch)
+        monkeypatch.setattr(protocol, "run_delegation", one_bad_branch)
         code, out, _ = run_cli(capsys, "delegate", "--circuit", circuit_file, "--seed", "1", "--mode", "enumerate")
         report = json.loads(out)
         assert code == 1 and report["pass"] is False
@@ -258,3 +263,58 @@ class TestMalformedCircuit:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == message
+
+
+class TestFixedCosts:
+    """In process, ``main`` reuses one parser and looks its handler up by name
+    on every call; a fresh ``import adqc.cli`` loads no subcommand module."""
+
+    def test_one_parser_per_process(self):
+        from adqc import cli
+
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_calls_are_byte_identical_across_an_argument_error(self, capsys):
+        argv = ("sweep", "--points", "50", "--seed", "11")
+        first = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--points", "abc"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *argv) == first == run_cli(capsys, *argv)
+        assert first[0] == 0
+
+    def test_handler_patched_after_the_first_call_runs(self, capsys, monkeypatch):
+        from adqc import cli
+
+        run_cli(capsys, "sweep", "--points", "20")
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: ({"points": args.points}, False))
+        code, out, _ = run_cli(capsys, "sweep", "--points", "20")
+        report = json.loads(out)
+        assert code == 1 and report["pass"] is False and report["points"] == 20
+        assert report["schema"] == {"name": "sweep", "version": 1}
+
+    def test_library_function_patched_after_the_first_call_runs(self, capsys, circuit_file, monkeypatch):
+        from adqc import protocol
+
+        argv = ("delegate", "--circuit", circuit_file, "--seed", "3")
+        assert run_cli(capsys, *argv)[0] == 0
+        real = protocol.run_delegation
+        monkeypatch.setattr(protocol, "run_delegation",
+                            lambda *a, **k: dataclasses.replace(real(*a, **k), fidelity=0.5))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1 and json.loads(out)["fidelity"] == 0.5
+
+    def test_import_loads_no_subcommand_module(self):
+        probe = (
+            "import sys, adqc.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('adqc')))\n"
+            "import adqc.patterns\n"
+            "print(adqc.patterns.cz2_spec.cache_info().currsize)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(adqc.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                             check=True).stdout
+        loaded, built = out.splitlines()
+        assert loaded == str(["adqc", "adqc.cli"])
+        assert built == "0"  # importing patterns builds no CZ2 spec either

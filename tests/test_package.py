@@ -1,7 +1,10 @@
-"""Package layout: each shared helper has exactly one definition."""
+"""Package layout: each shared helper has exactly one definition, and every
+export of `adqc` resolves on first use to the object its submodule defines."""
 
 import importlib
 import pkgutil
+
+import pytest
 
 import adqc
 
@@ -18,3 +21,37 @@ def test_shared_public_names_are_one_object():
                 bound.setdefault(name, {}).setdefault(id(value), []).append(module.__name__)
     copies = {name: sorted(where.values()) for name, where in bound.items() if len(where) > 1}
     assert copies == {}
+
+
+# every name ``adqc`` exported when its __init__ imported each submodule
+EXPORTED = {
+    "core": ("AncillaSpec", "BranchReport", "CartanParams", "Entangler", "KrausPair", "LocalFrame",
+             "MeasBasis", "assemble_entangler", "branch_analysis", "kraus_pair", "param_state", "preset",
+             "preset_labels", "rotation", "weyl_interaction"),
+    "linalg": ("DensityMatrix", "PureState", "equal_up_to_global_phase", "partial_trace", "tensor"),
+    "conditions": ("ParamPoint", "TableCase", "classify_parameters", "constraint_residual",
+                   "fg_coefficients", "l_hiding_residual", "required_alpha_x", "vw_form_check"),
+    "register": ("AdaptiveAngle", "AdqcStep", "GatePattern", "RegisterState", "execute_step",
+                 "init_register", "run_pattern"),
+    "patterns": ("CircuitDescription", "CircuitGate", "compile_circuit", "standard_pattern",
+                 "universal_tile", "verify_pattern"),
+    "protocol": ("AuditReport", "Client", "ClientSecret", "Message", "ProtocolTranscript", "Server",
+                 "audit_blindness", "run_delegation"),
+}
+
+
+def test_every_export_resolves_to_its_home_object():
+    listed = dir(adqc)
+    for module, names in EXPORTED.items():
+        home = importlib.import_module(f"adqc.{module}")
+        for name in names:
+            assert getattr(adqc, name) is getattr(home, name), name
+            assert name in listed and name in adqc.__all__, name
+        assert getattr(adqc, module) is home
+    assert adqc.__version__ == "0.1.0"
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        adqc.no_such_name
+    assert not hasattr(adqc, "no_such_name")

@@ -1,5 +1,6 @@
 """Pattern builders, tiles, circuit compilation and enumeration-based checks."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,13 +10,14 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from adqc import patterns
 from adqc.core import AncillaSpec, rotation
 from adqc.linalg import CZ, H, PureState, equal_up_to_global_phase, phase_invariant_error, tensor
 from adqc.patterns import (
-    CZ2_SPECS,
     CircuitDescription,
     CircuitGate,
     compile_circuit,
+    cz2_spec,
     euler_zxz,
     standard_pattern,
     universal_tile,
@@ -243,6 +245,49 @@ class TestSlotwiseVerification:
                                 assert rep.detail.startswith(f"slot {k} branches disagree after correction")
         assert (mutants, rejected) == (444, 444)
 
+    @staticmethod
+    def _broken_boundaries(pat, slots):
+        """``pat`` with each listed slot's last outcome bit toggled into the
+        X frame of its first qubit at the slot's boundary."""
+        boundaries = list(pat.slot_boundaries)
+        for k in slots:
+            slot = pat.slots[k]
+            q, c = slot.qubits[0], boundaries[k][slot.qubits[0]]
+            frame = list(boundaries[k])
+            frame[q] = replace(c, x_parity=c.x_parity ^ {slot.step_indices[-1]})
+            boundaries[k] = tuple(frame)
+        return replace(pat, slot_boundaries=tuple(boundaries))
+
+    def test_first_failing_slot_named_across_batches(self):
+        """Slots 0-3 and 5-7 of the variant-two CZ are one-qubit slots in one
+        batch, which runs first; the CZ2 slot 4 runs in a later batch.  With
+        slots 4 and 6 both broken, the report names slot 4, exactly as when
+        only slot 4 is broken."""
+        pat = standard_pattern("CZ", None, "two")
+        assert [sl.kind for sl in pat.slots][4] == "CZ2"
+        both = verify_pattern(self._broken_boundaries(pat, (4, 6)))
+        assert not both.valid
+        assert both.detail.startswith("slot 4 branches disagree after correction"), both.detail
+        assert both == verify_pattern(self._broken_boundaries(pat, (4,)))
+        assert verify_pattern(self._broken_boundaries(pat, (6,))).detail.startswith("slot 6 branches")
+
+    def test_later_batches_skipped_after_a_failure(self, monkeypatch):
+        """A failure at slot 1 lies below the CZ2 batch, which never runs."""
+        batches = []
+        run = patterns._run_stages
+
+        def counted(stages, local_steps):
+            batches.append([st.label for st in stages])
+            return run(stages, local_steps)
+
+        monkeypatch.setattr(patterns, "_run_stages", counted)
+        pat = standard_pattern("CZ", None, "two")
+        assert verify_pattern(pat).valid and len(batches) == 2
+        batches.clear()
+        rep = verify_pattern(self._broken_boundaries(pat, (1,)))
+        assert rep.detail.startswith("slot 1 branches disagree after correction")
+        assert batches == [[f"slot {k} branches" for k in (0, 1, 2, 3, 5, 6, 7)]]
+
     def test_incomplete_kraus_pairs_named(self, monkeypatch):
         """Kraus pairs scaled by 0.9 in one slot keep every branch
         proportional to the right operator; only the completeness check sees
@@ -250,7 +295,7 @@ class TestSlotwiseVerification:
         import adqc.register as register
 
         pat = standard_pattern("CZ", None, "two")
-        labels = CZ2_SPECS["two"].labels
+        labels = cz2_spec("two").labels
         slot = [sl.kind for sl in pat.slots].index("CZ2")
         exact = register.step_branch_operators
 
@@ -413,7 +458,7 @@ class TestFrozenSlotData:
         """The two-target slot unitary factors as locals around an exact CZ."""
         from adqc.linalg import S_GATE, Z
 
-        u2 = CZ2_SPECS["two"].slot_target
+        u2 = cz2_spec("two").slot_target
         cand = np.exp(-1j * PI / 4) * tensor(H, np.eye(2)) @ CZ @ tensor(Z @ H, S_GATE)
         np.testing.assert_allclose(u2, cand, atol=1e-12)
 
@@ -434,8 +479,23 @@ class TestFrozenSlotData:
 
         ref = invariants(CZ)
         for variant in ("single", "two"):
-            got = invariants(CZ2_SPECS[variant].slot_target)
+            got = invariants(cz2_spec(variant).slot_target)
             np.testing.assert_allclose(got, ref, atol=1e-10)
+
+    @pytest.mark.parametrize("variant", ["single", "two"])
+    def test_cached_spec_equals_a_fresh_build(self, variant):
+        spec, fresh = cz2_spec(variant), patterns._build_cz2(variant)
+        assert cz2_spec(variant) is spec
+        for f in dataclasses.fields(spec):
+            got, want = getattr(spec, f.name), getattr(fresh, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
+
+    def test_unknown_variant_refused(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            cz2_spec("three")
 
 
 def _canonical(pattern) -> list:

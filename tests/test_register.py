@@ -15,8 +15,10 @@ from adqc.register import (
     AdqcStep,
     GatePattern,
     QubitCorrection,
+    PRUNE_PROBABILITY,
     advance,
     branch_operators,
+    branch_step,
     execute_step,
     init_register,
     run_pattern,
@@ -168,9 +170,9 @@ class TestRunPattern:
     def test_two_target_coupling_is_entangling(self):
         """One two-target step plus its Pauli corrections acts as a fixed
         entangling gate on the register."""
-        from adqc.patterns import CZ2_SPECS, CZ_SLOT_ANCILLA
+        from adqc.patterns import CZ_SLOT_ANCILLA, cz2_spec
 
-        spec = CZ2_SPECS["two"]
+        spec = cz2_spec("two")
         step = AdqcStep((0, 1), spec.labels, CZ_SLOT_ANCILLA, AdaptiveAngle.constant(0.0))
         rng = np.random.default_rng(4)
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -387,3 +389,34 @@ class TestKernelCrossCheck:
                 np.testing.assert_allclose(
                     br.corrected.amplitudes, ref.corrected.amplitudes, rtol=0, atol=1e-12
                 )
+
+
+class TestBranchStepGrouping:
+    """branch_step groups rows by Kraus pair with one sort; its output is bit
+    for bit that of selecting each pair's rows with a boolean mask."""
+
+    @staticmethod
+    def _masked(states, pairs, which):
+        vecs = np.empty((len(states), 2) + states.shape[1:], dtype=complex)
+        for g, ops in enumerate(pairs):
+            sel = which == g
+            vecs[sel] = np.einsum("sij,bj...->bsi...", ops, states[sel])
+        re_im = vecs.reshape(len(states), 2, -1).view(float)
+        probs = np.einsum("bsi,bsi->bs", re_im, re_im)
+        parent, out = np.nonzero(probs >= PRUNE_PROBABILITY)
+        p = probs[parent, out]
+        return vecs[parent, out] / np.sqrt(p).reshape((-1,) + (1,) * (states.ndim - 1)), parent, out, p
+
+    @pytest.mark.parametrize("num_pairs", [1, 512])
+    @pytest.mark.parametrize("trailing", [(), (4,)], ids=["vectors", "choi"])
+    def test_matches_the_masked_computation(self, num_pairs, trailing):
+        rng = np.random.default_rng(num_pairs)
+        rows, dim = 4096, 4
+        states = rng.normal(size=(rows, dim) + trailing) + 1j * rng.normal(size=(rows, dim) + trailing)
+        states /= np.sqrt((np.abs(states) ** 2).reshape(rows, -1).sum(axis=1)).reshape((-1, 1) + (1,) * len(trailing))
+        pairs = [rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim)) for _ in range(num_pairs)]
+        which = rng.integers(num_pairs, size=rows)
+        got = branch_step(states, pairs, which)
+        want = self._masked(states, pairs, which)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)

@@ -1,0 +1,116 @@
+"""Compare two commits on the benchmark and write ``BENCH_<n>.json``.
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_12.json
+
+Each commit's files are exported with ``git archive`` into a fresh temporary
+directory, so the working tree and the repository's refs stay as they are.
+
+For every workload that ``BENCHMARK.json`` lists, the unmodified
+``perfbench/run.py`` of each checkout runs for ``run_seconds`` at seed 7919,
+alternating parent and change and swapping which goes first on every other
+pair, for 10 pairs.  The end-to-end metrics are read from the result line of
+each run: this script takes no timings of its own.  Each output row is one
+(workload, metric) with the parent and change medians and quartiles, the
+number of pairs, and in how many of them the change was better.  The file also
+records the seed, the run length, ``nproc`` and the Python and numpy versions
+the runs report, and whether both sides gave the same output digest.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 7919  # the benchmark's held-out seed
+PAIRS = 10
+
+
+def export(ref: str, dest: Path) -> str:
+    """Write the files of commit ``ref`` under ``dest``; return its hash."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{ref}^{{commit}}"], cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout.strip()
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return sha
+
+
+def run_once(checkout: Path, workload: str, seconds: int) -> tuple[dict, dict]:
+    """One benchmark run in ``checkout``: its (info, result) lines."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    info_line, result_line = proc.stdout.strip().splitlines()[-2:]
+    return json.loads(info_line)["info"], json.loads(result_line)
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="commit before the change")
+    parser.add_argument("--change", required=True, help="commit with the change")
+    parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    rows, envs, digests, failed = [], set(), {}, 0
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        sides = {side: Path(tmp) / side for side in ("parent", "change")}
+        commits = {side: export(getattr(args, side), path) for side, path in sides.items()}
+        for workload in workloads:
+            values = {side: {m: [] for m in metrics} for side in sides}
+            for i in range(PAIRS):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    info, result = run_once(sides[side], workload, seconds)
+                    env = info["env"]
+                    envs.add((env["nproc"], env["python"], env["numpy"]))
+                    digests.setdefault((workload, side), set()).add(info["digest"])
+                    failed += result["failed"]
+                    for m in metrics:
+                        values[side][m].append(result["metrics"][m]["value"])
+                    print(f"{workload} pair {i + 1}/{PAIRS} {side}: "
+                          + " ".join(f"{m}={values[side][m][-1]:.4g}" for m in metrics), file=sys.stderr)
+            for m, better in metrics.items():
+                parent, change = values["parent"][m], values["change"][m]
+                wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+                rows.append({
+                    "workload": workload, "metric": m, "better": better, "pairs": PAIRS,
+                    "parent": quartiles(parent), "change": quartiles(change), "change_better_pairs": wins,
+                })
+
+    (nproc, python, numpy), *others = sorted(envs)
+    if others:
+        raise SystemExit(f"bench_pairs: runs reported different environments: {sorted(envs)}")
+    report = {
+        "parent": commits["parent"],
+        "change": commits["change"],
+        "seed": SEED,
+        "seconds": seconds,
+        "nproc": nproc,
+        "python": python,
+        "numpy": numpy,
+        "failed_ops": failed,
+        "same_digest": {w: len(digests[w, "parent"] | digests[w, "change"]) == 1 for w in workloads},
+        "rows": rows,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
