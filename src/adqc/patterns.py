@@ -58,6 +58,9 @@ MAX_FLAT_STEPS = 13  # longest slotless pattern enumerated flat
 # ---------------------------------------------------------------------------
 
 CZ_SLOT_ANCILLA = AncillaSpec(math.pi / 2, math.pi / 2)
+# the ancilla and the fixed basis angle every one-qubit step shares
+_BARE_ANCILLA = AncillaSpec(0.0, 0.0)
+_ZERO_ANGLE = AdaptiveAngle.constant(0.0)
 
 
 def _pauli2(n1: str, n2: str) -> np.ndarray:
@@ -176,9 +179,9 @@ class _PatternBuilder:
         return len(self.steps) - 1
 
     def _close_slot(self, gate: np.ndarray, slot: SlotSpec):
-        """Embed the slot's gate in the target; record the slot and the frame
+        """Apply the slot's gate to the target; record the slot and the frame
         at its boundary."""
-        self.target = embed(gate, slot.qubits, self.n) @ self.target
+        self.target = apply_op(gate, self.target, slot.qubits)
         self.slots.append(slot)
         self.boundary_corrections.append(tuple(self.frames))
 
@@ -188,27 +191,29 @@ class _PatternBuilder:
         Z^s Rz(.) for RZ_CANON."""
         label, roles, gate = _ONE_QUBIT_SLOTS[kind]
         on_z = label == "RZ_CANON"
+        fr = self.frames[q]
+        x_parity, x_const, z_parity, z_const = fr.x_parity, fr.x_const, fr.z_parity, fr.z_const
         indices: dict[str, int] = {}
         theta_fields = {}
         for role in roles:
-            fr = self.frames[q]
             if label == "J_CANON":  # H swaps the frame's X and Z parts
-                fr = QubitCorrection(fr.z_parity, fr.z_const, fr.x_parity, fr.x_const)
-            angle = AdaptiveAngle.constant(0.0)
+                x_parity, x_const, z_parity, z_const = z_parity, z_const, x_parity, x_const
+            angle = _ZERO_ANGLE
             if role == "theta":
                 # the Z part negates an X rotation, the X part a Z rotation; the
                 # payload's hidden angle is negated by every earlier outcome
-                negate, const = (fr.x_parity, fr.x_const) if on_z else (fr.z_parity, fr.z_const)
+                negate, const = (x_parity, x_const) if on_z else (z_parity, z_const)
                 sign = -1.0 if const else 1.0
                 angle = AdaptiveAngle(((sign * theta_prime, negate),))
                 theta_fields = dict(
                     theta_negate=negate, theta_sign=int(sign), gamma_negate=frozenset(indices.values())
                 )
-            i = indices[role] = self._emit(AdqcStep((q,), (label,), AncillaSpec(0.0, 0.0), angle))
+            i = indices[role] = self._emit(AdqcStep((q,), (label,), _BARE_ANCILLA, angle))
             if on_z:
-                self.frames[q] = replace(fr, z_parity=fr.z_parity ^ {i})
+                z_parity = z_parity ^ {i}
             else:
-                self.frames[q] = replace(fr, x_parity=fr.x_parity ^ {i})
+                x_parity = x_parity ^ {i}
+        self.frames[q] = QubitCorrection(x_parity, x_const, z_parity, z_const)
         slot = SlotSpec(kind, (q,), theta_prime, tuple(indices.values()), indices, **theta_fields)
         self._close_slot(gate(theta_prime), slot)
 
@@ -229,7 +234,7 @@ class _PatternBuilder:
         for q, kind, ang in spec.pre_fixups:
             self.add_rotation(kind, (q1, q2)[q], ang)
         i = self._emit(
-            AdqcStep((q1, q2), spec.labels, CZ_SLOT_ANCILLA, AdaptiveAngle.constant(0.0))
+            AdqcStep((q1, q2), spec.labels, CZ_SLOT_ANCILLA, _ZERO_ANGLE)
         )
         # each outgoing frame bit xors incoming bits conjugated through the slot
         # target, the outcome's byproduct and, through the step's payload bit,

@@ -19,20 +19,33 @@ PRUNE_PROBABILITY = 1e-12
 PAYLOAD_BIT = 1 << 20  # set index i + PAYLOAD_BIT refers to step i's payload flip
 # Kraus pairs kept by branch_operators: at most 8 MiB of arrays at n = 4
 KRAUS_CACHE_SIZE = 1024
+# parity tables kept by parity_table: two small int8 arrays each, about 1 KB
+PARITY_CACHE_SIZE = 4096
 
 
-def parity(bits, outcomes, payload_bits=None):
-    """XOR of the referenced bits: index i < PAYLOAD_BIT is ``outcomes[i]``,
-    index i + PAYLOAD_BIT is ``payload_bits[i]`` (zero when it is None).
-    Entries may be ints or bit arrays (parity per element); the low bit is
-    taken once, at the end, halving the calls on arrays."""
-    p = 0
-    for i in bits:
-        if i < PAYLOAD_BIT:
-            p = p ^ outcomes[i]
-        elif payload_bits is not None:
-            p = p ^ payload_bits[i - PAYLOAD_BIT]
-    return p & 1
+@lru_cache(maxsize=PARITY_CACHE_SIZE)
+def parity_table(sets: tuple[frozenset[int], ...], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """GF(2) incidence matrices of ``sets`` over ``width`` steps, read-only
+    int8 (len(sets), width): the outcome matrix has a 1 at (r, i) for each
+    index i < PAYLOAD_BIT of ``sets[r]``, the payload matrix at (r, i) for
+    each index i + PAYLOAD_BIT.  An index past ``width`` raises IndexError."""
+    tables = np.zeros((2, len(sets), width), dtype=np.int8)
+    for r, s in enumerate(sets):
+        for i in s:
+            tables[i // PAYLOAD_BIT, r, i % PAYLOAD_BIT] = 1
+    tables.flags.writeable = False
+    return tables[0], tables[1]
+
+
+def parities(sets, outcomes, payload_bits=None) -> np.ndarray:
+    """Parity of each set over the bits it references, as a (len(sets), ...)
+    array: index i < PAYLOAD_BIT is ``outcomes[i]``, index i + PAYLOAD_BIT is
+    ``payload_bits[i]`` (zero when it is None).  ``outcomes`` is one step
+    per row, (steps,) or (steps, B).  The int8 products wrap modulo 256,
+    which keeps their parity."""
+    m_out, m_pay = parity_table(tuple(sets), len(outcomes))
+    acc = m_out @ np.asarray(outcomes, dtype=np.int8)
+    return (acc if payload_bits is None else acc + m_pay @ payload_bits) & 1
 
 
 @dataclass(frozen=True)
@@ -51,9 +64,12 @@ class AdaptiveAngle:
         return cls(((float(value), frozenset()),))
 
     def resolve(self, outcomes, payload_bits=None):
+        """The angle of one outcome record or of each column of a batch."""
+        sets = [negs for _, negs in self.terms]
+        signs = 1 - 2 * parities(sets, outcomes, payload_bits) if any(sets) else [1] * len(sets)
         total = 0.0
-        for value, negate_on in self.terms:
-            total += value * (1 - 2 * parity(negate_on, outcomes, payload_bits))
+        for (value, _), sign in zip(self.terms, signs):
+            total += value * sign
         return total
 
     def max_dependency(self) -> int:
@@ -99,12 +115,6 @@ class QubitCorrection:
     z_parity: frozenset[int] = frozenset()
     z_const: int = 0
 
-    def bits(self, outcomes, payload_bits=None) -> tuple[int, int]:
-        return (
-            self.x_const ^ parity(self.x_parity, outcomes, payload_bits),
-            self.z_const ^ parity(self.z_parity, outcomes, payload_bits),
-        )
-
 
 @dataclass(frozen=True)
 class SlotSpec:
@@ -133,11 +143,12 @@ class GatePattern:
     slot_boundaries: tuple[tuple[QubitCorrection, ...], ...] = ()
 
     def __post_init__(self):
+        qubits = set(range(self.num_qubits))
         for i, step in enumerate(self.steps):
             if step.basis_theta.max_dependency() >= i:
                 raise ValueError(f"step {i} depends on a non-earlier outcome")
-            if any(t >= self.num_qubits for t in step.targets):
-                raise ValueError(f"step {i} targets outside the register")
+            if not qubits.issuperset(step.targets):  # also refuses -1 and 0.5
+                raise ValueError(f"step {i} targets {step.targets} outside the {self.num_qubits}-qubit register")
         # slot-wise verification runs only the steps the slots list
         covered = [i for slot in self.slots for i in slot.step_indices]
         if self.slots and covered != list(range(len(self.steps))):
@@ -244,15 +255,27 @@ def branch_step(states: np.ndarray, pairs, which: np.ndarray, outcome=None, rng=
     return vecs[parent, out] / scale, parent, out, p
 
 
+def first_groups(values: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The first row of each distinct value (a 2-D array's rows are values),
+    in row order, and each row's index into them; no sort, unlike np.unique."""
+    keys = [tuple(k) for k in values.tolist()] if values.ndim > 1 else values.tolist()
+    index: dict = {}
+    first: list[int] = []
+    for row, key in enumerate(keys):
+        if index.setdefault(key, len(first)) == len(first):
+            first.append(row)
+    return first, np.array([index[key] for key in keys], dtype=int)
+
+
 def _step_pairs(step: AdqcStep, bits: np.ndarray, n: int):
     """The distinct Kraus pairs of one step over a batch of outcome bits, and
     each row's index into them (a scalar when the angle is constant).  Rows
     whose angles agree to 12 digits share the pair of their group's first
     angle."""
     theta = step.basis_theta.resolve(bits)
-    if np.ndim(theta) == 0:
+    if isinstance(theta, float):
         return [step_branch_operators(step, theta, n)], 0
-    _, first, group = np.unique(np.round(theta, 12), return_index=True, return_inverse=True)
+    first, group = first_groups(np.round(theta, 12))
     return [step_branch_operators(step, theta[i], n) for i in first], group
 
 
@@ -272,12 +295,14 @@ def walk_steps(steps, states, bits, plan, rng=None):
     plan = np.broadcast_to(plan[:, None] if plan.ndim == 1 else plan, (len(plan), len(states)))
     for j in range(len(plan)):
         row = plan[j]
-        groups = [(row[0], slice(None))] if (row == row[0]).all() else [(k, row == k) for k in np.unique(row)]
+        distinct = [row[0]] if (row == row[0]).all() else dict.fromkeys(row.tolist())  # in row order
+        groups = [(k, slice(None) if len(distinct) == 1 else row == k) for k in distinct]
         pairs: dict[int, tuple[int, np.ndarray]] = {}  # each distinct cached pair -> (index, pair)
         which = np.empty(len(states), dtype=int)
         for k, sel in groups:
             ops, group = _step_pairs(steps[k], bits[:, sel], n)
-            which[sel] = np.array([pairs.setdefault(id(o), (len(pairs), o))[0] for o in ops])[group]
+            index = [pairs.setdefault(id(o), (len(pairs), o))[0] for o in ops]
+            which[sel] = index[0] if len(index) == 1 else np.array(index)[group]
         states, parent, out, p = branch_step(states, [o for _, o in pairs.values()], which, rng=rng)
         probs = probs[parent] * p
         origin = origin[parent]
@@ -289,11 +314,10 @@ def walk_steps(steps, states, bits, plan, rng=None):
 
 def frame_bits(corrections, outcomes, payload_bits=None) -> tuple[np.ndarray, np.ndarray]:
     """(x, z) byproduct bits of a batch: (n, B) arrays from (steps, B) bits."""
-    x = np.zeros((len(corrections), outcomes.shape[1]), dtype=np.int8)
-    z = np.zeros_like(x)
-    for q, c in enumerate(corrections):
-        x[q], z[q] = c.bits(outcomes, payload_bits)
-    return x, z
+    sets = [s for c in corrections for s in (c.x_parity, c.z_parity)]
+    consts = np.array([b for c in corrections for b in (c.x_const, c.z_const)], dtype=np.int8)
+    bits = parities(sets, outcomes, payload_bits).reshape(len(sets), -1) ^ consts[:, None]
+    return bits[0::2], bits[1::2]
 
 
 def advance(state: RegisterState, ops: np.ndarray, outcome=None, rng=None):

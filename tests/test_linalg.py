@@ -209,3 +209,40 @@ class TestStates:
         b = PureState.from_label("1").density()
         assert abs(trace_distance(a, b) - 1.0) < 1e-12
         assert trace_distance(a, a) < 1e-15
+
+
+def _tensordot_apply(op, psi, qubits):
+    """apply_op's general path written out: one tensordot over the target
+    axes, then the new axes moved back into place."""
+    n, k = psi.shape[0].bit_length() - 1, len(qubits)
+    t = np.tensordot(op.reshape((2,) * (2 * k)), psi.reshape((2,) * n + psi.shape[1:]),
+                     axes=(range(k, 2 * k), qubits))
+    return np.moveaxis(t, range(k), qubits).reshape(psi.shape)
+
+
+class TestApplyOp:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_target_equals_tensordot_bit_for_bit(self, n):
+        rng = np.random.default_rng(40 + n)
+        dim = 2**n
+        for q in range(n):
+            op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            for shape in [(dim,), (dim, dim), (dim, 3), (dim, 2, 5)]:
+                psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                got = apply_op(op, psi, [q])
+                assert got.shape == psi.shape
+                assert np.array_equal(got, _tensordot_apply(op, psi, [q])), (q, shape)
+            eye = np.eye(dim, dtype=complex)
+            assert np.array_equal(apply_op(op, eye, [q]), _tensordot_apply(op, eye, [q]))
+
+    @pytest.mark.parametrize("targets", [[-1], [2], [5], [0, -1], [-2, 1], [1, 2]])
+    def test_targets_outside_the_register_rejected(self, targets):
+        op = X if len(targets) == 1 else CZ
+        with pytest.raises(ValueError, match="outside the 2-qubit register"):
+            apply_op(op, np.array([1, 0, 0, 0], dtype=complex), targets)
+
+    def test_embed_and_matrices_reject_a_wrapped_target(self):
+        with pytest.raises(ValueError, match="outside"):
+            embed(X, (-1,), 2)
+        with pytest.raises(ValueError, match="outside"):
+            apply_op(X, np.eye(4), [2])

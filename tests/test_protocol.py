@@ -255,6 +255,34 @@ class TestMalformedServerInput:
             with pytest.raises(ValueError):
                 Message("ANCILLA", 7, payload=tuple(v))
 
+    def test_ancilla_payload_check_rejects_what_the_array_check_rejected(self):
+        """Message checks an ANCILLA payload on Python complex numbers; it
+        accepts exactly the payloads that ``np.array(payload, dtype=complex)``
+        turned into a finite (2,) vector of norm within 1e-9 of 1."""
+        def array_check(payload):
+            try:
+                v = np.array(payload, dtype=complex)
+            except (TypeError, ValueError):
+                return False
+            return v.shape == (2,) and bool(np.isfinite(v).all()) and abs(np.linalg.norm(v) - 1.0) <= 1e-9
+
+        nan, inf = float("nan"), float("inf")
+        s = math.sqrt(0.5)
+        payloads = [
+            (1 + 0j, 0j), [0.6, 0.8j], np.array([s, -s * 1j]), (np.complex128(s), np.float64(s)), (True, False),
+            ("1", "0"), (nan, 0j), (1.0, nan), (complex(0, nan), 0.0), (inf, 0.0), (1.0, -inf),
+            (1 + 2e-9, 0.0), (0.0, 1 - 2e-9), (1 + 5e-10, 0.0), (s, s, 0.0), (1.0,), (), "10", "ab", b"10",
+            [[1.0], [0.0]], np.zeros((2, 1)), np.eye(2), np.array(1.0), {0: 1.0, 1: 0.0}, (None, 1.0),
+        ]
+        for payload in payloads:
+            if array_check(payload):
+                assert Message("ANCILLA", 0, payload=payload).payload is payload
+            else:
+                with pytest.raises(ValueError, match="payload"):
+                    Message("ANCILLA", 0, payload=payload)
+        with pytest.raises(ValueError, match="needs a payload"):
+            Message("ANCILLA", 0, payload=None)
+
     def test_from_dict_fuzz(self):
         """Seeded wire messages with at most one bad field: a valid one
         round-trips, a bad one raises ValueError naming its field."""

@@ -10,7 +10,9 @@ from adqc.core import AncillaSpec, MeasBasis, assemble_entangler, preset, preset
 from adqc.linalg import CZ, PAULIS, PureState, X, dagger, embed, equal_up_to_global_phase, tensor
 from adqc.register import (
     KRAUS_CACHE_SIZE,
+    PARITY_CACHE_SIZE,
     PAULI_NAMES,
+    PAYLOAD_BIT,
     AdaptiveAngle,
     AdqcStep,
     GatePattern,
@@ -20,7 +22,11 @@ from adqc.register import (
     branch_operators,
     branch_step,
     execute_step,
+    first_groups,
+    frame_bits,
     init_register,
+    parities,
+    parity_table,
     run_pattern,
     step_branch_operators,
 )
@@ -209,6 +215,13 @@ class TestStepValidation:
     def test_duplicate_targets_rejected(self):
         with pytest.raises(ValueError):
             AdqcStep((0, 0), ("CZ_CANON", "CZ_CANON"), AncillaSpec(0, 0), AdaptiveAngle.constant(0))
+
+    @pytest.mark.parametrize("target", [-1, 0.5, 2, np.int64(-3)])
+    def test_targets_outside_the_register_name_the_step(self, target):
+        good = AdqcStep((0,), ("CZ_CANON",), AncillaSpec(0, 0), AdaptiveAngle.constant(0))
+        bad = AdqcStep((target,), ("CZ_CANON",), AncillaSpec(0, 0), AdaptiveAngle.constant(0))
+        with pytest.raises(ValueError, match="step 1 targets"):
+            GatePattern(2, (good, bad), np.eye(4, dtype=complex), (0, 1), (QubitCorrection(),) * 2)
 
 
 def _uncached_branch_operators(step, theta, n, payload=None):
@@ -420,3 +433,91 @@ class TestBranchStepGrouping:
         want = self._masked(states, pairs, which)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def _xor_parity(indices, outcomes, payload_bits):
+    """The parity of one set, one XOR per member, as the walker it replaces."""
+    p = np.zeros(outcomes.shape[1:], dtype=np.int64)
+    for i in indices:
+        if i < PAYLOAD_BIT:
+            p ^= outcomes[i]
+        elif payload_bits is not None:
+            p ^= payload_bits[i - PAYLOAD_BIT]
+    return p
+
+
+class TestParityTables:
+    """Every outcome parity is read from one cached GF(2) incidence table per
+    tuple of sets: (M_out @ bits + M_pay @ payload_bits) & 1."""
+
+    @pytest.mark.parametrize("batch", [1, 4096])
+    def test_matches_an_xor_loop(self, batch):
+        rng = np.random.default_rng(batch)
+        width = 40
+        for _ in range(20):
+            sets = tuple(
+                frozenset(int(i) for i in rng.choice(width, size=rng.integers(0, 12), replace=False))
+                | frozenset(PAYLOAD_BIT + int(i) for i in rng.choice(width, size=rng.integers(0, 4), replace=False))
+                for _ in range(int(rng.integers(1, 7)))
+            )
+            outcomes = rng.integers(2, size=(width, batch)).astype(np.int8)
+            payload = rng.integers(2, size=(width, batch)).astype(np.int8)
+            for pay in (payload, None):
+                want = np.array([_xor_parity(s, outcomes, pay) for s in sets])
+                assert np.array_equal(parities(sets, outcomes, pay), want)
+
+    def test_more_members_than_int8_holds(self):
+        """The int8 products wrap modulo 256, which keeps the parity: sets of
+        128, 255 and 300 members over all-one bits."""
+        width = 300
+        sets = (frozenset(range(128)), frozenset(range(255)), frozenset(range(300)),
+                frozenset(range(1, 300)) | frozenset(PAYLOAD_BIT + i for i in range(200)))
+        ones = np.ones((width, 3), dtype=np.int8)
+        assert parities(sets, ones, ones).tolist() == [[0] * 3, [1] * 3, [0] * 3, [1] * 3]
+
+    def test_one_outcome_record(self):
+        """A (steps,) record, as execute_step resolves an angle from its log."""
+        sets = (frozenset({0, 2}), frozenset({1}), frozenset())
+        assert parities(sets, (1, 1, 0)).tolist() == [1, 1, 0]
+
+    def test_tables_are_cached_bounded_and_read_only(self):
+        sets = (frozenset({0, PAYLOAD_BIT + 1}),)
+        m_out, m_pay = parity_table(sets, 3)
+        assert parity_table(sets, 3)[0] is m_out
+        assert m_out.tolist() == [[1, 0, 0]] and m_pay.tolist() == [[0, 1, 0]]
+        assert m_out.dtype == np.int8 and not m_out.flags.writeable
+        assert parity_table.cache_info().maxsize == PARITY_CACHE_SIZE
+        with pytest.raises(IndexError):
+            parity_table((frozenset({3}),), 3)
+
+    def test_frame_bits_and_angles_read_the_tables(self):
+        rng = np.random.default_rng(7)
+        outcomes = rng.integers(2, size=(9, 64)).astype(np.int8)
+        payload = rng.integers(2, size=(9, 64)).astype(np.int8)
+        corrections = (QubitCorrection(frozenset({0, 3}), 1, frozenset({PAYLOAD_BIT + 2, 5}), 0),
+                       QubitCorrection(frozenset(), 0, frozenset({8}), 1))
+        x, z = frame_bits(corrections, outcomes, payload)
+        for q, c in enumerate(corrections):
+            assert np.array_equal(x[q], c.x_const ^ _xor_parity(c.x_parity, outcomes, payload))
+            assert np.array_equal(z[q], c.z_const ^ _xor_parity(c.z_parity, outcomes, payload))
+        angle = AdaptiveAngle(((0.3, frozenset({1, 4})), (-1.1, frozenset({PAYLOAD_BIT + 6})), (2.0, frozenset())))
+        want = 0.0
+        for value, negs in angle.terms:
+            want = want + value * (1 - 2 * _xor_parity(negs, outcomes, payload))
+        assert np.array_equal(angle.resolve(outcomes, payload), want)
+        assert AdaptiveAngle.constant(0.7).resolve(outcomes) == 0.7
+
+
+class TestFirstGroups:
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_matches_np_unique_up_to_numbering(self, rows):
+        rng = np.random.default_rng(rows)
+        for values in (rng.integers(4, size=rows), np.round(rng.choice([0.5, -0.5, 0.0, 1e-13], size=rows), 12),
+                       rng.integers(2, size=(rows, 2)) + 0j):
+            first, group = first_groups(values)
+            _, ref_first, ref_group = np.unique(values, return_index=True, return_inverse=True,
+                                                axis=0 if values.ndim > 1 else None)
+            assert first == sorted(first) and sorted(first) == sorted(ref_first.tolist())
+            # the same partition of the rows, each group's first row first
+            assert np.array_equal(values[first][group], values)
+            assert all(group[f] == g and (group[:f] != g).all() for g, f in enumerate(first))
