@@ -159,16 +159,14 @@ class KrausPair:
 def param_kets(sign: str, theta, phi) -> np.ndarray:
     """Amplitudes of ``|+_{theta,phi}>`` or ``|-_{theta,phi}>``, shape (..., 2)
     for scalar or equal-shape array angles."""
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     ph = np.cos(phi) + 1j * np.sin(phi)
-    first, second = (c, ph * s) if sign == "+" else (s, -ph * c)
-    out = np.empty(np.broadcast(theta, phi).shape + (2,), dtype=complex)
-    np.add(first, 0j, out=out[..., 0])  # first + 0j, written in place
-    out[..., 1] = second
-    return out
+    if sign == "+":
+        return np.stack(np.broadcast_arrays(c + 0j, ph * s), axis=-1)
+    if sign == "-":
+        return np.stack(np.broadcast_arrays(s + 0j, -ph * c), axis=-1)
+    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
 def basis_kets(theta, phi) -> np.ndarray:

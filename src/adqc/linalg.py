@@ -211,9 +211,8 @@ def apply_op(op, psi, qubits) -> np.ndarray:
     if not all(0 <= q < n for q in qubits):
         raise ValueError(f"targets {qubits} outside the {n}-qubit register")
     if k == 1:  # tensordot's one product, without its axis bookkeeping
-        left = 2 ** qubits[0]
-        t = psi.reshape(left, 2, -1).swapaxes(0, 1).reshape(2, -1)
-        return np.dot(op, t).reshape(2, left, -1).swapaxes(0, 1).reshape(psi.shape)
+        t = psi.reshape(2 ** qubits[0], 2, -1).swapaxes(0, 1)
+        return np.dot(op, t.reshape(2, -1)).reshape(t.shape).swapaxes(0, 1).reshape(psi.shape)
     t = psi.reshape((2,) * n + psi.shape[1:])
     t = np.tensordot(op.reshape((2,) * (2 * k)), t, axes=(range(k, 2 * k), qubits))
     return np.moveaxis(t, range(k), qubits).reshape(psi.shape)
@@ -225,8 +224,7 @@ def embed(op, qubits, n: int) -> np.ndarray:
 
 
 _PHASE_OF_Y_COUNT = np.array([1, 1j, -1, -1j])
-_PARITY_SIGN = np.array([1 - 2 * (bin(i).count("1") & 1) for i in range(MAX_DIM)])  # (-1)^popcount(i)
-_INDEX = np.arange(MAX_DIM)
+_BIT_PARITY = np.array([bin(i).count("1") & 1 for i in range(MAX_DIM)])
 
 
 def apply_pauli_frame(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -239,8 +237,11 @@ def apply_pauli_frame(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.nd
     axes ride along: a (B, 2^n, 2^n) batch of operators is multiplied on the
     left.
     """
-    weights = 1 << _INDEX[x.shape[0] - 1::-1]
-    src = _INDEX[:states.shape[1]] ^ (weights @ x)[:, None]  # row b, index i reads i xor x_b
-    phase = _PHASE_OF_Y_COUNT[(x & z).sum(axis=0) % 4][:, None] * _PARITY_SIGN[src & (weights @ z)[:, None]]
-    moved = states[np.arange(len(states))[:, None], src]
-    return phase.reshape(phase.shape + (1,) * (states.ndim - 2)) * moved
+    n, dim = x.shape[0], states.shape[1]
+    weights = 1 << np.arange(n - 1, -1, -1)
+    src = np.arange(dim) ^ (weights @ x)[:, None]  # row b, index i reads i xor x_b
+    z_parity = _BIT_PARITY[src & (weights @ z)[:, None]]
+    phase = _PHASE_OF_Y_COUNT[(x & z).sum(axis=0) % 4][:, None] * (1 - 2 * z_parity)
+    tail = (1,) * (states.ndim - 2)
+    moved = np.take_along_axis(states, src.reshape(src.shape + tail), axis=1)
+    return phase.reshape(phase.shape + tail) * moved

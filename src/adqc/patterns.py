@@ -58,9 +58,8 @@ MAX_FLAT_STEPS = 13  # longest slotless pattern enumerated flat
 # ---------------------------------------------------------------------------
 
 CZ_SLOT_ANCILLA = AncillaSpec(math.pi / 2, math.pi / 2)
-# the ancilla and the fixed basis angle every one-qubit step shares
-_BARE_ANCILLA = AncillaSpec(0.0, 0.0)
-_ZERO_ANGLE = AdaptiveAngle.constant(0.0)
+_BARE_ANCILLA = AncillaSpec(0.0, 0.0)  # the ancilla of every one-qubit step
+_ZERO_ANGLE = AdaptiveAngle.constant(0.0)  # every fixed basis angle
 
 
 def _pauli2(n1: str, n2: str) -> np.ndarray:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .register import (
     advance,
     branch_operators,
     branch_step,
-    first_groups,
     frame_bits,
     init_register,
     parities,
@@ -94,13 +93,15 @@ class Message:
         if self.kind == "ANCILLA":
             if self.payload is None:
                 raise ValueError("ANCILLA message needs a payload")
-            try:  # two amplitudes, checked as Python complex numbers
-                a, b = map(complex, self.payload if isinstance(self.payload, (tuple, list, np.ndarray)) else ())
+            p = self.payload  # a sequence or (2,) array of two scalars, as np.array(p, dtype=complex) needed
+            seq = isinstance(p, Sequence) and not isinstance(p, (str, bytes)) or getattr(p, "shape", ()) == (2,)
+            try:  # an array amplitude would hide its shape from complex()
+                a, b = map(complex, p) if seq and not any(getattr(v, "ndim", 0) for v in p) else ()
             except (TypeError, ValueError):
                 a = b = complex(math.nan)
-            # NaN fails every comparison, so finiteness is checked on its own
+            # NaN fails every comparison, so only a finite norm within 1e-9 of 1 passes
             norm = math.sqrt((a.real * a.real + b.real * b.real) + (a.imag * a.imag + b.imag * b.imag))
-            if not all(map(math.isfinite, (a.real, a.imag, b.real, b.imag))) or abs(norm - 1.0) > 1e-9:
+            if not abs(norm - 1.0) <= 1e-9:
                 raise ValueError("ANCILLA payload is not a one-qubit unit state")
         elif self.kind == "ANGLE":
             if not _is_int(self.theta_grid) or self.theta_grid < 0:
@@ -206,15 +207,6 @@ def _unit_rows(kets: np.ndarray) -> np.ndarray:
     return kets / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
 
 
-@lru_cache(maxsize=4096)  # a few hundred bytes each
-def _ancilla_ket(theta: float, phi: float) -> np.ndarray:
-    """The unit ket ``|+_{theta,phi}>`` as a read-only (1, 2) row, as
-    ``_unit_rows`` builds it."""
-    ket = _unit_rows(param_kets("+", np.array([theta]), phi))
-    ket.flags.writeable = False
-    return ket
-
-
 class Client:
     """Drives a batch of B delegations of one secret circuit, one per row:
     produces their outgoing messages and digests their outcomes.
@@ -232,7 +224,7 @@ class Client:
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
         b = self.eff_outcomes.shape[1]
-        return values if len(values) == b else values.repeat(b, axis=0)
+        return values if len(values) == b else np.broadcast_to(values, (b,) + values.shape[1:])
 
     def take(self, rows) -> None:
         """Keep the given rows of the outcome and payload bits (a row may
@@ -257,9 +249,7 @@ class Client:
             self.payload_bits[slot.roles["couple"]] = coin
         else:
             raise ValueError(f"no ancilla round for role {role!r}")
-        # a delegation draws one row, whose rounds repeat a few grid angles
-        kets = _ancilla_ket(float(theta[0]), phi) if len(theta) == 1 else _unit_rows(param_kets("+", theta, phi))
-        return self._rows(kets)
+        return self._rows(_unit_rows(param_kets("+", theta, phi)))
 
     def angle_message(self, slot_idx: int) -> np.ndarray:
         """(B,) grid indices of the basis angle, folding the secret and its
@@ -456,9 +446,12 @@ def _round_messages(client: Client, slot_idx: int, role: str, kind: str):
     """The client's messages of one round: the distinct messages over its
     rows, and each row's index into them."""
     values = client.prepare_ancilla(slot_idx, role) if kind == "ANCILLA" else client.angle_message(slot_idx)
-    first, which = first_groups(values)
-    fields = [{"payload": tuple(v)} if kind == "ANCILLA" else {"theta_grid": int(v)} for v in values[first]]
-    return [Message(kind, slot_idx, **f) for f in fields], which
+    if (values == values[0]).all():  # every ancilla round of a one-row draw: no sort
+        distinct, which = values[:1], np.zeros(len(values), dtype=int)
+    else:  # a ket compares as one row; indices sort as plain integers, much faster than rows
+        distinct, which = np.unique(values, return_inverse=True, axis=0 if values.ndim > 1 else None)
+    fields = [{"payload": tuple(v)} if kind == "ANCILLA" else {"theta_grid": int(v)} for v in distinct]
+    return [Message(kind, slot_idx, **f) for f in fields], which.reshape(-1)
 
 
 def _dialogue(client: Client, server: Server):

@@ -19,30 +19,25 @@ PRUNE_PROBABILITY = 1e-12
 PAYLOAD_BIT = 1 << 20  # set index i + PAYLOAD_BIT refers to step i's payload flip
 # Kraus pairs kept by branch_operators: at most 8 MiB of arrays at n = 4
 KRAUS_CACHE_SIZE = 1024
-# parity tables kept by parity_table: two small int8 arrays each, about 1 KB
-PARITY_CACHE_SIZE = 4096
+# parity tables kept by parity_table: 2 * len(sets) * width bytes each, at most 20
+# per pattern step (2n <= 10 sets at n <= 5): 20 KiB per step of width, 2 MiB at 100
+PARITY_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=PARITY_CACHE_SIZE)
 def parity_table(sets: tuple[frozenset[int], ...], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """GF(2) incidence matrices of ``sets`` over ``width`` steps, read-only
-    int8 (len(sets), width): the outcome matrix has a 1 at (r, i) for each
-    index i < PAYLOAD_BIT of ``sets[r]``, the payload matrix at (r, i) for
-    each index i + PAYLOAD_BIT.  An index past ``width`` raises IndexError."""
+    """Read-only int8 (len(sets), width) GF(2) incidence matrices: a 1 at (r, i)
+    for index i (outcome) or i + PAYLOAD_BIT (payload) of ``sets[r]``."""
     tables = np.zeros((2, len(sets), width), dtype=np.int8)
     for r, s in enumerate(sets):
-        for i in s:
-            tables[i // PAYLOAD_BIT, r, i % PAYLOAD_BIT] = 1
+        tables[[i // PAYLOAD_BIT for i in s], r, [i % PAYLOAD_BIT for i in s]] = 1
     tables.flags.writeable = False
     return tables[0], tables[1]
 
 
 def parities(sets, outcomes, payload_bits=None) -> np.ndarray:
-    """Parity of each set over the bits it references, as a (len(sets), ...)
-    array: index i < PAYLOAD_BIT is ``outcomes[i]``, index i + PAYLOAD_BIT is
-    ``payload_bits[i]`` (zero when it is None).  ``outcomes`` is one step
-    per row, (steps,) or (steps, B).  The int8 products wrap modulo 256,
-    which keeps their parity."""
+    """(len(sets), ...) parities of (steps,) or (steps, B) bits; payload indices
+    read zero when ``payload_bits`` is None.  int8 wraps mod 256, keeping parity."""
     m_out, m_pay = parity_table(tuple(sets), len(outcomes))
     acc = m_out @ np.asarray(outcomes, dtype=np.int8)
     return (acc if payload_bits is None else acc + m_pay @ payload_bits) & 1
@@ -64,7 +59,6 @@ class AdaptiveAngle:
         return cls(((float(value), frozenset()),))
 
     def resolve(self, outcomes, payload_bits=None):
-        """The angle of one outcome record or of each column of a batch."""
         sets = [negs for _, negs in self.terms]
         signs = 1 - 2 * parities(sets, outcomes, payload_bits) if any(sets) else [1] * len(sets)
         total = 0.0
@@ -143,11 +137,10 @@ class GatePattern:
     slot_boundaries: tuple[tuple[QubitCorrection, ...], ...] = ()
 
     def __post_init__(self):
-        qubits = set(range(self.num_qubits))
         for i, step in enumerate(self.steps):
             if step.basis_theta.max_dependency() >= i:
                 raise ValueError(f"step {i} depends on a non-earlier outcome")
-            if not qubits.issuperset(step.targets):  # also refuses -1 and 0.5
+            if any(t not in range(self.num_qubits) for t in step.targets):  # also refuses -1 and 0.5
                 raise ValueError(f"step {i} targets {step.targets} outside the {self.num_qubits}-qubit register")
         # slot-wise verification runs only the steps the slots list
         covered = [i for slot in self.slots for i in slot.step_indices]
@@ -255,27 +248,15 @@ def branch_step(states: np.ndarray, pairs, which: np.ndarray, outcome=None, rng=
     return vecs[parent, out] / scale, parent, out, p
 
 
-def first_groups(values: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The first row of each distinct value (a 2-D array's rows are values),
-    in row order, and each row's index into them; no sort, unlike np.unique."""
-    keys = [tuple(k) for k in values.tolist()] if values.ndim > 1 else values.tolist()
-    index: dict = {}
-    first: list[int] = []
-    for row, key in enumerate(keys):
-        if index.setdefault(key, len(first)) == len(first):
-            first.append(row)
-    return first, np.array([index[key] for key in keys], dtype=int)
-
-
 def _step_pairs(step: AdqcStep, bits: np.ndarray, n: int):
     """The distinct Kraus pairs of one step over a batch of outcome bits, and
     each row's index into them (a scalar when the angle is constant).  Rows
     whose angles agree to 12 digits share the pair of their group's first
     angle."""
     theta = step.basis_theta.resolve(bits)
-    if isinstance(theta, float):
+    if np.ndim(theta) == 0:
         return [step_branch_operators(step, theta, n)], 0
-    first, group = first_groups(np.round(theta, 12))
+    _, first, group = np.unique(np.round(theta, 12), return_index=True, return_inverse=True)
     return [step_branch_operators(step, theta[i], n) for i in first], group
 
 
@@ -295,14 +276,12 @@ def walk_steps(steps, states, bits, plan, rng=None):
     plan = np.broadcast_to(plan[:, None] if plan.ndim == 1 else plan, (len(plan), len(states)))
     for j in range(len(plan)):
         row = plan[j]
-        distinct = [row[0]] if (row == row[0]).all() else dict.fromkeys(row.tolist())  # in row order
-        groups = [(k, slice(None) if len(distinct) == 1 else row == k) for k in distinct]
+        groups = [(row[0], slice(None))] if (row == row[0]).all() else [(k, row == k) for k in np.unique(row)]
         pairs: dict[int, tuple[int, np.ndarray]] = {}  # each distinct cached pair -> (index, pair)
         which = np.empty(len(states), dtype=int)
         for k, sel in groups:
             ops, group = _step_pairs(steps[k], bits[:, sel], n)
-            index = [pairs.setdefault(id(o), (len(pairs), o))[0] for o in ops]
-            which[sel] = index[0] if len(index) == 1 else np.array(index)[group]
+            which[sel] = np.array([pairs.setdefault(id(o), (len(pairs), o))[0] for o in ops])[group]
         states, parent, out, p = branch_step(states, [o for _, o in pairs.values()], which, rng=rng)
         probs = probs[parent] * p
         origin = origin[parent]

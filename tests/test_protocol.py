@@ -273,6 +273,10 @@ class TestMalformedServerInput:
             ("1", "0"), (nan, 0j), (1.0, nan), (complex(0, nan), 0.0), (inf, 0.0), (1.0, -inf),
             (1 + 2e-9, 0.0), (0.0, 1 - 2e-9), (1 + 5e-10, 0.0), (s, s, 0.0), (1.0,), (), "10", "ab", b"10",
             [[1.0], [0.0]], np.zeros((2, 1)), np.eye(2), np.array(1.0), {0: 1.0, 1: 0.0}, (None, 1.0),
+            # one-element arrays convert to one complex on some numpy releases, but the array check saw (2, 1)
+            np.array([[1.0], [0.0]]), (np.array([1.0]), np.array([0.0])), [np.array([1.0]), 0.0],
+            (np.array([1.0, 0.0]), np.array([0.0, 0.0])), (np.array(1.0), np.array(0.0)),
+            range(2), range(3), {1.0, 0.0},
         ]
         for payload in payloads:
             if array_check(payload):

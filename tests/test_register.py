@@ -22,7 +22,6 @@ from adqc.register import (
     branch_operators,
     branch_step,
     execute_step,
-    first_groups,
     frame_bits,
     init_register,
     parities,
@@ -507,17 +506,3 @@ class TestParityTables:
         assert np.array_equal(angle.resolve(outcomes, payload), want)
         assert AdaptiveAngle.constant(0.7).resolve(outcomes) == 0.7
 
-
-class TestFirstGroups:
-    @pytest.mark.parametrize("rows", [1, 7, 300])
-    def test_matches_np_unique_up_to_numbering(self, rows):
-        rng = np.random.default_rng(rows)
-        for values in (rng.integers(4, size=rows), np.round(rng.choice([0.5, -0.5, 0.0, 1e-13], size=rows), 12),
-                       rng.integers(2, size=(rows, 2)) + 0j):
-            first, group = first_groups(values)
-            _, ref_first, ref_group = np.unique(values, return_index=True, return_inverse=True,
-                                                axis=0 if values.ndim > 1 else None)
-            assert first == sorted(first) and sorted(first) == sorted(ref_first.tolist())
-            # the same partition of the rows, each group's first row first
-            assert np.array_equal(values[first][group], values)
-            assert all(group[f] == g and (group[:f] != g).all() for g, f in enumerate(first))
