@@ -224,7 +224,8 @@ def embed(op, qubits, n: int) -> np.ndarray:
 
 
 _PHASE_OF_Y_COUNT = np.array([1, 1j, -1, -1j])
-_BIT_PARITY = np.array([bin(i).count("1") & 1 for i in range(MAX_DIM)])
+_PARITY_SIGN = np.array([1 - 2 * (bin(i).count("1") & 1) for i in range(MAX_DIM)])  # (-1)^popcount(i)
+_INDEX = np.arange(MAX_DIM)
 
 
 def apply_pauli_frame(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -237,11 +238,8 @@ def apply_pauli_frame(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.nd
     axes ride along: a (B, 2^n, 2^n) batch of operators is multiplied on the
     left.
     """
-    n, dim = x.shape[0], states.shape[1]
-    weights = 1 << np.arange(n - 1, -1, -1)
-    src = np.arange(dim) ^ (weights @ x)[:, None]  # row b, index i reads i xor x_b
-    z_parity = _BIT_PARITY[src & (weights @ z)[:, None]]
-    phase = _PHASE_OF_Y_COUNT[(x & z).sum(axis=0) % 4][:, None] * (1 - 2 * z_parity)
-    tail = (1,) * (states.ndim - 2)
-    moved = np.take_along_axis(states, src.reshape(src.shape + tail), axis=1)
-    return phase.reshape(phase.shape + tail) * moved
+    weights = 1 << _INDEX[x.shape[0] - 1::-1]
+    src = _INDEX[:states.shape[1]] ^ (weights @ x)[:, None]  # row b, index i reads i xor x_b
+    phase = _PHASE_OF_Y_COUNT[(x & z).sum(axis=0) % 4][:, None] * _PARITY_SIGN[src & (weights @ z)[:, None]]
+    moved = states[np.arange(len(states))[:, None], src]
+    return phase.reshape(phase.shape + (1,) * (states.ndim - 2)) * moved
