@@ -1,4 +1,4 @@
-"""Gate-pattern builders: adaptive slots, the entangling slot, tiles, compilation.
+"""Gate-pattern builders: adaptive slots, the entangling slot, compilation.
 
 Two variants are supported.  With a single entangler kind every rotation slot
 is three steps (hidden-angle step, assistant step, rotation step) realizing
@@ -43,7 +43,6 @@ from .register import (
     QubitCorrection,
     SlotSpec,
     frame_bits,
-    init_register,
     run_pattern,
     step_branch_operators,
     walk_steps,
@@ -308,41 +307,6 @@ def standard_pattern(kind: str, theta_prime: float | None = None, variant: str =
     return b.finalize()
 
 
-def universal_tile(rows: int, cols: int, layout, variant: str = "single") -> GatePattern:
-    """Tile of alternating one-qubit and entangling columns.
-
-    ``layout`` holds one entry per column: the string ``"cz"`` for an
-    entangling column on qubits (0, 1), or a per-row list of one-qubit slot
-    specs.  A spec is an angle (J slot in the single variant, Rz slot in the
-    two variant), a ``(kind, angle)`` pair, or ``("u", a, b, c)`` for a full
-    Euler unit realizing Rz(c) Rx(b) Rz(a).
-    """
-    if rows > 4:
-        raise ValueError("tiles support at most 4 rows")
-    if len(layout) != cols:
-        raise ValueError("layout must list one entry per column")
-    b = _PatternBuilder(rows, variant)
-    for entry in layout:
-        if isinstance(entry, str) and entry.lower() == "cz":
-            if rows < 2:
-                raise ValueError("entangling column needs at least two rows")
-            b.add_cz(0, 1)
-            continue
-        if len(entry) != rows:
-            raise ValueError("one slot spec per row required")
-        for q, spec in enumerate(entry):
-            if spec is None:
-                continue
-            if isinstance(spec, (int, float)):
-                kind = "J" if variant == "single" else "RZ"
-                b.add_rotation(kind, q, float(spec))
-            elif spec[0] == "u":
-                _add_unit(b, q, np.asarray(spec[1:], dtype=float))
-            else:
-                b.add_rotation(spec[0].upper(), q, float(spec[1]))
-    return b.finalize()
-
-
 def _add_unit(b: _PatternBuilder, q: int, zxz: np.ndarray):
     """One full single-qubit unit realizing Rz(c) Rx(b) Rz(a)."""
     a, bb, c = (float(v) for v in zxz)
@@ -553,7 +517,7 @@ def verify_pattern(pattern: GatePattern, tol: float = 1e-9) -> VerifyReport:
     worst, where = 0.0, ""
     probs: tuple[float, ...] = ()
     for idx, inp in enumerate(inputs):
-        res = run_pattern(init_register(n, inp), pattern, mode="enumerate")
+        res = run_pattern(inp, pattern)
         total = res.total_probability()
         if abs(total - 1.0) > 1e-10:
             return VerifyReport(False, 1.0, probs, "flat", "probabilities do not sum to 1")

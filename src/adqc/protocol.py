@@ -22,16 +22,7 @@ import numpy as np
 from .core import param_kets
 from .linalg import I2, H, TWO_PI, PureState, apply_pauli_frame
 from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, CircuitGate, compile_circuit
-from .register import (
-    GatePattern,
-    RegisterState,
-    advance,
-    branch_operators,
-    branch_step,
-    frame_bits,
-    init_register,
-    parities,
-)
+from .register import GatePattern, branch_operators, branch_step, frame_bits, init_register, parities
 
 DEFAULT_GRID = 8
 # largest grid size: its spacing 2 pi / 2^16 (about 1e-4) stays five orders of
@@ -93,10 +84,11 @@ class Message:
         if self.kind == "ANCILLA":
             if self.payload is None:
                 raise ValueError("ANCILLA message needs a payload")
-            p = self.payload  # a sequence or (2,) array of two scalars, as np.array(p, dtype=complex) needed
+            p = self.payload  # a sequence or (2,) array of two numbers
             seq = isinstance(p, Sequence) and not isinstance(p, (str, bytes)) or getattr(p, "shape", ()) == (2,)
-            try:  # an array amplitude would hide its shape from complex()
-                a, b = map(complex, p) if seq and not any(getattr(v, "ndim", 0) for v in p) else ()
+            try:  # an array amplitude would hide its shape from complex(), which also parses strings
+                numbers = seq and not any(isinstance(v, (str, bytes)) or getattr(v, "ndim", 0) for v in p)
+                a, b = map(complex, p) if numbers else ()
             except (TypeError, ValueError):
                 a = b = complex(math.nan)
             # NaN fails every comparison, so only a finite norm within 1e-9 of 1 passes
@@ -146,6 +138,9 @@ class ProtocolTranscript:
     client_log: list[dict] = field(default_factory=list)
 
     def to_jsonl(self, view: str = "full") -> str:
+        """The log as JSON lines; the "server" view leaves out the client log."""
+        if view not in ("full", "server"):
+            raise ValueError(f"unknown transcript view {view!r}")
         lines = [json.dumps({"view": view}, sort_keys=True)]
         for m in self.messages:
             lines.append(json.dumps(m.to_dict(), sort_keys=True))
@@ -288,16 +283,10 @@ class Client:
 
 
 def slot_rounds(slot) -> tuple[tuple[str, str], ...]:
-    """Ordered (role, message kind) rounds composing one slot."""
-    if slot.kind == "J":
-        return (("gamma", "ANCILLA"), ("assist", "ANCILLA"), ("theta", "ANGLE"))
-    if slot.kind in ("RX", "RZ"):
-        return (("gamma", "ANCILLA"), ("theta", "ANGLE"))
-    if slot.kind == "ASSIST":
-        return (("assist", "ANCILLA"),)
-    if slot.kind == "CZ2":
-        return (("couple", "ANCILLA"),)
-    raise ValueError(slot.kind)
+    """Ordered (role, message kind) rounds composing one slot: one per role,
+    in the step order the builder fills ``roles`` in; the theta round takes
+    an angle and every other round an ancilla."""
+    return tuple((role, "ANGLE" if role == "theta" else "ANCILLA") for role in slot.roles)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +342,7 @@ def _message_operators(msg: Message, shape: ServerStepShape, grid_n: int, n: int
 
 
 def server_step(
-    state: RegisterState,
+    state: PureState,
     msg: Message,
     shape: ServerStepShape,
     grid_n: int = DEFAULT_GRID,
@@ -363,17 +352,23 @@ def server_step(
     """Execute one step from a message: couple the (given or standard) ancilla
     to the shape's targets and measure.
 
-    Returns (new_state, OUTCOME message, branch probability).
+    ``outcome`` forces a branch (an error below probability 1e-12), otherwise
+    ``rng`` samples one.  Returns (new_state, OUTCOME message, branch
+    probability).
     """
-    ops = _message_operators(msg, shape, grid_n, state.register.num_qubits)
-    new_state, s, prob = advance(state, ops, outcome, rng)
-    return new_state, Message("OUTCOME", msg.slot, bit=s), prob
+    if outcome is None and rng is None:
+        raise ValueError("sampling a step requires an rng")
+    ops = _message_operators(msg, shape, grid_n, state.num_qubits)
+    vecs, _, out, p = branch_step(state.amplitudes[None], [ops], np.zeros(1, dtype=int), outcome, rng)
+    new_state = PureState.unchecked(state.num_qubits, vecs[0])
+    return new_state, Message("OUTCOME", msg.slot, bit=int(out[0])), float(p[0])
 
 
 class Server:
     """Honest server: executes messages against the pattern shape in order."""
 
     def __init__(self, shape, num_qubits: int, input_state=None, grid_n: int = DEFAULT_GRID, seed=None):
+        check_grid(grid_n)
         self.shape = tuple(shape)
         self.grid_n = grid_n
         self.state = init_register(num_qubits, input_state if input_state is not None else "0" * num_qubits)
@@ -420,12 +415,12 @@ def run_delegation(
     pattern = secret.pattern
     n = pattern.num_qubits
     client = Client(secret)
-    start = init_register(n, input_state if input_state is not None else "0" * n).register
+    start = init_register(n, input_state if input_state is not None else "0" * n)
     reference = PureState(n, pattern.target @ start.amplitudes)
     if mode == "sample":
         server = Server(pattern_shape(pattern), n, input_state, secret.grid_n, seed)
         _dialogue(client, server)
-        raw, worst = server.state.register.amplitudes, None
+        raw, worst = server.state.amplitudes, None
     elif mode == "enumerate":
         raw, worst = _enumerated_dialogue(client, start.amplitudes)
     else:
@@ -559,7 +554,7 @@ def audit_blindness(
         # (c): the server's step on every payload, at either outcome
         shape = pattern_shape(secret.pattern)[slot.roles["gamma"]]
         msgs = [Message("ANCILLA", slot_idx, payload=tuple(k)) for k in payload.reshape(-1, 2)]
-        after = [server_step(start, m, shape, grid_n, outcome=s)[0].register.amplitudes for m in msgs for s in (0, 1)]
+        after = [server_step(start, m, shape, grid_n, outcome=s)[0].amplitudes for m in msgs for s in (0, 1)]
         kets.append(payload)
         posts.append(np.reshape(after, (grid_n, 2, 2, 2)))  # (hidden index, coin, outcome, amplitude)
 

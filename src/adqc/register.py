@@ -7,7 +7,7 @@ whose byproduct corrections are recorded per qubit as outcome-parity sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -150,26 +150,18 @@ class GatePattern:
             raise ValueError("one boundary frame per slot required")
 
 
-@dataclass(frozen=True)
-class RegisterState:
-    register: PureState
-    outcome_log: tuple[int, ...] = ()
-
-
-def init_register(n: int, state="") -> RegisterState:
+def init_register(n: int, state="") -> PureState:
     """Fresh register of 1..4 qubits from a PureState or a label like "0+"."""
     if not (1 <= n <= 4):
         raise ValueError("register size must be between 1 and 4")
     if isinstance(state, PureState):
         if state.num_qubits != n:
             raise ValueError("input state size mismatch")
-        reg = state
-    else:
-        label = state if state else "0" * n
-        reg = PureState.from_label(label)
-        if reg.num_qubits != n:
-            raise ValueError("label length does not match register size")
-    return RegisterState(reg)
+        return state
+    reg = PureState.from_label(state if state else "0" * n)
+    if reg.num_qubits != n:
+        raise ValueError("label length does not match register size")
+    return reg
 
 
 def step_branch_operators(step: AdqcStep, theta: float, n: int) -> np.ndarray:
@@ -260,8 +252,8 @@ def _step_pairs(step: AdqcStep, bits: np.ndarray, n: int):
     return [step_branch_operators(step, theta[i], n) for i in first], group
 
 
-def walk_steps(steps, states, bits, plan, rng=None):
-    """Run steps over a batch with ``branch_step``.
+def walk_steps(steps, states, bits, plan):
+    """Run steps over a batch with ``branch_step``, splitting every branch.
 
     ``states`` holds one row per branch with the register on axis 1, and the
     targets of ``steps`` index that register; ``bits`` is the
@@ -282,7 +274,7 @@ def walk_steps(steps, states, bits, plan, rng=None):
         for k, sel in groups:
             ops, group = _step_pairs(steps[k], bits[:, sel], n)
             which[sel] = np.array([pairs.setdefault(id(o), (len(pairs), o))[0] for o in ops])[group]
-        states, parent, out, p = branch_step(states, [o for _, o in pairs.values()], which, rng=rng)
+        states, parent, out, p = branch_step(states, [o for _, o in pairs.values()], which)
         probs = probs[parent] * p
         origin = origin[parent]
         plan = plan[:, parent]
@@ -299,37 +291,11 @@ def frame_bits(corrections, outcomes, payload_bits=None) -> tuple[np.ndarray, np
     return bits[0::2], bits[1::2]
 
 
-def advance(state: RegisterState, ops: np.ndarray, outcome=None, rng=None):
-    """One forced or sampled step of a single register with the given Kraus
-    pair.  Returns (new_state, outcome_bit, branch probability)."""
-    if outcome is None and rng is None:
-        raise ValueError("sampling a step requires an rng")
-    single = np.zeros(1, dtype=int)
-    vecs, _, out, p = branch_step(state.register.amplitudes[None], [ops], single, outcome, rng)
-    s = int(out[0])
-    register = PureState.unchecked(state.register.num_qubits, vecs[0])
-    return replace(state, register=register, outcome_log=state.outcome_log + (s,)), s, float(p[0])
-
-
-def execute_step(state: RegisterState, step: AdqcStep, outcome=None, rng=None):
-    """Run one step; ``outcome`` forces a branch, otherwise ``rng`` samples one.
-
-    Returns (new_state, outcome_bit).  Forcing a branch whose probability is
-    below 1e-12 is an error.
-    """
-    n = state.register.num_qubits
-    if any(t >= n for t in step.targets):
-        raise ValueError("step targets outside the register")
-    theta = step.basis_theta.resolve(state.outcome_log)
-    new_state, s, _ = advance(state, step_branch_operators(step, theta, n), outcome, rng)
-    return new_state, s
-
-
 @dataclass(frozen=True)
 class Branch:
     outcomes: tuple[int, ...]
     probability: float
-    raw: RegisterState
+    raw: PureState
     frame: tuple[str, ...]
     corrected: PureState
 
@@ -342,30 +308,22 @@ class RunResult:
         return sum(b.probability for b in self.branches)
 
 
-def run_pattern(state: RegisterState, pattern: GatePattern, mode="enumerate", seed=None):
-    """Execute a pattern.
-
-    ``mode='enumerate'`` explores every outcome branch (probabilities summing to
-    one); ``mode='sample'`` draws a single trajectory from the given seed.  Each
-    returned branch carries its resolved byproduct frame and the corrected
-    register state obtained by applying that frame to the raw final state.
+def run_pattern(state: PureState, pattern: GatePattern):
+    """Execute a pattern on every outcome branch (probabilities summing to
+    one).  Each returned branch carries its resolved byproduct frame and the
+    corrected register state obtained by applying that frame to the raw final
+    state.
     """
-    if pattern.num_qubits != state.register.num_qubits:
+    if pattern.num_qubits != state.num_qubits:
         raise ValueError("pattern size does not match the register")
-    if state.outcome_log:
-        raise ValueError("run_pattern expects a fresh outcome log")
-    if mode not in ("sample", "enumerate"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed) if mode == "sample" else None
     n, k = pattern.num_qubits, len(pattern.steps)
     start = np.zeros((k, 1), dtype=np.int8)
-    states, probs, bits, _ = walk_steps(pattern.steps, state.register.amplitudes[None], start, range(k), rng)
+    states, probs, bits, _ = walk_steps(pattern.steps, state.amplitudes[None], start, range(k))
     x, z = frame_bits(pattern.corrections, bits)
     corrected = apply_pauli_frame(states, x, z)
     frames = zip(*[[PAULI_NAMES[v] for v in row] for row in (x + 2 * z).tolist()])
     rows = zip(zip(*bits.tolist()), frames, probs.tolist(), states, corrected)
     return RunResult(tuple(
-        Branch(outs, p, RegisterState(PureState.unchecked(n, raw), outs), frame,
-               PureState.unchecked(n, fixed))
+        Branch(outs, p, PureState.unchecked(n, raw), frame, PureState.unchecked(n, fixed))
         for outs, frame, p, raw, fixed in rows
     ))

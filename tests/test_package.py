@@ -31,10 +31,9 @@ EXPORTED = {
     "linalg": ("DensityMatrix", "PureState", "equal_up_to_global_phase", "partial_trace", "tensor"),
     "conditions": ("ParamPoint", "TableCase", "classify_parameters", "constraint_residual",
                    "fg_coefficients", "l_hiding_residual", "required_alpha_x", "vw_form_check"),
-    "register": ("AdaptiveAngle", "AdqcStep", "GatePattern", "RegisterState", "execute_step",
-                 "init_register", "run_pattern"),
+    "register": ("AdaptiveAngle", "AdqcStep", "GatePattern", "init_register", "run_pattern"),
     "patterns": ("CircuitDescription", "CircuitGate", "compile_circuit", "standard_pattern",
-                 "universal_tile", "verify_pattern"),
+                 "verify_pattern"),
     "protocol": ("AuditReport", "Client", "ClientSecret", "Message", "ProtocolTranscript", "Server",
                  "audit_blindness", "run_delegation"),
 }

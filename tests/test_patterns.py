@@ -1,4 +1,4 @@
-"""Pattern builders, tiles, circuit compilation and enumeration-based checks."""
+"""Pattern builders, circuit compilation and enumeration-based checks."""
 
 import dataclasses
 import hashlib
@@ -20,10 +20,9 @@ from adqc.patterns import (
     cz2_spec,
     euler_zxz,
     standard_pattern,
-    universal_tile,
     verify_pattern,
 )
-from adqc.register import AdaptiveAngle, AdqcStep, QubitCorrection, init_register, run_pattern
+from adqc.register import AdaptiveAngle, AdqcStep, QubitCorrection, run_pattern
 
 PI = math.pi
 
@@ -151,7 +150,7 @@ def _brute_force_valid(pat, tol=1e-9) -> bool:
     ]
     for amps in inputs:
         inp = PureState(n, amps)
-        res = run_pattern(init_register(n, inp), pat, mode="enumerate")
+        res = run_pattern(inp, pat)
         if abs(res.total_probability() - 1.0) > 1e-10:
             return False
         corrected = np.array([br.corrected.amplitudes for br in res.branches])
@@ -323,36 +322,6 @@ class TestSlotwiseVerification:
         ):
             with pytest.raises(ValueError):
                 replace(pat, **fields)
-
-
-class TestUniversalTile:
-    def test_row_of_j_slots(self):
-        pat = universal_tile(1, 3, [[0.0], [PI / 4], [0.0]], "single")
-        expect = (H @ rotation("z", 0.0)) @ (H @ rotation("z", PI / 4)) @ H
-        # applied left to right in time: total = J(0) J(theta) J(0)
-        total = H @ (H @ rotation("z", PI / 4)) @ (H @ rotation("z", 0.0))
-        assert equal_up_to_global_phase(pat.target, total, 1e-12)
-        assert verify_pattern(pat).valid
-
-    def test_cz_only_tile(self):
-        pat = universal_tile(2, 1, ["cz"], "two")
-        assert equal_up_to_global_phase(pat.target, CZ, 1e-12)
-        assert verify_pattern(pat).valid
-
-    def test_tile_realizing_hh_cz(self):
-        pat = universal_tile(
-            2,
-            3,
-            ["cz", [0.0, 0.0], [("u", 0, 0, 0), ("u", 0, 0, 0)]],
-            "single",
-        )
-        expect = tensor(H, H) @ CZ
-        assert equal_up_to_global_phase(pat.target, expect, 1e-12)
-        assert verify_pattern(pat).valid
-
-    def test_row_limit(self):
-        with pytest.raises(ValueError):
-            universal_tile(5, 1, [["cz"]], "two")
 
 
 class TestCircuits:

@@ -22,6 +22,7 @@ from adqc.protocol import (
     grid_index,
     pattern_shape,
     run_delegation,
+    server_step,
     slot_rounds,
 )
 
@@ -202,6 +203,19 @@ class TestServer:
         with pytest.raises(ProtocolOrderError):
             server.handle(Message("OUTCOME", 0, bit=0))
 
+    @pytest.mark.parametrize("grid", [7, 2, 0, MAX_GRID + 2])
+    def test_invalid_grid_rejected_at_construction(self, grid):
+        sec = _secret([CircuitGate("Rx", (0,), PI / 4)])
+        with pytest.raises(ValueError, match="grid size"):
+            Server(pattern_shape(sec.pattern), 1, "0", grid, seed=0)
+
+    def test_sampling_a_step_requires_an_rng(self):
+        sec = _secret([CircuitGate("Rx", (0,), PI / 4)])
+        shape = pattern_shape(sec.pattern)
+        msg = _ancilla_message(Client(sec), shape[0].slot, "gamma")
+        with pytest.raises(ValueError, match="requires an rng"):
+            server_step(PureState.from_label("0"), msg, shape[0])
+
     def test_shape_carries_no_angles(self):
         sec = _secret([CircuitGate("Rz", (0,), 3 * PI / 4)])
         for sh in pattern_shape(sec.pattern):
@@ -258,11 +272,14 @@ class TestMalformedServerInput:
     def test_ancilla_payload_check_rejects_what_the_array_check_rejected(self):
         """Message checks an ANCILLA payload on Python complex numbers; it
         accepts exactly the payloads that ``np.array(payload, dtype=complex)``
-        turned into a finite (2,) vector of norm within 1e-9 of 1."""
+        turned into a finite (2,) vector of norm within 1e-9 of 1, except
+        those with a string amplitude, which that conversion parses."""
         def array_check(payload):
             try:
                 v = np.array(payload, dtype=complex)
             except (TypeError, ValueError):
+                return False
+            if v.shape == (2,) and any(isinstance(a, (str, bytes)) for a in payload):
                 return False
             return v.shape == (2,) and bool(np.isfinite(v).all()) and abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
@@ -277,6 +294,8 @@ class TestMalformedServerInput:
             np.array([[1.0], [0.0]]), (np.array([1.0]), np.array([0.0])), [np.array([1.0]), 0.0],
             (np.array([1.0, 0.0]), np.array([0.0, 0.0])), (np.array(1.0), np.array(0.0)),
             range(2), range(3), {1.0, 0.0},
+            # string amplitudes parse as numbers, and are refused
+            (1.0, "0"), ["0.6", "0.8j"], np.array(["1", "0"]), (b"1", 0.0),
         ]
         for payload in payloads:
             if array_check(payload):
@@ -474,6 +493,12 @@ class TestTranscript:
         assert "client_log" not in server
         for line in server.strip().splitlines()[1:]:
             Message.from_dict(json.loads(line))
+
+    def test_unknown_view_rejected(self):
+        res = run_delegation(_secret([CircuitGate("Rx", (0,), PI / 2)]), seed=4, mode="sample")
+        for view in ("bogus", "Server", "", None):
+            with pytest.raises(ValueError, match="transcript view"):
+                res.transcript.to_jsonl(view=view)
 
     def test_server_view_hides_secrets(self):
         sec = _secret([CircuitGate("Rz", (0,), 3 * PI / 4)])

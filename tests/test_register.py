@@ -18,10 +18,8 @@ from adqc.register import (
     GatePattern,
     QubitCorrection,
     PRUNE_PROBABILITY,
-    advance,
     branch_operators,
     branch_step,
-    execute_step,
     frame_bits,
     init_register,
     parities,
@@ -39,14 +37,24 @@ def _gamma_step(q=0, gamma=0.0, theta=0.0, label="CZ_CANON"):
     return AdqcStep((q,), (label,), AncillaSpec(gamma, 0), AdaptiveAngle.constant(theta))
 
 
+def _step_once(state, step, outcome=None, rng=None, outcomes=()):
+    """One forced or sampled step of a single register: a one-row
+    ``branch_step`` with the step's Kraus pair at the angle its earlier
+    ``outcomes`` resolve.  Returns (new state, outcome bit)."""
+    n = state.num_qubits
+    ops = step_branch_operators(step, step.basis_theta.resolve(outcomes), n)
+    vecs, _, out, _ = branch_step(state.amplitudes[None], [ops], np.zeros(1, dtype=int), outcome, rng)
+    return PureState.unchecked(n, vecs[0]), int(out[0])
+
+
 class TestInitRegister:
     def test_single_zero(self):
         st = init_register(1, "0")
-        np.testing.assert_allclose(st.register.amplitudes, [1, 0])
+        np.testing.assert_allclose(st.amplitudes, [1, 0])
 
     def test_uniform_two(self):
         st = init_register(2, "++")
-        np.testing.assert_allclose(st.register.amplitudes, [0.5] * 4)
+        np.testing.assert_allclose(st.amplitudes, [0.5] * 4)
 
     def test_tilted_input_state(self):
         t, p = 2 * PI / 3, PI / 5
@@ -54,33 +62,40 @@ class TestInitRegister:
         minus = np.array([1, -1], dtype=complex) / math.sqrt(2)
         psi = math.cos(t / 2) * plus + np.exp(1j * p) * math.sin(t / 2) * minus
         st = init_register(1, PureState(1, psi))
-        assert abs(np.linalg.norm(st.register.amplitudes) - 1) < 1e-12
+        assert abs(np.linalg.norm(st.amplitudes) - 1) < 1e-12
 
     def test_size_limits(self):
         with pytest.raises(ValueError):
             init_register(0)
         with pytest.raises(ValueError):
             init_register(5)
+        with pytest.raises(ValueError, match="label length"):
+            init_register(2, "0")
+        with pytest.raises(ValueError, match="size mismatch"):
+            init_register(2, PureState(1, np.array([1.0, 0.0])))
 
 
 class TestExecuteStep:
+    """One step of a single register, forced or sampled, through a one-row
+    ``branch_step``."""
+
     def test_forced_rotation_branch(self):
         g = 0.9
         st = init_register(1, "0")
-        new, s = execute_step(st, _gamma_step(gamma=g), outcome=0)
+        new, s = _step_once(st, _gamma_step(gamma=g), outcome=0)
         assert s == 0
         expect = rotation("x", g) @ np.array([1, 0])
         assert equal_up_to_global_phase(
-            new.register.amplitudes.reshape(2, 1), expect.reshape(2, 1), 1e-10
+            new.amplitudes.reshape(2, 1), expect.reshape(2, 1), 1e-10
         )
 
     def test_forced_flip_branch(self):
         g = 0.9
         st = init_register(1, "0")
-        new, s = execute_step(st, _gamma_step(gamma=g), outcome=1)
+        new, s = _step_once(st, _gamma_step(gamma=g), outcome=1)
         expect = X @ rotation("x", -g) @ np.array([1, 0])
         assert equal_up_to_global_phase(
-            new.register.amplitudes.reshape(2, 1), expect.reshape(2, 1), 1e-10
+            new.amplitudes.reshape(2, 1), expect.reshape(2, 1), 1e-10
         )
 
     def test_branch_probabilities_half_on_protocol_rows(self):
@@ -91,11 +106,9 @@ class TestExecuteStep:
             g = rng.uniform(0, 2 * PI)
             step = _gamma_step(q=rng.integers(2), gamma=g)
             # forced branches carry probability 1/2 regardless of the register
-            from adqc.register import step_branch_operators
-
             theta = 0.0
             ops = step_branch_operators(step, theta, 2)
-            v0 = ops[0] @ st.register.amplitudes
+            v0 = ops[0] @ st.amplitudes
             assert abs(float(np.vdot(v0, v0).real) - 0.5) < 1e-10
 
     def test_impossible_branch_rejected(self):
@@ -108,13 +121,13 @@ class TestExecuteStep:
         )
         st = init_register(1, "0")
         with pytest.raises(ValueError):
-            execute_step(st, step, outcome=1)
+            _step_once(st, step, outcome=1)
 
     def test_forced_outcome_outside_zero_one_rejected(self):
         st = init_register(1, "0")
         for outcome in (-1, 2):
             with pytest.raises(ValueError):
-                execute_step(st, _gamma_step(gamma=0.9), outcome=outcome)
+                _step_once(st, _gamma_step(gamma=0.9), outcome=outcome)
 
     def test_sampled_is_seed_deterministic(self):
         step = _gamma_step(gamma=1.1)
@@ -122,7 +135,7 @@ class TestExecuteStep:
         for _ in range(3):
             st = init_register(1, "+")
             rng = np.random.default_rng(77)
-            _, s = execute_step(st, step, rng=rng)
+            _, s = _step_once(st, step, rng=rng)
             outs.append(s)
         assert len(set(outs)) == 1
 
@@ -130,12 +143,12 @@ class TestExecuteStep:
 class TestRunPattern:
     def test_probabilities_sum_to_one(self):
         pat = standard_pattern("J", 0.9, "single")
-        res = run_pattern(init_register(1, "+"), pat, mode="enumerate")
+        res = run_pattern(init_register(1, "+"), pat)
         assert abs(res.total_probability() - 1.0) < 1e-10
 
     def test_j_zero_maps_plus_to_ground(self):
         pat = standard_pattern("J", 0.0, "single")
-        res = run_pattern(init_register(1, "+"), pat, mode="enumerate")
+        res = run_pattern(init_register(1, "+"), pat)
         for br in res.branches:
             assert equal_up_to_global_phase(
                 br.corrected.amplitudes.reshape(2, 1),
@@ -145,8 +158,8 @@ class TestRunPattern:
 
     def test_cz_pattern_on_plus_plus(self):
         pat = standard_pattern("CZ", None, "two")
-        res = run_pattern(init_register(2, "++"), pat, mode="enumerate")
-        expect = CZ @ init_register(2, "++").register.amplitudes
+        res = run_pattern(init_register(2, "++"), pat)
+        expect = CZ @ init_register(2, "++").amplitudes
         assert abs(res.total_probability() - 1.0) < 1e-10
         for br in res.branches:
             assert equal_up_to_global_phase(
@@ -155,22 +168,30 @@ class TestRunPattern:
 
     def test_frame_soundness_exact(self):
         pat = standard_pattern("RX", 1.3, "two")
-        res = run_pattern(init_register(1, "+"), pat, mode="enumerate")
+        res = run_pattern(init_register(1, "+"), pat)
         for br in res.branches:
             op = np.array([[1.0]], dtype=complex)
             for name in br.frame:
                 op = np.kron(op, PAULIS[name])
-            redo = op @ br.raw.register.amplitudes
+            redo = op @ br.raw.amplitudes
             assert np.array_equal(redo, br.corrected.amplitudes)
 
     def test_sampled_trajectories_reproducible(self):
+        """A pattern sampled step by step from one seed takes the same
+        outcomes and ends in the same state each time, and that trajectory is
+        an enumerated branch."""
         pat = standard_pattern("J", 0.7, "single")
-        a = run_pattern(init_register(1, "+"), pat, mode="sample", seed=5)
-        b = run_pattern(init_register(1, "+"), pat, mode="sample", seed=5)
-        assert a.branches[0].outcomes == b.branches[0].outcomes
-        assert np.array_equal(
-            a.branches[0].corrected.amplitudes, b.branches[0].corrected.amplitudes
-        )
+        runs = []
+        for _ in range(2):
+            rng, state, outcomes = np.random.default_rng(5), init_register(1, "+"), ()
+            for step in pat.steps:
+                state, s = _step_once(state, step, rng=rng, outcomes=outcomes)
+                outcomes += (s,)
+            runs.append((outcomes, state))
+        (a, state_a), (b, state_b) = runs
+        assert a == b and np.array_equal(state_a.amplitudes, state_b.amplitudes)
+        (br,) = [br for br in run_pattern(init_register(1, "+"), pat).branches if br.outcomes == a]
+        np.testing.assert_allclose(state_a.amplitudes, br.raw.amplitudes, rtol=0, atol=1e-12)
 
     def test_two_target_coupling_is_entangling(self):
         """One two-target step plus its Pauli corrections acts as a fixed
@@ -183,12 +204,12 @@ class TestRunPattern:
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         st = init_register(2, PureState(2, amps))
         for s in (0, 1):
-            new, _ = execute_step(st, step, outcome=s)
+            new, _ = _step_once(st, step, outcome=s)
             # frame bits after the slot from a clean frame, outcome s, unflipped payload
             x1, z1, x2, z2 = spec.frame_map @ np.array([0, 0, 0, 0, s, 0, 1]) % 2
             corr = tensor(PAULIS[PAULI_NAMES[x1 + 2 * z1]], PAULIS[PAULI_NAMES[x2 + 2 * z2]])
-            got = corr @ new.register.amplitudes
-            expect = spec.slot_target @ st.register.amplitudes
+            got = corr @ new.amplitudes
+            expect = spec.slot_target @ st.amplitudes
             assert equal_up_to_global_phase(
                 got.reshape(4, 1), (expect / np.linalg.norm(expect)).reshape(4, 1), 1e-9
             )
@@ -299,9 +320,9 @@ class TestKrausCache:
                 state = init_register(n, PureState(n, amps))
                 for s in (0, 1):
                     got, reply, p = server_step(state, msg, shape, grid_n, outcome=s)
-                    ref, _, p_ref = advance(state, want, outcome=s)
-                    assert reply.bit == s and p == p_ref
-                    assert np.array_equal(got.register.amplitudes, ref.register.amplitudes)
+                    ref, _, _, p_ref = branch_step(state.amplitudes[None], [want], np.zeros(1, dtype=int), s)
+                    assert reply.bit == s and p == p_ref[0]
+                    assert np.array_equal(got.amplitudes, ref[0])
                 cases += 1
         assert cases > 20
 
@@ -339,9 +360,9 @@ class TestKrausCache:
 
 
 class TestKernelCrossCheck:
-    """run_pattern's batched enumeration against a step-by-step execute_step
-    replay, and sample mode against enumeration, on the six standard patterns
-    and one compiled two-qubit circuit per variant."""
+    """run_pattern's batched enumeration against a step-by-step replay of
+    one-row forced ``branch_step`` calls, on the six standard patterns and one
+    compiled two-qubit circuit per variant."""
 
     PATTERNS = (
         ("J", 0.7, "single"),
@@ -352,7 +373,7 @@ class TestKernelCrossCheck:
         ("CZ", None, "two"),
     )
     # replaying every branch of the 13- and 15-step CZ patterns would take
-    # tens of thousands of execute_step calls; larger runs replay a seeded subset
+    # tens of thousands of one-row steps; larger runs replay a seeded subset
     MAX_REPLAYS = 256
 
     def _patterns(self):
@@ -370,7 +391,7 @@ class TestKernelCrossCheck:
         rng = np.random.default_rng(31)
         for pat in self._patterns():
             start = self._input(pat.num_qubits, rng)
-            branches = run_pattern(start, pat, mode="enumerate").branches
+            branches = run_pattern(start, pat).branches
             if len(branches) > self.MAX_REPLAYS:
                 picks = sorted(rng.choice(len(branches), self.MAX_REPLAYS, replace=False))
                 branches = [branches[i] for i in picks]
@@ -379,27 +400,11 @@ class TestKernelCrossCheck:
                 for k in range(len(br.outcomes)):
                     prefix = br.outcomes[: k + 1]
                     if prefix not in replayed:
-                        replayed[prefix], _ = execute_step(
-                            replayed[prefix[:-1]], pat.steps[k], outcome=prefix[-1]
+                        replayed[prefix], _ = _step_once(
+                            replayed[prefix[:-1]], pat.steps[k], outcome=prefix[-1], outcomes=prefix[:-1]
                         )
-                got = replayed[br.outcomes]
-                assert got.outcome_log == br.outcomes
                 np.testing.assert_allclose(
-                    got.register.amplitudes, br.raw.register.amplitudes, rtol=0, atol=1e-12
-                )
-
-    def test_sampled_trajectory_is_an_enumerated_branch(self):
-        rng = np.random.default_rng(32)
-        for pat in self._patterns():
-            start = self._input(pat.num_qubits, rng)
-            enumerated = {br.outcomes: br for br in run_pattern(start, pat).branches}
-            for seed in range(4):
-                (br,) = run_pattern(start, pat, mode="sample", seed=seed).branches
-                ref = enumerated[br.outcomes]
-                assert br.frame == ref.frame
-                assert abs(br.probability - ref.probability) < 1e-12
-                np.testing.assert_allclose(
-                    br.corrected.amplitudes, ref.corrected.amplitudes, rtol=0, atol=1e-12
+                    replayed[br.outcomes].amplitudes, br.raw.amplitudes, rtol=0, atol=1e-12
                 )
 
 
@@ -475,7 +480,7 @@ class TestParityTables:
         assert parities(sets, ones, ones).tolist() == [[0] * 3, [1] * 3, [0] * 3, [1] * 3]
 
     def test_one_outcome_record(self):
-        """A (steps,) record, as execute_step resolves an angle from its log."""
+        """A (steps,) record, as a one-register replay resolves an angle."""
         sets = (frozenset({0, 2}), frozenset({1}), frozenset())
         assert parities(sets, (1, 1, 0)).tolist() == [1, 1, 0]
 

@@ -13,7 +13,9 @@ each run: this script takes no timings of its own.  Each output row is one
 (workload, metric) with the parent and change medians and quartiles, the
 number of pairs, and in how many of them the change was better.  The file also
 records the seed, the run length, ``nproc`` and the Python and numpy versions
-the runs report, and whether both sides gave the same output digest.
+the runs report, whether both sides gave the same output digest, and per
+workload and side the ops attempted and failed, summed over its runs, so the
+shares of failed ops on the two sides can be compared.
 """
 from __future__ import annotations
 
@@ -68,7 +70,8 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    rows, envs, digests, failed = [], set(), {}, 0
+    rows, envs, digests = [], set(), {}
+    ops = {w: {side: {"attempted": 0, "failed": 0} for side in ("parent", "change")} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         sides = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {side: export(getattr(args, side), path) for side, path in sides.items()}
@@ -80,7 +83,8 @@ def main(argv=None) -> int:
                     env = info["env"]
                     envs.add((env["nproc"], env["python"], env["numpy"]))
                     digests.setdefault((workload, side), set()).add(info["digest"])
-                    failed += result["failed"]
+                    for count in ("attempted", "failed"):
+                        ops[workload][side][count] += result[count]
                     for m in metrics:
                         values[side][m].append(result["metrics"][m]["value"])
                     print(f"{workload} pair {i + 1}/{PAIRS} {side}: "
@@ -104,7 +108,7 @@ def main(argv=None) -> int:
         "nproc": nproc,
         "python": python,
         "numpy": numpy,
-        "failed_ops": failed,
+        "ops": ops,
         "same_digest": {w: len(digests[w, "parent"] | digests[w, "change"]) == 1 for w in workloads},
         "rows": rows,
     }
