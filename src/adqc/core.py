@@ -65,9 +65,6 @@ class AncillaSpec:
         object.__setattr__(self, "gamma", _reduce_angle(self.gamma))
         object.__setattr__(self, "delta", _reduce_angle(self.delta))
 
-    def ket(self) -> PureState:
-        return param_state("+", self.gamma, self.delta)
-
 
 @dataclass(frozen=True)
 class MeasBasis:
@@ -79,12 +76,6 @@ class MeasBasis:
     def __post_init__(self):
         object.__setattr__(self, "theta", _reduce_angle(self.theta))
         object.__setattr__(self, "phi", _reduce_angle(self.phi))
-
-    def bra_states(self) -> tuple[PureState, PureState]:
-        return (
-            param_state("+", self.theta, self.phi),
-            param_state("-", self.theta, self.phi),
-        )
 
 
 @dataclass(frozen=True)
@@ -158,21 +149,21 @@ class KrausPair:
 
 def param_kets(sign: str, theta, phi) -> np.ndarray:
     """Amplitudes of ``|+_{theta,phi}>`` or ``|-_{theta,phi}>``, shape (..., 2)
-    for scalar or equal-shape array angles."""
-    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    ph = np.cos(phi) + 1j * np.sin(phi)
-    if sign == "+":
-        return np.stack(np.broadcast_arrays(c + 0j, ph * s), axis=-1)
-    if sign == "-":
-        return np.stack(np.broadcast_arrays(s + 0j, -ph * c), axis=-1)
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    for scalar or equal-shape array angles: one row of ``basis_kets``."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    return basis_kets(theta, phi)[..., "+-".index(sign), :]
 
 
 def basis_kets(theta, phi) -> np.ndarray:
     """The ``|+_{theta,phi}>`` and ``|-_{theta,phi}>`` amplitudes as rows,
     shape (..., 2, 2): row t is measurement outcome t."""
-    return np.stack([param_kets("+", theta, phi), param_kets("-", theta, phi)], axis=-2)
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    c, s, ph = np.cos(theta / 2), np.sin(theta / 2), np.cos(phi) + 1j * np.sin(phi)
+    ps = ph * s
+    kets = np.empty(ps.shape + (2, 2), dtype=complex)
+    kets[..., 0, 0], kets[..., 0, 1], kets[..., 1, 0], kets[..., 1, 1] = c, ps, s, -ph * c
+    return kets
 
 
 def param_state(sign: str, theta: float, phi: float) -> PureState:

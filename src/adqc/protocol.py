@@ -19,15 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import param_kets
+from .core import param_kets, preset
 from .linalg import I2, H, TWO_PI, PureState, apply_pauli_frame
 from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, CircuitGate, compile_circuit
-from .register import GatePattern, branch_operators, branch_step, frame_bits, init_register, parities
+from .register import GatePattern, branch_coefficients, branch_step, coupling_blocks
+from .register import frame_bits, init_register, parities
 
 DEFAULT_GRID = 8
 # largest grid size: its spacing 2 pi / 2^16 (about 1e-4) stays five orders of
-# magnitude above grid_index's 1e-9 tolerance, and an audit's time grows
-# linearly with the size
+# magnitude above grid_index's 1e-9 tolerance; an audit's time grows linearly
+# with the size, 1.4-1.8 s in process at this size on 2 vCPUs
 MAX_GRID = 1 << 16
 STANDARD_PAYLOAD = (1 + 0j, 0j)  # |0>, the ancilla an ANGLE round couples
 # register input of the audited hidden-rotation round: cos(pi/3)|+> + sin(pi/3) e^(i pi/5)|->
@@ -40,8 +41,8 @@ class ProtocolOrderError(RuntimeError):
 
 def check_grid(grid_n: int) -> None:
     """Reject a grid size that is not an even integer in [4, MAX_GRID]."""
-    if grid_n < 4 or grid_n % 2:
-        raise ValueError(f"grid size must be an even integer >= 4, got {grid_n}")
+    if not _is_int(grid_n) or grid_n < 4 or grid_n % 2:
+        raise ValueError(f"grid size must be an even integer >= 4, got {grid_n!r}")
     if grid_n > MAX_GRID:
         raise ValueError(f"grid size must be at most {MAX_GRID}, got {grid_n}")
 
@@ -323,22 +324,23 @@ def pattern_shape(pattern: GatePattern) -> tuple[ServerStepShape, ...]:
     )
 
 
-def _message_operators(msg: Message, shape: ServerStepShape, grid_n: int, n: int) -> np.ndarray:
-    """Kraus pair of the step ``shape`` driven by ``msg``: the message's
-    ancilla measured at the fixed basis, or the standard ancilla measured at
-    the message's grid angle.  Rejects a message the step does not expect."""
+def _message_coefficients(msg: Message, shape: ServerStepShape, grid_n: int, values=None) -> np.ndarray:
+    """(1, 2, 4) branch coefficients of the step ``shape`` driven by ``msg``, or
+    (B, 2, 4) of its round's B rows of ``values`` (``_round_values``; ``msg``
+    is row 0).  Rejects a message the step does not expect."""
     if msg.kind != shape.expects:
         raise ProtocolOrderError(f"expected a {shape.expects} message, got {msg.kind}")
     if msg.slot != shape.slot:
         raise ProtocolOrderError(f"expected a message for slot {shape.slot}, got slot {msg.slot}")
+    v_a = preset(shape.entangler_labels[0]).frame.v_a
     if msg.kind == "ANCILLA":
-        payload, theta = tuple(complex(z) for z in msg.payload), 0.0
-    else:
-        check_grid(grid_n)
-        if msg.theta_grid >= grid_n:
-            raise ValueError(f"grid index {msg.theta_grid} is outside the grid of size {grid_n}")
-        payload, theta = STANDARD_PAYLOAD, grid_angle(msg.theta_grid, grid_n)
-    return branch_operators(shape.entangler_labels, shape.targets, n, payload, theta, shape.basis_phi)
+        values = np.array([msg.payload], dtype=complex) if values is None else values
+        return branch_coefficients(values @ v_a.T, 0.0, shape.basis_phi)
+    check_grid(grid_n)
+    if msg.theta_grid >= grid_n:
+        raise ValueError(f"grid index {msg.theta_grid} is outside the grid of size {grid_n}")
+    values = np.array([msg.theta_grid]) if values is None else values
+    return branch_coefficients(v_a @ STANDARD_PAYLOAD, grid_angle(values, grid_n), shape.basis_phi)
 
 
 def server_step(
@@ -358,8 +360,9 @@ def server_step(
     """
     if outcome is None and rng is None:
         raise ValueError("sampling a step requires an rng")
-    ops = _message_operators(msg, shape, grid_n, state.num_qubits)
-    vecs, _, out, p = branch_step(state.amplitudes[None], [ops], np.zeros(1, dtype=int), outcome, rng)
+    coeffs = _message_coefficients(msg, shape, grid_n)
+    blocks = coupling_blocks(shape.entangler_labels)
+    vecs, _, out, p = branch_step(state.amplitudes[None], shape.targets, blocks, coeffs, outcome, rng)
     new_state = PureState.unchecked(state.num_qubits, vecs[0])
     return new_state, Message("OUTCOME", msg.slot, bit=int(out[0])), float(p[0])
 
@@ -437,22 +440,17 @@ def _corrected(states: np.ndarray, corrections, client: Client) -> np.ndarray:
     return apply_pauli_frame(states, *frame_bits(corrections, client.eff_outcomes, client.payload_bits))
 
 
-def _round_messages(client: Client, slot_idx: int, role: str, kind: str):
-    """The client's messages of one round: the distinct messages over its
-    rows, and each row's index into them."""
+def _round_values(client: Client, slot_idx: int, role: str, kind: str):
+    """A round's messages as (B, 2) kets or (B,) grid indices, and row 0's ``Message``."""
     values = client.prepare_ancilla(slot_idx, role) if kind == "ANCILLA" else client.angle_message(slot_idx)
-    if (values == values[0]).all():  # every ancilla round of a one-row draw: no sort
-        distinct, which = values[:1], np.zeros(len(values), dtype=int)
-    else:  # a ket compares as one row; indices sort as plain integers, much faster than rows
-        distinct, which = np.unique(values, return_inverse=True, axis=0 if values.ndim > 1 else None)
-    fields = [{"payload": tuple(v)} if kind == "ANCILLA" else {"theta_grid": int(v)} for v in distinct]
-    return [Message(kind, slot_idx, **f) for f in fields], which.reshape(-1)
+    field = {"payload": tuple(values[0])} if kind == "ANCILLA" else {"theta_grid": int(values[0])}
+    return values, Message(kind, slot_idx, **field)
 
 
 def _dialogue(client: Client, server: Server):
     for slot_idx, slot in enumerate(client.secret.pattern.slots):
         for role, kind in slot_rounds(slot):
-            (msg,), _ = _round_messages(client, slot_idx, role, kind)
+            _, msg = _round_values(client, slot_idx, role, kind)
             client.transcript.messages.append(msg)
             out = server.handle(msg)
             client.transcript.messages.append(out)
@@ -466,20 +464,21 @@ def _enumerated_dialogue(client: Client, state: np.ndarray):
     combination and the first after the slot-boundary frame."""
     pattern = client.secret.pattern
     shape = pattern_shape(pattern)
-    n, grid_n = pattern.num_qubits, client.secret.grid_n
+    grid_n = client.secret.grid_n
     worst = 1.0
     for slot_idx, slot in enumerate(pattern.slots):
         states, probs = state[None], np.ones(1)
         for role, kind in slot_rounds(slot):
-            msgs, which = _round_messages(client, slot_idx, role, kind)
+            values, msg = _round_values(client, slot_idx, role, kind)
             step_shape = shape[slot.roles[role]]
-            pairs = [_message_operators(m, step_shape, grid_n, n) for m in msgs]
-            states, parent, outs, p = branch_step(states, pairs, which)
+            coeffs = _message_coefficients(msg, step_shape, grid_n, values)
+            blocks = coupling_blocks(step_shape.entangler_labels)
+            states, parent, outs, p = branch_step(states, step_shape.targets, blocks, coeffs)
             probs = probs[parent] * p
             client.take(parent)
             client.record(slot_idx, role, outs)
             # children are ordered by (parent, outcome), so row 0 descends from row 0
-            client.transcript.messages += [msgs[which[0]], Message("OUTCOME", slot_idx, bit=int(outs[0]))]
+            client.transcript.messages += [msg, Message("OUTCOME", slot_idx, bit=int(outs[0]))]
         total = probs.sum()
         if abs(total - 1.0) > 1e-9:
             raise RuntimeError(f"slot {slot_idx} branch probabilities sum to {total}")
@@ -551,12 +550,14 @@ def audit_blindness(
         client.record(slot_idx, "gamma", s)
         angles = client.angle_message(slot_idx)
         counts.append(np.bincount(frame * grid_n + angles, minlength=2 * grid_n).reshape(2, grid_n))
-        # (c): the server's step on every payload, at either outcome
+        # (c): the server's step on every payload, splitting into both outcomes
         shape = pattern_shape(secret.pattern)[slot.roles["gamma"]]
-        msgs = [Message("ANCILLA", slot_idx, payload=tuple(k)) for k in payload.reshape(-1, 2)]
-        after = [server_step(start, m, shape, grid_n, outcome=s)[0].amplitudes for m in msgs for s in (0, 1)]
+        rows = payload.reshape(-1, 2)
+        coeffs = _message_coefficients(Message("ANCILLA", slot_idx, payload=tuple(rows[0])), shape, grid_n, rows)
+        after, _, _, _ = branch_step(np.broadcast_to(start.amplitudes, rows.shape), shape.targets,
+                                     coupling_blocks(shape.entangler_labels), coeffs)
         kets.append(payload)
-        posts.append(np.reshape(after, (grid_n, 2, 2, 2)))  # (hidden index, coin, outcome, amplitude)
+        posts.append(after.reshape(grid_n, 2, 2, 2))  # (hidden index, coin, outcome, amplitude)
 
     def coin_average(v):  # density matrices averaged over the coin axis 1
         return (v[..., :, None] * v.conj()[..., None, :] / 2).sum(axis=1)

@@ -8,17 +8,15 @@ whose byproduct corrections are recorded per qubit as outcome-parity sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
-from .core import AncillaSpec, MeasBasis, assemble_entangler, preset
-from .linalg import PAULI_NAMES, PureState, apply_pauli_frame, dagger, embed
+from .core import AncillaSpec, assemble_entangler, basis_kets, param_kets, preset
+from .linalg import PAULI_NAMES, TWO_PI, PureState, apply_pauli_frame, dagger, embed
 
 PRUNE_PROBABILITY = 1e-12
 PAYLOAD_BIT = 1 << 20  # set index i + PAYLOAD_BIT refers to step i's payload flip
-# Kraus pairs kept by branch_operators: at most 8 MiB of arrays at n = 4
-KRAUS_CACHE_SIZE = 1024
 # parity tables kept by parity_table: 2 * len(sets) * width bytes each, at most 20
 # per pattern step (2n <= 10 sets at n <= 5): 20 KiB per step of width, 2 MiB at 100
 PARITY_CACHE_SIZE = 1024
@@ -57,14 +55,6 @@ class AdaptiveAngle:
     @classmethod
     def constant(cls, value: float) -> "AdaptiveAngle":
         return cls(((float(value), frozenset()),))
-
-    def resolve(self, outcomes, payload_bits=None):
-        sets = [negs for _, negs in self.terms]
-        signs = 1 - 2 * parities(sets, outcomes, payload_bits) if any(sets) else [1] * len(sets)
-        total = 0.0
-        for (value, _), sign in zip(self.terms, signs):
-            total += value * sign
-        return total
 
     def max_dependency(self) -> int:
         deps = [i for _, negs in self.terms for i in negs if i < PAYLOAD_BIT]
@@ -164,65 +154,80 @@ def init_register(n: int, state="") -> PureState:
     return reg
 
 
+@cache
+def coupling_blocks(labels: tuple[str, ...]) -> np.ndarray:
+    """A step's couplings, the ancilla coupled to local qubit i by ``labels[i]``
+    in order, as a read-only (4, d, d) array, d = 2^len(labels): block 2a + b
+    takes ancilla |b> in to bra <a| out in the canonical ancilla frame (the
+    first ancilla pre-frame v_a and last post-frame left out; p enters as v_a p)."""
+    k = len(labels)
+    total = np.eye(2 ** (k + 1), dtype=complex)  # the ancilla is qubit k, the least significant
+    for i, lbl in enumerate(labels):
+        total = embed(assemble_entangler(preset(lbl)), (k, i), k + 1) @ total
+    post, pre = preset(labels[-1]).frame.w_a, preset(labels[0]).frame.v_a
+    total = embed(dagger(post), (k,), k + 1) @ total @ embed(dagger(pre), (k,), k + 1)
+    blocks = total.reshape(2**k, 2, 2**k, 2).transpose(1, 3, 0, 2).reshape(4, 2**k, 2**k).copy()
+    blocks.flags.writeable = False
+    return blocks
+
+
+def branch_coefficients(payloads: np.ndarray, theta, phi) -> np.ndarray:
+    """(B, 2, 4) coefficients c[r, s, 2a + b] = conj(<a|s>) payloads[r, b] of
+    B rows: |s> is outcome s of the basis (theta, phi) at row r's angles,
+    and ``payloads`` the canonical ancilla kets of ``coupling_blocks``.  The
+    (B, 2) payloads and (B,) angles broadcast: one payload or angle serves
+    every row."""
+    theta = np.asarray(theta, dtype=float) % TWO_PI  # as MeasBasis takes it: its half sets the kets' sign
+    bras = basis_kets(np.where(theta == TWO_PI, 0.0, theta), phi).conj()  # % rounds a tiny -theta up to 2 pi
+    return (bras[..., None] * payloads[..., None, None, :]).reshape(-1, 2, 4)
+
+
+def _apply_branches(states: np.ndarray, targets, blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The (B, 2, 2^n, ...) unnormalized children of a (B, 2^n, ...) batch:
+    row r's Kraus operator for outcome s, sum_q coeffs[r, s, q] blocks[q],
+    formed on the targets only and applied there by one ``einsum``."""
+    b, n, k = len(states), states.shape[1].bit_length() - 1, len(targets)
+    ops = (coeffs.reshape(-1, 4) @ blocks.reshape(4, -1)).reshape((b, 2) + (2,) * (2 * k))
+    kids = np.einsum(_subscripts(n, tuple(targets)), ops, states.reshape((b,) + (2,) * n + states.shape[2:]))
+    return kids.reshape((b, 2) + states.shape[1:])
+
+
+@cache
+def _subscripts(n: int, targets: tuple[int, ...]) -> str:
+    """Rows z, outcomes s, register axes a.., target output axes v and w."""
+    qubits = "abcde"[:n]
+    out = "".join("vw"[targets.index(q)] if q in targets else a for q, a in enumerate(qubits))
+    return f"zs{'vw'[:len(targets)]}{''.join(qubits[q] for q in targets)},z{qubits}...->zs{out}..."
+
+
 def step_branch_operators(step: AdqcStep, theta: float, n: int) -> np.ndarray:
     """The two register Kraus operators of a step (unnormalized), plus branch
-    first, as a read-only (2, 2^n, 2^n) array, for the step's canonical
-    ancilla measured at basis angle ``theta``.  ``n`` is the register size."""
-    return branch_operators(
-        tuple(step.entangler_labels), tuple(step.targets), n, step.ancilla, float(theta), float(step.basis_phi)
-    )
+    first, as a (2, 2^n, 2^n) array, for the step's canonical ancilla
+    measured at basis angle ``theta``.  ``n`` is the register size."""
+    coeffs = branch_coefficients(param_kets("+", step.ancilla.gamma, step.ancilla.delta), theta, step.basis_phi)
+    blocks = coupling_blocks(step.entangler_labels)
+    return _apply_branches(np.eye(2**n, dtype=complex)[None], step.targets, blocks, coeffs)[0]
 
 
-@lru_cache(maxsize=KRAUS_CACHE_SIZE)
-def branch_operators(labels: tuple[str, ...], targets: tuple[int, ...], n: int, ancilla,
-                     theta: float, phi: float) -> np.ndarray:
-    """Kraus pair of the couplings ``labels`` on ``targets`` of an n-qubit
-    register, measured in the basis (theta, phi), as a read-only
-    (2, 2^n, 2^n) array.  ``ancilla`` is a canonical ``AncillaSpec`` or the
-    physical ancilla ket as a tuple of two complex amplitudes.  Built once per
-    exact input: the couplings are embedded in the register plus ancilla
-    (appended as the least significant qubit) and applied in listed order."""
-    if isinstance(ancilla, AncillaSpec):
-        payload = dagger(preset(labels[0]).frame.v_a) @ ancilla.ket().amplitudes
-    else:
-        payload = np.array(ancilla, dtype=complex)
-    last_wa = preset(labels[-1]).frame.w_a
-    bras = [last_wa @ b.amplitudes for b in MeasBasis(theta, phi).bra_states()]
-    total = np.eye(2 ** (n + 1), dtype=complex)
-    for tgt, lbl in zip(targets, labels):
-        total = embed(assemble_entangler(preset(lbl)), (n, tgt), n + 1) @ total
-    dim = 2**n
-    t = total.reshape(dim, 2, dim, 2)  # (reg_out, anc_out, reg_in, anc_in)
-    ops = np.stack([np.einsum("a,iajb,b->ij", b.conj(), t, payload) for b in bras])
-    ops.flags.writeable = False
-    return ops
-
-
-def branch_step(states: np.ndarray, pairs, which: np.ndarray, outcome=None, rng=None):
+def branch_step(states: np.ndarray, targets, blocks: np.ndarray, coeffs: np.ndarray, outcome=None, rng=None):
     """Advance a (B, 2^n, ...) batch of normalized register states by one step.
 
-    ``which[b]`` picks branch b's Kraus pair from ``pairs``, applied on axis 1;
-    trailing axes ride along, so a (B, 2^n, 2^n) batch of Choi states steps
-    its register half.  With neither ``outcome`` nor ``rng`` every branch
-    splits into both outcomes, ordered by (branch, outcome), dropping children
-    of conditional probability below PRUNE_PROBABILITY.  Otherwise the single
-    branch takes the forced ``outcome`` or draws one with one ``rng.random()``
-    call.
-
-    Returns the new branches' normalized states, parent indices, outcome bits
-    and conditional probabilities.
+    Row b's Kraus operator for outcome s is sum_q coeffs[b, s, q] blocks[q]
+    (``coupling_blocks``, ``branch_coefficients``) on the ``targets`` qubits
+    of axis 1; trailing axes ride along, so a (B, 2^n, 2^n) batch of Choi
+    states steps its register half.  With neither ``outcome`` nor ``rng``
+    every branch splits into both outcomes, ordered by (branch, outcome),
+    dropping children of conditional probability below PRUNE_PROBABILITY.
+    Otherwise the single branch takes the forced ``outcome`` or draws one
+    with one ``rng.random()`` call.  Returns the new branches' normalized
+    states, parent indices, outcome bits and conditional probabilities.
     """
-    vecs = np.empty((len(states), 2) + states.shape[1:], dtype=complex)
-    if len(pairs) == 1:  # every sampled delegation round: the sort below costs ~10% of a delegate op
-        vecs[:] = np.einsum("sij,bj...->bsi...", pairs[0], np.ascontiguousarray(states))
-    else:
-        # one stable sort groups each pair's rows in row order, one slice per pair
-        order = np.argsort(which, kind="stable")
-        bounds = np.searchsorted(which[order], np.arange(len(pairs) + 1))
-        grouped = states[order]
-        for ops, lo, hi in zip(pairs, bounds, bounds[1:]):
-            vecs[order[lo:hi]] = np.einsum("sij,bj...->bsi...", ops, grouped[lo:hi])
-    re_im = vecs.reshape(len(states), 2, -1).view(float)
+    return _split(_apply_branches(states, targets, blocks, coeffs), outcome, rng)
+
+
+def _split(vecs: np.ndarray, outcome=None, rng=None):
+    """``branch_step``'s children of (B, 2, 2^n, ...) unnormalized branches."""
+    re_im = vecs.reshape(len(vecs), 2, -1).view(float)
     probs = np.einsum("bsi,bsi->bs", re_im, re_im)
     if outcome is None and rng is None:
         parent, out = np.nonzero(probs >= PRUNE_PROBABILITY)
@@ -236,50 +241,48 @@ def branch_step(states: np.ndarray, pairs, which: np.ndarray, outcome=None, rng=
                 raise ValueError(f"forced branch {s} has probability {p_s:.3e}")
         parent, out = np.zeros(1, dtype=int), np.array([s])
     p = probs[parent, out]
-    scale = np.sqrt(p).reshape((-1,) + (1,) * (states.ndim - 1))
+    scale = np.sqrt(p).reshape((-1,) + (1,) * (vecs.ndim - 2))
     return vecs[parent, out] / scale, parent, out, p
 
 
-def _step_pairs(step: AdqcStep, bits: np.ndarray, n: int):
-    """The distinct Kraus pairs of one step over a batch of outcome bits, and
-    each row's index into them (a scalar when the angle is constant).  Rows
-    whose angles agree to 12 digits share the pair of their group's first
-    angle."""
-    theta = step.basis_theta.resolve(bits)
-    if np.ndim(theta) == 0:
-        return [step_branch_operators(step, theta, n)], 0
-    _, first, group = np.unique(np.round(theta, 12), return_index=True, return_inverse=True)
-    return [step_branch_operators(step, theta[i], n) for i in first], group
-
-
 def walk_steps(steps, states, bits, plan):
-    """Run steps over a batch with ``branch_step``, splitting every branch.
+    """Run steps over a batch as ``branch_step`` does, splitting every branch.
 
     ``states`` holds one row per branch with the register on axis 1, and the
     targets of ``steps`` index that register; ``bits`` is the
     (len(steps), B) outcome-bit array the adaptive angles read.  ``plan``
-    lists the step indices to run in order; an entry is one index for every
-    row or an array of one index per row.  Returns (states, probabilities,
-    bits, the start row of each branch)."""
-    n = states.shape[1].bit_length() - 1
-    probs = np.ones(len(states))
-    origin = np.arange(len(states))
-    plan = np.asarray(plan, dtype=int)
-    plan = np.broadcast_to(plan[:, None] if plan.ndim == 1 else plan, (len(plan), len(states)))
-    for j in range(len(plan)):
-        row = plan[j]
-        groups = [(row[0], slice(None))] if (row == row[0]).all() else [(k, row == k) for k in np.unique(row)]
-        pairs: dict[int, tuple[int, np.ndarray]] = {}  # each distinct cached pair -> (index, pair)
-        which = np.empty(len(states), dtype=int)
-        for k, sel in groups:
-            ops, group = _step_pairs(steps[k], bits[:, sel], n)
-            which[sel] = np.array([pairs.setdefault(id(o), (len(pairs), o))[0] for o in ops])[group]
-        states, parent, out, p = branch_step(states, [o for _, o in pairs.values()], which)
-        probs = probs[parent] * p
-        origin = origin[parent]
-        plan = plan[:, parent]
-        bits = bits[:, parent]
-        bits[plan[j], np.arange(len(parent))] = out
+    is a (steps run, B) array of step indices, one column per start row,
+    which its branches follow.  Rows split by coupling (labels and targets)
+    only.  Returns (states, probabilities, bits, the start row of each
+    branch)."""
+    probs, origin = np.ones(len(states)), np.arange(len(states))
+    used = np.array(sorted(set(plan.flat)))  # the steps the plan runs
+    local = np.searchsorted(used, plan)  # each entry's position among them
+    run = [steps[i] for i in used]
+    payloads = param_kets("+", [s.ancilla.gamma for s in run], [s.ancilla.delta for s in run])
+    phis = np.array([s.basis_phi for s in run])
+    # per term position: each step's term value and the parity_table row of its outcome set (0.0 and none if absent)
+    width = max((len(s.basis_theta.terms) for s in run), default=0)
+    padded = [s.basis_theta.terms + ((0.0, frozenset()),) * (width - len(s.basis_theta.terms)) for s in run]
+    terms = [(np.array([v for v, _ in col]), np.concatenate([parity_table((n,), len(bits))[0] for _, n in col]))
+             for col in zip(*padded)]
+    couplings: dict[tuple, int] = {}  # (labels, targets) -> its index
+    coupling = np.array([couplings.setdefault((s.entangler_labels, s.targets), len(couplings)) for s in run])
+    for entry in local:
+        which = entry[origin]  # each row's step, as a position in run
+        theta = np.zeros(len(which))
+        for values, m_out in terms:  # a row reads its own step's terms, in order
+            theta += values[which] * (1 - 2 * (np.einsum("rs,sr->r", m_out[which], bits) & 1))
+        coeffs = branch_coefficients(payloads[which], theta, phis[which])
+        row_coupling = coupling[which]
+        vecs = np.empty((len(which), 2) + states.shape[1:], dtype=complex)
+        for (labels, targets), g in couplings.items():
+            rows = row_coupling == g
+            if rows.any():
+                vecs[rows] = _apply_branches(states[rows], targets, coupling_blocks(labels), coeffs[rows])
+        states, parent, out, p = _split(vecs)
+        probs, origin, bits = probs[parent] * p, origin[parent], bits[:, parent]
+        bits[used[which[parent]], np.arange(len(parent))] = out
     return states, probs, bits, origin
 
 
@@ -318,7 +321,7 @@ def run_pattern(state: PureState, pattern: GatePattern):
         raise ValueError("pattern size does not match the register")
     n, k = pattern.num_qubits, len(pattern.steps)
     start = np.zeros((k, 1), dtype=np.int8)
-    states, probs, bits, _ = walk_steps(pattern.steps, state.amplitudes[None], start, range(k))
+    states, probs, bits, _ = walk_steps(pattern.steps, state.amplitudes[None], start, np.arange(k)[:, None])
     x, z = frame_bits(pattern.corrections, bits)
     corrected = apply_pauli_frame(states, x, z)
     frames = zip(*[[PAULI_NAMES[v] for v in row] for row in (x + 2 * z).tolist()])

@@ -66,13 +66,6 @@ class TestSweep:
         assert code == 0 and report["pass"]
         assert report["agreement_rate"] == 1.0
 
-    def test_thread_cap_does_not_change_output(self, capsys, monkeypatch):
-        monkeypatch.setenv("ADQC_THREADS", "1")
-        _, out1, _ = run_cli(capsys, "sweep", "--points", "120", "--seed", "4")
-        monkeypatch.setenv("ADQC_THREADS", "3")
-        _, out2, _ = run_cli(capsys, "sweep", "--points", "120", "--seed", "4")
-        assert out1 == out2
-
     @pytest.mark.parametrize("points", ["0", "-5"])
     def test_non_positive_point_count_rejected(self, capsys, points):
         code, out, err = run_cli(capsys, "sweep", "--points", points)

@@ -253,11 +253,10 @@ class TestKrausPair:
 
             bare = Entangler(e.cartan, LocalFrame(), "bare")
             em = assemble_entangler(bare)
-            ket = frame.v_a @ a.ket().amplitudes
-            bra_p, bra_m = (frame.w_a.conj().T.conj().T @ b.amplitudes for b in m.bra_states())
+            ket = frame.v_a @ param_state("+", a.gamma, a.delta).amplitudes
             # rotated bras: <m| w_a  <->  state (w_a^dag)^dag... i.e. w_a^dag |m>
-            bra_p = dagger(frame.w_a) @ m.bra_states()[0].amplitudes
-            bra_m = dagger(frame.w_a) @ m.bra_states()[1].amplitudes
+            bra_p = dagger(frame.w_a) @ param_state("+", m.theta, m.phi).amplitudes
+            bra_m = dagger(frame.w_a) @ param_state("-", m.theta, m.phi).amplitudes
             e4 = em.reshape(2, 2, 2, 2)
             kp = frame.w_s @ np.einsum("a,aibj,b->ij", bra_p.conj(), e4, ket) @ frame.v_s
             km = frame.w_s @ np.einsum("a,aibj,b->ij", bra_m.conj(), e4, ket) @ frame.v_s

@@ -288,7 +288,7 @@ class TestSlotwiseVerification:
         assert batches == [[f"slot {k} branches" for k in (0, 1, 2, 3, 5, 6, 7)]]
 
     def test_incomplete_kraus_pairs_named(self, monkeypatch):
-        """Kraus pairs scaled by 0.9 in one slot keep every branch
+        """Coupling blocks scaled by 0.9 in one slot keep every branch
         proportional to the right operator; only the completeness check sees
         that sum_b K_b^dagger K_b = 0.81 I, and names the slot."""
         import adqc.register as register
@@ -296,13 +296,13 @@ class TestSlotwiseVerification:
         pat = standard_pattern("CZ", None, "two")
         labels = cz2_spec("two").labels
         slot = [sl.kind for sl in pat.slots].index("CZ2")
-        exact = register.step_branch_operators
+        exact = register.coupling_blocks
 
-        def scaled(step, theta, n):
-            ops = exact(step, theta, n)
-            return 0.9 * ops if step.entangler_labels == labels else ops
+        def scaled(step_labels):
+            blocks = exact(step_labels)
+            return 0.9 * blocks if step_labels == labels else blocks
 
-        monkeypatch.setattr(register, "step_branch_operators", scaled)
+        monkeypatch.setattr(register, "coupling_blocks", scaled)
         rep = verify_pattern(pat)
         assert not rep.valid
         assert rep.detail.startswith(f"slot {slot} branches are incomplete"), rep.detail

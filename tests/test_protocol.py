@@ -9,6 +9,7 @@ import pytest
 
 from adqc.core import AncillaSpec
 from adqc.linalg import I2, PureState, trace_distance, DensityMatrix
+from adqc import protocol
 from adqc.patterns import CircuitDescription, CircuitGate
 from adqc.protocol import (
     Client,
@@ -203,11 +204,19 @@ class TestServer:
         with pytest.raises(ProtocolOrderError):
             server.handle(Message("OUTCOME", 0, bit=0))
 
-    @pytest.mark.parametrize("grid", [7, 2, 0, MAX_GRID + 2])
+    @pytest.mark.parametrize("grid", [7, 2, 0, MAX_GRID + 2, 8.0, "8"])
     def test_invalid_grid_rejected_at_construction(self, grid):
         sec = _secret([CircuitGate("Rx", (0,), PI / 4)])
         with pytest.raises(ValueError, match="grid size"):
             Server(pattern_shape(sec.pattern), 1, "0", grid, seed=0)
+
+    def test_float_grid_rejected_by_client_and_audit(self):
+        """A float grid size fails at the boundary; a numpy integer passes."""
+        with pytest.raises(ValueError, match="grid size"):
+            _secret([CircuitGate("Rx", (0,), PI / 4)], grid=8.0)
+        with pytest.raises(ValueError, match="grid size"):
+            audit_blindness(8.0)
+        assert audit_blindness(np.int64(8)).passed
 
     def test_sampling_a_step_requires_an_rng(self):
         sec = _secret([CircuitGate("Rx", (0,), PI / 4)])
@@ -550,6 +559,42 @@ class TestAudit:
     def test_larger_grid(self):
         rep = audit_blindness(grid_n=16)
         assert rep.passed
+
+    def test_largest_grid(self):
+        rep = audit_blindness(grid_n=MAX_GRID)
+        assert rep.passed and rep.angle_tvd == 0.0 and rep.angle_max_nonuniformity == 0.0
+
+    @pytest.mark.parametrize("grid_n", [8, 16])
+    def test_batched_output_check_equals_one_server_step_per_payload(self, monkeypatch, grid_n):
+        """Check (c) steps every payload row in one ``branch_step`` call; its
+        post-step states equal, row for row, one ``server_step`` per payload
+        and outcome."""
+        calls = []
+        real_coefficients, real_step = protocol._message_coefficients, protocol.branch_step
+
+        def coefficients(msg, shape, grid, values=None):
+            calls.append((values, shape))
+            return real_coefficients(msg, shape, grid, values)
+
+        def step(*args):
+            result = real_step(*args)
+            calls[-1] += (result[0],)
+            return result
+
+        monkeypatch.setattr(protocol, "_message_coefficients", coefficients)
+        monkeypatch.setattr(protocol, "branch_step", step)
+        assert audit_blindness(grid_n).passed
+        monkeypatch.undo()
+        start = PureState(1, protocol.AUDIT_INPUT)
+        batched = [c for c in calls if c[0] is not None]
+        assert len(batched) == 2  # one per secret
+        for payloads, shape, after in batched:
+            assert payloads.shape == (2 * grid_n, 2) and after.shape == (4 * grid_n, 2)
+            for r, payload in enumerate(payloads):
+                msg = Message("ANCILLA", shape.slot, payload=tuple(payload))
+                for s in (0, 1):
+                    want = server_step(start, msg, shape, grid_n, outcome=s)[0].amplitudes
+                    assert np.array_equal(after[2 * r + s], want), (r, s)
 
     def test_every_even_grid_is_exact(self):
         for grid_n in range(4, 33, 2):

@@ -6,10 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from adqc.core import AncillaSpec, MeasBasis, assemble_entangler, preset, preset_labels, rotation
+from adqc.core import (
+    AncillaSpec,
+    MeasBasis,
+    assemble_entangler,
+    param_kets,
+    param_state,
+    preset,
+    preset_labels,
+    rotation,
+)
 from adqc.linalg import CZ, PAULIS, PureState, X, dagger, embed, equal_up_to_global_phase, tensor
 from adqc.register import (
-    KRAUS_CACHE_SIZE,
     PARITY_CACHE_SIZE,
     PAULI_NAMES,
     PAYLOAD_BIT,
@@ -17,18 +25,20 @@ from adqc.register import (
     AdqcStep,
     GatePattern,
     QubitCorrection,
-    PRUNE_PROBABILITY,
-    branch_operators,
+    _apply_branches,
+    branch_coefficients,
     branch_step,
+    coupling_blocks,
     frame_bits,
     init_register,
     parities,
     parity_table,
     run_pattern,
     step_branch_operators,
+    walk_steps,
 )
 from adqc.patterns import CircuitDescription, CircuitGate, compile_circuit, standard_pattern, verify_pattern
-from adqc.protocol import Message, _message_operators, grid_angle, pattern_shape, server_step
+from adqc.protocol import Message, _message_coefficients, grid_angle, pattern_shape, server_step
 
 PI = math.pi
 
@@ -37,14 +47,25 @@ def _gamma_step(q=0, gamma=0.0, theta=0.0, label="CZ_CANON"):
     return AdqcStep((q,), (label,), AncillaSpec(gamma, 0), AdaptiveAngle.constant(theta))
 
 
+def _resolve(angle, outcomes):
+    """An adaptive angle at one record of earlier outcomes: its terms added in
+    order, each negated by the parity of its outcome bits (payload bits,
+    zero outside delegated runs, are skipped)."""
+    theta = 0.0
+    for value, negate in angle.terms:
+        theta += value * (1 - 2 * (sum(int(outcomes[i]) for i in negate if i < PAYLOAD_BIT) & 1))
+    return theta
+
+
 def _step_once(state, step, outcome=None, rng=None, outcomes=()):
     """One forced or sampled step of a single register: a one-row
-    ``branch_step`` with the step's Kraus pair at the angle its earlier
+    ``branch_step`` with the step's coefficients at the angle its earlier
     ``outcomes`` resolve.  Returns (new state, outcome bit)."""
-    n = state.num_qubits
-    ops = step_branch_operators(step, step.basis_theta.resolve(outcomes), n)
-    vecs, _, out, _ = branch_step(state.amplitudes[None], [ops], np.zeros(1, dtype=int), outcome, rng)
-    return PureState.unchecked(n, vecs[0]), int(out[0])
+    payload = param_kets("+", step.ancilla.gamma, step.ancilla.delta)
+    coeffs = branch_coefficients(payload, _resolve(step.basis_theta, outcomes), step.basis_phi)
+    blocks = coupling_blocks(step.entangler_labels)
+    vecs, _, out, _ = branch_step(state.amplitudes[None], step.targets, blocks, coeffs, outcome, rng)
+    return PureState.unchecked(state.num_qubits, vecs[0]), int(out[0])
 
 
 class TestInitRegister:
@@ -252,16 +273,24 @@ def _uncached_branch_operators(step, theta, n, payload=None):
     for tgt, ent in zip(step.targets, ents):
         total = embed(assemble_entangler(ent), (n, tgt), n + 1) @ total
     if payload is None:
-        payload = dagger(ents[0].frame.v_a) @ step.ancilla.ket().amplitudes
-    bras = [ents[-1].frame.w_a @ b.amplitudes for b in MeasBasis(theta, step.basis_phi).bra_states()]
+        payload = dagger(ents[0].frame.v_a) @ param_state("+", step.ancilla.gamma, step.ancilla.delta).amplitudes
+    basis = MeasBasis(theta, step.basis_phi)
+    bras = [ents[-1].frame.w_a @ param_state(sign, basis.theta, basis.phi).amplitudes for sign in "+-"]
     t = total.reshape(2**n, 2, 2**n, 2)
     return np.stack([np.einsum("a,iajb,b->ij", b.conj(), t, payload) for b in bras])
+
+
+# the kernel sums four blocks where the reference contracts a dense coupling
+# tensor, so results agree to rounding, not to the bit
+KERNEL_TOL = 1e-14
 
 
 class TestCouplingCache:
     def test_cached_coupling_gives_identical_operators(self):
         """Every preset label and label pair on every target layout of 1 to
-        3 qubits gives bit-identical Kraus pairs to the uncached build."""
+        3 qubits gives the Kraus pairs of the uncached build, at the basis
+        angle, at the angle plus 2 pi and at its negation (the kernel reduces
+        angles modulo 2 pi as ``MeasBasis`` does)."""
         rng = np.random.default_rng(41)
         labels = preset_labels()
         cases = 0
@@ -276,16 +305,24 @@ class TestCouplingCache:
                 gamma, delta, theta, phi = rng.uniform(0, 2 * PI, size=4)
                 step = AdqcStep(targets, pair, AncillaSpec(gamma, delta),
                                 AdaptiveAngle.constant(theta), phi)
-                for _ in range(2):  # the second call reads the cache
-                    assert np.array_equal(
-                        step_branch_operators(step, theta, n), _uncached_branch_operators(step, theta, n)
-                    ), (n, targets, pair)
+                for angle in (theta, theta + 2 * PI, -theta):
+                    got = step_branch_operators(step, angle, n)
+                    want = _uncached_branch_operators(step, angle, n)
+                    assert np.abs(got - want).max() <= KERNEL_TOL, (n, targets, pair, angle)
                 cases += 1
         assert cases == 6 * 6 + 36 * 8
 
+    def test_coupling_blocks_refuse_writes(self):
+        blocks = coupling_blocks(("CZ_CANON", "J_CANON"))
+        assert blocks.shape == (4, 4, 4)
+        with pytest.raises(ValueError):
+            blocks[0, 0, 0] = 0.0
+        assert coupling_blocks(("CZ_CANON", "J_CANON")) is blocks
+
 
 class TestKrausCache:
-    """The bounded Kraus-pair cache under every stepping path."""
+    """The Kraus pair of a server message, from the message's coefficient row
+    and the cached coupling blocks, against the uncached build."""
 
     def _message_reference(self, msg, shape, grid_n, n):
         """The uncached Kraus pair of the step ``shape`` driven by ``msg``."""
@@ -299,8 +336,10 @@ class TestKrausCache:
 
     def test_message_operators_match_the_uncached_build(self):
         """Seeded ANCILLA and ANGLE messages on every step of a compiled
-        three-qubit circuit, in both variants: the server's Kraus pair and
-        its post-measurement states equal the uncached build's bit for bit."""
+        three-qubit circuit, in both variants: the Kraus pair of the server's
+        coefficient row and its post-measurement states equal the uncached
+        build's to rounding, and ``server_step``'s states equal a direct
+        ``branch_step`` on that row bit for bit."""
         rng = np.random.default_rng(43)
         circuit = CircuitDescription(3, (
             CircuitGate("Rx", (0,), PI / 4), CircuitGate("CZ", (2, 0)),
@@ -315,48 +354,22 @@ class TestKrausCache:
                 else:
                     msg = Message("ANGLE", shape.slot, theta_grid=int(rng.integers(grid_n)))
                 want = self._message_reference(msg, shape, grid_n, n)
-                assert np.array_equal(_message_operators(msg, shape, grid_n, n), want), shape
+                coeffs = _message_coefficients(msg, shape, grid_n)
+                blocks = coupling_blocks(shape.entangler_labels)
+                ops = _apply_branches(np.eye(2**n, dtype=complex)[None], shape.targets, blocks, coeffs)[0]
+                assert np.abs(ops - want).max() <= KERNEL_TOL, shape
                 amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
                 state = init_register(n, PureState(n, amps))
                 for s in (0, 1):
                     got, reply, p = server_step(state, msg, shape, grid_n, outcome=s)
-                    ref, _, _, p_ref = branch_step(state.amplitudes[None], [want], np.zeros(1, dtype=int), s)
+                    ref, _, _, p_ref = branch_step(state.amplitudes[None], shape.targets, blocks, coeffs, s)
                     assert reply.bit == s and p == p_ref[0]
                     assert np.array_equal(got.amplitudes, ref[0])
+                    dense = want[s] @ state.amplitudes
+                    assert abs(p - np.vdot(dense, dense).real) <= KERNEL_TOL
+                    assert np.abs(got.amplitudes - dense / np.linalg.norm(dense)).max() <= KERNEL_TOL
                 cases += 1
         assert cases > 20
-
-    def test_theta_and_theta_plus_two_pi_are_separate_entries(self):
-        rng = np.random.default_rng(44)
-        for _ in range(10):
-            theta = float(rng.uniform(0, 2 * PI))
-            step = _gamma_step(q=1, gamma=float(rng.uniform(0, 2 * PI)), label="J_CANON")
-            before = branch_operators.cache_info()
-            first = step_branch_operators(step, theta, 2)
-            second = step_branch_operators(step, theta + 2 * PI, 2)
-            assert branch_operators.cache_info().misses == before.misses + 2
-            assert np.array_equal(first, _uncached_branch_operators(step, theta, 2))
-            assert np.array_equal(second, _uncached_branch_operators(step, theta + 2 * PI, 2))
-
-    def test_cached_pairs_refuse_writes(self):
-        ops = step_branch_operators(_gamma_step(gamma=0.3, theta=0.2), 0.2, 1)
-        with pytest.raises(ValueError):
-            ops[0, 0, 0] = 0.0
-        assert step_branch_operators(_gamma_step(gamma=0.3, theta=0.2), 0.2, 1) is ops
-
-    def test_second_verification_adds_no_misses(self):
-        circuit = CircuitDescription(2, (
-            CircuitGate("Rz", (0,), 5 * PI / 4), CircuitGate("CZ", (0, 1)), CircuitGate("Rx", (1,), PI / 2),
-        ))
-        for variant in ("single", "two"):
-            pattern = compile_circuit(circuit, variant)
-            assert verify_pattern(pattern).valid
-            misses = branch_operators.cache_info().misses
-            assert verify_pattern(pattern).valid
-            assert branch_operators.cache_info().misses == misses
-
-    def test_bound_is_the_module_constant(self):
-        assert branch_operators.cache_info().maxsize == KRAUS_CACHE_SIZE
 
 
 class TestKernelCrossCheck:
@@ -408,35 +421,31 @@ class TestKernelCrossCheck:
                 )
 
 
-class TestBranchStepGrouping:
-    """branch_step groups rows by Kraus pair with one sort; its output is bit
-    for bit that of selecting each pair's rows with a boolean mask."""
+class TestBranchStepKernel:
+    """branch_step against each row's dense Kraus pair from the uncached
+    build, for vectors and Choi rows, on every one- and two-target layout of
+    a three-qubit register."""
 
-    @staticmethod
-    def _masked(states, pairs, which):
-        vecs = np.empty((len(states), 2) + states.shape[1:], dtype=complex)
-        for g, ops in enumerate(pairs):
-            sel = which == g
-            vecs[sel] = np.einsum("sij,bj...->bsi...", ops, states[sel])
-        re_im = vecs.reshape(len(states), 2, -1).view(float)
-        probs = np.einsum("bsi,bsi->bs", re_im, re_im)
-        parent, out = np.nonzero(probs >= PRUNE_PROBABILITY)
-        p = probs[parent, out]
-        return vecs[parent, out] / np.sqrt(p).reshape((-1,) + (1,) * (states.ndim - 1)), parent, out, p
-
-    @pytest.mark.parametrize("num_pairs", [1, 512])
-    @pytest.mark.parametrize("trailing", [(), (4,)], ids=["vectors", "choi"])
-    def test_matches_the_masked_computation(self, num_pairs, trailing):
-        rng = np.random.default_rng(num_pairs)
-        rows, dim = 4096, 4
-        states = rng.normal(size=(rows, dim) + trailing) + 1j * rng.normal(size=(rows, dim) + trailing)
-        states /= np.sqrt((np.abs(states) ** 2).reshape(rows, -1).sum(axis=1)).reshape((-1, 1) + (1,) * len(trailing))
-        pairs = [rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim)) for _ in range(num_pairs)]
-        which = rng.integers(num_pairs, size=rows)
-        got = branch_step(states, pairs, which)
-        want = self._masked(states, pairs, which)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+    @pytest.mark.parametrize("trailing", [(), (8,)], ids=["vectors", "choi"])
+    def test_matches_the_dense_pairs(self, trailing):
+        rng = np.random.default_rng(len(trailing))
+        rows, n = 64, 3
+        layouts = [((t,), ("J_CANON",)) for t in range(n)]
+        layouts += [(pair, ("RX_CANON", "RZ_CANON")) for pair in itertools.permutations(range(n), 2)]
+        for targets, labels in layouts:
+            states = rng.normal(size=(rows, 2**n) + trailing) + 1j * rng.normal(size=(rows, 2**n) + trailing)
+            states /= np.linalg.norm(states.reshape(rows, -1), axis=1).reshape((-1, 1) + (1,) * len(trailing))
+            payloads = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
+            payloads /= np.linalg.norm(payloads, axis=1)[:, None]
+            theta, phi = rng.uniform(-4 * PI, 4 * PI, size=(2, rows))
+            got, parent, out, p = branch_step(states, targets, coupling_blocks(labels),
+                                              branch_coefficients(payloads, theta, phi))
+            assert parent.tolist() == np.repeat(np.arange(rows), 2).tolist() and out.tolist() == [0, 1] * rows
+            for i, (r, s) in enumerate(zip(parent, out)):
+                step = AdqcStep(targets, labels, AncillaSpec(0.0), AdaptiveAngle.constant(theta[r]), phi[r])
+                child = np.tensordot(_uncached_branch_operators(step, theta[r], n, payloads[r])[s], states[r], 1)
+                assert abs(p[i] - np.vdot(child, child).real) <= KERNEL_TOL
+                assert np.abs(got[i] - child / np.linalg.norm(child)).max() <= KERNEL_TOL, (targets, r, s)
 
 
 def _xor_parity(indices, outcomes, payload_bits):
@@ -504,10 +513,15 @@ class TestParityTables:
         for q, c in enumerate(corrections):
             assert np.array_equal(x[q], c.x_const ^ _xor_parity(c.x_parity, outcomes, payload))
             assert np.array_equal(z[q], c.z_const ^ _xor_parity(c.z_parity, outcomes, payload))
-        angle = AdaptiveAngle(((0.3, frozenset({1, 4})), (-1.1, frozenset({PAYLOAD_BIT + 6})), (2.0, frozenset())))
-        want = 0.0
-        for value, negs in angle.terms:
-            want = want + value * (1 - 2 * _xor_parity(negs, outcomes, payload))
-        assert np.array_equal(angle.resolve(outcomes, payload), want)
-        assert AdaptiveAngle.constant(0.7).resolve(outcomes) == 0.7
+        # walk_steps resolves each row's multi-term angle on that row's bits,
+        # as a one-row step at the angle of the scalar loop
+        angle = AdaptiveAngle(((0.3, frozenset({1, 4})), (-1.1, frozenset({6})), (2.0, frozenset())))
+        step = AdqcStep((1,), ("J_CANON",), AncillaSpec(0.4, 0.2), angle)
+        states = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        got, _, bits, origin = walk_steps([step] * 9, states, outcomes, np.full((1, 64), 8))
+        for row, r in enumerate(origin):
+            s = int(bits[8, row])
+            want, _ = _step_once(PureState(2, states[r]), step, outcome=s, outcomes=outcomes[:, r])
+            np.testing.assert_allclose(got[row], want.amplitudes, rtol=0, atol=1e-15)
 

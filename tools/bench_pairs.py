@@ -1,11 +1,14 @@
 """Compare two commits on the benchmark and write ``BENCH_<n>.json``.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_12.json
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out pairs.json --workload delegate
 
 Each commit's files are exported with ``git archive`` into a fresh temporary
 directory, so the working tree and the repository's refs stay as they are.
 
-For every workload that ``BENCHMARK.json`` lists, the unmodified
+For every workload that ``BENCHMARK.json`` lists (or each ``--workload``
+given, which may be one that ``perfbench/run.py`` runs but the file does not
+list, such as ``delegate``), the unmodified
 ``perfbench/run.py`` of each checkout runs for ``run_seconds`` at seed 7919,
 alternating parent and change and swapping which goes first on every other
 pair, for 10 pairs.  The end-to-end metrics are read from the result line of
@@ -64,10 +67,11 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="commit before the change")
     parser.add_argument("--change", required=True, help="commit with the change")
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
+    parser.add_argument("--workload", action="append", help="a workload to run (repeatable); default: BENCHMARK.json's")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    workloads = [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     rows, envs, digests = [], set(), {}
