@@ -37,7 +37,7 @@ from adqc.register import (
     step_branch_operators,
     walk_steps,
 )
-from adqc.patterns import CircuitDescription, CircuitGate, compile_circuit, standard_pattern, verify_pattern
+from adqc.patterns import CircuitDescription, CircuitGate, compile_circuit, standard_pattern
 from adqc.protocol import Message, _message_coefficients, grid_angle, pattern_shape, server_step
 
 PI = math.pi
