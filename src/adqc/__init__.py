@@ -12,7 +12,7 @@ _EXPORTS = {name: module for module, names in {
     "core": ("AncillaSpec", "BranchReport", "CartanParams", "Entangler", "KrausPair", "LocalFrame", "MeasBasis",
              "assemble_entangler", "branch_analysis", "kraus_pair", "param_state", "preset", "preset_labels",
              "rotation", "weyl_interaction"),
-    "linalg": ("DensityMatrix", "PureState", "equal_up_to_global_phase", "partial_trace", "tensor"),
+    "linalg": ("PureState", "equal_up_to_global_phase", "tensor"),
     "conditions": ("ParamPoint", "TableCase", "classify_parameters", "constraint_residual", "fg_coefficients",
                    "l_hiding_residual", "required_alpha_x", "vw_form_check"),
     "register": ("AdaptiveAngle", "AdqcStep", "GatePattern", "init_register", "run_pattern"),

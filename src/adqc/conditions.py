@@ -247,6 +247,16 @@ def vw_form_check(v, w, tol: float = 1e-9) -> bool:
     return ix_form or yz_form
 
 
+def _hiding_errors(v, w, theta: float, gamma: float) -> list[float]:
+    """How far W Rx(theta) V W Rx(gamma) V is from W Rx(theta + pm*gamma) V W V,
+    up to a global phase, for pm = +1 and then -1."""
+    v = np.asarray(v, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    lhs = w @ rotation("x", theta) @ v @ w @ rotation("x", gamma) @ v
+    return [float(phase_invariant_error(lhs.ravel(), (w @ rotation("x", theta + pm * gamma) @ v @ w @ v).ravel()))
+            for pm in (1, -1)]
+
+
 def l_hiding_residual(v, w, theta: float, gamma: float, s: int) -> float:
     """How far W Rx(theta) V W Rx((-1)^s gamma) V is from W Rx(theta') V W V
     with theta' = theta +/- (-1)^s gamma; the minimum over the two signs.
@@ -254,28 +264,14 @@ def l_hiding_residual(v, w, theta: float, gamma: float, s: int) -> float:
     Zero means the hidden-angle absorption law holds for this frame at
     (theta, gamma, s).
     """
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    sgn = -1.0 if s % 2 else 1.0
-    lhs = w @ rotation("x", theta) @ v @ w @ rotation("x", sgn * gamma) @ v
-    best = math.inf
-    for pm in (1.0, -1.0):
-        rhs = w @ rotation("x", theta + pm * sgn * gamma) @ v @ w @ v
-        best = min(best, float(phase_invariant_error(lhs.ravel(), rhs.ravel())))
-    return best
+    return min(_hiding_errors(v, w, theta, (-1.0 if s % 2 else 1.0) * gamma))
 
 
 def l_hiding_sign(v, w, probe_theta: float = 0.9, probe_gamma: float = 0.7) -> int:
     """The sign in theta' = theta + sign*(-1)^s*gamma realized by this frame,
     or 0 if neither sign makes the absorption law hold."""
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    lhs = w @ rotation("x", probe_theta) @ v @ w @ rotation("x", probe_gamma) @ v
-    for pm in (1, -1):
-        rhs = w @ rotation("x", probe_theta + pm * probe_gamma) @ v @ w @ v
-        if phase_invariant_error(lhs.ravel(), rhs.ravel()) < 1e-9:
-            return pm
-    return 0
+    plus, minus = _hiding_errors(v, w, probe_theta, probe_gamma)
+    return 1 if plus < 1e-9 else -1 if minus < 1e-9 else 0
 
 
 # ---------------------------------------------------------------------------

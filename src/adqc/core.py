@@ -129,15 +129,6 @@ class Entangler:
 
 
 @dataclass(frozen=True)
-class BranchForm:
-    """Pauli split of one branch, valid when its I and X parts are phase-orthogonal."""
-
-    f: float
-    g: float
-    n_parity: int
-
-
-@dataclass(frozen=True)
 class KrausPair:
     """Unnormalized system Kraus branches for the two ancilla outcomes."""
 
@@ -261,24 +252,6 @@ def contract_kraus(entanglers: np.ndarray, kets: np.ndarray, bras: np.ndarray) -
     m = ket[:, 0] * e[..., 0, :] + ket[:, 1] * e[..., 1, :]  # (n, a_out, s_out, s_in)
     bra = bras.conj()[..., None, None]  # (n, t, a_out, 1, 1)
     return bra[:, :, 0] * m[:, None, 0] + bra[:, :, 1] * m[:, None, 1]
-
-
-def branch_form(k: np.ndarray, tol: float = 1e-9) -> BranchForm | None:
-    """The I/X split of one branch operator, or None when it has Y or Z parts
-    or its I and X parts are not phase-orthogonal."""
-    ci = np.trace(k) / 2
-    cx = np.trace(X @ k) / 2
-    if np.abs(k - ci * I2 - cx * X).max() > tol:
-        return None
-    f, g = abs(ci), abs(cx)
-    if g < tol:
-        return BranchForm(float(f), 0.0, 0)
-    if f < tol:
-        return BranchForm(0.0, float(g), 0)
-    ratio = cx / ci
-    if abs(ratio.real) > tol:  # I and X parts not phase-orthogonal
-        return None
-    return BranchForm(float(f), float(g), 0 if ratio.imag < 0 else 1)
 
 
 def kraus_pair(e: Entangler, a: AncillaSpec, m: MeasBasis) -> KrausPair:

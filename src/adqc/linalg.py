@@ -133,11 +133,6 @@ class PureState:
         return out
 
     @classmethod
-    def from_vector(cls, vec) -> "PureState":
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        return cls(num_qubits_of(vec.size), vec)
-
-    @classmethod
     def from_label(cls, label: str) -> "PureState":
         """Product state from a string over {0, 1, +, -}, e.g. "0+"."""
         label = label.strip().lstrip("|").rstrip(">⟩")
@@ -148,52 +143,8 @@ class PureState:
             vec = np.kron(vec, _LABEL_KETS[ch])
         return cls(len(label), vec)
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.num_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
-
     def fidelity(self, other: "PureState") -> float:
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on n qubits."""
-
-    num_qubits: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = _as_square(self.matrix)
-        if m.shape[0] != 2**self.num_qubits:
-            raise ValueError(f"shape {m.shape} for {self.num_qubits} qubit(s)")
-        if np.abs(m - m.conj().T).max() > 1e-12:
-            raise ValueError("matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > 1e-12:
-            raise ValueError("trace is not 1")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise ValueError("matrix has a negative eigenvalue")
-        object.__setattr__(self, "matrix", m.astype(complex))
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the kept qubit indices (0-based, order preserved)."""
-    keep = sorted(set(int(q) for q in keep))
-    n = rho.num_qubits
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} qubit(s)")
-    traced = [q for q in range(n) if q not in keep]
-    m = rho.matrix.reshape([2] * (2 * n))
-    for q in sorted(traced, reverse=True):
-        m = np.trace(m, axis1=q, axis2=q + m.ndim // 2)
-    k = len(keep)
-    return DensityMatrix(k, m.reshape(2**k, 2**k))
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    eig = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return float(0.5 * np.abs(eig).sum())
 
 
 def apply_op(op, psi, qubits) -> np.ndarray:

@@ -269,7 +269,6 @@ class _PatternBuilder:
             num_qubits=self.n,
             steps=tuple(self.steps),
             target=built,
-            target_qubits=tuple(range(self.n)),
             corrections=tuple(self.frames),
             slots=tuple(self.slots),
             slot_boundaries=tuple(self.boundary_corrections),
@@ -286,12 +285,28 @@ _SUPPORTED = {
 }
 
 
+def _check_angle(kind: str, angle, needed: bool) -> None:
+    """Refuse an angle given where ``kind`` takes none, and a missing,
+    non-real (a string, a bool) or non-finite one where it takes one."""
+    if not needed:
+        if angle is not None:
+            raise ValueError(f"{kind} takes no angle")
+        return
+    if angle is None:
+        raise ValueError(f"{kind} needs an angle")
+    if isinstance(angle, bool) or not isinstance(angle, (int, float)):
+        raise ValueError(f"{kind} angle must be a real number")
+    if not math.isfinite(angle):
+        raise ValueError(f"{kind} angle must be finite, got {angle}")
+
+
 def standard_pattern(kind: str, theta_prime: float | None = None, variant: str = "single") -> GatePattern:
     """One named slot as a standalone pattern on one or two qubits."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if kind not in _SUPPORTED[variant]:
         raise ValueError(f"slot kind {kind!r} is not available in variant {variant!r}")
+    _check_angle(kind, theta_prime, kind not in ("CZ", "ASSIST"))
     if kind == "CZ":
         b = _PatternBuilder(2, variant)
         b.add_cz(0, 1)
@@ -300,8 +315,6 @@ def standard_pattern(kind: str, theta_prime: float | None = None, variant: str =
         b = _PatternBuilder(1, variant)
         b.add_assist(0)
         return b.finalize()
-    if theta_prime is None:
-        raise ValueError(f"slot kind {kind!r} needs an angle")
     b = _PatternBuilder(1, variant)
     b.add_rotation(kind, 0, float(theta_prime))
     return b.finalize()
@@ -318,22 +331,6 @@ def _add_unit(b: _PatternBuilder, q: int, zxz: np.ndarray):
         b.add_rotation("RZ", q, a)
         b.add_rotation("RX", q, bb)
         b.add_rotation("RZ", q, c)
-
-
-def euler_zxz(u) -> tuple[float, float, float]:
-    """Angles (a, b, c) with u proportional to Rz(c) Rx(b) Rz(a)."""
-    u = np.asarray(u, dtype=complex)
-    det = np.linalg.det(u)
-    v = u * det ** (-0.5)
-    b = 2.0 * math.atan2(abs(v[0, 1]), abs(v[0, 0]))
-    apc = -2.0 * np.angle(v[0, 0]) if abs(v[0, 0]) > 1e-9 else 0.0
-    amc = 2.0 * (np.angle(v[0, 1]) + math.pi / 2) if abs(v[0, 1]) > 1e-9 else 0.0
-    a = (apc + amc) / 2.0
-    c = (apc - amc) / 2.0
-    chk = rotation("z", c) @ rotation("x", b) @ rotation("z", a)
-    if not equal_up_to_global_phase(v, chk, 1e-7):
-        raise RuntimeError("Euler decomposition failed to reassemble")
-    return a, b, c
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +358,7 @@ class CircuitGate:
             raise ValueError(f"{self.kind} takes {want} distinct target(s)")
         if not all(_is_index(t) for t in self.targets):
             raise ValueError(f"{self.kind} targets must be qubit indices")
-        if self.kind not in ("Rx", "Rz"):
-            if self.angle is not None:
-                raise ValueError(f"{self.kind} takes no angle")
-            return
-        if self.angle is None:
-            raise ValueError(f"{self.kind} needs an angle")
-        if isinstance(self.angle, bool) or not isinstance(self.angle, (int, float)):
-            raise ValueError(f"{self.kind} angle must be a real number")
-        if not math.isfinite(self.angle):
-            raise ValueError(f"{self.kind} angle must be finite, got {self.angle}")
+        _check_angle(self.kind, self.angle, self.kind in ("Rx", "Rz"))
 
     def matrix(self) -> np.ndarray:
         if self.kind == "H":
@@ -417,7 +405,10 @@ class CircuitDescription:
 
     @classmethod
     def from_json(cls, text: str) -> "CircuitDescription":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("malformed circuit JSON: nested too deeply") from None
         if not isinstance(doc, dict) or doc.get("v") != 1:
             raise ValueError("unsupported circuit schema version")
         try:
@@ -445,9 +436,10 @@ def compile_circuit(
     slots: one unit per one-qubit gate, one entangling slot per CZ.
 
     Every unit has the same slot shape regardless of the gate it carries, so
-    the compiled step sequence reveals only the gate-count profile; grid-angle
-    circuits compile to grid-angle slots.  ``pad_layers`` appends identity
-    unit layers on every qubit.
+    the step sequence hides which one-qubit gate a unit carries, but not its
+    qubit, the gate order or where the CZs are (``protocol.pattern_shape``
+    shows them all); grid-angle circuits compile to grid-angle slots.
+    ``pad_layers`` appends identity unit layers on every qubit.
     """
     n = circuit.num_qubits
     b = _PatternBuilder(n, variant)

@@ -28,7 +28,7 @@ from .register import frame_bits, init_register, parities
 DEFAULT_GRID = 8
 # largest grid size: its spacing 2 pi / 2^16 (about 1e-4) stays five orders of
 # magnitude above grid_index's 1e-9 tolerance; an audit's time grows linearly
-# with the size, 1.4-1.8 s in process at this size on 2 vCPUs
+# with the size, 1.0-1.4 s in process at this size on 2 vCPUs
 MAX_GRID = 1 << 16
 STANDARD_PAYLOAD = (1 + 0j, 0j)  # |0>, the ancilla an ANGLE round couples
 # register input of the audited hidden-rotation round: cos(pi/3)|+> + sin(pi/3) e^(i pi/5)|->
@@ -260,14 +260,6 @@ class Client:
         theta_odd, gamma_odd = parities((slot.theta_negate, slot.gamma_negate), self.eff_outcomes, self.payload_bits)
         k = (np.where(theta_odd, -k_theta, k_theta) + np.where(gamma_odd, gamma, -gamma)
              + sec.r_angle[:, slot_idx] * half) % sec.grid_n
-        # the slot's draws: one value when every row shares one draw
-        shared = len(sec.r_payload) == 1
-        self.transcript.client_log.append({
-            "slot": slot_idx, "kind": slot.kind, "theta_prime": slot.theta_prime, "theta_sign": slot.theta_sign,
-            **{name: draw.item(0, slot_idx) if shared else draw[:, slot_idx].tolist()
-               for name, draw in (("gamma_index", sec.gamma_index), ("r_payload", sec.r_payload),
-                                  ("r_angle", sec.r_angle))},
-        })
         return self._rows(k)
 
     # -- outcome digestion ------------------------------------------------------
@@ -441,10 +433,19 @@ def _corrected(states: np.ndarray, corrections, client: Client) -> np.ndarray:
 
 
 def _round_values(client: Client, slot_idx: int, role: str, kind: str):
-    """A round's messages as (B, 2) kets or (B,) grid indices, and row 0's ``Message``."""
-    values = client.prepare_ancilla(slot_idx, role) if kind == "ANCILLA" else client.angle_message(slot_idx)
-    field = {"payload": tuple(values[0])} if kind == "ANCILLA" else {"theta_grid": int(values[0])}
-    return values, Message(kind, slot_idx, **field)
+    """A round's messages as (B, 2) kets or (B,) grid indices, and row 0's
+    ``Message``; an ANGLE round also logs the slot's one shared draw row."""
+    if kind == "ANCILLA":
+        values = client.prepare_ancilla(slot_idx, role)
+        return values, Message(kind, slot_idx, payload=tuple(values[0]))
+    values = client.angle_message(slot_idx)
+    slot, sec = client.secret.pattern.slots[slot_idx], client.secret
+    client.transcript.client_log.append({
+        "slot": slot_idx, "kind": slot.kind, "theta_prime": slot.theta_prime, "theta_sign": slot.theta_sign,
+        **{name: draw.item(0, slot_idx) for name, draw in (("gamma_index", sec.gamma_index),
+                                                           ("r_payload", sec.r_payload), ("r_angle", sec.r_angle))},
+    })
+    return values, Message(kind, slot_idx, theta_grid=int(values[0]))
 
 
 def _dialogue(client: Client, server: Server):
@@ -541,10 +542,12 @@ def audit_blindness(
         slot = secret.pattern.slots[slot_idx]
         draws = np.zeros((4, len(gi), len(secret.pattern.slots)), dtype=np.int64)  # only the RX slot's are read
         draws[[0, 1, 3], :, slot_idx] = gi, r_payload, r_angle
+        # (a) and (c) read only the rows of outcome, angle coin and frame
+        # parity 0, one per (hidden index, coin): prepare just those
+        secret.gamma_index, secret.r_payload, secret.r_assist, secret.r_angle = draws[:, ::8]
+        payload = Client(secret).prepare_ancilla(slot_idx, "gamma").reshape(grid_n, 2, 2)
         secret.gamma_index, secret.r_payload, secret.r_assist, secret.r_angle = draws
         client = Client(secret)
-        # the rows of outcome, angle coin and frame parity 0: (hidden index, coin)
-        payload = client.prepare_ancilla(slot_idx, "gamma")[::8].reshape(grid_n, 2, 2)
         # one earlier outcome sets the frame parity the angle reads
         client.eff_outcomes[min(slot.theta_negate)] = frame
         client.record(slot_idx, "gamma", s)

@@ -121,7 +121,6 @@ class GatePattern:
     num_qubits: int
     steps: tuple[AdqcStep, ...]
     target: np.ndarray
-    target_qubits: tuple[int, ...]
     corrections: tuple[QubitCorrection, ...]
     slots: tuple[SlotSpec, ...] = ()
     slot_boundaries: tuple[tuple[QubitCorrection, ...], ...] = ()

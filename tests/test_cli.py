@@ -258,6 +258,15 @@ class TestMalformedCircuit:
         assert json.loads(err)["error"] == message
 
 
+    def test_delegate_rejects_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(capsys, "delegate", "--circuit", str(path), "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "malformed circuit JSON: nested too deeply"
+
+
 class TestFixedCosts:
     """In process, ``main`` reuses one parser and looks its handler up by name
     on every call; a fresh ``import adqc.cli`` loads no subcommand module."""

@@ -17,7 +17,6 @@ from adqc.core import (
     assemble_entangler,
     basis_kets,
     branch_analysis,
-    branch_form,
     contract_kraus,
     kraus_pair,
     param_kets,
@@ -27,6 +26,7 @@ from adqc.core import (
     rotation,
     weyl_interaction,
 )
+from adqc.conditions import pauli_components
 from adqc.linalg import (
     CZ,
     H,
@@ -265,19 +265,26 @@ class TestKrausPair:
 
     def test_branch_form_split(self):
         pair = kraus_pair(CZ_CANON, AncillaSpec(0.9, 0), MeasBasis(0, 0))
-        bf_p, bf_m = branch_form(pair.k_plus), branch_form(pair.k_minus)
-        assert bf_p is not None and bf_m is not None
-        assert abs(bf_p.f - abs(math.cos(0.45)) / math.sqrt(2)) < 1e-12
-        assert abs(bf_p.g - abs(math.sin(0.45)) / math.sqrt(2)) < 1e-12
+        for k in (pair.k_plus, pair.k_minus):
+            comp = pauli_components(k)
+            assert abs(comp["Y"]) < 1e-9 and abs(comp["Z"]) < 1e-9
+            assert abs((comp["X"] / comp["I"]).real) < 1e-9  # I and X parts phase-orthogonal
+        comp = pauli_components(pair.k_plus)
+        assert abs(abs(comp["I"]) - abs(math.cos(0.45)) / math.sqrt(2)) < 1e-12
+        assert abs(abs(comp["X"]) - abs(math.sin(0.45)) / math.sqrt(2)) < 1e-12
 
     def test_branch_form_parity_differs_on_correctable_row(self):
         """On the one-step-correctable rotation row the internal signs of the
         two branches are opposite; this is what lets a single X correct them."""
         for t in (0.4, 1.3, 2.1):
             pair = kraus_pair(CZ_CANON, AncillaSpec(0, 0), MeasBasis(t, 0))
-            bf_p, bf_m = branch_form(pair.k_plus), branch_form(pair.k_minus)
-            assert bf_p is not None and bf_m is not None
-            assert bf_p.n_parity != bf_m.n_parity
+            ratios = []
+            for k in (pair.k_plus, pair.k_minus):
+                comp = pauli_components(k)
+                assert abs(comp["Y"]) < 1e-9 and abs(comp["Z"]) < 1e-9
+                ratios.append(comp["X"] / comp["I"])
+                assert abs(ratios[-1].real) < 1e-9
+            assert ratios[0].imag * ratios[1].imag < 0
 
 
 def _rand_u2(rng):

@@ -1,4 +1,4 @@
-"""Dense linear-algebra layer: tensor products, partial traces, phase equality."""
+"""Dense linear-algebra layer: tensor products, states, phase equality."""
 
 import numpy as np
 import pytest
@@ -10,17 +10,14 @@ from adqc.linalg import (
     X,
     Y,
     Z,
-    DensityMatrix,
     PureState,
     apply_op,
     apply_pauli_frame,
     embed,
     equal_up_to_global_phase,
     fit_scale,
-    partial_trace,
     phase_invariant_error,
     tensor,
-    trace_distance,
 )
 
 
@@ -53,48 +50,6 @@ class TestTensor:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             tensor(I2, I2, I2, I2, I2, I2)
-
-
-class TestPartialTrace:
-    def test_product_state(self):
-        rho = PureState.from_label("0+").density()
-        red = partial_trace(rho, [1])
-        np.testing.assert_allclose(red.matrix, np.full((2, 2), 0.5), atol=1e-15)
-
-    def test_bell_state(self):
-        bell = PureState.from_vector([1, 0, 0, 1])
-        for keep in ([0], [1]):
-            red = partial_trace(bell.density(), keep)
-            np.testing.assert_allclose(red.matrix, I2 / 2, atol=1e-15)
-
-    def test_factor_recovery_vs_bruteforce(self):
-        # rho = |+_{g,0}><+_{g,0}| (x) sigma ; tracing the first qubit returns sigma
-        rng = np.random.default_rng(7)
-        g = 1.234
-        ket = np.array([np.cos(g / 2), np.sin(g / 2)], dtype=complex)
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi /= np.linalg.norm(psi)
-        sigma = np.outer(psi, psi.conj())
-        full = DensityMatrix(3, np.kron(np.outer(ket, ket.conj()), sigma))
-        red = partial_trace(full, [1, 2])
-        np.testing.assert_allclose(red.matrix, sigma, atol=1e-14)
-
-        # independent oracle: explicit index contraction
-        m = full.matrix.reshape(2, 4, 2, 4)
-        brute = np.einsum("aibj->ij", m * np.eye(2)[:, None, :, None])
-        np.testing.assert_allclose(red.matrix, brute, atol=1e-14)
-
-    def test_trace_over_everything(self):
-        rng = np.random.default_rng(11)
-        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        rho = PureState.from_vector(psi).density()
-        one = partial_trace(rho, [0])
-        assert abs(np.trace(partial_trace(rho, [0, 1, 2]).matrix) - 1) < 1e-12
-        assert one.num_qubits == 1
-
-    def test_empty_keep_rejected(self):
-        with pytest.raises(ValueError):
-            partial_trace(PureState.from_label("0").density(), [])
 
 
 class TestGlobalPhaseEquality:
@@ -169,12 +124,6 @@ class TestStates:
         two = PureState.from_label("|0+>")
         np.testing.assert_allclose(two.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0])
 
-    def test_density_validation(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(1, np.array([[1.0, 0.5], [0.4, 0.0]]))
-        with pytest.raises(ValueError):
-            DensityMatrix(1, 2 * np.eye(2))
-
     def test_apply_unitary_targets(self):
         st = PureState.from_label("00")
         flipped = PureState(2, apply_op(X, st.amplitudes, [1]))
@@ -203,12 +152,6 @@ class TestStates:
         for b in range(50):
             op = tensor(*(paulis[(x[q, b], z[q, b])] for q in range(3)))
             assert np.array_equal(got[b], op @ states[b])
-
-    def test_trace_distance(self):
-        a = PureState.from_label("0").density()
-        b = PureState.from_label("1").density()
-        assert abs(trace_distance(a, b) - 1.0) < 1e-12
-        assert trace_distance(a, a) < 1e-15
 
 
 def _tensordot_apply(op, psi, qubits):

@@ -18,7 +18,6 @@ from adqc.patterns import (
     CircuitGate,
     compile_circuit,
     cz2_spec,
-    euler_zxz,
     standard_pattern,
     verify_pattern,
 )
@@ -410,16 +409,22 @@ class TestCompile:
             assert rep.valid, (c, variant, rep)
 
 
-class TestEuler:
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q, r = np.linalg.qr(m)
-            u = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-            a, b, c = euler_zxz(u)
-            redo = rotation("z", c) @ rotation("x", b) @ rotation("z", a)
-            assert equal_up_to_global_phase(redo, u, 1e-8)
+class TestAngleBoundary:
+    @pytest.mark.parametrize(
+        "kind, theta, variant, message",
+        [
+            ("J", "1.1", "single", "J angle must be a real number"),
+            ("RX", True, "two", "RX angle must be a real number"),
+            ("J", float("nan"), "single", "J angle must be finite, got nan"),
+            ("RZ", float("inf"), "two", "RZ angle must be finite, got inf"),
+            ("CZ", 0.3, "single", "CZ takes no angle"),
+            ("ASSIST", 0.3, "single", "ASSIST takes no angle"),
+            ("RX", None, "two", "RX needs an angle"),
+        ],
+    )
+    def test_standard_pattern_refuses_a_bad_angle(self, kind, theta, variant, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            standard_pattern(kind, theta, variant)
 
 
 class TestFrozenSlotData:

@@ -249,7 +249,6 @@ class TestStepValidation:
                 num_qubits=1,
                 steps=(bad,),
                 target=np.eye(2, dtype=complex),
-                target_qubits=(0,),
                 corrections=(QubitCorrection(),),
             )
 
