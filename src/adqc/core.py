@@ -48,10 +48,12 @@ def _bell_projectors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 _BARE_PROJECTORS = _bell_projectors(np.eye(4), np.eye(4))
 
 
-def _reduce_angle(a: float) -> float:
-    """``a`` modulo 2 pi in [0, 2 pi): float ``%`` rounds a tiny negative ``a`` up to 2 pi."""
-    a = float(a) % TWO_PI
-    return 0.0 if a == TWO_PI else a
+def _reduce_angle(a):
+    """``a`` modulo 2 pi in [0, 2 pi), a float or elementwise over an array:
+    ``%`` rounds a tiny negative ``a`` up to 2 pi, which becomes 0."""
+    a = np.remainder(a, TWO_PI)
+    a = np.where(a == TWO_PI, 0.0, a)
+    return a if a.ndim else float(a)
 
 
 @dataclass(frozen=True)

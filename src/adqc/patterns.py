@@ -58,7 +58,7 @@ MAX_FLAT_STEPS = 13  # longest slotless pattern enumerated flat
 
 CZ_SLOT_ANCILLA = AncillaSpec(math.pi / 2, math.pi / 2)
 _BARE_ANCILLA = AncillaSpec(0.0, 0.0)  # the ancilla of every one-qubit step
-_ZERO_ANGLE = AdaptiveAngle.constant(0.0)  # every fixed basis angle
+_ZERO_ANGLE = AdaptiveAngle(0.0)  # every fixed basis angle
 
 
 def _pauli2(n1: str, n2: str) -> np.ndarray:
@@ -80,7 +80,7 @@ def _slot_branch(labels: tuple[str, str], r: int, s: int) -> np.ndarray:
         targets=(0, 1),
         entangler_labels=labels,
         ancilla=AncillaSpec(CZ_SLOT_ANCILLA.gamma + r * math.pi, CZ_SLOT_ANCILLA.delta),
-        basis_theta=AdaptiveAngle.constant(0.0),
+        basis_theta=_ZERO_ANGLE,
     )
     return math.sqrt(2) * step_branch_operators(step, 0.0, 2)[s]
 
@@ -202,7 +202,7 @@ class _PatternBuilder:
                 # payload's hidden angle is negated by every earlier outcome
                 negate, const = (x_parity, x_const) if on_z else (z_parity, z_const)
                 sign = -1.0 if const else 1.0
-                angle = AdaptiveAngle(((sign * theta_prime, negate),))
+                angle = AdaptiveAngle(sign * theta_prime, negate)
                 theta_fields = dict(
                     theta_negate=negate, theta_sign=int(sign), gamma_negate=frozenset(indices.values())
                 )
@@ -212,7 +212,7 @@ class _PatternBuilder:
             else:
                 x_parity = x_parity ^ {i}
         self.frames[q] = QubitCorrection(x_parity, x_const, z_parity, z_const)
-        slot = SlotSpec(kind, (q,), theta_prime, tuple(indices.values()), indices, **theta_fields)
+        slot = SlotSpec(kind, (q,), theta_prime, indices, **theta_fields)
         self._close_slot(gate(theta_prime), slot)
 
     # -- slots ----------------------------------------------------------------
@@ -254,7 +254,7 @@ class _PatternBuilder:
             out.append(reduce(xor, (c for _, c in chosen), 0))
         self.frames[q1] = QubitCorrection(*out[:4])
         self.frames[q2] = QubitCorrection(*out[4:])
-        self._close_slot(spec.slot_target, SlotSpec("CZ2", (q1, q2), None, (i,), {"couple": i}))
+        self._close_slot(spec.slot_target, SlotSpec("CZ2", (q1, q2), None, {"couple": i}))
         for q, kind, ang in spec.post_fixups:
             self.add_rotation(kind, (q1, q2)[q], ang)
 
@@ -287,7 +287,8 @@ _SUPPORTED = {
 
 def _check_angle(kind: str, angle, needed: bool) -> None:
     """Refuse an angle given where ``kind`` takes none, and a missing,
-    non-real (a string, a bool) or non-finite one where it takes one."""
+    non-real (a string, a bool), non-finite or, as an integer, too large for
+    a float one where it takes one."""
     if not needed:
         if angle is not None:
             raise ValueError(f"{kind} takes no angle")
@@ -296,7 +297,11 @@ def _check_angle(kind: str, angle, needed: bool) -> None:
         raise ValueError(f"{kind} needs an angle")
     if isinstance(angle, bool) or not isinstance(angle, (int, float)):
         raise ValueError(f"{kind} angle must be a real number")
-    if not math.isfinite(angle):
+    try:
+        finite = math.isfinite(angle)
+    except OverflowError:
+        raise ValueError(f"{kind} angle is too large for a float") from None
+    if not finite:
         raise ValueError(f"{kind} angle must be finite, got {angle}")
 
 
@@ -409,7 +414,7 @@ class CircuitDescription:
             doc = json.loads(text)
         except RecursionError:
             raise ValueError("malformed circuit JSON: nested too deeply") from None
-        if not isinstance(doc, dict) or doc.get("v") != 1:
+        if not isinstance(doc, dict) or not _is_index(doc.get("v")) or doc["v"] != 1:
             raise ValueError("unsupported circuit schema version")
         try:
             gates = tuple(
@@ -510,17 +515,14 @@ def verify_pattern(pattern: GatePattern, tol: float = 1e-9) -> VerifyReport:
     probs: tuple[float, ...] = ()
     for idx, inp in enumerate(inputs):
         res = run_pattern(inp, pattern)
-        total = res.total_probability()
-        if abs(total - 1.0) > 1e-10:
+        if abs(res.probabilities.sum() - 1.0) > 1e-10:
             return VerifyReport(False, 1.0, probs, "flat", "probabilities do not sum to 1")
-        errs = phase_invariant_error(
-            np.array([br.corrected.amplitudes for br in res.branches]), pattern.target @ inp.amplitudes
-        )
+        errs = phase_invariant_error(res.branches, pattern.target @ inp.amplitudes)
         b = int(np.argmax(errs))
         if errs[b] > worst:
-            worst, where = float(errs[b]), f"branch outcomes {res.branches[b].outcomes} on input {idx}"
+            worst, where = float(errs[b]), f"branch outcomes {tuple(res.outcomes[:, b].tolist())} on input {idx}"
         if idx == 0:
-            probs = tuple(br.probability for br in res.branches)
+            probs = tuple(res.probabilities.tolist())
         del res  # free this input's branches before the next run
     valid = worst <= tol
     return VerifyReport(valid, worst, probs, "flat", "" if valid else f"{where}: error {worst:.3e}")
@@ -576,7 +578,7 @@ def _stages(pattern: GatePattern) -> tuple[list[_Stage], list[AdqcStep]]:
                 local_steps[i] = replace(pattern.steps[i], targets=targets)
         frame_in, frame_out = tuple(f_in[q] for q in qubits), tuple(f_out[q] for q in qubits)
         sets = [s for c in frame_in + frame_out for s in (c.x_parity, c.z_parity)]
-        sets += [negate for i in steps for _, negate in pattern.steps[i].basis_theta.terms]
+        sets += [pattern.steps[i].basis_theta.negate for i in steps]
         pivots = tuple(_pivot_bits(sets, set(steps)))
         label = f"slot {index} branches" if index < len(pattern.slots) else "final corrections"
         stages.append(_Stage(label, steps, qubits, frame_in, frame_out, pivots))

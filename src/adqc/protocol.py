@@ -90,7 +90,7 @@ class Message:
             try:  # an array amplitude would hide its shape from complex(), which also parses strings
                 numbers = seq and not any(isinstance(v, (str, bytes)) or getattr(v, "ndim", 0) for v in p)
                 a, b = map(complex, p) if numbers else ()
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 a = b = complex(math.nan)
             # NaN fails every comparison, so only a finite norm within 1e-9 of 1 passes
             norm = math.sqrt((a.real * a.real + b.real * b.real) + (a.imag * a.imag + b.imag * b.imag))
@@ -129,7 +129,7 @@ class Message:
             if d["kind"] == "ANGLE":
                 return cls("ANGLE", d["slot"], theta_grid=d["theta_grid"])
             return cls("OUTCOME", d["slot"], bit=d["bit"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an int too large for a float
             raise ValueError(f"malformed message: {exc!r}") from None
 
 

@@ -12,8 +12,8 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .core import AncillaSpec, assemble_entangler, basis_kets, param_kets, preset
-from .linalg import PAULI_NAMES, TWO_PI, PureState, apply_pauli_frame, dagger, embed
+from .core import AncillaSpec, _reduce_angle, assemble_entangler, basis_kets, param_kets, preset
+from .linalg import PureState, apply_pauli_frame, dagger, embed
 
 PRUNE_PROBABILITY = 1e-12
 PAYLOAD_BIT = 1 << 20  # set index i + PAYLOAD_BIT refers to step i's payload flip
@@ -43,22 +43,15 @@ def parities(sets, outcomes, payload_bits=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdaptiveAngle:
-    """Angle resolved as sum of terms value*(-1)^parity(bits at negate_on).
+    """Angle value * (-1)^parity(bits at ``negate``).
 
     Indices below PAYLOAD_BIT reference earlier step outcomes; larger ones
     reference per-step payload-flip bits, which are zero outside delegated
     runs.
     """
 
-    terms: tuple[tuple[float, frozenset[int]], ...] = ()
-
-    @classmethod
-    def constant(cls, value: float) -> "AdaptiveAngle":
-        return cls(((float(value), frozenset()),))
-
-    def max_dependency(self) -> int:
-        deps = [i for _, negs in self.terms for i in negs if i < PAYLOAD_BIT]
-        return max(deps) if deps else -1
+    value: float
+    negate: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -107,11 +100,14 @@ class SlotSpec:
     kind: str  # 'J' | 'RX' | 'RZ' | 'ASSIST' | 'CZ2'
     qubits: tuple[int, ...]
     theta_prime: float | None
-    step_indices: tuple[int, ...]
-    roles: dict[str, int]
+    roles: dict[str, int]  # role -> step index, in step order
     theta_negate: frozenset[int] = frozenset()
     theta_sign: int = 1
     gamma_negate: frozenset[int] = frozenset()
+
+    @property
+    def step_indices(self) -> tuple[int, ...]:
+        return tuple(self.roles.values())
 
 
 @dataclass(frozen=True)
@@ -127,7 +123,7 @@ class GatePattern:
 
     def __post_init__(self):
         for i, step in enumerate(self.steps):
-            if step.basis_theta.max_dependency() >= i:
+            if any(i <= j < PAYLOAD_BIT for j in step.basis_theta.negate):
                 raise ValueError(f"step {i} depends on a non-earlier outcome")
             if any(t not in range(self.num_qubits) for t in step.targets):  # also refuses -1 and 0.5
                 raise ValueError(f"step {i} targets {step.targets} outside the {self.num_qubits}-qubit register")
@@ -176,8 +172,7 @@ def branch_coefficients(payloads: np.ndarray, theta, phi) -> np.ndarray:
     and ``payloads`` the canonical ancilla kets of ``coupling_blocks``.  The
     (B, 2) payloads and (B,) angles broadcast: one payload or angle serves
     every row."""
-    theta = np.asarray(theta, dtype=float) % TWO_PI  # as MeasBasis takes it: its half sets the kets' sign
-    bras = basis_kets(np.where(theta == TWO_PI, 0.0, theta), phi).conj()  # % rounds a tiny -theta up to 2 pi
+    bras = basis_kets(_reduce_angle(theta), phi).conj()  # as MeasBasis takes it: its half sets the kets' sign
     return (bras[..., None] * payloads[..., None, None, :]).reshape(-1, 2, 4)
 
 
@@ -260,18 +255,14 @@ def walk_steps(steps, states, bits, plan):
     run = [steps[i] for i in used]
     payloads = param_kets("+", [s.ancilla.gamma for s in run], [s.ancilla.delta for s in run])
     phis = np.array([s.basis_phi for s in run])
-    # per term position: each step's term value and the parity_table row of its outcome set (0.0 and none if absent)
-    width = max((len(s.basis_theta.terms) for s in run), default=0)
-    padded = [s.basis_theta.terms + ((0.0, frozenset()),) * (width - len(s.basis_theta.terms)) for s in run]
-    terms = [(np.array([v for v, _ in col]), np.concatenate([parity_table((n,), len(bits))[0] for _, n in col]))
-             for col in zip(*padded)]
+    values = np.array([s.basis_theta.value for s in run])
+    # each step's parity_table row of its negate set's outcome bits
+    negate = np.array([parity_table((s.basis_theta.negate,), len(bits))[0][0] for s in run], dtype=np.int8)
     couplings: dict[tuple, int] = {}  # (labels, targets) -> its index
     coupling = np.array([couplings.setdefault((s.entangler_labels, s.targets), len(couplings)) for s in run])
     for entry in local:
         which = entry[origin]  # each row's step, as a position in run
-        theta = np.zeros(len(which))
-        for values, m_out in terms:  # a row reads its own step's terms, in order
-            theta += values[which] * (1 - 2 * (np.einsum("rs,sr->r", m_out[which], bits) & 1))
+        theta = values[which] * (1 - 2 * (np.einsum("rs,sr->r", negate[which], bits) & 1))
         coeffs = branch_coefficients(payloads[which], theta, phis[which])
         row_coupling = coupling[which]
         vecs = np.empty((len(which), 2) + states.shape[1:], dtype=complex)
@@ -294,38 +285,28 @@ def frame_bits(corrections, outcomes, payload_bits=None) -> tuple[np.ndarray, np
 
 
 @dataclass(frozen=True)
-class Branch:
-    outcomes: tuple[int, ...]
-    probability: float
-    raw: PureState
-    frame: tuple[str, ...]
-    corrected: PureState
-
-
-@dataclass(frozen=True)
 class RunResult:
-    branches: tuple[Branch, ...]
+    """Every outcome branch of a run, as arrays with one entry per branch:
+    the (B, 2^n) corrected states, the (B, 2^n) raw states before the frame,
+    the (B,) probabilities, the (steps, B) outcome bits and the (n, B) frame
+    bits of X^x Z^z on each qubit."""
 
-    def total_probability(self) -> float:
-        return sum(b.probability for b in self.branches)
+    branches: np.ndarray
+    raw: np.ndarray
+    probabilities: np.ndarray
+    outcomes: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
 
 
-def run_pattern(state: PureState, pattern: GatePattern):
+def run_pattern(state: PureState, pattern: GatePattern) -> RunResult:
     """Execute a pattern on every outcome branch (probabilities summing to
-    one).  Each returned branch carries its resolved byproduct frame and the
-    corrected register state obtained by applying that frame to the raw final
-    state.
-    """
+    one); each branch's corrected state is its raw final state with its
+    resolved byproduct frame applied."""
     if pattern.num_qubits != state.num_qubits:
         raise ValueError("pattern size does not match the register")
-    n, k = pattern.num_qubits, len(pattern.steps)
+    k = len(pattern.steps)
     start = np.zeros((k, 1), dtype=np.int8)
     states, probs, bits, _ = walk_steps(pattern.steps, state.amplitudes[None], start, np.arange(k)[:, None])
     x, z = frame_bits(pattern.corrections, bits)
-    corrected = apply_pauli_frame(states, x, z)
-    frames = zip(*[[PAULI_NAMES[v] for v in row] for row in (x + 2 * z).tolist()])
-    rows = zip(zip(*bits.tolist()), frames, probs.tolist(), states, corrected)
-    return RunResult(tuple(
-        Branch(outs, p, PureState.unchecked(n, raw), frame, PureState.unchecked(n, fixed))
-        for outs, frame, p, raw, fixed in rows
-    ))
+    return RunResult(apply_pauli_frame(states, x, z), states, probs, bits, x, z)

@@ -228,6 +228,8 @@ class TestMalformedCircuit:
             {"v": 1, "qubits": 1, "gates": [{"targets": [0]}]},
             {"v": 1, "qubits": 1, "gates": [{"kind": "H", "targets": [-1]}]},
             {"v": 1, "qubits": 1, "gates": [{"kind": "Rz", "targets": [0], "angle": "x"}]},
+            {"v": True, "qubits": 1, "gates": []},
+            {"v": 1.0, "qubits": 1, "gates": []},
             [1, 2],
         ],
     )
@@ -247,6 +249,8 @@ class TestMalformedCircuit:
             ({"kind": "Rz", "targets": [0], "angle": float("nan")}, "Rz angle must be finite, got nan"),
             ({"kind": "Rx", "targets": [1], "angle": float("inf")}, "Rx angle must be finite, got inf"),
             ({"kind": "Rx", "targets": [1], "angle": float("-inf")}, "Rx angle must be finite, got -inf"),
+            pytest.param({"kind": "Rz", "targets": [0], "angle": 10**400}, "Rz angle is too large for a float",
+                         id="Rz-10**400"),
         ],
     )
     def test_delegate_rejects_a_bad_gate_angle(self, capsys, tmp_path, gate, message):

@@ -107,12 +107,12 @@ class TestStandardPatterns:
                 if "theta" not in slot.roles:
                     continue
                 i = slot.roles["theta"]
-                ((value, negate),) = pat.steps[i].basis_theta.terms
-                kept = negate & set(slot.step_indices)
-                if kept == negate:
+                angle = pat.steps[i].basis_theta
+                kept = angle.negate & set(slot.step_indices)
+                if kept == angle.negate:
                     continue
                 steps = list(pat.steps)
-                steps[i] = replace(steps[i], basis_theta=AdaptiveAngle(((value, kept),)))
+                steps[i] = replace(steps[i], basis_theta=AdaptiveAngle(angle.value, kept))
                 rep = verify_pattern(replace(pat, steps=tuple(steps)))
                 mutants += 1
                 assert rep.mode == "slotwise"
@@ -150,26 +150,23 @@ def _brute_force_valid(pat, tol=1e-9) -> bool:
     for amps in inputs:
         inp = PureState(n, amps)
         res = run_pattern(inp, pat)
-        if abs(res.total_probability() - 1.0) > 1e-10:
+        if abs(res.probabilities.sum() - 1.0) > 1e-10:
             return False
-        corrected = np.array([br.corrected.amplitudes for br in res.branches])
-        if phase_invariant_error(corrected, pat.target @ inp.amplitudes).max() > tol:
+        if phase_invariant_error(res.branches, pat.target @ inp.amplitudes).max() > tol:
             return False
     return True
 
 
 def _mutants(pat):
-    """Each angle term with one outcome bit dropped or its sign flipped, and
-    each final correction with one outcome bit toggled in one parity."""
+    """Each angle with one outcome bit dropped or its sign flipped, and each
+    final correction with one outcome bit toggled in one parity."""
     for i, step in enumerate(pat.steps):
-        terms = step.basis_theta.terms
-        for j, (value, negate) in enumerate(terms):
-            changed = [(value, negate - {b}) for b in sorted(negate)]
-            changed += [(-value, negate)] if value else []
-            for term in changed:
-                angle = AdaptiveAngle(terms[:j] + (term,) + terms[j + 1:])
-                steps = pat.steps[:i] + (replace(step, basis_theta=angle),) + pat.steps[i + 1:]
-                yield replace(pat, steps=steps)
+        value, negate = step.basis_theta.value, step.basis_theta.negate
+        changed = [AdaptiveAngle(value, negate - {b}) for b in sorted(negate)]
+        changed += [AdaptiveAngle(-value, negate)] if value else []
+        for angle in changed:
+            steps = pat.steps[:i] + (replace(step, basis_theta=angle),) + pat.steps[i + 1:]
+            yield replace(pat, steps=steps)
     for q, c in enumerate(pat.corrections):
         for name in ("x_parity", "z_parity"):
             for i in range(len(pat.steps)):
@@ -311,7 +308,7 @@ class TestSlotwiseVerification:
         """Slot-wise verification runs only the steps the slots list, so a
         pattern whose slots miss, reorder or drop steps is refused."""
         pat = standard_pattern("CZ", None, "two")
-        extra = AdqcStep((0,), ("J_CANON",), AncillaSpec(0.0, 0.0), AdaptiveAngle.constant(0.0))
+        extra = AdqcStep((0,), ("J_CANON",), AncillaSpec(0.0, 0.0), AdaptiveAngle(0.0))
         slots, boundaries = pat.slots, pat.slot_boundaries
         for fields in (
             {"steps": pat.steps + (extra,)},
@@ -420,6 +417,8 @@ class TestAngleBoundary:
             ("CZ", 0.3, "single", "CZ takes no angle"),
             ("ASSIST", 0.3, "single", "ASSIST takes no angle"),
             ("RX", None, "two", "RX needs an angle"),
+            pytest.param("RX", 10**400, "two", "RX angle is too large for a float", id="RX-10**400"),
+            pytest.param("J", -(10**400), "single", "J angle is too large for a float", id="J--10**400"),
         ],
     )
     def test_standard_pattern_refuses_a_bad_angle(self, kind, theta, variant, message):
@@ -480,7 +479,7 @@ def _canonical(pattern) -> list:
 
     steps = [
         [list(s.targets), list(s.entangler_labels), s.ancilla.gamma, s.ancilla.delta,
-         [[v, sorted(neg)] for v, neg in s.basis_theta.terms], s.basis_phi]
+         [[s.basis_theta.value, sorted(s.basis_theta.negate)]], s.basis_phi]
         for s in pattern.steps
     ]
     slots = [

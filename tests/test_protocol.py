@@ -266,7 +266,8 @@ class TestMalformedServerInput:
         for t in [1.5, 2.0, "3", None, [1]] + list(rng.uniform(-20, 20, size=20)):
             with pytest.raises(ValueError):
                 Message.from_dict({"kind": "ANGLE", "slot": 0, "theta_grid": t})
-        for bad in ({"slot": 0}, {"kind": "ANCILLA", "slot": 0, "payload": [1, 0]}, {"kind": "OUTCOME"}):
+        for bad in ({"slot": 0}, {"kind": "ANCILLA", "slot": 0, "payload": [1, 0]}, {"kind": "OUTCOME"},
+                    {"kind": "ANCILLA", "slot": 0, "payload": [[10**400, 0], [0, 0]]}):
             with pytest.raises(ValueError):
                 Message.from_dict(bad)
 
@@ -286,7 +287,7 @@ class TestMalformedServerInput:
         def array_check(payload):
             try:
                 v = np.array(payload, dtype=complex)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 return False
             if v.shape == (2,) and any(isinstance(a, (str, bytes)) for a in payload):
                 return False
@@ -302,7 +303,7 @@ class TestMalformedServerInput:
             # one-element arrays convert to one complex on some numpy releases, but the array check saw (2, 1)
             np.array([[1.0], [0.0]]), (np.array([1.0]), np.array([0.0])), [np.array([1.0]), 0.0],
             (np.array([1.0, 0.0]), np.array([0.0, 0.0])), (np.array(1.0), np.array(0.0)),
-            range(2), range(3), {1.0, 0.0},
+            range(2), range(3), {1.0, 0.0}, (10**400, 0), (0.0, -(10**400)),
             # string amplitudes parse as numbers, and are refused
             (1.0, "0"), ["0.6", "0.8j"], np.array(["1", "0"]), (b"1", 0.0),
         ]

@@ -16,10 +16,9 @@ from adqc.core import (
     preset_labels,
     rotation,
 )
-from adqc.linalg import CZ, PAULIS, PureState, X, dagger, embed, equal_up_to_global_phase, tensor
+from adqc.linalg import CZ, PAULI_NAMES, PAULIS, PureState, X, dagger, embed, equal_up_to_global_phase, tensor
 from adqc.register import (
     PARITY_CACHE_SIZE,
-    PAULI_NAMES,
     PAYLOAD_BIT,
     AdaptiveAngle,
     AdqcStep,
@@ -44,17 +43,14 @@ PI = math.pi
 
 
 def _gamma_step(q=0, gamma=0.0, theta=0.0, label="CZ_CANON"):
-    return AdqcStep((q,), (label,), AncillaSpec(gamma, 0), AdaptiveAngle.constant(theta))
+    return AdqcStep((q,), (label,), AncillaSpec(gamma, 0), AdaptiveAngle(theta))
 
 
 def _resolve(angle, outcomes):
-    """An adaptive angle at one record of earlier outcomes: its terms added in
-    order, each negated by the parity of its outcome bits (payload bits,
-    zero outside delegated runs, are skipped)."""
-    theta = 0.0
-    for value, negate in angle.terms:
-        theta += value * (1 - 2 * (sum(int(outcomes[i]) for i in negate if i < PAYLOAD_BIT) & 1))
-    return theta
+    """An adaptive angle at one record of earlier outcomes: its value negated
+    by the parity of its outcome bits (payload bits, zero outside delegated
+    runs, are skipped)."""
+    return angle.value * (1 - 2 * (sum(int(outcomes[i]) for i in angle.negate if i < PAYLOAD_BIT) & 1))
 
 
 def _step_once(state, step, outcome=None, rng=None, outcomes=()):
@@ -138,7 +134,7 @@ class TestExecuteStep:
             (0,),
             ("CZ_CANON",),
             AncillaSpec(PI / 2, 0),
-            AdaptiveAngle.constant(PI / 2),
+            AdaptiveAngle(PI / 2),
         )
         st = init_register(1, "0")
         with pytest.raises(ValueError):
@@ -165,14 +161,14 @@ class TestRunPattern:
     def test_probabilities_sum_to_one(self):
         pat = standard_pattern("J", 0.9, "single")
         res = run_pattern(init_register(1, "+"), pat)
-        assert abs(res.total_probability() - 1.0) < 1e-10
+        assert abs(res.probabilities.sum() - 1.0) < 1e-10
 
     def test_j_zero_maps_plus_to_ground(self):
         pat = standard_pattern("J", 0.0, "single")
         res = run_pattern(init_register(1, "+"), pat)
-        for br in res.branches:
+        for corrected in res.branches:
             assert equal_up_to_global_phase(
-                br.corrected.amplitudes.reshape(2, 1),
+                corrected.reshape(2, 1),
                 np.array([[1.0], [0.0]]),
                 1e-9,
             )
@@ -181,21 +177,21 @@ class TestRunPattern:
         pat = standard_pattern("CZ", None, "two")
         res = run_pattern(init_register(2, "++"), pat)
         expect = CZ @ init_register(2, "++").amplitudes
-        assert abs(res.total_probability() - 1.0) < 1e-10
-        for br in res.branches:
+        assert abs(res.probabilities.sum() - 1.0) < 1e-10
+        for corrected in res.branches:
             assert equal_up_to_global_phase(
-                br.corrected.amplitudes.reshape(4, 1), expect.reshape(4, 1), 1e-9
+                corrected.reshape(4, 1), expect.reshape(4, 1), 1e-9
             )
 
     def test_frame_soundness_exact(self):
         pat = standard_pattern("RX", 1.3, "two")
         res = run_pattern(init_register(1, "+"), pat)
-        for br in res.branches:
+        for b, (raw, corrected) in enumerate(zip(res.raw, res.branches)):
             op = np.array([[1.0]], dtype=complex)
-            for name in br.frame:
-                op = np.kron(op, PAULIS[name])
-            redo = op @ br.raw.amplitudes
-            assert np.array_equal(redo, br.corrected.amplitudes)
+            for x, z in zip(res.x[:, b], res.z[:, b]):
+                op = np.kron(op, PAULIS[PAULI_NAMES[x + 2 * z]])
+            redo = op @ raw
+            assert np.array_equal(redo, corrected)
 
     def test_sampled_trajectories_reproducible(self):
         """A pattern sampled step by step from one seed takes the same
@@ -211,8 +207,9 @@ class TestRunPattern:
             runs.append((outcomes, state))
         (a, state_a), (b, state_b) = runs
         assert a == b and np.array_equal(state_a.amplitudes, state_b.amplitudes)
-        (br,) = [br for br in run_pattern(init_register(1, "+"), pat).branches if br.outcomes == a]
-        np.testing.assert_allclose(state_a.amplitudes, br.raw.amplitudes, rtol=0, atol=1e-12)
+        res = run_pattern(init_register(1, "+"), pat)
+        (b,) = [b for b, outs in enumerate(res.outcomes.T.tolist()) if tuple(outs) == a]
+        np.testing.assert_allclose(state_a.amplitudes, res.raw[b], rtol=0, atol=1e-12)
 
     def test_two_target_coupling_is_entangling(self):
         """One two-target step plus its Pauli corrections acts as a fixed
@@ -220,7 +217,7 @@ class TestRunPattern:
         from adqc.patterns import CZ_SLOT_ANCILLA, cz2_spec
 
         spec = cz2_spec("two")
-        step = AdqcStep((0, 1), spec.labels, CZ_SLOT_ANCILLA, AdaptiveAngle.constant(0.0))
+        step = AdqcStep((0, 1), spec.labels, CZ_SLOT_ANCILLA, AdaptiveAngle(0.0))
         rng = np.random.default_rng(4)
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         st = init_register(2, PureState(2, amps))
@@ -242,7 +239,7 @@ class TestStepValidation:
             (0,),
             ("CZ_CANON",),
             AncillaSpec(0, 0),
-            AdaptiveAngle(((1.0, frozenset({5})),)),
+            AdaptiveAngle(1.0, frozenset({5})),
         )
         with pytest.raises(ValueError):
             GatePattern(
@@ -254,12 +251,12 @@ class TestStepValidation:
 
     def test_duplicate_targets_rejected(self):
         with pytest.raises(ValueError):
-            AdqcStep((0, 0), ("CZ_CANON", "CZ_CANON"), AncillaSpec(0, 0), AdaptiveAngle.constant(0))
+            AdqcStep((0, 0), ("CZ_CANON", "CZ_CANON"), AncillaSpec(0, 0), AdaptiveAngle(0))
 
     @pytest.mark.parametrize("target", [-1, 0.5, 2, np.int64(-3)])
     def test_targets_outside_the_register_name_the_step(self, target):
-        good = AdqcStep((0,), ("CZ_CANON",), AncillaSpec(0, 0), AdaptiveAngle.constant(0))
-        bad = AdqcStep((target,), ("CZ_CANON",), AncillaSpec(0, 0), AdaptiveAngle.constant(0))
+        good = AdqcStep((0,), ("CZ_CANON",), AncillaSpec(0, 0), AdaptiveAngle(0))
+        bad = AdqcStep((target,), ("CZ_CANON",), AncillaSpec(0, 0), AdaptiveAngle(0))
         with pytest.raises(ValueError, match="step 1 targets"):
             GatePattern(2, (good, bad), np.eye(4, dtype=complex), (0, 1), (QubitCorrection(),) * 2)
 
@@ -303,7 +300,7 @@ class TestCouplingCache:
             for targets, pair in layouts:
                 gamma, delta, theta, phi = rng.uniform(0, 2 * PI, size=4)
                 step = AdqcStep(targets, pair, AncillaSpec(gamma, delta),
-                                AdaptiveAngle.constant(theta), phi)
+                                AdaptiveAngle(theta), phi)
                 for angle in (theta, theta + 2 * PI, -theta):
                     got = step_branch_operators(step, angle, n)
                     want = _uncached_branch_operators(step, angle, n)
@@ -330,7 +327,7 @@ class TestKrausCache:
         else:
             payload, theta = np.array([1.0, 0.0], dtype=complex), grid_angle(msg.theta_grid, grid_n)
         step = AdqcStep(shape.targets, shape.entangler_labels, AncillaSpec(0.0),
-                        AdaptiveAngle.constant(theta), shape.basis_phi)
+                        AdaptiveAngle(theta), shape.basis_phi)
         return _uncached_branch_operators(step, theta, n, payload)
 
     def test_message_operators_match_the_uncached_build(self):
@@ -403,20 +400,21 @@ class TestKernelCrossCheck:
         rng = np.random.default_rng(31)
         for pat in self._patterns():
             start = self._input(pat.num_qubits, rng)
-            branches = run_pattern(start, pat).branches
+            res = run_pattern(start, pat)
+            branches = range(len(res.raw))
             if len(branches) > self.MAX_REPLAYS:
-                picks = sorted(rng.choice(len(branches), self.MAX_REPLAYS, replace=False))
-                branches = [branches[i] for i in picks]
+                branches = sorted(rng.choice(len(branches), self.MAX_REPLAYS, replace=False))
             replayed = {(): start}  # outcome prefix -> replayed state
-            for br in branches:
-                for k in range(len(br.outcomes)):
-                    prefix = br.outcomes[: k + 1]
+            for b in branches:
+                outcomes = tuple(res.outcomes[:, b].tolist())
+                for k in range(len(outcomes)):
+                    prefix = outcomes[: k + 1]
                     if prefix not in replayed:
                         replayed[prefix], _ = _step_once(
                             replayed[prefix[:-1]], pat.steps[k], outcome=prefix[-1], outcomes=prefix[:-1]
                         )
                 np.testing.assert_allclose(
-                    replayed[br.outcomes].amplitudes, br.raw.amplitudes, rtol=0, atol=1e-12
+                    replayed[outcomes].amplitudes, res.raw[b], rtol=0, atol=1e-12
                 )
 
 
@@ -441,7 +439,7 @@ class TestBranchStepKernel:
                                               branch_coefficients(payloads, theta, phi))
             assert parent.tolist() == np.repeat(np.arange(rows), 2).tolist() and out.tolist() == [0, 1] * rows
             for i, (r, s) in enumerate(zip(parent, out)):
-                step = AdqcStep(targets, labels, AncillaSpec(0.0), AdaptiveAngle.constant(theta[r]), phi[r])
+                step = AdqcStep(targets, labels, AncillaSpec(0.0), AdaptiveAngle(theta[r]), phi[r])
                 child = np.tensordot(_uncached_branch_operators(step, theta[r], n, payloads[r])[s], states[r], 1)
                 assert abs(p[i] - np.vdot(child, child).real) <= KERNEL_TOL
                 assert np.abs(got[i] - child / np.linalg.norm(child)).max() <= KERNEL_TOL, (targets, r, s)
@@ -512,9 +510,9 @@ class TestParityTables:
         for q, c in enumerate(corrections):
             assert np.array_equal(x[q], c.x_const ^ _xor_parity(c.x_parity, outcomes, payload))
             assert np.array_equal(z[q], c.z_const ^ _xor_parity(c.z_parity, outcomes, payload))
-        # walk_steps resolves each row's multi-term angle on that row's bits,
-        # as a one-row step at the angle of the scalar loop
-        angle = AdaptiveAngle(((0.3, frozenset({1, 4})), (-1.1, frozenset({6})), (2.0, frozenset())))
+        # walk_steps resolves each row's angle on that row's bits, as a
+        # one-row step at the angle of the scalar loop
+        angle = AdaptiveAngle(-1.1, frozenset({1, 4, 6}))
         step = AdqcStep((1,), ("J_CANON",), AncillaSpec(0.4, 0.2), angle)
         states = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
         states /= np.linalg.norm(states, axis=1)[:, None]

@@ -18,7 +18,8 @@ number of pairs, and in how many of them the change was better.  The file also
 records the seed, the run length, ``nproc`` and the Python and numpy versions
 the runs report, whether both sides gave the same output digest, and per
 workload and side the ops attempted and failed, summed over its runs, so the
-shares of failed ops on the two sides can be compared.
+shares of failed ops on the two sides can be compared, and each side's line
+count of ``src/adqc/*.py`` as ``src_lines``.
 """
 from __future__ import annotations
 
@@ -44,6 +45,11 @@ def export(ref: str, dest: Path) -> str:
                              capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return sha
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the package's modules, ``src/adqc/*.py``, in ``checkout``."""
+    return sum(len(path.read_text().splitlines()) for path in (checkout / "src" / "adqc").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seconds: int) -> tuple[dict, dict]:
@@ -79,6 +85,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         sides = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {side: export(getattr(args, side), path) for side, path in sides.items()}
+        lines = {side: src_lines(path) for side, path in sides.items()}
         for workload in workloads:
             values = {side: {m: [] for m in metrics} for side in sides}
             for i in range(PAIRS):
@@ -113,6 +120,7 @@ def main(argv=None) -> int:
         "python": python,
         "numpy": numpy,
         "ops": ops,
+        "src_lines": lines,
         "same_digest": {w: len(digests[w, "parent"] | digests[w, "change"]) == 1 for w in workloads},
         "rows": rows,
     }
