@@ -36,6 +36,7 @@ from .linalg import (
     tensor,
 )
 from .register import (
+    MAX_QUBITS,
     PAYLOAD_BIT,
     AdaptiveAngle,
     AdqcStep,
@@ -160,8 +161,8 @@ class _PatternBuilder:
     def __init__(self, num_qubits: int, variant: str):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        if not (1 <= num_qubits <= 4):
-            raise ValueError("patterns support 1 to 4 qubits")
+        if not (1 <= num_qubits <= MAX_QUBITS):
+            raise ValueError(f"patterns support 1 to {MAX_QUBITS} qubits")
         self.n = num_qubits
         self.variant = variant
         self.steps: list[AdqcStep] = []
@@ -345,8 +346,13 @@ def _add_unit(b: _PatternBuilder, q: int, zxz: np.ndarray):
 _GATE_KINDS = ("H", "Rx", "Rz", "CZ")
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_index(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+    return _is_int(value) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -379,8 +385,8 @@ class CircuitDescription:
     gates: tuple[CircuitGate, ...]
 
     def __post_init__(self):
-        if not _is_index(self.num_qubits) or not 1 <= self.num_qubits <= 4:
-            raise ValueError("circuits support 1 to 4 qubits")
+        if not _is_index(self.num_qubits) or not 1 <= self.num_qubits <= MAX_QUBITS:
+            raise ValueError(f"circuits support 1 to {MAX_QUBITS} qubits")
         for g in self.gates:
             if any(t >= self.num_qubits for t in g.targets):
                 raise ValueError(f"gate {g} targets outside the circuit")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import param_kets, preset
 from .linalg import I2, H, TWO_PI, PureState, apply_pauli_frame
-from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, CircuitGate, compile_circuit
+from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, CircuitGate, _is_int, compile_circuit
 from .register import GatePattern, branch_coefficients, branch_step, coupling_blocks
 from .register import frame_bits, init_register, parities
 
@@ -65,10 +65,6 @@ def grid_index(theta: float, grid_n: int) -> int:
 # ---------------------------------------------------------------------------
 # messages and transcripts
 # ---------------------------------------------------------------------------
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -160,9 +156,11 @@ class ProtocolTranscript:
 class ClientSecret:
     """Everything the server must never learn: the circuit, the per-slot
     angles (``theta_index``: grid indices, 0 where a slot has none), and the
-    random draws that hide them.  Each draw field is a (B, slots) integer
-    array, one row per delegation, 0 where a slot draws nothing; the seed
-    draws one row, and a batch (the audit's) replaces them."""
+    random draws that hide them: ``gamma_index``, each slot's hidden rotation
+    as a (slots, B) grid index array, and ``coins``, each round's half-turn
+    coin as a (steps, B) int8 array, one column per delegation and 0 where
+    nothing is drawn.  The seed draws one column, and a batch (the audit's)
+    replaces them."""
 
     circuit: CircuitDescription
     variant: str
@@ -171,9 +169,7 @@ class ClientSecret:
     pattern: GatePattern = field(init=False)
     theta_index: tuple[int, ...] = field(init=False)
     gamma_index: np.ndarray = field(init=False)
-    r_payload: np.ndarray = field(init=False)
-    r_assist: np.ndarray = field(init=False)
-    r_angle: np.ndarray = field(init=False)
+    coins: np.ndarray = field(init=False)
 
     def __post_init__(self):
         check_grid(self.grid_n)
@@ -182,16 +178,16 @@ class ClientSecret:
         self.theta_index = tuple(0 if slot.theta_prime is None else grid_index(slot.theta_prime, self.grid_n)
                                  for slot in self.pattern.slots)
         rng = np.random.default_rng(self.seed)
-        draws = np.zeros((4, 1, len(self.pattern.slots)), dtype=np.int64)
-        gamma, payload, assist, angle = draws[:, 0]
+        self.gamma_index = np.zeros((len(self.pattern.slots), 1), dtype=np.int64)
+        self.coins = np.zeros((len(self.pattern.steps), 1), dtype=np.int8)
+        # per slot, in the seed's draw order: the hidden index, then the
+        # coins of its gamma, theta, assist and couple rounds
         for j, slot in enumerate(self.pattern.slots):
-            if slot.kind in ("J", "RX", "RZ"):
-                gamma[j], payload[j], angle[j] = rng.integers(self.grid_n), rng.integers(2), rng.integers(2)
-                if slot.kind == "J":
-                    assist[j] = rng.integers(2)
-            else:  # ASSIST, CZ2
-                payload[j] = rng.integers(2)
-        self.gamma_index, self.r_payload, self.r_assist, self.r_angle = draws
+            if "gamma" in slot.roles:
+                self.gamma_index[j] = rng.integers(self.grid_n)
+            for role in ("gamma", "theta", "assist", "couple"):
+                if role in slot.roles:
+                    self.coins[slot.roles[role]] = rng.integers(2)
 
 
 def _unit_rows(kets: np.ndarray) -> np.ndarray:
@@ -204,82 +200,64 @@ def _unit_rows(kets: np.ndarray) -> np.ndarray:
 
 
 class Client:
-    """Drives a batch of B delegations of one secret circuit, one per row:
+    """Drives a batch of B delegations of one secret circuit, one per column:
     produces their outgoing messages and digests their outcomes.
 
-    The effective outcomes and the payload-flip bits are (steps, B) int8
-    arrays, laid out like the outcome bits of ``register.walk_steps``.  The
-    secret's draws hold B rows, or one row that every row shares."""
+    The client keeps the secret's hidden indices and coins next to its
+    (steps, B) int8 effective outcomes, each laid out like the outcome bits
+    of ``register.walk_steps``.  A coin is also a two-target step's payload
+    flip, which the parity sets read at ``PAYLOAD_BIT`` and above."""
 
     def __init__(self, secret: ClientSecret):
         self.secret = secret
-        shape = (len(secret.pattern.steps), len(secret.r_payload))
-        self.eff_outcomes = np.zeros(shape, dtype=np.int8)
-        self.payload_bits = np.zeros(shape, dtype=np.int8)
+        self.gamma_index, self.coins = secret.gamma_index, secret.coins
+        self.eff_outcomes = np.zeros(secret.coins.shape, dtype=np.int8)
         self.transcript = ProtocolTranscript()
 
-    def _rows(self, values: np.ndarray) -> np.ndarray:
-        b = self.eff_outcomes.shape[1]
-        return values if len(values) == b else np.broadcast_to(values, (b,) + values.shape[1:])
-
     def take(self, rows) -> None:
-        """Keep the given rows of the outcome and payload bits (a row may
-        repeat); the secret's draws must be the one shared row."""
+        """Keep the given columns of every per-row array (a column may repeat)."""
+        self.gamma_index = self.gamma_index[:, rows]
+        self.coins = self.coins[:, rows]
         self.eff_outcomes = self.eff_outcomes[:, rows]
-        self.payload_bits = self.payload_bits[:, rows]
 
     # -- message producers ----------------------------------------------------
 
     def prepare_ancilla(self, slot_idx: int, role: str) -> np.ndarray:
         """(B, 2) kets of the ancilla sent in the given round of a slot."""
-        slot, sec = self.secret.pattern.slots[slot_idx], self.secret
-        coin = sec.r_payload[:, slot_idx]
-        if role == "gamma":
-            theta, phi = grid_angle(sec.gamma_index[:, slot_idx], sec.grid_n) + coin * math.pi, 0.0
-        elif role == "assist":
-            if "gamma" in slot.roles:
-                coin = sec.r_assist[:, slot_idx]
-            theta, phi = coin * math.pi, 0.0
-        elif role == "couple":
-            theta, phi = CZ_SLOT_ANCILLA.gamma + coin * math.pi, CZ_SLOT_ANCILLA.delta
-            self.payload_bits[slot.roles["couple"]] = coin
-        else:
+        slot = self.secret.pattern.slots[slot_idx]
+        if role not in slot.roles or role == "theta":
             raise ValueError(f"no ancilla round for role {role!r}")
-        return self._rows(_unit_rows(param_kets("+", theta, phi)))
+        theta, phi = self.coins[slot.roles[role]] * math.pi, 0.0  # the coin's half-turn
+        if role == "gamma":
+            theta = grid_angle(self.gamma_index[slot_idx], self.secret.grid_n) + theta
+        elif role == "couple":
+            theta, phi = CZ_SLOT_ANCILLA.gamma + theta, CZ_SLOT_ANCILLA.delta
+        return _unit_rows(param_kets("+", theta, phi))
 
     def angle_message(self, slot_idx: int) -> np.ndarray:
         """(B,) grid indices of the basis angle, folding the secret and its
         hiding in exact integer arithmetic: with pi = N/2 grid steps,
-        k = s1*sign*k_theta' - s2*(k_gamma + r_payload*N/2) + r_angle*N/2
+        k = s1*sign*k_theta' - s2*(k_gamma + c_gamma*N/2) + c_theta*N/2
         (mod N), where s1 and s2 are the signs of the slot's two outcome
-        parities."""
+        parities and c_gamma and c_theta the coins of its gamma and theta
+        rounds."""
         slot, sec = self.secret.pattern.slots[slot_idx], self.secret
         half = sec.grid_n // 2
         k_theta = slot.theta_sign * sec.theta_index[slot_idx]
-        gamma = sec.gamma_index[:, slot_idx] + sec.r_payload[:, slot_idx] * half
-        theta_odd, gamma_odd = parities((slot.theta_negate, slot.gamma_negate), self.eff_outcomes, self.payload_bits)
-        k = (np.where(theta_odd, -k_theta, k_theta) + np.where(gamma_odd, gamma, -gamma)
-             + sec.r_angle[:, slot_idx] * half) % sec.grid_n
-        return self._rows(k)
+        c_gamma, c_theta = self.coins[[slot.roles["gamma"], slot.roles["theta"]]].astype(np.int64)
+        gamma = self.gamma_index[slot_idx] + c_gamma * half
+        theta_odd, gamma_odd = parities((slot.theta_negate, slot.gamma_negate), self.eff_outcomes, self.coins)
+        k = np.where(theta_odd, -k_theta, k_theta) + np.where(gamma_odd, gamma, -gamma) + c_theta * half
+        return k % sec.grid_n
 
     # -- outcome digestion ------------------------------------------------------
 
     def record(self, slot_idx: int, role: str, outcomes):
-        """Digest the (B,) outcome bits of a round: undo its coin."""
-        slot, sec = self.secret.pattern.slots[slot_idx], self.secret
-        coin = 0
-        if role == "assist":  # a J slot's assistant, or a standalone assistant slot
-            coin = (sec.r_assist if "gamma" in slot.roles else sec.r_payload)[:, slot_idx]
-        elif role == "theta":
-            coin = sec.r_angle[:, slot_idx]
-        self.eff_outcomes[slot.roles[role]] = outcomes ^ coin
-
-
-def slot_rounds(slot) -> tuple[tuple[str, str], ...]:
-    """Ordered (role, message kind) rounds composing one slot: one per role,
-    in the step order the builder fills ``roles`` in; the theta round takes
-    an angle and every other round an ancilla."""
-    return tuple((role, "ANGLE" if role == "theta" else "ANCILLA") for role in slot.roles)
+        """Digest the (B,) outcome bits of a round: undo the coin of an
+        assistant or theta round, whose half-turn flips the outcome (the
+        angle folds the gamma coin, and the frame the payload flip)."""
+        step = self.secret.pattern.slots[slot_idx].roles[role]
+        self.eff_outcomes[step] = outcomes ^ self.coins[step] if role in ("assist", "theta") else outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +274,6 @@ class ServerStepShape:
     entangler_labels: tuple[str, ...]
     expects: str  # 'ANCILLA' | 'ANGLE'
     slot: int
-    basis_phi: float = 0.0
 
 
 def pattern_shape(pattern: GatePattern) -> tuple[ServerStepShape, ...]:
@@ -310,7 +287,6 @@ def pattern_shape(pattern: GatePattern) -> tuple[ServerStepShape, ...]:
             step.entangler_labels,
             "ANGLE" if i in angle_steps else "ANCILLA",
             slot_of[i],
-            step.basis_phi,
         )
         for i, step in enumerate(pattern.steps)
     )
@@ -327,12 +303,12 @@ def _message_coefficients(msg: Message, shape: ServerStepShape, grid_n: int, val
     v_a = preset(shape.entangler_labels[0]).frame.v_a
     if msg.kind == "ANCILLA":
         values = np.array([msg.payload], dtype=complex) if values is None else values
-        return branch_coefficients(values @ v_a.T, 0.0, shape.basis_phi)
+        return branch_coefficients(values @ v_a.T, 0.0)
     check_grid(grid_n)
     if msg.theta_grid >= grid_n:
         raise ValueError(f"grid index {msg.theta_grid} is outside the grid of size {grid_n}")
     values = np.array([msg.theta_grid]) if values is None else values
-    return branch_coefficients(v_a @ STANDARD_PAYLOAD, grid_angle(values, grid_n), shape.basis_phi)
+    return branch_coefficients(v_a @ STANDARD_PAYLOAD, grid_angle(values, grid_n))
 
 
 def server_step(
@@ -412,12 +388,13 @@ def run_delegation(
     client = Client(secret)
     start = init_register(n, input_state if input_state is not None else "0" * n)
     reference = PureState(n, pattern.target @ start.amplitudes)
+    shape = pattern_shape(pattern)
     if mode == "sample":
-        server = Server(pattern_shape(pattern), n, input_state, secret.grid_n, seed)
-        _dialogue(client, server)
+        server = Server(shape, n, input_state, secret.grid_n, seed)
+        _dialogue(client, server, shape)
         raw, worst = server.state.amplitudes, None
     elif mode == "enumerate":
-        raw, worst = _enumerated_dialogue(client, start.amplitudes)
+        raw, worst = _enumerated_dialogue(client, start.amplitudes, shape)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     final = PureState(n, _corrected(raw[None], pattern.corrections, client)[0])
@@ -429,49 +406,49 @@ def run_delegation(
 
 def _corrected(states: np.ndarray, corrections, client: Client) -> np.ndarray:
     """Apply to each row the byproduct frame of the client's row."""
-    return apply_pauli_frame(states, *frame_bits(corrections, client.eff_outcomes, client.payload_bits))
+    return apply_pauli_frame(states, *frame_bits(corrections, client.eff_outcomes, client.coins))
 
 
 def _round_values(client: Client, slot_idx: int, role: str, kind: str):
     """A round's messages as (B, 2) kets or (B,) grid indices, and row 0's
-    ``Message``; an ANGLE round also logs the slot's one shared draw row."""
+    ``Message``; an ANGLE round also logs row 0's hidden index and the coins
+    of its gamma and theta rounds, as ``r_payload`` and ``r_angle``."""
     if kind == "ANCILLA":
         values = client.prepare_ancilla(slot_idx, role)
         return values, Message(kind, slot_idx, payload=tuple(values[0]))
     values = client.angle_message(slot_idx)
-    slot, sec = client.secret.pattern.slots[slot_idx], client.secret
+    slot = client.secret.pattern.slots[slot_idx]
     client.transcript.client_log.append({
         "slot": slot_idx, "kind": slot.kind, "theta_prime": slot.theta_prime, "theta_sign": slot.theta_sign,
-        **{name: draw.item(0, slot_idx) for name, draw in (("gamma_index", sec.gamma_index),
-                                                           ("r_payload", sec.r_payload), ("r_angle", sec.r_angle))},
+        "gamma_index": client.gamma_index.item(slot_idx, 0), "r_payload": client.coins.item(slot.roles["gamma"], 0),
+        "r_angle": client.coins.item(slot.roles["theta"], 0),
     })
     return values, Message(kind, slot_idx, theta_grid=int(values[0]))
 
 
-def _dialogue(client: Client, server: Server):
+def _dialogue(client: Client, server: Server, shape):
     for slot_idx, slot in enumerate(client.secret.pattern.slots):
-        for role, kind in slot_rounds(slot):
-            _, msg = _round_values(client, slot_idx, role, kind)
+        for role, step in slot.roles.items():
+            _, msg = _round_values(client, slot_idx, role, shape[step].expects)
             client.transcript.messages.append(msg)
             out = server.handle(msg)
             client.transcript.messages.append(out)
             client.record(slot_idx, role, out.bit)
 
 
-def _enumerated_dialogue(client: Client, state: np.ndarray):
+def _enumerated_dialogue(client: Client, state: np.ndarray, shape):
     """Expand every outcome combination of each slot, one client row per
     combination, and carry the first one (row 0) forward into the transcript.
     Returns the carried raw register state and the worst fidelity between a
     combination and the first after the slot-boundary frame."""
     pattern = client.secret.pattern
-    shape = pattern_shape(pattern)
     grid_n = client.secret.grid_n
     worst = 1.0
     for slot_idx, slot in enumerate(pattern.slots):
         states, probs = state[None], np.ones(1)
-        for role, kind in slot_rounds(slot):
-            values, msg = _round_values(client, slot_idx, role, kind)
-            step_shape = shape[slot.roles[role]]
+        for role, step in slot.roles.items():
+            step_shape = shape[step]
+            values, msg = _round_values(client, slot_idx, role, step_shape.expects)
             coeffs = _message_coefficients(msg, step_shape, grid_n, values)
             blocks = coupling_blocks(step_shape.entangler_labels)
             states, parent, outs, p = branch_step(states, step_shape.targets, blocks, coeffs)
@@ -530,9 +507,9 @@ def audit_blindness(
     secrets = (grid_angle(1, grid_n) if theta_prime is None else theta_prime,
                grid_angle(3, grid_n) if theta_prime_alt is None else theta_prime_alt)
     start = init_register(1, PureState(1, AUDIT_INPUT))
-    # one client row per (hidden index, payload coin, hidden-round outcome,
-    # angle coin, incoming frame parity), in that C order
-    gi, r_payload, s, r_angle, frame = (
+    # one client row per (hidden index, gamma coin, hidden-round outcome,
+    # theta coin, incoming frame parity), in that C order
+    gi, c_gamma, s, c_theta, frame = (
         a.ravel() for a in np.meshgrid(np.arange(grid_n), *[(0, 1)] * 4, indexing="ij")
     )
     kets, counts, posts = [], [], []
@@ -540,13 +517,16 @@ def audit_blindness(
         secret = ClientSecret(CircuitDescription(1, (CircuitGate("Rx", (0,), tp),)), "two", grid_n, 0)
         slot_idx = [sl.kind for sl in secret.pattern.slots].index("RX")
         slot = secret.pattern.slots[slot_idx]
-        draws = np.zeros((4, len(gi), len(secret.pattern.slots)), dtype=np.int64)  # only the RX slot's are read
-        draws[[0, 1, 3], :, slot_idx] = gi, r_payload, r_angle
-        # (a) and (c) read only the rows of outcome, angle coin and frame
+        # only the RX slot's draws are read
+        secret.gamma_index = np.zeros((len(secret.pattern.slots), len(gi)), dtype=np.int64)
+        secret.gamma_index[slot_idx] = gi
+        secret.coins = np.zeros((len(secret.pattern.steps), len(gi)), dtype=np.int8)
+        secret.coins[[slot.roles["gamma"], slot.roles["theta"]]] = c_gamma, c_theta
+        # (a) and (c) read only the rows of outcome, theta coin and frame
         # parity 0, one per (hidden index, coin): prepare just those
-        secret.gamma_index, secret.r_payload, secret.r_assist, secret.r_angle = draws[:, ::8]
-        payload = Client(secret).prepare_ancilla(slot_idx, "gamma").reshape(grid_n, 2, 2)
-        secret.gamma_index, secret.r_payload, secret.r_assist, secret.r_angle = draws
+        client = Client(secret)
+        client.take(slice(None, None, 8))
+        payload = client.prepare_ancilla(slot_idx, "gamma").reshape(grid_n, 2, 2)
         client = Client(secret)
         # one earlier outcome sets the frame parity the angle reads
         client.eff_outcomes[min(slot.theta_negate)] = frame

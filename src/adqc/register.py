@@ -16,6 +16,7 @@ from .core import AncillaSpec, _reduce_angle, assemble_entangler, basis_kets, pa
 from .linalg import PureState, apply_pauli_frame, dagger, embed
 
 PRUNE_PROBABILITY = 1e-12
+MAX_QUBITS = 4  # the largest register, pattern and circuit
 PAYLOAD_BIT = 1 << 20  # set index i + PAYLOAD_BIT refers to step i's payload flip
 # parity tables kept by parity_table: 2 * len(sets) * width bytes each, at most 20
 # per pattern step (2n <= 10 sets at n <= 5): 20 KiB per step of width, 2 MiB at 100
@@ -34,8 +35,9 @@ def parity_table(sets: tuple[frozenset[int], ...], width: int) -> tuple[np.ndarr
 
 
 def parities(sets, outcomes, payload_bits=None) -> np.ndarray:
-    """(len(sets), ...) parities of (steps,) or (steps, B) bits; payload indices
-    read zero when ``payload_bits`` is None.  int8 wraps mod 256, keeping parity."""
+    """(len(sets), ...) parities of (steps,) or (steps, B) bits; index
+    i + PAYLOAD_BIT reads ``payload_bits[i]``, laid out like ``outcomes`` (zero
+    when it is None).  int8 wraps mod 256, keeping parity."""
     m_out, m_pay = parity_table(tuple(sets), len(outcomes))
     acc = m_out @ np.asarray(outcomes, dtype=np.int8)
     return (acc if payload_bits is None else acc + m_pay @ payload_bits) & 1
@@ -69,7 +71,6 @@ class AdqcStep:
     entangler_labels: tuple[str, ...]
     ancilla: AncillaSpec
     basis_theta: AdaptiveAngle
-    basis_phi: float = 0.0
 
     def __post_init__(self):
         if len(self.targets) not in (1, 2):
@@ -136,9 +137,9 @@ class GatePattern:
 
 
 def init_register(n: int, state="") -> PureState:
-    """Fresh register of 1..4 qubits from a PureState or a label like "0+"."""
-    if not (1 <= n <= 4):
-        raise ValueError("register size must be between 1 and 4")
+    """Fresh register of 1..MAX_QUBITS qubits from a PureState or a label like "0+"."""
+    if not (1 <= n <= MAX_QUBITS):
+        raise ValueError(f"register size must be between 1 and {MAX_QUBITS}")
     if isinstance(state, PureState):
         if state.num_qubits != n:
             raise ValueError("input state size mismatch")
@@ -166,13 +167,13 @@ def coupling_blocks(labels: tuple[str, ...]) -> np.ndarray:
     return blocks
 
 
-def branch_coefficients(payloads: np.ndarray, theta, phi) -> np.ndarray:
+def branch_coefficients(payloads: np.ndarray, theta) -> np.ndarray:
     """(B, 2, 4) coefficients c[r, s, 2a + b] = conj(<a|s>) payloads[r, b] of
-    B rows: |s> is outcome s of the basis (theta, phi) at row r's angles,
+    B rows: |s> is outcome s of the basis (theta, phi = 0) at row r's angle,
     and ``payloads`` the canonical ancilla kets of ``coupling_blocks``.  The
     (B, 2) payloads and (B,) angles broadcast: one payload or angle serves
     every row."""
-    bras = basis_kets(_reduce_angle(theta), phi).conj()  # as MeasBasis takes it: its half sets the kets' sign
+    bras = basis_kets(_reduce_angle(theta), 0.0).conj()  # as MeasBasis takes it: its half sets the kets' sign
     return (bras[..., None] * payloads[..., None, None, :]).reshape(-1, 2, 4)
 
 
@@ -198,7 +199,7 @@ def step_branch_operators(step: AdqcStep, theta: float, n: int) -> np.ndarray:
     """The two register Kraus operators of a step (unnormalized), plus branch
     first, as a (2, 2^n, 2^n) array, for the step's canonical ancilla
     measured at basis angle ``theta``.  ``n`` is the register size."""
-    coeffs = branch_coefficients(param_kets("+", step.ancilla.gamma, step.ancilla.delta), theta, step.basis_phi)
+    coeffs = branch_coefficients(param_kets("+", step.ancilla.gamma, step.ancilla.delta), theta)
     blocks = coupling_blocks(step.entangler_labels)
     return _apply_branches(np.eye(2**n, dtype=complex)[None], step.targets, blocks, coeffs)[0]
 
@@ -254,7 +255,6 @@ def walk_steps(steps, states, bits, plan):
     local = np.searchsorted(used, plan)  # each entry's position among them
     run = [steps[i] for i in used]
     payloads = param_kets("+", [s.ancilla.gamma for s in run], [s.ancilla.delta for s in run])
-    phis = np.array([s.basis_phi for s in run])
     values = np.array([s.basis_theta.value for s in run])
     # each step's parity_table row of its negate set's outcome bits
     negate = np.array([parity_table((s.basis_theta.negate,), len(bits))[0][0] for s in run], dtype=np.int8)
@@ -263,7 +263,7 @@ def walk_steps(steps, states, bits, plan):
     for entry in local:
         which = entry[origin]  # each row's step, as a position in run
         theta = values[which] * (1 - 2 * (np.einsum("rs,sr->r", negate[which], bits) & 1))
-        coeffs = branch_coefficients(payloads[which], theta, phis[which])
+        coeffs = branch_coefficients(payloads[which], theta)
         row_coupling = coupling[which]
         vecs = np.empty((len(which), 2) + states.shape[1:], dtype=complex)
         for (labels, targets), g in couplings.items():

@@ -21,7 +21,7 @@ from adqc.patterns import (
     standard_pattern,
     verify_pattern,
 )
-from adqc.register import AdaptiveAngle, AdqcStep, QubitCorrection, run_pattern
+from adqc.register import PAYLOAD_BIT, AdaptiveAngle, AdqcStep, QubitCorrection, run_pattern
 
 PI = math.pi
 
@@ -479,7 +479,7 @@ def _canonical(pattern) -> list:
 
     steps = [
         [list(s.targets), list(s.entangler_labels), s.ancilla.gamma, s.ancilla.delta,
-         [[s.basis_theta.value, sorted(s.basis_theta.negate)]], s.basis_phi]
+         [[s.basis_theta.value, sorted(s.basis_theta.negate)]], 0.0]
         for s in pattern.steps
     ]
     slots = [
@@ -513,7 +513,8 @@ class TestPatternPin:
     # seeded compiled circuits in both variants
     PINNED = "616d959eed651b106d168981fb3b86fa929b216fe925ea8f22d7ad2cf4db517e"
 
-    def test_built_patterns_are_pinned(self):
+    @staticmethod
+    def _patterns():
         standard = [
             standard_pattern(kind, theta, variant)
             for kind, theta, variant in (
@@ -526,5 +527,25 @@ class TestPatternPin:
             for circuit, pad in _seeded_circuits(40, 5)
             for variant in ("single", "two")
         ]
-        doc = json.dumps([_canonical(p) for p in standard + compiled])
+        return standard + compiled
+
+    def test_built_patterns_are_pinned(self):
+        doc = json.dumps([_canonical(p) for p in self._patterns()])
         assert hashlib.sha256(doc.encode()).hexdigest() == self.PINNED
+
+    def test_payload_indices_name_two_target_steps(self):
+        """Every index at or above PAYLOAD_BIT in a correction, a slot
+        boundary or an angle's negate set names a two-target step: a
+        delegation reads each round's coin there as that step's payload flip,
+        so an index naming any other step would mis-fold the frame."""
+        named = 0
+        for p in self._patterns():
+            frames = p.corrections + tuple(c for boundary in p.slot_boundaries for c in boundary)
+            sets = [s for c in frames for s in (c.x_parity, c.z_parity)]
+            sets += [step.basis_theta.negate for step in p.steps]
+            sets += [s for slot in p.slots for s in (slot.theta_negate, slot.gamma_negate)]
+            for i in frozenset().union(*sets):
+                if i >= PAYLOAD_BIT:
+                    assert len(p.steps[i - PAYLOAD_BIT].targets) == 2, i
+                    named += 1
+        assert named > 0

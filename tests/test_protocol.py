@@ -24,7 +24,6 @@ from adqc.protocol import (
     pattern_shape,
     run_delegation,
     server_step,
-    slot_rounds,
 )
 
 PI = math.pi
@@ -34,15 +33,29 @@ def _secret(gates, n=1, variant="two", grid=8, seed=11):
     return ClientSecret(CircuitDescription(n, tuple(gates)), variant, grid, seed)
 
 
+def _set_draws(draws, pattern, slot, gamma_index=None, **coins):
+    """Set a slot's draws on ``draws`` (a secret or a client) in every row:
+    its hidden index, and its coins by their client-log names: ``r_payload``
+    is the coin of the slot's first round, ``r_assist`` of its assistant
+    round and ``r_angle`` of its angle round.  A coin the slot does not draw
+    is skipped."""
+    if gamma_index is not None:
+        draws.gamma_index[slot] = gamma_index
+    roles = pattern.slots[slot].roles
+    for name, value in coins.items():
+        role = {"r_payload": next(iter(roles)), "r_assist": "assist", "r_angle": "theta"}[name]
+        if role in roles:
+            draws.coins[roles[role]] = value
+
+
 def _force_draw(secret, slot, **kw):
-    for name, value in kw.items():
-        getattr(secret, name)[:, slot] = value
+    _set_draws(secret, secret.pattern, slot, **kw)
 
 
 def _zero_draws(secret, rows):
     """Replace the secret's draws by ``rows`` rows of zeros."""
-    draws = np.zeros((4, rows, len(secret.pattern.slots)), dtype=int)
-    secret.gamma_index, secret.r_payload, secret.r_assist, secret.r_angle = draws
+    secret.gamma_index = np.zeros((len(secret.pattern.slots), rows), dtype=np.int64)
+    secret.coins = np.zeros((len(secret.pattern.steps), rows), dtype=np.int8)
 
 
 def _ancilla_message(client, slot, role):
@@ -620,16 +633,13 @@ class TestAudit:
         real = getattr(Client, method)
 
         def patched(self, slot_idx, *args):
-            saved = {name: getattr(self.secret, name) for name in fields}
-            for name, value in fields.items():
-                draws = saved[name].copy()
-                draws[:, slot_idx] = value
-                setattr(self.secret, name, draws)
+            saved = self.gamma_index, self.coins
+            self.gamma_index, self.coins = self.gamma_index.copy(), self.coins.copy()
+            _set_draws(self, self.secret.pattern, slot_idx, **fields)
             try:
                 return real(self, slot_idx, *args)
             finally:
-                for name, draws in saved.items():
-                    setattr(self.secret, name, draws)
+                self.gamma_index, self.coins = saved
 
         monkeypatch.setattr(Client, method, patched)
 
@@ -715,9 +725,10 @@ class TestSlotRounds:
         sec_s = _secret([CircuitGate("H", (0,))], variant="single")
         kinds = {s.kind for s in sec_s.pattern.slots}
         assert kinds <= {"J", "ASSIST"}
+        shape = pattern_shape(sec_s.pattern)
         for slot in sec_s.pattern.slots:
-            rounds = slot_rounds(slot)
+            rounds = [shape[step].expects for step in slot.step_indices]
             if slot.kind == "J":
-                assert [k for _, k in rounds] == ["ANCILLA", "ANCILLA", "ANGLE"]
+                assert rounds == ["ANCILLA", "ANCILLA", "ANGLE"]
             else:
-                assert [k for _, k in rounds] == ["ANCILLA"]
+                assert rounds == ["ANCILLA"]
