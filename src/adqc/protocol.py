@@ -28,7 +28,7 @@ from .register import frame_bits, init_register, parities
 DEFAULT_GRID = 8
 # largest grid size: its spacing 2 pi / 2^16 (about 1e-4) stays five orders of
 # magnitude above grid_index's 1e-9 tolerance; an audit's time grows linearly
-# with the size, 1.0-1.4 s in process at this size on 2 vCPUs
+# with the size, 0.6-0.85 s in process at this size on 2 vCPUs
 MAX_GRID = 1 << 16
 STANDARD_PAYLOAD = (1 + 0j, 0j)  # |0>, the ancilla an ANGLE round couples
 # register input of the audited hidden-rotation round: cos(pi/3)|+> + sin(pi/3) e^(i pi/5)|->
