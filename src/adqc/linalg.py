@@ -125,14 +125,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps / norm)
 
     @classmethod
-    def unchecked(cls, num_qubits: int, amplitudes: np.ndarray) -> "PureState":
-        """Wrap a 1-D unit vector as is: no check, no copy, no renormalisation."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "num_qubits", num_qubits)
-        object.__setattr__(out, "amplitudes", amplitudes)
-        return out
-
-    @classmethod
     def from_label(cls, label: str) -> "PureState":
         """Product state from a string over {0, 1, +, -}, e.g. "0+"."""
         label = label.strip().lstrip("|").rstrip(">⟩")

@@ -26,7 +26,6 @@ from .linalg import (
     H,
     PAULI_NAMES,
     PAULIS,
-    PureState,
     apply_op,
     apply_pauli_frame,
     dagger,
@@ -355,6 +354,13 @@ def _is_index(value) -> bool:
     return _is_int(value) and value >= 0
 
 
+def _known_keys(doc, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a key of ``doc``, if it is a dict, outside ``keys``."""
+    unknown = sorted(set(doc) - set(keys)) if isinstance(doc, dict) else []
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
+
+
 @dataclass(frozen=True)
 class CircuitGate:
     kind: str
@@ -422,11 +428,13 @@ class CircuitDescription:
             raise ValueError("malformed circuit JSON: nested too deeply") from None
         if not isinstance(doc, dict) or not _is_index(doc.get("v")) or doc["v"] != 1:
             raise ValueError("unsupported circuit schema version")
+        _known_keys(doc, ("v", "qubits", "gates"), "circuit")
         try:
-            gates = tuple(
-                CircuitGate(g["kind"], tuple(g["targets"]), g.get("angle")) for g in doc["gates"]
-            )
-            return cls(doc["qubits"], gates)
+            gates = []
+            for g in doc["gates"]:
+                _known_keys(g, ("kind", "targets", "angle"), "gate")
+                gates.append(CircuitGate(g["kind"], tuple(g["targets"]), g.get("angle")))
+            return cls(doc["qubits"], tuple(gates))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed circuit JSON: {exc!r}") from None
 
@@ -485,19 +493,6 @@ class VerifyReport:
     detail: str = ""
 
 
-def _spanning_inputs(n: int) -> list[PureState]:
-    states = [
-        PureState(n, np.eye(2**n, dtype=complex)[k]) for k in range(2**n)
-    ]
-    plus = np.ones(2**n, dtype=complex)
-    states.append(PureState(n, plus))
-    ys = np.array([1.0], dtype=complex)
-    for _ in range(n):
-        ys = np.kron(ys, np.array([1.0, 1j], dtype=complex))
-    states.append(PureState(n, ys))
-    return states
-
-
 def verify_pattern(pattern: GatePattern, tol: float = 1e-9) -> VerifyReport:
     """Check the pattern-validity contract: every corrected outcome branch
     realizes ``target`` up to a global phase, and the branches are complete.
@@ -506,32 +501,27 @@ def verify_pattern(pattern: GatePattern, tol: float = 1e-9) -> VerifyReport:
     level (``_verify_slotwise``): each slot's branch operators on its own
     qubits, from one Choi input, under every history of earlier outcomes it
     reads.  A failed report's ``detail`` names the slot, its outcome bits and
-    the earlier outcomes where it failed.  A pattern of at most one slot is
-    enumerated flat on a spanning input set (a slotless one only up to
-    ``MAX_FLAT_STEPS`` steps), and its ``detail`` names the outcome bits and
-    the input index.
+    the earlier outcomes where it failed.  A pattern of at most one slot (a
+    slotless one of at most ``MAX_FLAT_STEPS`` steps) is checked whole, as one
+    stage: one ``run_pattern`` from the Choi input I/sqrt(d), each corrected
+    branch operator against target/sqrt(d), and probabilities summing to 1,
+    which with every branch proportional to the unitary target is
+    sum_b K_b^dagger K_b = I.  Its ``detail`` names the worst branch's bits.
     """
     if len(pattern.slots) > 1:
         return _verify_slotwise(pattern, tol)
     if not pattern.slots and len(pattern.steps) > MAX_FLAT_STEPS:
         raise ValueError("pattern too long for flat enumeration and has no slots")
-    n = pattern.num_qubits
-    inputs = _spanning_inputs(n)
-    worst, where = 0.0, ""
-    probs: tuple[float, ...] = ()
-    for idx, inp in enumerate(inputs):
-        res = run_pattern(inp, pattern)
-        if abs(res.probabilities.sum() - 1.0) > 1e-10:
-            return VerifyReport(False, 1.0, probs, "flat", "probabilities do not sum to 1")
-        errs = phase_invariant_error(res.branches, pattern.target @ inp.amplitudes)
-        b = int(np.argmax(errs))
-        if errs[b] > worst:
-            worst, where = float(errs[b]), f"branch outcomes {tuple(res.outcomes[:, b].tolist())} on input {idx}"
-        if idx == 0:
-            probs = tuple(res.probabilities.tolist())
-        del res  # free this input's branches before the next run
-    valid = worst <= tol
-    return VerifyReport(valid, worst, probs, "flat", "" if valid else f"{where}: error {worst:.3e}")
+    dim = 2**pattern.num_qubits
+    res = run_pattern(np.eye(dim, dtype=complex) / math.sqrt(dim), pattern)
+    probs = tuple(res.probabilities.tolist())
+    if abs(res.probabilities.sum() - 1.0) > 1e-10:
+        return VerifyReport(False, 1.0, probs, "flat", "probabilities do not sum to 1")
+    errs = phase_invariant_error(res.branches.reshape(len(probs), -1), pattern.target.ravel() / math.sqrt(dim))
+    b = int(np.argmax(errs))
+    worst = float(errs[b])
+    detail = "" if worst <= tol else f"branch outcomes {tuple(res.outcomes[:, b].tolist())}: error {worst:.3e}"
+    return VerifyReport(worst <= tol, worst, probs, "flat", detail)
 
 
 def _pivot_bits(sets, inside) -> list[int]:

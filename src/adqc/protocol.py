@@ -312,37 +312,37 @@ def _message_coefficients(msg: Message, shape: ServerStepShape, grid_n: int, val
 
 
 def server_step(
-    state: PureState,
+    state: np.ndarray,
     msg: Message,
     shape: ServerStepShape,
     grid_n: int = DEFAULT_GRID,
     outcome=None,
     rng=None,
 ):
-    """Execute one step from a message: couple the (given or standard) ancilla
-    to the shape's targets and measure.
+    """Execute one step from a message on a (2^n,) register state: couple
+    the (given or standard) ancilla to the shape's targets and measure.
 
     ``outcome`` forces a branch (an error below probability 1e-12), otherwise
-    ``rng`` samples one.  Returns (new_state, OUTCOME message, branch
-    probability).
+    ``rng`` samples one.  Returns (the new (2^n,) state, OUTCOME message,
+    branch probability).
     """
     if outcome is None and rng is None:
         raise ValueError("sampling a step requires an rng")
     coeffs = _message_coefficients(msg, shape, grid_n)
     blocks = coupling_blocks(shape.entangler_labels)
-    vecs, _, out, p = branch_step(state.amplitudes[None], shape.targets, blocks, coeffs, outcome, rng)
-    new_state = PureState.unchecked(state.num_qubits, vecs[0])
-    return new_state, Message("OUTCOME", msg.slot, bit=int(out[0])), float(p[0])
+    vecs, _, out, p = branch_step(state[None], shape.targets, blocks, coeffs, outcome, rng)
+    return vecs[0], Message("OUTCOME", msg.slot, bit=int(out[0])), float(p[0])
 
 
 class Server:
-    """Honest server: executes messages against the pattern shape in order."""
+    """Honest server: executes messages against the pattern shape in order,
+    on its register's (2^n,) amplitudes, ``state``."""
 
     def __init__(self, shape, num_qubits: int, input_state=None, grid_n: int = DEFAULT_GRID, seed=None):
         check_grid(grid_n)
         self.shape = tuple(shape)
         self.grid_n = grid_n
-        self.state = init_register(num_qubits, input_state if input_state is not None else "0" * num_qubits)
+        self.state = init_register(num_qubits, input_state).amplitudes
         self.cursor = 0
         self.rng = np.random.default_rng(seed)
 
@@ -386,15 +386,15 @@ def run_delegation(
     pattern = secret.pattern
     n = pattern.num_qubits
     client = Client(secret)
-    start = init_register(n, input_state if input_state is not None else "0" * n)
-    reference = PureState(n, pattern.target @ start.amplitudes)
+    start = init_register(n, input_state).amplitudes
+    reference = PureState(n, pattern.target @ start)
     shape = pattern_shape(pattern)
     if mode == "sample":
         server = Server(shape, n, input_state, secret.grid_n, seed)
         _dialogue(client, server, shape)
-        raw, worst = server.state.amplitudes, None
+        raw, worst = server.state, None
     elif mode == "enumerate":
-        raw, worst = _enumerated_dialogue(client, start.amplitudes, shape)
+        raw, worst = _enumerated_dialogue(client, start, shape)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     final = PureState(n, _corrected(raw[None], pattern.corrections, client)[0])
@@ -506,7 +506,7 @@ def audit_blindness(
     check_grid(grid_n)
     secrets = (grid_angle(1, grid_n) if theta_prime is None else theta_prime,
                grid_angle(3, grid_n) if theta_prime_alt is None else theta_prime_alt)
-    start = init_register(1, PureState(1, AUDIT_INPUT))
+    start = PureState(1, AUDIT_INPUT).amplitudes
     # one client row per (hidden index, gamma coin, hidden-round outcome,
     # theta coin, incoming frame parity), in that C order
     gi, c_gamma, s, c_theta, frame = (
@@ -537,7 +537,7 @@ def audit_blindness(
         shape = pattern_shape(secret.pattern)[slot.roles["gamma"]]
         rows = payload.reshape(-1, 2)
         coeffs = _message_coefficients(Message("ANCILLA", slot_idx, payload=tuple(rows[0])), shape, grid_n, rows)
-        after, _, _, _ = branch_step(np.broadcast_to(start.amplitudes, rows.shape), shape.targets,
+        after, _, _, _ = branch_step(np.broadcast_to(start, rows.shape), shape.targets,
                                      coupling_blocks(shape.entangler_labels), coeffs)
         kets.append(payload)
         posts.append(after.reshape(grid_n, 2, 2, 2))  # (hidden index, coin, outcome, amplitude)

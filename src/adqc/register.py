@@ -287,9 +287,9 @@ def frame_bits(corrections, outcomes, payload_bits=None) -> tuple[np.ndarray, np
 @dataclass(frozen=True)
 class RunResult:
     """Every outcome branch of a run, as arrays with one entry per branch:
-    the (B, 2^n) corrected states, the (B, 2^n) raw states before the frame,
-    the (B,) probabilities, the (steps, B) outcome bits and the (n, B) frame
-    bits of X^x Z^z on each qubit."""
+    the (B, 2^n, ...) corrected states, the (B, 2^n, ...) raw states before
+    the frame, the (B,) probabilities, the (steps, B) outcome bits and the
+    (n, B) frame bits of X^x Z^z on each qubit."""
 
     branches: np.ndarray
     raw: np.ndarray
@@ -299,14 +299,18 @@ class RunResult:
     z: np.ndarray
 
 
-def run_pattern(state: PureState, pattern: GatePattern) -> RunResult:
+def run_pattern(state: np.ndarray, pattern: GatePattern) -> RunResult:
     """Execute a pattern on every outcome branch (probabilities summing to
-    one); each branch's corrected state is its raw final state with its
-    resolved byproduct frame applied."""
-    if pattern.num_qubits != state.num_qubits:
+    one) of a (2^n, ...) amplitude array of unit norm; trailing axes ride
+    along, so the normalized identity runs every branch's operator.  Each
+    branch's corrected state is its raw final state with its resolved
+    byproduct frame applied."""
+    if state.shape[:1] != (2**pattern.num_qubits,):
         raise ValueError("pattern size does not match the register")
+    if abs(np.linalg.norm(state) - 1.0) > 1e-9:
+        raise ValueError("the register state does not have unit norm")
     k = len(pattern.steps)
     start = np.zeros((k, 1), dtype=np.int8)
-    states, probs, bits, _ = walk_steps(pattern.steps, state.amplitudes[None], start, np.arange(k)[:, None])
+    states, probs, bits, _ = walk_steps(pattern.steps, state[None], start, np.arange(k)[:, None])
     x, z = frame_bits(pattern.corrections, bits)
     return RunResult(apply_pauli_frame(states, x, z), states, probs, bits, x, z)

@@ -261,6 +261,23 @@ class TestMalformedCircuit:
         assert out == ""
         assert json.loads(err)["error"] == message
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"v": 1, "qubits": 1, "gates": [{"kind": "H", "targets": [0]}], "extra": 1},
+             "unknown circuit key 'extra'"),
+            ({"v": 1, "qubits": 1, "gates": [{"kind": "H", "targets": [0], "angel": 0.5}]},
+             "unknown gate key 'angel'"),
+        ],
+        ids=["circuit", "gate"],
+    )
+    def test_delegate_rejects_an_unknown_key(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "delegate", "--circuit", str(path), "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == message
 
     def test_delegate_rejects_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -73,7 +73,7 @@ class TestStandardPatterns:
         rep = verify_pattern(bad)
         assert not rep.valid
         assert rep.worst_branch_error > 0.5
-        assert "branch outcomes (" in rep.detail and "on input " in rep.detail
+        assert "branch outcomes (" in rep.detail
 
     def test_broken_slot_boundary_named(self):
         """A wrong frame at one slot boundary of a slot-wise verified pattern
@@ -140,6 +140,10 @@ class TestStandardPatterns:
         assert len(standard_pattern("RZ", 0.3, "two").steps) == 2
 
 
+# the standard patterns of one slot, which verify_pattern checks flat
+ONE_SLOT_PATTERNS = (("J", 0.7, "single"), ("ASSIST", None, "single"), ("RX", 1.1, "two"), ("RZ", 2.0, "two"))
+
+
 def _brute_force_valid(pat, tol=1e-9) -> bool:
     """Every enumerated branch, corrected, equals ``target @ input`` up to a
     global phase on the basis states, |+...+> and |+i...+i>."""
@@ -149,7 +153,7 @@ def _brute_force_valid(pat, tol=1e-9) -> bool:
     ]
     for amps in inputs:
         inp = PureState(n, amps)
-        res = run_pattern(inp, pat)
+        res = run_pattern(inp.amplitudes, pat)
         if abs(res.probabilities.sum() - 1.0) > 1e-10:
             return False
         if phase_invariant_error(res.branches, pat.target @ inp.amplitudes).max() > tol:
@@ -207,6 +211,20 @@ class TestSlotwiseVerification:
                 assert rep.valid == _brute_force_valid(candidate), rep
                 verdicts.append(rep.valid)
         assert (len(verdicts), verdicts.count(False)) == (45, 36)
+
+    def test_flat_verdicts_match_brute_force(self):
+        """On the four one-slot standard patterns and every one of their
+        mutants, the flat check on the Choi input accepts exactly what the
+        spanning-input oracle accepts."""
+        verdicts = []
+        for kind, theta, variant in ONE_SLOT_PATTERNS:
+            pat = standard_pattern(kind, theta, variant)
+            for candidate in [pat] + list(_mutants(pat)):
+                rep = verify_pattern(candidate)
+                assert rep.mode == "flat"
+                assert rep.valid == _brute_force_valid(candidate), (kind, rep)
+                verdicts.append(rep.valid)
+        assert (len(verdicts), verdicts.count(False)) == (24, 20)
 
     def test_boundary_frame_of_an_untouched_qubit_checked(self):
         """A slot's outcome bit toggled into its boundary frame on a qubit the
@@ -303,6 +321,19 @@ class TestSlotwiseVerification:
         assert not rep.valid
         assert rep.detail.startswith(f"slot {slot} branches are incomplete"), rep.detail
         assert "after earlier outcomes {" in rep.detail
+
+    @pytest.mark.parametrize("kind, theta, variant", ONE_SLOT_PATTERNS)
+    def test_incomplete_flat_pattern_refused(self, monkeypatch, kind, theta, variant):
+        """Coupling blocks scaled by 0.9 leave every branch of a one-slot
+        pattern proportional to its target; only the probability sum, 0.81
+        per step, tells that the branches are incomplete."""
+        import adqc.register as register
+
+        exact = register.coupling_blocks
+        monkeypatch.setattr(register, "coupling_blocks", lambda labels: 0.9 * exact(labels))
+        rep = verify_pattern(standard_pattern(kind, theta, variant))
+        assert not rep.valid and rep.mode == "flat"
+        assert rep.detail == "probabilities do not sum to 1", rep.detail
 
     def test_slots_must_cover_every_step_in_order(self):
         """Slot-wise verification runs only the steps the slots list, so a

@@ -236,7 +236,7 @@ class TestServer:
         shape = pattern_shape(sec.pattern)
         msg = _ancilla_message(Client(sec), shape[0].slot, "gamma")
         with pytest.raises(ValueError, match="requires an rng"):
-            server_step(PureState.from_label("0"), msg, shape[0])
+            server_step(PureState.from_label("0").amplitudes, msg, shape[0])
 
     def test_shape_carries_no_angles(self):
         sec = _secret([CircuitGate("Rz", (0,), 3 * PI / 4)])
@@ -618,7 +618,7 @@ class TestAudit:
             for r, payload in enumerate(payloads):
                 msg = Message("ANCILLA", shape.slot, payload=tuple(payload))
                 for s in (0, 1):
-                    want = server_step(start, msg, shape, grid_n, outcome=s)[0].amplitudes
+                    want = server_step(start.amplitudes, msg, shape, grid_n, outcome=s)[0]
                     assert np.array_equal(after[2 * r + s], want), (r, s)
 
     def test_every_even_grid_is_exact(self):

@@ -63,7 +63,7 @@ def _step_once(state, step, outcome=None, rng=None, outcomes=()):
     coeffs = branch_coefficients(payload, _resolve(step.basis_theta, outcomes))
     blocks = coupling_blocks(step.entangler_labels)
     vecs, _, out, _ = branch_step(state.amplitudes[None], step.targets, blocks, coeffs, outcome, rng)
-    return PureState.unchecked(state.num_qubits, vecs[0]), int(out[0])
+    return PureState(state.num_qubits, vecs[0]), int(out[0])
 
 
 class TestInitRegister:
@@ -162,12 +162,12 @@ class TestExecuteStep:
 class TestRunPattern:
     def test_probabilities_sum_to_one(self):
         pat = standard_pattern("J", 0.9, "single")
-        res = run_pattern(init_register(1, "+"), pat)
+        res = run_pattern(init_register(1, "+").amplitudes, pat)
         assert abs(res.probabilities.sum() - 1.0) < 1e-10
 
     def test_j_zero_maps_plus_to_ground(self):
         pat = standard_pattern("J", 0.0, "single")
-        res = run_pattern(init_register(1, "+"), pat)
+        res = run_pattern(init_register(1, "+").amplitudes, pat)
         for corrected in res.branches:
             assert equal_up_to_global_phase(
                 corrected.reshape(2, 1),
@@ -177,7 +177,7 @@ class TestRunPattern:
 
     def test_cz_pattern_on_plus_plus(self):
         pat = standard_pattern("CZ", None, "two")
-        res = run_pattern(init_register(2, "++"), pat)
+        res = run_pattern(init_register(2, "++").amplitudes, pat)
         expect = CZ @ init_register(2, "++").amplitudes
         assert abs(res.probabilities.sum() - 1.0) < 1e-10
         assert len(res.branches) == 2**15
@@ -185,7 +185,7 @@ class TestRunPattern:
 
     def test_frame_soundness_exact(self):
         pat = standard_pattern("RX", 1.3, "two")
-        res = run_pattern(init_register(1, "+"), pat)
+        res = run_pattern(init_register(1, "+").amplitudes, pat)
         for b, (raw, corrected) in enumerate(zip(res.raw, res.branches)):
             op = np.array([[1.0]], dtype=complex)
             for x, z in zip(res.x[:, b], res.z[:, b]):
@@ -207,9 +207,36 @@ class TestRunPattern:
             runs.append((outcomes, state))
         (a, state_a), (b, state_b) = runs
         assert a == b and np.array_equal(state_a.amplitudes, state_b.amplitudes)
-        res = run_pattern(init_register(1, "+"), pat)
+        res = run_pattern(init_register(1, "+").amplitudes, pat)
         (b,) = [b for b, outs in enumerate(res.outcomes.T.tolist()) if tuple(outs) == a]
         np.testing.assert_allclose(state_a.amplitudes, res.raw[b], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind, theta, variant", [("J", 0.7, "single"), ("RX", 1.1, "two"), ("CZ", None, "two")])
+    def test_choi_branches_act_as_operators(self, kind, theta, variant):
+        """Each raw branch of a run from the normalized identity I/sqrt(d),
+        applied to a state and normalized, is that state's raw branch of the
+        same outcome bits, and the Choi run's probabilities sum to one."""
+        pat = standard_pattern(kind, theta, variant)
+        dim = 2**pat.num_qubits
+        rng = np.random.default_rng(19)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        choi = run_pattern(np.eye(dim, dtype=complex) / math.sqrt(dim), pat)
+        res = run_pattern(psi, pat)
+        assert abs(choi.probabilities.sum() - 1.0) < 1e-10
+        assert len(choi.raw) == len(res.raw) == 2 ** len(pat.steps)
+        row = {tuple(bits): b for b, bits in enumerate(res.outcomes.T.tolist())}
+        applied = choi.raw @ psi
+        applied /= np.linalg.norm(applied, axis=1)[:, None]
+        want = res.raw[[row[tuple(bits)] for bits in choi.outcomes.T.tolist()]]
+        assert np.abs(applied - want).max() <= 1e-12
+
+    def test_state_size_and_norm_checked(self):
+        pat = standard_pattern("J", 0.7, "single")
+        with pytest.raises(ValueError, match="size"):
+            run_pattern(np.ones(4, dtype=complex) / 2, pat)
+        with pytest.raises(ValueError, match="unit norm"):
+            run_pattern(np.array([0.5, 0.0], dtype=complex), pat)
 
     def test_two_target_coupling_is_entangling(self):
         """One two-target step plus its Pauli corrections acts as a fixed
@@ -355,13 +382,13 @@ class TestKrausCache:
                 amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
                 state = init_register(n, PureState(n, amps))
                 for s in (0, 1):
-                    got, reply, p = server_step(state, msg, shape, grid_n, outcome=s)
+                    got, reply, p = server_step(state.amplitudes, msg, shape, grid_n, outcome=s)
                     ref, _, _, p_ref = branch_step(state.amplitudes[None], shape.targets, blocks, coeffs, s)
                     assert reply.bit == s and p == p_ref[0]
-                    assert np.array_equal(got.amplitudes, ref[0])
+                    assert np.array_equal(got, ref[0])
                     dense = want[s] @ state.amplitudes
                     assert abs(p - np.vdot(dense, dense).real) <= KERNEL_TOL
-                    assert np.abs(got.amplitudes - dense / np.linalg.norm(dense)).max() <= KERNEL_TOL
+                    assert np.abs(got - dense / np.linalg.norm(dense)).max() <= KERNEL_TOL
                 cases += 1
         assert cases > 20
 
@@ -398,7 +425,7 @@ class TestKernelCrossCheck:
         rng = np.random.default_rng(31)
         for pat in self._patterns():
             start = self._input(pat.num_qubits, rng)
-            res = run_pattern(start, pat)
+            res = run_pattern(start.amplitudes, pat)
             branches = range(len(res.raw))
             if len(branches) > self.MAX_REPLAYS:
                 branches = sorted(rng.choice(len(branches), self.MAX_REPLAYS, replace=False))

@@ -13,8 +13,10 @@ list, such as ``delegate``), the unmodified
 alternating parent and change and swapping which goes first on every other
 pair, for 10 pairs.  The end-to-end metrics are read from the result line of
 each run: this script takes no timings of its own.  Each output row is one
-(workload, metric) with the parent and change medians and quartiles, the
-number of pairs, and in how many of them the change was better.  The file also
+(workload, metric) with, for the parent and the change, the median, the
+quartiles and the per-run ``values`` in pair order, so each pair can be read
+back; then the number of pairs, and in how many of them the change was
+better.  The file also
 records the seed, the run length, ``nproc`` and the Python and numpy versions
 the runs report, whether both sides gave the same output digest, and per
 workload and side the ops attempted and failed, summed over its runs, so the
@@ -105,7 +107,9 @@ def main(argv=None) -> int:
                 wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
                 rows.append({
                     "workload": workload, "metric": m, "better": better, "pairs": PAIRS,
-                    "parent": quartiles(parent), "change": quartiles(change), "change_better_pairs": wins,
+                    "parent": {**quartiles(parent), "values": parent},
+                    "change": {**quartiles(change), "values": change},
+                    "change_better_pairs": wins,
                 })
 
     (nproc, python, numpy), *others = sorted(envs)
