@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -167,8 +168,23 @@ def embed(op, qubits, n: int) -> np.ndarray:
 
 
 _PHASE_OF_Y_COUNT = np.array([1, 1j, -1, -1j])
-_PARITY_SIGN = np.array([1 - 2 * (bin(i).count("1") & 1) for i in range(MAX_DIM)])  # (-1)^popcount(i)
+_POPCOUNT = np.array([bin(i).count("1") for i in range(MAX_DIM)])
 _INDEX = np.arange(MAX_DIM)
+
+
+@cache
+def _pauli_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (4^n, 2^n) tables of every n-qubit Pauli string, n <= 5 (at
+    most 512 KiB for the phases and 256 KiB for the indices): row
+    x 2^n + z, for the bit strings x and z read with qubit 0 most
+    significant, holds the source index i xor x that output index i reads
+    and its exact phase i^popcount(x & z) (-1)^popcount((i xor x) & z)."""
+    d = 2 ** num_qubits_of(2**n)
+    x, z = np.divmod(np.arange(d * d), d)
+    src = _INDEX[:d] ^ x[:, None]
+    phase = _PHASE_OF_Y_COUNT[_POPCOUNT[x & z] % 4][:, None] * (1 - 2 * (_POPCOUNT[src & z[:, None]] & 1))
+    src.flags.writeable = phase.flags.writeable = False
+    return src, phase
 
 
 def apply_pauli_frame(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -177,12 +193,14 @@ def apply_pauli_frame(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.nd
     ``x`` and ``z`` are (n, B) bit arrays: qubit q of row b gets X^x Z^z, times
     i where both bits are set, so a set pair is Y.  Every factor is a
     permutation and an exact phase in {1, i, -1, -i}, so the result equals the
-    dense Kronecker-product matrix applied to each row bit for bit.  Trailing
+    dense Kronecker-product matrix applied to each row bit for bit.  Each
+    row's source indices and phases are one row of ``_pauli_table``.  Trailing
     axes ride along: a (B, 2^n, 2^n) batch of operators is multiplied on the
     left.
     """
-    weights = 1 << _INDEX[x.shape[0] - 1::-1]
-    src = _INDEX[:states.shape[1]] ^ (weights @ x)[:, None]  # row b, index i reads i xor x_b
-    phase = _PHASE_OF_Y_COUNT[(x & z).sum(axis=0) % 4][:, None] * _PARITY_SIGN[src & (weights @ z)[:, None]]
-    moved = states[np.arange(len(states))[:, None], src]
-    return phase.reshape(phase.shape + (1,) * (states.ndim - 2)) * moved
+    n = len(x)
+    src, phase = _pauli_table(n)
+    weights = 1 << _INDEX[n - 1::-1]
+    row = (weights @ x) << n | weights @ z
+    moved, row_phase = states[np.arange(len(states))[:, None], src[row]], phase[row]
+    return row_phase.reshape(row_phase.shape + (1,) * (states.ndim - 2)) * moved

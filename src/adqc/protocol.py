@@ -16,6 +16,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,13 +24,17 @@ from .core import param_kets, preset
 from .linalg import I2, H, TWO_PI, PureState, apply_pauli_frame
 from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, CircuitGate, _is_int, compile_circuit
 from .register import GatePattern, branch_coefficients, branch_step, coupling_blocks
-from .register import frame_bits, init_register, parities
+from .register import frame_bits, init_register, measurement_bras, parities
 
 DEFAULT_GRID = 8
 # largest grid size: its spacing 2 pi / 2^16 (about 1e-4) stays five orders of
 # magnitude above grid_index's 1e-9 tolerance; an audit's time grows linearly
-# with the size, 0.6-0.85 s in process at this size on 2 vCPUs
+# with the size, 0.6-0.85 s in process at this size on 2 vCPUs, and its
+# grid_bras and gamma_kets tables take 8 MiB together
 MAX_GRID = 1 << 16
+# grids kept by each of grid_bras and gamma_kets: 64 * N bytes per table, so
+# 128 * N bytes per grid, 8 MiB at MAX_GRID and at most 32 MiB in all
+GRID_CACHE_SIZE = 4
 STANDARD_PAYLOAD = (1 + 0j, 0j)  # |0>, the ancilla an ANGLE round couples
 # register input of the audited hidden-rotation round: cos(pi/3)|+> + sin(pi/3) e^(i pi/5)|->
 AUDIT_INPUT = H @ np.array([math.cos(math.pi / 3), math.sin(math.pi / 3) * cmath.exp(1j * math.pi / 5)])
@@ -199,6 +204,34 @@ def _unit_rows(kets: np.ndarray) -> np.ndarray:
     return kets / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_COIN_TURNS = np.array([0, 1]) * math.pi  # the half-turn of coin 0 and coin 1
+# the unit kets of an assistant and a CZ-coupling round at coin c, in row c,
+# and the bras of the angle-0 basis an ANCILLA round is measured in
+_ASSIST_KETS = _read_only(_unit_rows(param_kets("+", _COIN_TURNS, 0.0)))
+_COUPLE_KETS = _read_only(_unit_rows(param_kets("+", CZ_SLOT_ANCILLA.gamma + _COIN_TURNS, CZ_SLOT_ANCILLA.delta)))
+_ZERO_BRAS = _read_only(measurement_bras(0.0))
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def grid_bras(grid_n: int) -> np.ndarray:
+    """Read-only (N, 2, 2) ``measurement_bras`` of every basis angle of a
+    grid of size N, angle index k at [k], built on first use."""
+    return _read_only(measurement_bras(grid_angle(np.arange(grid_n), grid_n)))
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def gamma_kets(grid_n: int) -> np.ndarray:
+    """Read-only (N, 2, 2) unit kets of every gamma round on a grid of size
+    N, hidden index g and coin c at [g, c], built on first use."""
+    theta = grid_angle(np.arange(grid_n)[:, None], grid_n) + _COIN_TURNS
+    return _read_only(_unit_rows(param_kets("+", theta, 0.0).reshape(-1, 2)).reshape(grid_n, 2, 2))
+
+
 class Client:
     """Drives a batch of B delegations of one secret circuit, one per column:
     produces their outgoing messages and digests their outcomes.
@@ -223,16 +256,15 @@ class Client:
     # -- message producers ----------------------------------------------------
 
     def prepare_ancilla(self, slot_idx: int, role: str) -> np.ndarray:
-        """(B, 2) kets of the ancilla sent in the given round of a slot."""
+        """(B, 2) kets of the ancilla sent in the given round of a slot, one
+        row of ``gamma_kets`` or of the assistant or coupling kets per coin."""
         slot = self.secret.pattern.slots[slot_idx]
         if role not in slot.roles or role == "theta":
             raise ValueError(f"no ancilla round for role {role!r}")
-        theta, phi = self.coins[slot.roles[role]] * math.pi, 0.0  # the coin's half-turn
+        coins = self.coins[slot.roles[role]]
         if role == "gamma":
-            theta = grid_angle(self.gamma_index[slot_idx], self.secret.grid_n) + theta
-        elif role == "couple":
-            theta, phi = CZ_SLOT_ANCILLA.gamma + theta, CZ_SLOT_ANCILLA.delta
-        return _unit_rows(param_kets("+", theta, phi))
+            return gamma_kets(self.secret.grid_n)[self.gamma_index[slot_idx], coins]
+        return (_COUPLE_KETS if role == "couple" else _ASSIST_KETS)[coins]
 
     def angle_message(self, slot_idx: int) -> np.ndarray:
         """(B,) grid indices of the basis angle, folding the secret and its
@@ -295,7 +327,9 @@ def pattern_shape(pattern: GatePattern) -> tuple[ServerStepShape, ...]:
 def _message_coefficients(msg: Message, shape: ServerStepShape, grid_n: int, values=None) -> np.ndarray:
     """(1, 2, 4) branch coefficients of the step ``shape`` driven by ``msg``, or
     (B, 2, 4) of its round's B rows of ``values`` (``_round_values``; ``msg``
-    is row 0).  Rejects a message the step does not expect."""
+    is row 0): an ANCILLA round's kets with the angle-0 bras, or the
+    ``grid_bras`` rows of an ANGLE round's indices with the standard
+    payload.  Rejects a message the step does not expect."""
     if msg.kind != shape.expects:
         raise ProtocolOrderError(f"expected a {shape.expects} message, got {msg.kind}")
     if msg.slot != shape.slot:
@@ -303,12 +337,12 @@ def _message_coefficients(msg: Message, shape: ServerStepShape, grid_n: int, val
     v_a = preset(shape.entangler_labels[0]).frame.v_a
     if msg.kind == "ANCILLA":
         values = np.array([msg.payload], dtype=complex) if values is None else values
-        return branch_coefficients(values @ v_a.T, 0.0)
+        return branch_coefficients(values @ v_a.T, _ZERO_BRAS)
     check_grid(grid_n)
     if msg.theta_grid >= grid_n:
         raise ValueError(f"grid index {msg.theta_grid} is outside the grid of size {grid_n}")
-    values = np.array([msg.theta_grid]) if values is None else values
-    return branch_coefficients(v_a @ STANDARD_PAYLOAD, grid_angle(values, grid_n))
+    values = [msg.theta_grid] if values is None else values
+    return branch_coefficients(v_a @ STANDARD_PAYLOAD, grid_bras(grid_n)[values])
 
 
 def server_step(

@@ -167,13 +167,19 @@ def coupling_blocks(labels: tuple[str, ...]) -> np.ndarray:
     return blocks
 
 
-def branch_coefficients(payloads: np.ndarray, theta) -> np.ndarray:
-    """(B, 2, 4) coefficients c[r, s, 2a + b] = conj(<a|s>) payloads[r, b] of
-    B rows: |s> is outcome s of the basis (theta, phi = 0) at row r's angle,
-    and ``payloads`` the canonical ancilla kets of ``coupling_blocks``.  The
-    (B, 2) payloads and (B,) angles broadcast: one payload or angle serves
-    every row."""
-    bras = basis_kets(_reduce_angle(theta), 0.0).conj()  # as MeasBasis takes it: its half sets the kets' sign
+def measurement_bras(theta) -> np.ndarray:
+    """(..., 2, 2) bras of the basis (theta, phi = 0) at each angle: row s
+    holds conj(<a|s>) over a for outcome s.  The angle is reduced as
+    ``MeasBasis`` takes it, since its half sets the kets' sign."""
+    return basis_kets(_reduce_angle(theta), 0.0).conj()
+
+
+def branch_coefficients(payloads: np.ndarray, bras: np.ndarray) -> np.ndarray:
+    """(B, 2, 4) coefficients c[r, s, 2a + b] = bras[r, s, a] payloads[r, b]
+    of B rows: ``bras`` as ``measurement_bras`` gives them at each row's
+    angle, and ``payloads`` the canonical ancilla kets of ``coupling_blocks``.
+    The (B, 2) payloads and (B, 2, 2) bras broadcast: one payload or one
+    (2, 2) set of bras serves every row."""
     return (bras[..., None] * payloads[..., None, None, :]).reshape(-1, 2, 4)
 
 
@@ -199,7 +205,7 @@ def step_branch_operators(step: AdqcStep, theta: float, n: int) -> np.ndarray:
     """The two register Kraus operators of a step (unnormalized), plus branch
     first, as a (2, 2^n, 2^n) array, for the step's canonical ancilla
     measured at basis angle ``theta``.  ``n`` is the register size."""
-    coeffs = branch_coefficients(param_kets("+", step.ancilla.gamma, step.ancilla.delta), theta)
+    coeffs = branch_coefficients(param_kets("+", step.ancilla.gamma, step.ancilla.delta), measurement_bras(theta))
     blocks = coupling_blocks(step.entangler_labels)
     return _apply_branches(np.eye(2**n, dtype=complex)[None], step.targets, blocks, coeffs)[0]
 
@@ -263,7 +269,7 @@ def walk_steps(steps, states, bits, plan):
     for entry in local:
         which = entry[origin]  # each row's step, as a position in run
         theta = values[which] * (1 - 2 * (np.einsum("rs,sr->r", negate[which], bits) & 1))
-        coeffs = branch_coefficients(payloads[which], theta)
+        coeffs = branch_coefficients(payloads[which], measurement_bras(theta))
         row_coupling = coupling[which]
         vecs = np.empty((len(which), 2) + states.shape[1:], dtype=complex)
         for (labels, targets), g in couplings.items():
@@ -305,6 +311,8 @@ def run_pattern(state: np.ndarray, pattern: GatePattern) -> RunResult:
     along, so the normalized identity runs every branch's operator.  Each
     branch's corrected state is its raw final state with its resolved
     byproduct frame applied."""
+    if not isinstance(state, np.ndarray):
+        raise ValueError(f"expected a (2^n, ...) amplitude array, got {type(state).__name__}")
     if state.shape[:1] != (2**pattern.num_qubits,):
         raise ValueError("pattern size does not match the register")
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:

@@ -1,5 +1,7 @@
 """Dense linear-algebra layer: tensor products, states, phase equality."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from adqc.linalg import (
     Y,
     Z,
     PureState,
+    _pauli_table,
     apply_op,
     apply_pauli_frame,
     embed,
@@ -143,15 +146,23 @@ class TestStates:
             embed(u, [0, 1], 2)
 
     def test_pauli_frame_matches_dense_operator_exactly(self):
+        """Every one of the 4^n strings, one per row, equals its dense
+        Kronecker product bit for bit, for n = 1..4."""
         rng = np.random.default_rng(6)
         paulis = {(0, 0): I2, (1, 0): X, (0, 1): Z, (1, 1): Y}
-        states = rng.normal(size=(50, 8)) + 1j * rng.normal(size=(50, 8))
-        x = rng.integers(2, size=(3, 50))
-        z = rng.integers(2, size=(3, 50))
-        got = apply_pauli_frame(states, x, z)
-        for b in range(50):
-            op = tensor(*(paulis[(x[q, b], z[q, b])] for q in range(3)))
-            assert np.array_equal(got[b], op @ states[b])
+        for n in range(1, 5):
+            bits = np.array(list(itertools.product((0, 1), repeat=2 * n))).T  # (2n, 4^n)
+            x, z = bits[:n], bits[n:]
+            states = rng.normal(size=(4**n, 2**n)) + 1j * rng.normal(size=(4**n, 2**n))
+            got = apply_pauli_frame(states, x, z)
+            for b in range(4**n):
+                op = tensor(*(paulis[(x[q, b], z[q, b])] for q in range(n)))
+                assert np.array_equal(got[b], op @ states[b]), (n, b)
+
+    def test_pauli_table_refuses_writes(self):
+        for table in _pauli_table(3):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
 
 
 def _tensordot_apply(op, psi, qubits):

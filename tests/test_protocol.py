@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from adqc.core import AncillaSpec
+from adqc.core import AncillaSpec, _reduce_angle, basis_kets, param_kets
 from adqc.linalg import I2, PureState
 from adqc import protocol
 from adqc.patterns import CircuitDescription, CircuitGate
@@ -19,7 +19,9 @@ from adqc.protocol import (
     Server,
     MAX_GRID,
     audit_blindness,
+    gamma_kets,
     grid_angle,
+    grid_bras,
     grid_index,
     pattern_shape,
     run_delegation,
@@ -674,9 +676,9 @@ class TestGridIndex:
             with pytest.raises(ValueError):
                 grid_index(theta, 8)
 
-    def test_delegation_at_the_largest_grid_builds_no_grid(self):
-        """Client and server compute each grid angle directly, so a delegation
-        at MAX_GRID runs exactly; one step above it is refused."""
+    def test_delegation_at_the_largest_grid_is_exact(self):
+        """A delegation at MAX_GRID, whose messages are rows of its 8 MiB
+        ``grid_bras`` and ``gamma_kets`` tables, runs exactly; one step above it is refused."""
         quarter = 2 * PI * (MAX_GRID // 4) / MAX_GRID
         gates = (CircuitGate("H", (0,)), CircuitGate("Rz", (0,), quarter),
                  CircuitGate("Rx", (0,), 3 * quarter))
@@ -685,6 +687,28 @@ class TestGridIndex:
             assert res.worst_branch_fidelity >= 1 - 1e-9
         with pytest.raises(ValueError, match=f"at most {MAX_GRID}"):
             _secret(gates, grid=MAX_GRID + 2)
+
+
+class TestGridTables:
+    @pytest.mark.parametrize("grid_n", [4, 8, 12, 256, MAX_GRID])
+    def test_rows_equal_the_per_message_expressions(self, grid_n):
+        """Each table row equals bit for bit what a round computed from its
+        angle: the bras of the reduced grid angle, and the unit ket at the
+        grid angle plus the coin's half-turn."""
+        bras, kets = grid_bras(grid_n), gamma_kets(grid_n)
+        assert bras.shape == kets.shape == (grid_n, 2, 2)
+        indices = range(grid_n) if grid_n < MAX_GRID else (0, 1, grid_n // 2, grid_n - 1)
+        for k in indices:
+            assert np.array_equal(bras[k], basis_kets(_reduce_angle(grid_angle(k, grid_n)), 0.0).conj()), k
+            for c in (0, 1):
+                want = protocol._unit_rows(param_kets("+", grid_angle(np.array([k]), grid_n) + c * PI, 0.0))[0]
+                assert np.array_equal(kets[k, c], want), (k, c)
+        assert np.array_equal(protocol._ZERO_BRAS, basis_kets(0.0, 0.0).conj())
+
+    def test_tables_refuse_writes(self):
+        for table in (grid_bras(8), gamma_kets(8), protocol._ASSIST_KETS, protocol._COUPLE_KETS, protocol._ZERO_BRAS):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
 
 class TestJointDistribution:

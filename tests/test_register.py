@@ -32,6 +32,7 @@ from adqc.register import (
     coupling_blocks,
     frame_bits,
     init_register,
+    measurement_bras,
     parities,
     parity_table,
     run_pattern,
@@ -60,7 +61,7 @@ def _step_once(state, step, outcome=None, rng=None, outcomes=()):
     ``branch_step`` with the step's coefficients at the angle its earlier
     ``outcomes`` resolve.  Returns (new state, outcome bit)."""
     payload = param_kets("+", step.ancilla.gamma, step.ancilla.delta)
-    coeffs = branch_coefficients(payload, _resolve(step.basis_theta, outcomes))
+    coeffs = branch_coefficients(payload, measurement_bras(_resolve(step.basis_theta, outcomes)))
     blocks = coupling_blocks(step.entangler_labels)
     vecs, _, out, _ = branch_step(state.amplitudes[None], step.targets, blocks, coeffs, outcome, rng)
     return PureState(state.num_qubits, vecs[0]), int(out[0])
@@ -237,6 +238,9 @@ class TestRunPattern:
             run_pattern(np.ones(4, dtype=complex) / 2, pat)
         with pytest.raises(ValueError, match="unit norm"):
             run_pattern(np.array([0.5, 0.0], dtype=complex), pat)
+        for state in (init_register(1, "+"), [1.0, 0.0]):
+            with pytest.raises(ValueError, match=r"\(2\^n, \.\.\.\) amplitude array"):
+                run_pattern(state, pat)
 
     def test_two_target_coupling_is_entangling(self):
         """One two-target step plus its Pauli corrections acts as a fixed
@@ -461,7 +465,7 @@ class TestBranchStepKernel:
             payloads /= np.linalg.norm(payloads, axis=1)[:, None]
             theta = rng.uniform(-4 * PI, 4 * PI, size=rows)
             got, parent, out, p = branch_step(states, targets, coupling_blocks(labels),
-                                              branch_coefficients(payloads, theta))
+                                              branch_coefficients(payloads, measurement_bras(theta)))
             assert parent.tolist() == np.repeat(np.arange(rows), 2).tolist() and out.tolist() == [0, 1] * rows
             for i, (r, s) in enumerate(zip(parent, out)):
                 step = AdqcStep(targets, labels, AncillaSpec(0.0), AdaptiveAngle(theta[r]))

@@ -15,8 +15,11 @@ pair, for 10 pairs.  The end-to-end metrics are read from the result line of
 each run: this script takes no timings of its own.  Each output row is one
 (workload, metric) with, for the parent and the change, the median, the
 quartiles and the per-run ``values`` in pair order, so each pair can be read
-back; then the number of pairs, and in how many of them the change was
-better.  The file also
+back; then the number of pairs, in how many of them the change was
+better, and ``claim_rule_met``: true when the change was better in at least
+9 of the 10 pairs and its median is better than the parent's by more than
+the parent's interquartile range (q3 - q1), the rule a claimed gain must
+meet.  The file also
 records the seed, the run length, ``nproc`` and the Python and numpy versions
 the runs report, whether both sides gave the same output digest, and per
 workload and side the ops attempted and failed, summed over its runs, so the
@@ -36,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 7919  # the benchmark's held-out seed
 PAIRS = 10
+CLAIM_WINS = 9  # pairs of PAIRS the change must win for a claimed gain
 
 
 def export(ref: str, dest: Path) -> str:
@@ -68,6 +72,17 @@ def run_once(checkout: Path, workload: str, seconds: int) -> tuple[dict, dict]:
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def claim_rule(parent: list[float], change: list[float], better: str) -> tuple[int, bool]:
+    """The pairs in which the change was better, and whether it won at least
+    CLAIM_WINS of them with a median better than the parent's by more than
+    the parent's interquartile range."""
+    sign = 1 if better == "lower" else -1  # a positive difference is a gain
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    q = quartiles(parent)
+    gain = sign * (q["median"] - quartiles(change)["median"])
+    return wins, wins >= CLAIM_WINS and gain > q["q3"] - q["q1"]
 
 
 def main(argv=None) -> int:
@@ -104,12 +119,13 @@ def main(argv=None) -> int:
                           + " ".join(f"{m}={values[side][m][-1]:.4g}" for m in metrics), file=sys.stderr)
             for m, better in metrics.items():
                 parent, change = values["parent"][m], values["change"][m]
-                wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+                wins, met = claim_rule(parent, change, better)
                 rows.append({
                     "workload": workload, "metric": m, "better": better, "pairs": PAIRS,
                     "parent": {**quartiles(parent), "values": parent},
                     "change": {**quartiles(change), "values": change},
                     "change_better_pairs": wins,
+                    "claim_rule_met": met,
                 })
 
     (nproc, python, numpy), *others = sorted(envs)
