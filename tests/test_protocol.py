@@ -437,6 +437,32 @@ class TestDelegation:
         with pytest.raises(ValueError):
             _secret([CircuitGate("Rz", (0,), 0.1234)])
 
+    def test_enumerate_sees_a_flipped_boundary_frame_bit(self):
+        """One outcome bit added to a slot-boundary frame: the branches of
+        that outcome disagree after correction, while the carried branch,
+        whose outcomes are all zero, still reaches the target."""
+        from dataclasses import replace
+
+        gates = (CircuitGate("H", (0,)), CircuitGate("CZ", (0, 1)), CircuitGate("Rz", (1,), 3 * PI / 4))
+        sec = _secret(gates, n=2, variant="two", seed=5)
+        slot = sec.pattern.slots[0]
+        (q,) = slot.qubits
+        frame = list(sec.pattern.slot_boundaries[0])
+        frame[q] = replace(frame[q], x_parity=frame[q].x_parity ^ {slot.roles["gamma"]})
+        sec.pattern = replace(sec.pattern, slot_boundaries=(tuple(frame),) + sec.pattern.slot_boundaries[1:])
+        res = run_delegation(sec, seed=6, mode="enumerate")
+        assert res.fidelity >= 1 - 1e-9
+        assert res.worst_branch_fidelity < 1 - 1e-9
+
+    def test_enumerate_checks_the_branch_probability_sum(self, monkeypatch):
+        """Coupling blocks scaled by 0.9 lose probability in every round, and
+        the first slot's branch probabilities no longer sum to 1."""
+        real = protocol.coupling_blocks
+        monkeypatch.setattr(protocol, "coupling_blocks", lambda labels: 0.9 * real(labels))
+        sec = _secret([CircuitGate("Rx", (0,), PI / 4)])
+        with pytest.raises(RuntimeError, match=r"^slot 0 branch probabilities sum to 0\."):
+            run_delegation(sec, seed=1, mode="enumerate")
+
     # SHA-256 of to_jsonl(view="server") for seeded sample runs: the outcome
     # bits depend on one rng draw per step against the branch probability
     PINNED_TRANSCRIPTS = (
