@@ -57,6 +57,7 @@ def _require_count(value: int, flag: str, least: int) -> None:
 def cmd_verify_tables(args) -> tuple[dict, bool]:
     from . import conditions
 
+    _require_count(args.seed, "--seed", 0)
     _require_count(args.negatives, "--negatives", 0)
     rows = {}
     ok = True
@@ -94,6 +95,7 @@ def cmd_verify_tables(args) -> tuple[dict, bool]:
 def cmd_sweep(args) -> tuple[dict, bool]:
     from . import conditions
 
+    _require_count(args.seed, "--seed", 0)
     _require_count(args.points, "--points", 1)
     report = conditions.unitarity_relation_sweep(args.points, args.seed, args.tol)
     return report, report["agreement_rate"] == 1.0
@@ -121,6 +123,7 @@ def _random_circuit(rng: np.random.Generator, grid_n: int):
 def cmd_verify_patterns(args) -> tuple[dict, bool]:
     from . import patterns
 
+    _require_count(args.seed, "--seed", 0)
     _require_count(args.circuits, "--circuits", 0)
     results = {}
     ok = True
@@ -159,6 +162,7 @@ def cmd_verify_patterns(args) -> tuple[dict, bool]:
 def cmd_delegate(args) -> tuple[dict, bool]:
     from . import patterns, protocol
 
+    _require_count(args.seed, "--seed", 0)
     with open(args.circuit) as f:
         circuit = patterns.CircuitDescription.from_json(f.read())
     secret = protocol.ClientSecret(circuit, args.variant, args.grid, args.seed)

@@ -42,7 +42,7 @@ from .register import (
     GatePattern,
     QubitCorrection,
     SlotSpec,
-    frame_bits,
+    row_frame_bits,
     run_pattern,
     step_branch_operators,
     walk_steps,
@@ -589,25 +589,19 @@ def _run_stages(stages: list[_Stage], local_steps: list[AdqcStep]):
     (branches, 2^m, 2^m) array, their (steps, branches) outcome bits, each
     branch's distance from the stage's first branch and the distance
     ||sum_b K_b^dagger K_b - I|| of each history."""
-    m = len(stages[0].qubits)
-    dim = 2**m
+    dim = 2 ** len(stages[0].qubits)
     offsets = np.cumsum([0] + [2 ** len(st.pivots) for st in stages])
     bits = np.zeros((len(local_steps), offsets[-1]), dtype=np.int8)
     plan = np.empty((len(stages[0].steps), offsets[-1]), dtype=int)
-    x = np.empty((m, offsets[-1]), dtype=np.int8)
-    z = np.empty_like(x)
     for st, lo, hi in zip(stages, offsets, offsets[1:]):
         bits[list(st.pivots), lo:hi] = np.arange(hi - lo) >> np.arange(len(st.pivots))[:, None] & 1
         plan[:, lo:hi] = np.array(st.steps, dtype=int)[:, None]
-        x[:, lo:hi], z[:, lo:hi] = frame_bits(st.frame_in, bits[:, lo:hi])
+    stage_of = np.repeat(np.arange(len(stages)), np.diff(offsets))  # each start row's stage
+    x, z = row_frame_bits([st.frame_in for st in stages], stage_of, bits)
     choi = np.broadcast_to(np.eye(dim, dtype=complex) / math.sqrt(dim), (offsets[-1], dim, dim))
     states, probs, bits, origin = walk_steps(local_steps, apply_pauli_frame(choi, x, z), bits, plan)
     bounds = np.searchsorted(origin, offsets)  # branches stay in start-row order
-    x = np.empty((m, len(states)), dtype=np.int8)
-    z = np.empty_like(x)
-    for st, lo, hi in zip(stages, bounds, bounds[1:]):
-        x[:, lo:hi], z[:, lo:hi] = frame_bits(st.frame_out, bits[:, lo:hi])
-    ops = apply_pauli_frame(states, x, z)
+    ops = apply_pauli_frame(states, *row_frame_bits([st.frame_out for st in stages], stage_of[origin], bits))
     flat = ops.reshape(len(ops), -1)
     errs = phase_invariant_error(flat, flat[np.repeat(bounds[:-1], np.diff(bounds))])
     gram = np.zeros((offsets[-1], dim, dim), dtype=complex)  # sum_b K_b^dagger K_b per history

@@ -16,15 +16,16 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .core import param_kets, preset
 from .linalg import I2, H, TWO_PI, PureState, apply_pauli_frame
 from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, CircuitGate, _is_int, compile_circuit
-from .register import GatePattern, branch_coefficients, branch_step, coupling_blocks
-from .register import frame_bits, init_register, measurement_bras, parities
+from .register import PRUNE_PROBABILITY, GatePattern, _apply_branches, _apply_rows, branch_coefficients, branch_step
+from .register import coupling_blocks, frame_bits, init_register, measurement_bras, parities, row_frame_bits
+from .register import row_parities
 
 DEFAULT_GRID = 8
 # largest grid size: its spacing 2 pi / 2^16 (about 1e-4) stays five orders of
@@ -36,6 +37,7 @@ MAX_GRID = 1 << 16
 # 128 * N bytes per grid, 8 MiB at MAX_GRID and at most 32 MiB in all
 GRID_CACHE_SIZE = 4
 STANDARD_PAYLOAD = (1 + 0j, 0j)  # |0>, the ancilla an ANGLE round couples
+ROLES = ("gamma", "theta", "assist", "couple")  # a slot's round roles, in the seed's draw order
 # register input of the audited hidden-rotation round: cos(pi/3)|+> + sin(pi/3) e^(i pi/5)|->
 AUDIT_INPUT = H @ np.array([math.cos(math.pi / 3), math.sin(math.pi / 3) * cmath.exp(1j * math.pi / 5)])
 
@@ -190,7 +192,7 @@ class ClientSecret:
         for j, slot in enumerate(self.pattern.slots):
             if "gamma" in slot.roles:
                 self.gamma_index[j] = rng.integers(self.grid_n)
-            for role in ("gamma", "theta", "assist", "couple"):
+            for role in ROLES:
                 if role in slot.roles:
                     self.coins[slot.roles[role]] = rng.integers(2)
 
@@ -239,7 +241,12 @@ class Client:
     The client keeps the secret's hidden indices and coins next to its
     (steps, B) int8 effective outcomes, each laid out like the outcome bits
     of ``register.walk_steps``.  A coin is also a two-target step's payload
-    flip, which the parity sets read at ``PAYLOAD_BIT`` and above."""
+    flip, which the parity sets read at ``PAYLOAD_BIT`` and above.
+
+    Each method answers a round of one slot on every column, or, given an
+    array of slot indices, the round of each row's own slot on column
+    ``rows[b]`` (by default column b), slots and rows broadcast together:
+    one call then serves rows from several slots."""
 
     def __init__(self, secret: ClientSecret):
         self.secret = secret
@@ -253,43 +260,75 @@ class Client:
         self.coins = self.coins[:, rows]
         self.eff_outcomes = self.eff_outcomes[:, rows]
 
+    @cached_property
+    def _slot_tables(self) -> dict:
+        """Per slot: each role's step (-1 where it has none), the signed
+        secret index of its angle round and that round's two parity sets."""
+        slots, theta_index = self.secret.pattern.slots, self.secret.theta_index
+        tables: dict = {role: np.array([s.roles.get(role, -1) for s in slots], dtype=int) for role in ROLES}
+        tables["k_theta"] = np.array([s.theta_sign * k for s, k in zip(slots, theta_index)], dtype=np.int64)
+        tables["angle_sets"] = [(s.theta_negate, s.gamma_negate) for s in slots]
+        return tables
+
+    def _round(self, slot_idx, role: str, rows):
+        """The step of ``role`` in the given slot, or in each row's slot,
+        and the columns to read."""
+        if isinstance(slot_idx, (int, np.integer)):
+            roles = self.secret.pattern.slots[slot_idx].roles
+            if role not in roles:
+                raise ValueError(f"slot {slot_idx} has no {role!r} round")
+            return roles[role], slice(None) if rows is None else rows
+        steps = self._slot_tables[role][slot_idx]
+        if (steps < 0).any():
+            raise ValueError(f"slots {np.unique(slot_idx[steps < 0]).tolist()} have no {role!r} round")
+        return steps, np.arange(len(slot_idx)) if rows is None else rows
+
     # -- message producers ----------------------------------------------------
 
-    def prepare_ancilla(self, slot_idx: int, role: str) -> np.ndarray:
-        """(B, 2) kets of the ancilla sent in the given round of a slot, one
-        row of ``gamma_kets`` or of the assistant or coupling kets per coin."""
-        slot = self.secret.pattern.slots[slot_idx]
-        if role not in slot.roles or role == "theta":
+    def prepare_ancilla(self, slot_idx, role: str, rows=None) -> np.ndarray:
+        """(B, 2) kets of the ancilla sent in the given round, one row of
+        ``gamma_kets`` or of the assistant or coupling kets per coin."""
+        if role == "theta":
             raise ValueError(f"no ancilla round for role {role!r}")
-        coins = self.coins[slot.roles[role]]
+        step, rows = self._round(slot_idx, role, rows)
+        coins = self.coins[step, rows]
         if role == "gamma":
-            return gamma_kets(self.secret.grid_n)[self.gamma_index[slot_idx], coins]
+            return gamma_kets(self.secret.grid_n)[self.gamma_index[slot_idx, rows], coins]
         return (_COUPLE_KETS if role == "couple" else _ASSIST_KETS)[coins]
 
-    def angle_message(self, slot_idx: int) -> np.ndarray:
+    def angle_message(self, slot_idx, rows=None) -> np.ndarray:
         """(B,) grid indices of the basis angle, folding the secret and its
         hiding in exact integer arithmetic: with pi = N/2 grid steps,
         k = s1*sign*k_theta' - s2*(k_gamma + c_gamma*N/2) + c_theta*N/2
         (mod N), where s1 and s2 are the signs of the slot's two outcome
         parities and c_gamma and c_theta the coins of its gamma and theta
         rounds."""
-        slot, sec = self.secret.pattern.slots[slot_idx], self.secret
+        sec = self.secret
         half = sec.grid_n // 2
-        k_theta = slot.theta_sign * sec.theta_index[slot_idx]
-        c_gamma, c_theta = self.coins[[slot.roles["gamma"], slot.roles["theta"]]].astype(np.int64)
-        gamma = self.gamma_index[slot_idx] + c_gamma * half
-        theta_odd, gamma_odd = parities((slot.theta_negate, slot.gamma_negate), self.eff_outcomes, self.coins)
+        gamma_step, rows = self._round(slot_idx, "gamma", rows)
+        theta_step, _ = self._round(slot_idx, "theta", rows)
+        c_gamma, c_theta = self.coins[[gamma_step, theta_step], rows].astype(np.int64)
+        gamma = self.gamma_index[slot_idx, rows] + c_gamma * half
+        outcomes, payload = self.eff_outcomes[:, rows], self.coins[:, rows]
+        if isinstance(slot_idx, (int, np.integer)):
+            slot = sec.pattern.slots[slot_idx]
+            k_theta = slot.theta_sign * sec.theta_index[slot_idx]
+            theta_odd, gamma_odd = parities((slot.theta_negate, slot.gamma_negate), outcomes, payload)
+        else:
+            k_theta = self._slot_tables["k_theta"][slot_idx]
+            theta_odd, gamma_odd = row_parities(self._slot_tables["angle_sets"], slot_idx, outcomes, payload)
         k = np.where(theta_odd, -k_theta, k_theta) + np.where(gamma_odd, gamma, -gamma) + c_theta * half
         return k % sec.grid_n
 
     # -- outcome digestion ------------------------------------------------------
 
-    def record(self, slot_idx: int, role: str, outcomes):
+    def record(self, slot_idx, role: str, outcomes, rows=None):
         """Digest the (B,) outcome bits of a round: undo the coin of an
         assistant or theta round, whose half-turn flips the outcome (the
         angle folds the gamma coin, and the frame the payload flip)."""
-        step = self.secret.pattern.slots[slot_idx].roles[role]
-        self.eff_outcomes[step] = outcomes ^ self.coins[step] if role in ("assist", "theta") else outcomes
+        step, rows = self._round(slot_idx, role, rows)
+        flip = role in ("assist", "theta")
+        self.eff_outcomes[step, rows] = outcomes ^ self.coins[step, rows] if flip else outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +348,16 @@ class ServerStepShape:
 
 
 def pattern_shape(pattern: GatePattern) -> tuple[ServerStepShape, ...]:
-    angle_steps = {
-        slot.roles["theta"] for slot in pattern.slots if "theta" in slot.roles
-    }
+    angle_steps = {slot.roles["theta"] for slot in pattern.slots if "theta" in slot.roles}
     slot_of = {i: k for k, slot in enumerate(pattern.slots) for i in slot.step_indices}
-    return tuple(
-        ServerStepShape(
-            step.targets,
-            step.entangler_labels,
-            "ANGLE" if i in angle_steps else "ANCILLA",
-            slot_of[i],
-        )
-        for i, step in enumerate(pattern.steps)
-    )
+    return tuple(ServerStepShape(step.targets, step.entangler_labels, "ANGLE" if i in angle_steps else "ANCILLA",
+                                 slot_of[i]) for i, step in enumerate(pattern.steps))
 
 
 def _message_coefficients(msg: Message, shape: ServerStepShape, grid_n: int, values=None) -> np.ndarray:
     """(1, 2, 4) branch coefficients of the step ``shape`` driven by ``msg``, or
-    (B, 2, 4) of its round's B rows of ``values`` (``_round_values``; ``msg``
-    is row 0): an ANCILLA round's kets with the angle-0 bras, or the
+    (B, 2, 4) of B rows of ``values``, rounds of ``msg``'s kind and coupling
+    (checked on ``msg``): an ANCILLA round's kets with the angle-0 bras, or the
     ``grid_bras`` rows of an ANGLE round's indices with the standard
     payload.  Rejects a message the step does not expect."""
     if msg.kind != shape.expects:
@@ -431,75 +461,126 @@ def run_delegation(
         raw, worst = _enumerated_dialogue(client, start, shape)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    final = PureState(n, _corrected(raw[None], pattern.corrections, client)[0])
+    final = PureState(n, apply_pauli_frame(raw[None], *frame_bits(pattern.corrections, client.eff_outcomes,
+                                                                  client.coins))[0])
     fid = final.fidelity(reference)
-    return DelegationResult(
-        final, reference, fid, client.transcript, None if worst is None else min(worst, fid)
-    )
+    return DelegationResult(final, reference, fid, client.transcript, None if worst is None else min(worst, fid))
 
 
-def _corrected(states: np.ndarray, corrections, client: Client) -> np.ndarray:
-    """Apply to each row the byproduct frame of the client's row."""
-    return apply_pauli_frame(states, *frame_bits(corrections, client.eff_outcomes, client.coins))
-
-
-def _round_values(client: Client, slot_idx: int, role: str, kind: str):
-    """A round's messages as (B, 2) kets or (B,) grid indices, and row 0's
-    ``Message``; an ANGLE round also logs row 0's hidden index and the coins
-    of its gamma and theta rounds, as ``r_payload`` and ``r_angle``."""
+def _round_message(client: Client, slot_idx: int, kind: str, value) -> Message:
+    """Row 0's message of a round from its ket or grid index ``value``; an
+    ANGLE round also logs row 0's hidden index and the coins of its slot's
+    gamma and theta rounds, as ``r_payload`` and ``r_angle``."""
     if kind == "ANCILLA":
-        values = client.prepare_ancilla(slot_idx, role)
-        return values, Message(kind, slot_idx, payload=tuple(values[0]))
-    values = client.angle_message(slot_idx)
+        return Message(kind, slot_idx, payload=tuple(value))
     slot = client.secret.pattern.slots[slot_idx]
     client.transcript.client_log.append({
         "slot": slot_idx, "kind": slot.kind, "theta_prime": slot.theta_prime, "theta_sign": slot.theta_sign,
         "gamma_index": client.gamma_index.item(slot_idx, 0), "r_payload": client.coins.item(slot.roles["gamma"], 0),
         "r_angle": client.coins.item(slot.roles["theta"], 0),
     })
-    return values, Message(kind, slot_idx, theta_grid=int(values[0]))
+    return Message(kind, slot_idx, theta_grid=int(value))
 
 
 def _dialogue(client: Client, server: Server, shape):
     for slot_idx, slot in enumerate(client.secret.pattern.slots):
         for role, step in slot.roles.items():
-            _, msg = _round_values(client, slot_idx, role, shape[step].expects)
-            client.transcript.messages.append(msg)
+            kind = shape[step].expects
+            values = client.prepare_ancilla(slot_idx, role) if kind == "ANCILLA" else client.angle_message(slot_idx)
+            msg = _round_message(client, slot_idx, kind, values[0])
             out = server.handle(msg)
-            client.transcript.messages.append(out)
+            client.transcript.messages += [msg, out]
             client.record(slot_idx, role, out.bit)
 
 
 def _enumerated_dialogue(client: Client, state: np.ndarray, shape):
-    """Expand every outcome combination of each slot, one client row per
-    combination, and carry the first one (row 0) forward into the transcript.
-    Returns the carried raw register state and the worst fidelity between a
-    combination and the first after the slot-boundary frame."""
-    pattern = client.secret.pattern
-    grid_n = client.secret.grid_n
-    worst = 1.0
-    for slot_idx, slot in enumerate(pattern.slots):
-        states, probs = state[None], np.ones(1)
-        for role, step in slot.roles.items():
-            step_shape = shape[step]
-            values, msg = _round_values(client, slot_idx, role, step_shape.expects)
-            coeffs = _message_coefficients(msg, step_shape, grid_n, values)
-            blocks = coupling_blocks(step_shape.entangler_labels)
-            states, parent, outs, p = branch_step(states, step_shape.targets, blocks, coeffs)
-            probs = probs[parent] * p
-            client.take(parent)
-            client.record(slot_idx, role, outs)
-            # children are ordered by (parent, outcome), so row 0 descends from row 0
-            client.transcript.messages += [msg, Message("OUTCOME", slot_idx, bit=int(outs[0]))]
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise RuntimeError(f"slot {slot_idx} branch probabilities sum to {total}")
-        corrected = _corrected(states, pattern.slot_boundaries[slot_idx], client)
-        fids = np.abs(corrected[1:] @ corrected[0].conj()) ** 2
-        worst = min(worst, float(np.min(fids, initial=1.0)))
-        client.take([0])
-        state = states[0]
-    return state, worst
+    """Expand every outcome combination (leaf) of each slot and carry the
+    first, all-zero one into the transcript.  Slot j's 2^k leaves are client
+    rows offsets[j] + leaf, the first round the leaf's most significant bit.
+    One client pass answers every round on these rows, earlier slots at the
+    carried outcomes; each leaf's operator on its slot's local qubits is the
+    identity through the slot's rounds, one ``_apply_branches`` call per
+    round position, coupling and message kind; one call per slot applies the
+    leaf operators to the slot's start state and carries the first leaf.  A
+    leaf below PRUNE_PROBABILITY on its start state is left out of the
+    probability sum and the fidelities, and a carried one raises.  Returns
+    the carried raw state and the worst fidelity to the first leaf after the
+    slot-boundary frame."""
+    pattern, grid_n, slots = client.secret.pattern, client.secret.grid_n, client.secret.pattern.slots
+    if not slots:
+        return state, 1.0
+    rounds = np.array([len(slot.roles) for slot in slots])
+    offsets = np.concatenate(([0], np.cumsum(1 << rounds)))
+    rows = np.arange(offsets[-1])
+    row_slot = np.repeat(np.arange(len(slots)), 1 << rounds)
+    leaf = rows - offsets[row_slot]
+    step_slot = np.array([sh.slot for sh in shape])
+    # every step's raw outcome on every row: the leaf's bit in the row's own
+    # slot, 0 (the carried branch) in every other
+    shift = np.array([slot.step_indices[-1] for slot in slots])[step_slot] - np.arange(len(shape))
+    raw = np.where(step_slot[:, None] == row_slot, leaf >> shift[:, None] & 1, 0)
+
+    # the client pass; an ancilla ket reads no outcome, so its slot's first row gives it
+    client.take(np.zeros(len(rows), dtype=int))
+    kets = np.empty((len(shape), 2), dtype=complex)
+    for role in ROLES:
+        steps = [slot.roles[role] for slot in slots if role in slot.roles]
+        if steps:
+            client.record(step_slot[steps][:, None], role, raw[steps], rows)
+            if role != "theta":
+                kets[steps] = client.prepare_ancilla(step_slot[steps], role, offsets[step_slot[steps]])
+    angles = np.zeros(len(rows), dtype=np.int64)
+    angled = np.flatnonzero(np.array(["theta" in slot.roles for slot in slots])[row_slot])
+    angles[angled] = client.angle_message(row_slot[angled], angled)
+    groups: dict[tuple, list[int]] = {}  # (round position, coupling, kind) -> its steps
+    messages = []
+    for j, slot in enumerate(slots):
+        outcome = Message("OUTCOME", j, bit=0)  # frozen, so the slot's rounds share it
+        for pos, i in enumerate(slot.step_indices):
+            kind = shape[i].expects
+            messages.append(_round_message(client, j, kind, kets[i] if kind == "ANCILLA" else angles[offsets[j]]))
+            client.transcript.messages += [messages[-1], outcome]
+            groups.setdefault((pos, shape[i].entangler_labels, kind), []).append(i)
+
+    # leaf operators, round position by round position
+    ops = {}  # local dimension -> (rows, d, d) leaf operators
+    for (_, labels, kind), steps in sorted(groups.items(), key=lambda group: group[0][0]):
+        d = 2 ** len(labels)
+        if d not in ops:
+            ops[d] = np.broadcast_to(np.eye(d, dtype=complex), (len(rows), d, d)).copy()
+        slot_step = np.full(len(slots), -1)  # each slot's round in the group, -1 outside it
+        slot_step[step_slot[steps]] = steps
+        sel = np.flatnonzero(slot_step[row_slot] >= 0)
+        step = slot_step[row_slot[sel]]  # each row's round
+        coeffs = _message_coefficients(messages[steps[0]], shape[steps[0]], grid_n,
+                                       kets[step] if kind == "ANCILLA" else angles[sel])
+        kids = _apply_branches(ops[d][sel], range(len(labels)), coupling_blocks(labels), coeffs)
+        ops[d][sel] = kids[np.arange(len(sel)), raw[step, sel]]
+
+    # carry the first leaf of each slot, then check every leaf at once
+    leaves = np.empty((len(rows), len(state)), dtype=complex)
+    for j, (lo, hi) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
+        targets = shape[slots[j].step_indices[0]].targets
+        leaf_ops = ops[2 ** len(targets)][lo:hi].reshape((1, hi - lo) + (2,) * (2 * len(targets)))
+        leaves[lo:hi] = _apply_rows(state[None], targets, leaf_ops)[0]
+        p_first = np.vdot(leaves[lo], leaves[lo]).real
+        if p_first < PRUNE_PROBABILITY:
+            break
+        state = leaves[lo] / math.sqrt(p_first)
+    re_im = leaves[:hi].view(float)  # the slots run
+    probs = np.einsum("bi,bi->b", re_im, re_im)
+    kept = probs >= PRUNE_PROBABILITY
+    totals = np.add.reduceat(np.where(kept, probs, 0.0), offsets[:j + 1])
+    bad = np.flatnonzero(np.abs(totals - 1.0) > 1e-9)
+    if bad.size:
+        raise RuntimeError(f"slot {bad[0]} branch probabilities sum to {totals[bad[0]]}")
+    if p_first < PRUNE_PROBABILITY:
+        raise RuntimeError(f"slot {j}: its carried branch has probability {p_first:.3e}, below {PRUNE_PROBABILITY}")
+    x, z = row_frame_bits(pattern.slot_boundaries, row_slot, client.eff_outcomes, client.coins)
+    corrected = apply_pauli_frame(leaves / np.sqrt(np.where(kept, probs, 1.0))[:, None], x, z)
+    overlaps = np.einsum("bi,bi->b", corrected, corrected[offsets[row_slot]].conj())
+    client.take([0])
+    return state, float(np.min(np.abs(overlaps[kept & (leaf > 0)]) ** 2, initial=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +640,7 @@ def audit_blindness(
         # (a) and (c) read only the rows of outcome, theta coin and frame
         # parity 0, one per (hidden index, coin): prepare just those
         client = Client(secret)
-        client.take(slice(None, None, 8))
-        payload = client.prepare_ancilla(slot_idx, "gamma").reshape(grid_n, 2, 2)
-        client = Client(secret)
+        payload = client.prepare_ancilla(slot_idx, "gamma", slice(None, None, 8)).reshape(grid_n, 2, 2)
         # one earlier outcome sets the frame parity the angle reads
         client.eff_outcomes[min(slot.theta_negate)] = frame
         client.record(slot_idx, "gamma", s)

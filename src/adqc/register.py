@@ -186,11 +186,19 @@ def branch_coefficients(payloads: np.ndarray, bras: np.ndarray) -> np.ndarray:
 def _apply_branches(states: np.ndarray, targets, blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The (B, 2, 2^n, ...) unnormalized children of a (B, 2^n, ...) batch:
     row r's Kraus operator for outcome s, sum_q coeffs[r, s, q] blocks[q],
-    formed on the targets only and applied there by one ``einsum``."""
-    b, n, k = len(states), states.shape[1].bit_length() - 1, len(targets)
-    ops = (coeffs.reshape(-1, 4) @ blocks.reshape(4, -1)).reshape((b, 2) + (2,) * (2 * k))
+    formed on the targets only and applied there by ``_apply_rows``."""
+    ops = (coeffs.reshape(-1, 4) @ blocks.reshape(4, -1)).reshape((len(states), 2) + (2,) * (2 * len(targets)))
+    return _apply_rows(states, targets, ops)
+
+
+def _apply_rows(states: np.ndarray, targets, ops: np.ndarray) -> np.ndarray:
+    """The (B, S, 2^n, ...) products of a (B, 2^n, ...) batch with (B, S)
+    operators on the k ``targets`` qubits of axis 1, each given as a (2,) * 2k
+    tensor: row r's S operators applied to row r by one ``einsum``; trailing
+    axes ride along."""
+    b, n = len(states), states.shape[1].bit_length() - 1
     kids = np.einsum(_subscripts(n, tuple(targets)), ops, states.reshape((b,) + (2,) * n + states.shape[2:]))
-    return kids.reshape((b, 2) + states.shape[1:])
+    return kids.reshape(ops.shape[:2] + states.shape[1:])
 
 
 @cache
@@ -287,6 +295,30 @@ def frame_bits(corrections, outcomes, payload_bits=None) -> tuple[np.ndarray, np
     sets = [s for c in corrections for s in (c.x_parity, c.z_parity)]
     consts = np.array([b for c in corrections for b in (c.x_const, c.z_const)], dtype=np.int8)
     bits = parities(sets, outcomes, payload_bits).reshape(len(sets), -1) ^ consts[:, None]
+    return bits[0::2], bits[1::2]
+
+
+def row_parities(groups, which, outcomes, payload_bits=None) -> np.ndarray:
+    """(m, B) parities of (steps, B) bits, row b reading the m sets of
+    ``groups[which[b]]``: each row gathers its group's ``parity_table`` rows,
+    as ``walk_steps`` gathers its negate sets.  ``payload_bits`` is read as
+    ``parities`` reads it."""
+    m = len(groups[0])
+    tables = [parity_table(tuple(g), len(outcomes)) for g in groups]
+    rows = np.asarray(which)[:, None] * m + np.arange(m)
+    acc = np.einsum("bmw,wb->mb", np.concatenate([t[0] for t in tables])[rows], outcomes)
+    if payload_bits is not None:
+        acc += np.einsum("bmw,wb->mb", np.concatenate([t[1] for t in tables])[rows], payload_bits)
+    return acc & 1
+
+
+def row_frame_bits(frames, which, outcomes, payload_bits=None) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) byproduct bits of a batch whose row b takes the frame
+    ``frames[which[b]]``, each frame a tuple of m ``QubitCorrection``s: (m, B)
+    arrays from (steps, B) bits."""
+    groups = [[s for c in frame for s in (c.x_parity, c.z_parity)] for frame in frames]
+    consts = np.array([[b for c in frame for b in (c.x_const, c.z_const)] for frame in frames], dtype=np.int8)
+    bits = row_parities(groups, which, outcomes, payload_bits) ^ consts[which].T
     return bits[0::2], bits[1::2]
 
 

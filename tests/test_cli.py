@@ -89,6 +89,15 @@ class TestSweep:
         assert argv[1] in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("command", ["delegate", "sweep", "verify-patterns", "verify-tables"])
+def test_negative_seed_rejected(capsys, circuit_file, command):
+    argv = [command, "--seed", "-1"] + (["--circuit", circuit_file] if command == "delegate" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "--seed must be at least 0, got -1"
+
+
 class TestDelegate:
     def test_fidelity_one(self, capsys, circuit_file):
         code, out, _ = run_cli(capsys, "delegate", "--circuit", circuit_file, "--seed", "42")

@@ -3,6 +3,7 @@ export of `adqc` resolves on first use to the object its submodule defines."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +55,11 @@ def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         adqc.no_such_name
     assert not hasattr(adqc, "no_such_name")
+
+
+SEED_SRC_LINES = 3044  # lines of src/adqc/*.py at the seed, the yardstick the package stays below
+
+
+def test_package_stays_below_the_seed_line_count():
+    lines = sum(len(path.read_text().splitlines()) for path in Path(adqc.__file__).parent.glob("*.py"))
+    assert lines <= SEED_SRC_LINES

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from adqc.core import AncillaSpec, _reduce_angle, basis_kets, param_kets
-from adqc.linalg import I2, PureState
+from adqc.linalg import I2, PureState, apply_pauli_frame
 from adqc import protocol
 from adqc.patterns import CircuitDescription, CircuitGate
+from adqc.register import branch_step, coupling_blocks, frame_bits
 from adqc.protocol import (
     Client,
     ClientSecret,
@@ -62,6 +63,40 @@ def _zero_draws(secret, rows):
 
 def _ancilla_message(client, slot, role):
     return Message("ANCILLA", slot, payload=tuple(client.prepare_ancilla(slot, role)[0]))
+
+
+def _per_round_dialogue(client, state, shape):
+    """The enumerated dialogue one round at a time, the reference for the
+    batched ``protocol._enumerated_dialogue``: each round splits every branch
+    of its slot with ``branch_step``, one client row per branch, and the
+    first branch (row 0) is carried into the transcript and the next slot."""
+    pattern, grid_n = client.secret.pattern, client.secret.grid_n
+    worst = 1.0
+    for slot_idx, slot in enumerate(pattern.slots):
+        states, probs = state[None], np.ones(1)
+        for role, step in slot.roles.items():
+            step_shape = shape[step]
+            kind = step_shape.expects
+            values = client.prepare_ancilla(slot_idx, role) if kind == "ANCILLA" else client.angle_message(slot_idx)
+            msg = protocol._round_message(client, slot_idx, kind, values[0])
+            coeffs = protocol._message_coefficients(msg, step_shape, grid_n, values)
+            blocks = coupling_blocks(step_shape.entangler_labels)
+            states, parent, outs, p = branch_step(states, step_shape.targets, blocks, coeffs)
+            probs = probs[parent] * p
+            client.take(parent)
+            client.record(slot_idx, role, outs)
+            # children are ordered by (parent, outcome), so row 0 descends from row 0
+            client.transcript.messages += [msg, Message("OUTCOME", slot_idx, bit=int(outs[0]))]
+        total = probs.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise RuntimeError(f"slot {slot_idx} branch probabilities sum to {total}")
+        frame = frame_bits(pattern.slot_boundaries[slot_idx], client.eff_outcomes, client.coins)
+        corrected = apply_pauli_frame(states, *frame)
+        fids = np.abs(corrected[1:] @ corrected[0].conj()) ** 2
+        worst = min(worst, float(np.min(fids, initial=1.0)))
+        client.take([0])
+        state = states[0]
+    return state, worst
 
 
 class TestClientMessages:
@@ -532,6 +567,89 @@ class TestDelegation:
         for seed in range(8):
             res = run_delegation(sec, seed=seed, mode="sample")
             assert res.fidelity >= 1 - 1e-9
+
+
+class TestBatchedEnumeration:
+    @staticmethod
+    def _circuit(rng, n, grid_n):
+        kinds = ("H", "Rx", "Rz", "CZ") if n > 1 else ("H", "Rx", "Rz")
+        gates = []
+        for _ in range(int(rng.integers(1, 5))):
+            kind = kinds[int(rng.integers(len(kinds)))]
+            if kind == "CZ":
+                a, b = rng.choice(n, 2, replace=False)
+                gates.append(CircuitGate("CZ", (int(a), int(b))))
+            else:
+                angle = None if kind == "H" else grid_angle(int(rng.integers(grid_n)), grid_n)
+                gates.append(CircuitGate(kind, (int(rng.integers(n)),), angle))
+        return CircuitDescription(n, tuple(gates))
+
+    def test_matches_the_per_round_oracle(self, monkeypatch):
+        """48 seeded circuits on 1 to 4 qubits, both variants, grids 8, 12 and
+        MAX_GRID: the batched dialogue gives the per-round one's full
+        transcript byte for byte, and its fidelities within 1e-12."""
+        rng = np.random.default_rng(24)
+        for case in range(48):
+            n, variant, grid_n = 1 + case % 4, ("single", "two")[case // 4 % 2], (8, 12, MAX_GRID)[case % 3]
+            sec = ClientSecret(self._circuit(rng, n, grid_n), variant, grid_n, int(rng.integers(2**31)))
+            seed = int(rng.integers(2**31))
+            batched = run_delegation(sec, seed=seed, mode="enumerate")
+            monkeypatch.setattr(protocol, "_enumerated_dialogue", _per_round_dialogue)
+            oracle = run_delegation(sec, seed=seed, mode="enumerate")
+            monkeypatch.undo()
+            assert batched.transcript.to_jsonl("full") == oracle.transcript.to_jsonl("full"), case
+            assert abs(batched.fidelity - oracle.fidelity) <= 1e-12, case
+            assert abs(batched.worst_branch_fidelity - oracle.worst_branch_fidelity) <= 1e-12, case
+            assert oracle.worst_branch_fidelity >= 1 - 1e-9, case
+
+    def test_a_lost_carried_branch_is_refused(self, monkeypatch):
+        """Rounds that always give outcome 1 keep each slot's branch
+        probabilities summing to 1, but the carried, all-zero branch has
+        probability 0: the run names the slot instead of carrying another
+        branch."""
+        real = protocol._message_coefficients
+
+        def outcome_one(*args):
+            return real(*args) * np.array([0.0, math.sqrt(2)])[:, None]
+
+        monkeypatch.setattr(protocol, "_message_coefficients", outcome_one)
+        with pytest.raises(RuntimeError, match=r"^slot 0: its carried branch has probability 0\.000e\+00"):
+            run_delegation(_secret([CircuitGate("Rx", (0,), PI / 4)]), seed=1, mode="enumerate")
+
+    def test_rows_from_several_slots_equal_one_slot_at_a_time(self):
+        """Each generalised client method, given rows from several slots,
+        answers every row as a call for that row's slot alone."""
+        sec = _secret([CircuitGate("H", (0,)), CircuitGate("Rx", (1,), PI / 4), CircuitGate("CZ", (0, 1))], n=2)
+        rng = np.random.default_rng(5)
+        _zero_draws(sec, 6)
+        sec.gamma_index[:] = rng.integers(8, size=sec.gamma_index.shape)
+        sec.coins[:] = rng.integers(2, size=sec.coins.shape)
+        outcomes = rng.integers(2, size=sec.coins.shape)
+        batched, single = Client(sec), Client(sec)
+        slots = sec.pattern.slots
+        rows = np.arange(6)
+        for role in protocol.ROLES:
+            js = np.array([j for j, slot in enumerate(slots) if role in slot.roles], dtype=int)
+            steps = [slots[j].roles[role] for j in js]
+            batched.record(js[:, None], role, outcomes[steps], rows)
+            for j, step in zip(js.tolist(), steps):
+                single.record(j, role, outcomes[step])
+        assert np.array_equal(batched.eff_outcomes, single.eff_outcomes)
+        which = rng.integers(len(slots), size=40)
+        cols = rng.integers(6, size=40)
+        for role in ("gamma", "assist", "couple"):
+            has = [j for j in range(len(slots)) if role in slots[j].roles]
+            picks = np.flatnonzero(np.isin(which, has))
+            if picks.size:
+                got = batched.prepare_ancilla(which[picks], role, cols[picks])
+                want = [single.prepare_ancilla(int(j), role)[c] for j, c in zip(which[picks], cols[picks])]
+                assert np.array_equal(got, np.array(want)), role
+        picks = np.flatnonzero(np.isin(which, [j for j, slot in enumerate(slots) if "theta" in slot.roles]))
+        got = batched.angle_message(which[picks], cols[picks])
+        want = [single.angle_message(int(j))[c] for j, c in zip(which[picks], cols[picks])]
+        assert picks.size and got.tolist() == want
+        with pytest.raises(ValueError, match="no 'couple' round"):
+            batched.prepare_ancilla(np.array([0]), "couple")
 
 
 class TestTranscript:
