@@ -57,7 +57,6 @@ def _require_count(value: int, flag: str, least: int) -> None:
 def cmd_verify_tables(args) -> tuple[dict, bool]:
     from . import conditions
 
-    _require_count(args.seed, "--seed", 0)
     _require_count(args.negatives, "--negatives", 0)
     rows = {}
     ok = True
@@ -95,7 +94,6 @@ def cmd_verify_tables(args) -> tuple[dict, bool]:
 def cmd_sweep(args) -> tuple[dict, bool]:
     from . import conditions
 
-    _require_count(args.seed, "--seed", 0)
     _require_count(args.points, "--points", 1)
     report = conditions.unitarity_relation_sweep(args.points, args.seed, args.tol)
     return report, report["agreement_rate"] == 1.0
@@ -123,7 +121,6 @@ def _random_circuit(rng: np.random.Generator, grid_n: int):
 def cmd_verify_patterns(args) -> tuple[dict, bool]:
     from . import patterns
 
-    _require_count(args.seed, "--seed", 0)
     _require_count(args.circuits, "--circuits", 0)
     results = {}
     ok = True
@@ -162,7 +159,6 @@ def cmd_verify_patterns(args) -> tuple[dict, bool]:
 def cmd_delegate(args) -> tuple[dict, bool]:
     from . import patterns, protocol
 
-    _require_count(args.seed, "--seed", 0)
     with open(args.circuit) as f:
         circuit = patterns.CircuitDescription.from_json(f.read())
     secret = protocol.ClientSecret(circuit, args.variant, args.grid, args.seed)
@@ -269,6 +265,7 @@ def main(argv=None) -> int:
     config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        _require_count(getattr(args, "seed", 0), "--seed", 0)  # every subcommand that takes one
         body, ok = handler(args)
         report = {
             "schema": {"name": args.command, "version": SCHEMA_VERSION},

@@ -42,7 +42,7 @@ from .register import (
     GatePattern,
     QubitCorrection,
     SlotSpec,
-    row_frame_bits,
+    frame_bits,
     run_pattern,
     step_branch_operators,
     walk_steps,
@@ -589,7 +589,8 @@ def _run_stages(stages: list[_Stage], local_steps: list[AdqcStep]):
     (branches, 2^m, 2^m) array, their (steps, branches) outcome bits, each
     branch's distance from the stage's first branch and the distance
     ||sum_b K_b^dagger K_b - I|| of each history."""
-    dim = 2 ** len(stages[0].qubits)
+    m = len(stages[0].qubits)
+    dim = 2**m
     offsets = np.cumsum([0] + [2 ** len(st.pivots) for st in stages])
     bits = np.zeros((len(local_steps), offsets[-1]), dtype=np.int8)
     plan = np.empty((len(stages[0].steps), offsets[-1]), dtype=int)
@@ -597,11 +598,11 @@ def _run_stages(stages: list[_Stage], local_steps: list[AdqcStep]):
         bits[list(st.pivots), lo:hi] = np.arange(hi - lo) >> np.arange(len(st.pivots))[:, None] & 1
         plan[:, lo:hi] = np.array(st.steps, dtype=int)[:, None]
     stage_of = np.repeat(np.arange(len(stages)), np.diff(offsets))  # each start row's stage
-    x, z = row_frame_bits([st.frame_in for st in stages], stage_of, bits)
+    x, z = frame_bits([st.frame_in for st in stages], stage_of, bits)
     choi = np.broadcast_to(np.eye(dim, dtype=complex) / math.sqrt(dim), (offsets[-1], dim, dim))
     states, probs, bits, origin = walk_steps(local_steps, apply_pauli_frame(choi, x, z), bits, plan)
     bounds = np.searchsorted(origin, offsets)  # branches stay in start-row order
-    ops = apply_pauli_frame(states, *row_frame_bits([st.frame_out for st in stages], stage_of[origin], bits))
+    ops = apply_pauli_frame(states, *frame_bits([st.frame_out for st in stages], stage_of[origin], bits))
     flat = ops.reshape(len(ops), -1)
     errs = phase_invariant_error(flat, flat[np.repeat(bounds[:-1], np.diff(bounds))])
     gram = np.zeros((offsets[-1], dim, dim), dtype=complex)  # sum_b K_b^dagger K_b per history

@@ -23,9 +23,8 @@ import numpy as np
 from .core import param_kets, preset
 from .linalg import I2, H, TWO_PI, PureState, apply_pauli_frame
 from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, CircuitGate, _is_int, compile_circuit
-from .register import PRUNE_PROBABILITY, GatePattern, _apply_branches, _apply_rows, branch_coefficients, branch_step
-from .register import coupling_blocks, frame_bits, init_register, measurement_bras, parities, row_frame_bits
-from .register import row_parities
+from .register import PRUNE_PROBABILITY, GatePattern, _apply_branches, _apply_rows, branch_coefficients
+from .register import branch_step, coupling_blocks, frame_bits, init_register, measurement_bras, parities
 
 DEFAULT_GRID = 8
 # largest grid size: its spacing 2 pi / 2^16 (about 1e-4) stays five orders of
@@ -36,6 +35,8 @@ MAX_GRID = 1 << 16
 # grids kept by each of grid_bras and gamma_kets: 64 * N bytes per table, so
 # 128 * N bytes per grid, 8 MiB at MAX_GRID and at most 32 MiB in all
 GRID_CACHE_SIZE = 4
+# bound on leaf rows times pattern steps in one run of an enumerated delegation
+ENUMERATED_ENTRIES = 1 << 20
 STANDARD_PAYLOAD = (1 + 0j, 0j)  # |0>, the ancilla an ANGLE round couples
 ROLES = ("gamma", "theta", "assist", "couple")  # a slot's round roles, in the seed's draw order
 # register input of the audited hidden-rotation round: cos(pi/3)|+> + sin(pi/3) e^(i pi/5)|->
@@ -241,12 +242,10 @@ class Client:
     The client keeps the secret's hidden indices and coins next to its
     (steps, B) int8 effective outcomes, each laid out like the outcome bits
     of ``register.walk_steps``.  A coin is also a two-target step's payload
-    flip, which the parity sets read at ``PAYLOAD_BIT`` and above.
-
-    Each method answers a round of one slot on every column, or, given an
-    array of slot indices, the round of each row's own slot on column
-    ``rows[b]`` (by default column b), slots and rows broadcast together:
-    one call then serves rows from several slots."""
+    flip, which the parity sets read at ``PAYLOAD_BIT`` and above.  Each
+    method answers one slot's round on every column, or, given slot indices
+    and the columns ``rows`` to read, broadcasting together, each row's own
+    slot."""
 
     def __init__(self, secret: ClientSecret):
         self.secret = secret
@@ -262,41 +261,28 @@ class Client:
 
     @cached_property
     def _slot_tables(self) -> dict:
-        """Per slot: each role's step (-1 where it has none), the signed
-        secret index of its angle round and that round's two parity sets."""
-        slots, theta_index = self.secret.pattern.slots, self.secret.theta_index
-        tables: dict = {role: np.array([s.roles.get(role, -1) for s in slots], dtype=int) for role in ROLES}
+        """Per slot: each role's step (one past the last step where it has
+        none, so that reading it raises IndexError), the signed secret index
+        of its angle round and that round's two parity sets."""
+        slots, theta_index, none = self.secret.pattern.slots, self.secret.theta_index, len(self.coins)
+        tables: dict = {role: np.array([s.roles.get(role, none) for s in slots], dtype=int) for role in ROLES}
         tables["k_theta"] = np.array([s.theta_sign * k for s, k in zip(slots, theta_index)], dtype=np.int64)
         tables["angle_sets"] = [(s.theta_negate, s.gamma_negate) for s in slots]
         return tables
 
-    def _round(self, slot_idx, role: str, rows):
-        """The step of ``role`` in the given slot, or in each row's slot,
-        and the columns to read."""
-        if isinstance(slot_idx, (int, np.integer)):
-            roles = self.secret.pattern.slots[slot_idx].roles
-            if role not in roles:
-                raise ValueError(f"slot {slot_idx} has no {role!r} round")
-            return roles[role], slice(None) if rows is None else rows
-        steps = self._slot_tables[role][slot_idx]
-        if (steps < 0).any():
-            raise ValueError(f"slots {np.unique(slot_idx[steps < 0]).tolist()} have no {role!r} round")
-        return steps, np.arange(len(slot_idx)) if rows is None else rows
-
     # -- message producers ----------------------------------------------------
 
-    def prepare_ancilla(self, slot_idx, role: str, rows=None) -> np.ndarray:
+    def prepare_ancilla(self, slot_idx, role: str, rows=slice(None)) -> np.ndarray:
         """(B, 2) kets of the ancilla sent in the given round, one row of
         ``gamma_kets`` or of the assistant or coupling kets per coin."""
         if role == "theta":
             raise ValueError(f"no ancilla round for role {role!r}")
-        step, rows = self._round(slot_idx, role, rows)
-        coins = self.coins[step, rows]
+        coins = self.coins[self._slot_tables[role][slot_idx], rows]
         if role == "gamma":
             return gamma_kets(self.secret.grid_n)[self.gamma_index[slot_idx, rows], coins]
         return (_COUPLE_KETS if role == "couple" else _ASSIST_KETS)[coins]
 
-    def angle_message(self, slot_idx, rows=None) -> np.ndarray:
+    def angle_message(self, slot_idx, rows=slice(None)) -> np.ndarray:
         """(B,) grid indices of the basis angle, folding the secret and its
         hiding in exact integer arithmetic: with pi = N/2 grid steps,
         k = s1*sign*k_theta' - s2*(k_gamma + c_gamma*N/2) + c_theta*N/2
@@ -305,29 +291,22 @@ class Client:
         rounds."""
         sec = self.secret
         half = sec.grid_n // 2
-        gamma_step, rows = self._round(slot_idx, "gamma", rows)
-        theta_step, _ = self._round(slot_idx, "theta", rows)
-        c_gamma, c_theta = self.coins[[gamma_step, theta_step], rows].astype(np.int64)
+        steps = [self._slot_tables["gamma"][slot_idx], self._slot_tables["theta"][slot_idx]]
+        c_gamma, c_theta = self.coins[steps, rows].astype(np.int64)
         gamma = self.gamma_index[slot_idx, rows] + c_gamma * half
-        outcomes, payload = self.eff_outcomes[:, rows], self.coins[:, rows]
-        if isinstance(slot_idx, (int, np.integer)):
-            slot = sec.pattern.slots[slot_idx]
-            k_theta = slot.theta_sign * sec.theta_index[slot_idx]
-            theta_odd, gamma_odd = parities((slot.theta_negate, slot.gamma_negate), outcomes, payload)
-        else:
-            k_theta = self._slot_tables["k_theta"][slot_idx]
-            theta_odd, gamma_odd = row_parities(self._slot_tables["angle_sets"], slot_idx, outcomes, payload)
+        k_theta = self._slot_tables["k_theta"][slot_idx]
+        theta_odd, gamma_odd = parities(self._slot_tables["angle_sets"], slot_idx, self.eff_outcomes[:, rows],
+                                        self.coins[:, rows])
         k = np.where(theta_odd, -k_theta, k_theta) + np.where(gamma_odd, gamma, -gamma) + c_theta * half
         return k % sec.grid_n
 
     # -- outcome digestion ------------------------------------------------------
 
-    def record(self, slot_idx, role: str, outcomes, rows=None):
+    def record(self, slot_idx, role: str, outcomes, rows=slice(None)):
         """Digest the (B,) outcome bits of a round: undo the coin of an
         assistant or theta round, whose half-turn flips the outcome (the
         angle folds the gamma coin, and the frame the payload flip)."""
-        step, rows = self._round(slot_idx, role, rows)
-        flip = role in ("assist", "theta")
+        step, flip = self._slot_tables[role][slot_idx], role in ("assist", "theta")
         self.eff_outcomes[step, rows] = outcomes ^ self.coins[step, rows] if flip else outcomes
 
 
@@ -348,10 +327,19 @@ class ServerStepShape:
 
 
 def pattern_shape(pattern: GatePattern) -> tuple[ServerStepShape, ...]:
-    angle_steps = {slot.roles["theta"] for slot in pattern.slots if "theta" in slot.roles}
+    angle_steps = {
+        slot.roles["theta"] for slot in pattern.slots if "theta" in slot.roles
+    }
     slot_of = {i: k for k, slot in enumerate(pattern.slots) for i in slot.step_indices}
-    return tuple(ServerStepShape(step.targets, step.entangler_labels, "ANGLE" if i in angle_steps else "ANCILLA",
-                                 slot_of[i]) for i, step in enumerate(pattern.steps))
+    return tuple(
+        ServerStepShape(
+            step.targets,
+            step.entangler_labels,
+            "ANGLE" if i in angle_steps else "ANCILLA",
+            slot_of[i],
+        )
+        for i, step in enumerate(pattern.steps)
+    )
 
 
 def _message_coefficients(msg: Message, shape: ServerStepShape, grid_n: int, values=None) -> np.ndarray:
@@ -461,10 +449,16 @@ def run_delegation(
         raw, worst = _enumerated_dialogue(client, start, shape)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    final = PureState(n, apply_pauli_frame(raw[None], *frame_bits(pattern.corrections, client.eff_outcomes,
-                                                                  client.coins))[0])
+    final = PureState(n, _corrected(raw[None], pattern.corrections, client)[0])
     fid = final.fidelity(reference)
-    return DelegationResult(final, reference, fid, client.transcript, None if worst is None else min(worst, fid))
+    return DelegationResult(
+        final, reference, fid, client.transcript, None if worst is None else min(worst, fid)
+    )
+
+
+def _corrected(states: np.ndarray, corrections, client: Client) -> np.ndarray:
+    """Apply to each row the byproduct frame of the client's row."""
+    return apply_pauli_frame(states, *frame_bits((corrections,), 0, client.eff_outcomes, client.coins))
 
 
 def _round_message(client: Client, slot_idx: int, kind: str, value) -> Message:
@@ -495,52 +489,61 @@ def _dialogue(client: Client, server: Server, shape):
 
 def _enumerated_dialogue(client: Client, state: np.ndarray, shape):
     """Expand every outcome combination (leaf) of each slot and carry the
-    first, all-zero one into the transcript.  Slot j's 2^k leaves are client
-    rows offsets[j] + leaf, the first round the leaf's most significant bit.
-    One client pass answers every round on these rows, earlier slots at the
-    carried outcomes; each leaf's operator on its slot's local qubits is the
-    identity through the slot's rounds, one ``_apply_branches`` call per
-    round position, coupling and message kind; one call per slot applies the
-    leaf operators to the slot's start state and carries the first leaf.  A
-    leaf below PRUNE_PROBABILITY on its start state is left out of the
-    probability sum and the fidelities, and a carried one raises.  Returns
-    the carried raw state and the worst fidelity to the first leaf after the
-    slot-boundary frame."""
-    pattern, grid_n, slots = client.secret.pattern, client.secret.grid_n, client.secret.pattern.slots
-    if not slots:
-        return state, 1.0
+    first, all-zero one into the transcript, ``_enumerate_run`` by run of
+    slots: a run's (steps, leaves) client arrays, at most 16 leaves a slot,
+    stay within ENUMERATED_ENTRIES entries however long the circuit.  Returns
+    the carried raw state and the worst fidelity between a leaf and its
+    slot's first leaf after the slot-boundary frame."""
+    slots, worst = len(client.secret.pattern.slots), 1.0
+    per_run = max(1, ENUMERATED_ENTRIES // (16 * len(shape) + 1))
+    for first in range(0, slots, per_run):
+        state, run_worst = _enumerate_run(client, state, shape, first, min(first + per_run, slots))
+        worst = min(worst, run_worst)
+    return state, worst
+
+
+def _enumerate_run(client: Client, state: np.ndarray, shape, first: int, last: int):
+    """Enumerate slots first..last-1 from the carried branch's one-column
+    client (README, ``adqc.protocol``): one client pass over every round,
+    slot j's leaf in row offsets[j - first] + leaf; each leaf's operator on
+    the slot's local qubits; one carry per slot; whole-run checks."""
+    pattern, grid_n = client.secret.pattern, client.secret.grid_n
+    slots = pattern.slots[first:last]
     rounds = np.array([len(slot.roles) for slot in slots])
     offsets = np.concatenate(([0], np.cumsum(1 << rounds)))
     rows = np.arange(offsets[-1])
-    row_slot = np.repeat(np.arange(len(slots)), 1 << rounds)
+    row_slot = np.repeat(np.arange(len(slots)), 1 << rounds)  # each row's slot, counted from first
     leaf = rows - offsets[row_slot]
-    step_slot = np.array([sh.slot for sh in shape])
-    # every step's raw outcome on every row: the leaf's bit in the row's own
-    # slot, 0 (the carried branch) in every other
-    shift = np.array([slot.step_indices[-1] for slot in slots])[step_slot] - np.arange(len(shape))
+    lo = slots[0].step_indices[0]  # slots list their steps in order, so the run's are lo..lo+len(step_slot)-1
+    step_slot = np.array([sh.slot - first for sh in shape[lo:slots[-1].step_indices[-1] + 1]])
+    # every run step's raw outcome on every row: the leaf's bit in the row's
+    # own slot, 0 (the carried branch) in every other
+    shift = np.array([slot.step_indices[-1] - lo for slot in slots])[step_slot] - np.arange(len(step_slot))
     raw = np.where(step_slot[:, None] == row_slot, leaf >> shift[:, None] & 1, 0)
 
     # the client pass; an ancilla ket reads no outcome, so its slot's first row gives it
     client.take(np.zeros(len(rows), dtype=int))
-    kets = np.empty((len(shape), 2), dtype=complex)
+    kets = np.empty((len(step_slot), 2), dtype=complex)
     for role in ROLES:
-        steps = [slot.roles[role] for slot in slots if role in slot.roles]
-        if steps:
-            client.record(step_slot[steps][:, None], role, raw[steps], rows)
+        steps = np.array([slot.roles[role] - lo for slot in slots if role in slot.roles], dtype=int)
+        if steps.size:
+            client.record(first + step_slot[steps][:, None], role, raw[steps], rows)
             if role != "theta":
-                kets[steps] = client.prepare_ancilla(step_slot[steps], role, offsets[step_slot[steps]])
+                kets[steps] = client.prepare_ancilla(first + step_slot[steps], role, offsets[step_slot[steps]])
     angles = np.zeros(len(rows), dtype=np.int64)
     angled = np.flatnonzero(np.array(["theta" in slot.roles for slot in slots])[row_slot])
-    angles[angled] = client.angle_message(row_slot[angled], angled)
-    groups: dict[tuple, list[int]] = {}  # (round position, coupling, kind) -> its steps
+    if angled.size:
+        angles[angled] = client.angle_message(first + row_slot[angled], angled)
+    groups: dict[tuple, list[int]] = {}  # (round position, coupling, kind) -> its steps, counted from lo
     messages = []
     for j, slot in enumerate(slots):
-        outcome = Message("OUTCOME", j, bit=0)  # frozen, so the slot's rounds share it
+        outcome = Message("OUTCOME", first + j, bit=0)  # frozen, so the slot's rounds share it
         for pos, i in enumerate(slot.step_indices):
             kind = shape[i].expects
-            messages.append(_round_message(client, j, kind, kets[i] if kind == "ANCILLA" else angles[offsets[j]]))
+            messages.append(_round_message(client, first + j, kind, kets[i - lo] if kind == "ANCILLA"
+                                           else angles[offsets[j]]))
             client.transcript.messages += [messages[-1], outcome]
-            groups.setdefault((pos, shape[i].entangler_labels, kind), []).append(i)
+            groups.setdefault((pos, shape[i].entangler_labels, kind), []).append(i - lo)
 
     # leaf operators, round position by round position
     ops = {}  # local dimension -> (rows, d, d) leaf operators
@@ -552,31 +555,32 @@ def _enumerated_dialogue(client: Client, state: np.ndarray, shape):
         slot_step[step_slot[steps]] = steps
         sel = np.flatnonzero(slot_step[row_slot] >= 0)
         step = slot_step[row_slot[sel]]  # each row's round
-        coeffs = _message_coefficients(messages[steps[0]], shape[steps[0]], grid_n,
+        coeffs = _message_coefficients(messages[steps[0]], shape[lo + steps[0]], grid_n,
                                        kets[step] if kind == "ANCILLA" else angles[sel])
         kids = _apply_branches(ops[d][sel], range(len(labels)), coupling_blocks(labels), coeffs)
         ops[d][sel] = kids[np.arange(len(sel)), raw[step, sel]]
 
     # carry the first leaf of each slot, then check every leaf at once
     leaves = np.empty((len(rows), len(state)), dtype=complex)
-    for j, (lo, hi) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
+    for j, (start, stop) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
         targets = shape[slots[j].step_indices[0]].targets
-        leaf_ops = ops[2 ** len(targets)][lo:hi].reshape((1, hi - lo) + (2,) * (2 * len(targets)))
-        leaves[lo:hi] = _apply_rows(state[None], targets, leaf_ops)[0]
-        p_first = np.vdot(leaves[lo], leaves[lo]).real
+        leaf_ops = ops[2 ** len(targets)][start:stop].reshape((1, stop - start) + (2,) * (2 * len(targets)))
+        leaves[start:stop] = _apply_rows(state[None], targets, leaf_ops)[0]
+        p_first = np.vdot(leaves[start], leaves[start]).real
         if p_first < PRUNE_PROBABILITY:
             break
-        state = leaves[lo] / math.sqrt(p_first)
-    re_im = leaves[:hi].view(float)  # the slots run
+        state = leaves[start] / math.sqrt(p_first)
+    re_im = leaves[:stop].view(float)  # the slots run
     probs = np.einsum("bi,bi->b", re_im, re_im)
     kept = probs >= PRUNE_PROBABILITY
     totals = np.add.reduceat(np.where(kept, probs, 0.0), offsets[:j + 1])
     bad = np.flatnonzero(np.abs(totals - 1.0) > 1e-9)
     if bad.size:
-        raise RuntimeError(f"slot {bad[0]} branch probabilities sum to {totals[bad[0]]}")
+        raise RuntimeError(f"slot {first + bad[0]} branch probabilities sum to {totals[bad[0]]}")
     if p_first < PRUNE_PROBABILITY:
-        raise RuntimeError(f"slot {j}: its carried branch has probability {p_first:.3e}, below {PRUNE_PROBABILITY}")
-    x, z = row_frame_bits(pattern.slot_boundaries, row_slot, client.eff_outcomes, client.coins)
+        raise RuntimeError(f"slot {first + j}: its carried branch has probability {p_first:.3e}, "
+                           f"below {PRUNE_PROBABILITY}")
+    x, z = frame_bits(pattern.slot_boundaries[first:last], row_slot, client.eff_outcomes, client.coins)
     corrected = apply_pauli_frame(leaves / np.sqrt(np.where(kept, probs, 1.0))[:, None], x, z)
     overlaps = np.einsum("bi,bi->b", corrected, corrected[offsets[row_slot]].conj())
     client.take([0])
@@ -640,7 +644,9 @@ def audit_blindness(
         # (a) and (c) read only the rows of outcome, theta coin and frame
         # parity 0, one per (hidden index, coin): prepare just those
         client = Client(secret)
-        payload = client.prepare_ancilla(slot_idx, "gamma", slice(None, None, 8)).reshape(grid_n, 2, 2)
+        client.take(slice(None, None, 8))
+        payload = client.prepare_ancilla(slot_idx, "gamma").reshape(grid_n, 2, 2)
+        client = Client(secret)
         # one earlier outcome sets the frame parity the angle reads
         client.eff_outcomes[min(slot.theta_negate)] = frame
         client.record(slot_idx, "gamma", s)

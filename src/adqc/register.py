@@ -34,13 +34,27 @@ def parity_table(sets: tuple[frozenset[int], ...], width: int) -> tuple[np.ndarr
     return tables[0], tables[1]
 
 
-def parities(sets, outcomes, payload_bits=None) -> np.ndarray:
-    """(len(sets), ...) parities of (steps,) or (steps, B) bits; index
+def parities(groups, which, outcomes, payload_bits=None) -> np.ndarray:
+    """(m, ...) parities of (steps,) or (steps, B) bits, every column reading
+    the m sets of ``groups[which]``, or, for a (B,) ``which``, column b those
+    of ``groups[which[b]]``: each column then gathers its group's
+    ``parity_table`` rows, as ``walk_steps`` gathers its negate sets.  Index
     i + PAYLOAD_BIT reads ``payload_bits[i]``, laid out like ``outcomes`` (zero
     when it is None).  int8 wraps mod 256, keeping parity."""
-    m_out, m_pay = parity_table(tuple(sets), len(outcomes))
-    acc = m_out @ np.asarray(outcomes, dtype=np.int8)
-    return (acc if payload_bits is None else acc + m_pay @ payload_bits) & 1
+    width, one = len(outcomes), np.ndim(which) == 0
+    if one:
+        m_out, m_pay = parity_table(tuple(groups[which]), width)
+    else:
+        used, inverse = np.unique(which, return_inverse=True)
+        m = len(groups[used[0]])
+        m_out, m_pay = (np.concatenate(t)[inverse[:, None] * m + np.arange(m)]  # (B, m, steps)
+                        for t in zip(*(parity_table(tuple(groups[g]), width) for g in used)))
+
+    def product(table, bits):  # a shared table's matmul costs a sampled round less than einsum
+        return table @ bits if one else np.einsum("bmw,wb->mb", table, bits)
+
+    acc = product(m_out, np.asarray(outcomes, dtype=np.int8))
+    return (acc if payload_bits is None else acc + product(m_pay, payload_bits)) & 1
 
 
 @dataclass(frozen=True)
@@ -290,35 +304,13 @@ def walk_steps(steps, states, bits, plan):
     return states, probs, bits, origin
 
 
-def frame_bits(corrections, outcomes, payload_bits=None) -> tuple[np.ndarray, np.ndarray]:
-    """(x, z) byproduct bits of a batch: (n, B) arrays from (steps, B) bits."""
-    sets = [s for c in corrections for s in (c.x_parity, c.z_parity)]
-    consts = np.array([b for c in corrections for b in (c.x_const, c.z_const)], dtype=np.int8)
-    bits = parities(sets, outcomes, payload_bits).reshape(len(sets), -1) ^ consts[:, None]
-    return bits[0::2], bits[1::2]
-
-
-def row_parities(groups, which, outcomes, payload_bits=None) -> np.ndarray:
-    """(m, B) parities of (steps, B) bits, row b reading the m sets of
-    ``groups[which[b]]``: each row gathers its group's ``parity_table`` rows,
-    as ``walk_steps`` gathers its negate sets.  ``payload_bits`` is read as
-    ``parities`` reads it."""
-    m = len(groups[0])
-    tables = [parity_table(tuple(g), len(outcomes)) for g in groups]
-    rows = np.asarray(which)[:, None] * m + np.arange(m)
-    acc = np.einsum("bmw,wb->mb", np.concatenate([t[0] for t in tables])[rows], outcomes)
-    if payload_bits is not None:
-        acc += np.einsum("bmw,wb->mb", np.concatenate([t[1] for t in tables])[rows], payload_bits)
-    return acc & 1
-
-
-def row_frame_bits(frames, which, outcomes, payload_bits=None) -> tuple[np.ndarray, np.ndarray]:
-    """(x, z) byproduct bits of a batch whose row b takes the frame
-    ``frames[which[b]]``, each frame a tuple of m ``QubitCorrection``s: (m, B)
-    arrays from (steps, B) bits."""
+def frame_bits(frames, which, outcomes, payload_bits=None) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) byproduct bits of a batch whose column b takes the frame
+    ``frames[which[b]]`` (an integer ``which``: every column), each frame a
+    tuple of m ``QubitCorrection``s: (m, B) arrays from (steps, B) bits."""
     groups = [[s for c in frame for s in (c.x_parity, c.z_parity)] for frame in frames]
     consts = np.array([[b for c in frame for b in (c.x_const, c.z_const)] for frame in frames], dtype=np.int8)
-    bits = row_parities(groups, which, outcomes, payload_bits) ^ consts[which].T
+    bits = parities(groups, which, outcomes, payload_bits) ^ consts.T[:, np.atleast_1d(which)]
     return bits[0::2], bits[1::2]
 
 
@@ -352,5 +344,5 @@ def run_pattern(state: np.ndarray, pattern: GatePattern) -> RunResult:
     k = len(pattern.steps)
     start = np.zeros((k, 1), dtype=np.int8)
     states, probs, bits, _ = walk_steps(pattern.steps, state[None], start, np.arange(k)[:, None])
-    x, z = frame_bits(pattern.corrections, bits)
+    x, z = frame_bits((pattern.corrections,), 0, bits)
     return RunResult(apply_pauli_frame(states, x, z), states, probs, bits, x, z)

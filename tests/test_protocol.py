@@ -90,7 +90,7 @@ def _per_round_dialogue(client, state, shape):
         total = probs.sum()
         if abs(total - 1.0) > 1e-9:
             raise RuntimeError(f"slot {slot_idx} branch probabilities sum to {total}")
-        frame = frame_bits(pattern.slot_boundaries[slot_idx], client.eff_outcomes, client.coins)
+        frame = frame_bits((pattern.slot_boundaries[slot_idx],), 0, client.eff_outcomes, client.coins)
         corrected = apply_pauli_frame(states, *frame)
         fids = np.abs(corrected[1:] @ corrected[0].conj()) ** 2
         worst = min(worst, float(np.min(fids, initial=1.0)))
@@ -602,6 +602,39 @@ class TestBatchedEnumeration:
             assert abs(batched.worst_branch_fidelity - oracle.worst_branch_fidelity) <= 1e-12, case
             assert oracle.worst_branch_fidelity >= 1 - 1e-9, case
 
+    def test_runs_of_any_length_agree(self, monkeypatch):
+        """A delegation enumerated one slot per run, in runs of a few slots,
+        or in one run gives one full transcript and equal fidelities."""
+        rng = np.random.default_rng(7)
+        for case in range(6):
+            n = 1 + case % 4
+            sec = ClientSecret(self._circuit(rng, n, 8), ("single", "two")[case % 2], 8, case)
+            results = []
+            for entries in (1, 16 * len(sec.pattern.steps) * 3, protocol.ENUMERATED_ENTRIES):
+                monkeypatch.setattr(protocol, "ENUMERATED_ENTRIES", entries)
+                results.append(run_delegation(sec, seed=case, mode="enumerate"))
+            for res in results[1:]:
+                assert res.transcript.to_jsonl("full") == results[0].transcript.to_jsonl("full"), case
+                assert res.fidelity == results[0].fidelity, case
+                assert res.worst_branch_fidelity == results[0].worst_branch_fidelity, case
+
+    def test_a_long_circuit_matches_the_per_round_oracle(self, monkeypatch):
+        """120 gates on three qubits: about 500 slots, which the default
+        bound splits into several runs, give the oracle's full transcript."""
+        rng = np.random.default_rng(11)
+        gates = []
+        while len(gates) < 120:
+            gates += self._circuit(rng, 3, 8).gates
+        sec = ClientSecret(CircuitDescription(3, tuple(gates[:120])), "two", 8, 9)
+        per_run = protocol.ENUMERATED_ENTRIES // (16 * len(sec.pattern.steps) + 1)
+        assert len(sec.pattern.slots) > 4 * per_run
+        batched = run_delegation(sec, seed=2, mode="enumerate")
+        monkeypatch.setattr(protocol, "_enumerated_dialogue", _per_round_dialogue)
+        oracle = run_delegation(sec, seed=2, mode="enumerate")
+        assert batched.transcript.to_jsonl("full") == oracle.transcript.to_jsonl("full")
+        assert abs(batched.fidelity - oracle.fidelity) <= 1e-12
+        assert abs(batched.worst_branch_fidelity - oracle.worst_branch_fidelity) <= 1e-12
+
     def test_a_lost_carried_branch_is_refused(self, monkeypatch):
         """Rounds that always give outcome 1 keep each slot's branch
         probabilities summing to 1, but the carried, all-zero branch has
@@ -648,7 +681,7 @@ class TestBatchedEnumeration:
         got = batched.angle_message(which[picks], cols[picks])
         want = [single.angle_message(int(j))[c] for j, c in zip(which[picks], cols[picks])]
         assert picks.size and got.tolist() == want
-        with pytest.raises(ValueError, match="no 'couple' round"):
+        with pytest.raises(IndexError):
             batched.prepare_ancilla(np.array([0]), "couple")
 
 

@@ -503,7 +503,21 @@ class TestParityTables:
             payload = rng.integers(2, size=(width, batch)).astype(np.int8)
             for pay in (payload, None):
                 want = np.array([_xor_parity(s, outcomes, pay) for s in sets])
-                assert np.array_equal(parities(sets, outcomes, pay), want)
+                assert np.array_equal(parities((sets,), 0, outcomes, pay), want)
+
+    def test_each_column_reads_its_own_group(self):
+        """Columns that name different groups get the parities each group
+        gives on its own."""
+        rng = np.random.default_rng(4)
+        width, batch = 12, 30
+        groups = [tuple(frozenset(int(i) for i in rng.choice(width, size=3, replace=False))
+                        | {PAYLOAD_BIT + int(rng.integers(width))} for _ in range(2)) for _ in range(5)]
+        which = rng.integers(len(groups), size=batch)
+        outcomes = rng.integers(2, size=(width, batch)).astype(np.int8)
+        payload = rng.integers(2, size=(width, batch)).astype(np.int8)
+        got = parities(groups, which, outcomes, payload)
+        for b, g in enumerate(which):
+            assert np.array_equal(got[:, b], parities(groups, g, outcomes[:, b], payload[:, b])), b
 
     def test_more_members_than_int8_holds(self):
         """The int8 products wrap modulo 256, which keeps the parity: sets of
@@ -512,12 +526,12 @@ class TestParityTables:
         sets = (frozenset(range(128)), frozenset(range(255)), frozenset(range(300)),
                 frozenset(range(1, 300)) | frozenset(PAYLOAD_BIT + i for i in range(200)))
         ones = np.ones((width, 3), dtype=np.int8)
-        assert parities(sets, ones, ones).tolist() == [[0] * 3, [1] * 3, [0] * 3, [1] * 3]
+        assert parities((sets,), 0, ones, ones).tolist() == [[0] * 3, [1] * 3, [0] * 3, [1] * 3]
 
     def test_one_outcome_record(self):
         """A (steps,) record, as a one-register replay resolves an angle."""
         sets = (frozenset({0, 2}), frozenset({1}), frozenset())
-        assert parities(sets, (1, 1, 0)).tolist() == [1, 1, 0]
+        assert parities((sets,), 0, (1, 1, 0)).tolist() == [1, 1, 0]
 
     def test_tables_are_cached_bounded_and_read_only(self):
         sets = (frozenset({0, PAYLOAD_BIT + 1}),)
@@ -535,7 +549,7 @@ class TestParityTables:
         payload = rng.integers(2, size=(9, 64)).astype(np.int8)
         corrections = (QubitCorrection(frozenset({0, 3}), 1, frozenset({PAYLOAD_BIT + 2, 5}), 0),
                        QubitCorrection(frozenset(), 0, frozenset({8}), 1))
-        x, z = frame_bits(corrections, outcomes, payload)
+        x, z = frame_bits((corrections,), 0, outcomes, payload)
         for q, c in enumerate(corrections):
             assert np.array_equal(x[q], c.x_const ^ _xor_parity(c.x_parity, outcomes, payload))
             assert np.array_equal(z[q], c.z_const ^ _xor_parity(c.z_parity, outcomes, payload))
