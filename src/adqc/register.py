@@ -38,23 +38,24 @@ def parities(groups, which, outcomes, payload_bits=None) -> np.ndarray:
     """(m, ...) parities of (steps,) or (steps, B) bits, every column reading
     the m sets of ``groups[which]``, or, for a (B,) ``which``, column b those
     of ``groups[which[b]]``: each column then gathers its group's
-    ``parity_table`` rows, as ``walk_steps`` gathers its negate sets.  Index
+    ``parity_table`` rows, as ``walk_steps`` gathers its negate sets, from
+    the tables of the groups between the least and the greatest index.  Index
     i + PAYLOAD_BIT reads ``payload_bits[i]``, laid out like ``outcomes`` (zero
     when it is None).  int8 wraps mod 256, keeping parity."""
     width, one = len(outcomes), np.ndim(which) == 0
     if one:
-        m_out, m_pay = parity_table(tuple(groups[which]), width)
+        tables = parity_table(tuple(groups[which]), width)
     else:
-        used, inverse = np.unique(which, return_inverse=True)
-        m = len(groups[used[0]])
-        m_out, m_pay = (np.concatenate(t)[inverse[:, None] * m + np.arange(m)]  # (B, m, steps)
-                        for t in zip(*(parity_table(tuple(groups[g]), width) for g in used)))
+        lo = which.min()
+        m = len(groups[lo])
+        rows = (which - lo)[:, None] * m + np.arange(m)  # each column's rows of the stacked tables
+        tables = list(zip(*(parity_table(tuple(g), width) for g in groups[lo:which.max() + 1])))
 
-    def product(table, bits):  # a shared table's matmul costs a sampled round less than einsum
-        return table @ bits if one else np.einsum("bmw,wb->mb", table, bits)
+    def product(k, bits):  # with table k (outcomes, payload); a shared table's matmul costs a sampled round less
+        return tables[k] @ bits if one else np.einsum("bmw,wb->mb", np.concatenate(tables[k])[rows], bits)
 
-    acc = product(m_out, np.asarray(outcomes, dtype=np.int8))
-    return (acc if payload_bits is None else acc + product(m_pay, payload_bits)) & 1
+    acc = product(0, np.asarray(outcomes, dtype=np.int8))
+    return (acc if payload_bits is None else acc + product(1, payload_bits)) & 1
 
 
 @dataclass(frozen=True)

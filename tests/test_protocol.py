@@ -620,15 +620,23 @@ class TestBatchedEnumeration:
 
     def test_a_long_circuit_matches_the_per_round_oracle(self, monkeypatch):
         """120 gates on three qubits: about 500 slots, which the default
-        bound splits into several runs, give the oracle's full transcript."""
+        bound splits into several runs, each holding client arrays of at
+        most ENUMERATED_ENTRIES entries, give the oracle's full transcript."""
         rng = np.random.default_rng(11)
         gates = []
         while len(gates) < 120:
             gates += self._circuit(rng, 3, 8).gates
         sec = ClientSecret(CircuitDescription(3, tuple(gates[:120])), "two", 8, 9)
-        per_run = protocol.ENUMERATED_ENTRIES // (16 * len(sec.pattern.steps) + 1)
-        assert len(sec.pattern.slots) > 4 * per_run
+        sizes, take = [], Client.take
+
+        def recorded_take(client, rows):
+            take(client, rows)
+            sizes.append(client.eff_outcomes.size)
+
+        monkeypatch.setattr(Client, "take", recorded_take)
         batched = run_delegation(sec, seed=2, mode="enumerate")
+        assert sum(size > len(sec.pattern.steps) for size in sizes) > 4  # runs of several rows
+        assert max(sizes) <= protocol.ENUMERATED_ENTRIES
         monkeypatch.setattr(protocol, "_enumerated_dialogue", _per_round_dialogue)
         oracle = run_delegation(sec, seed=2, mode="enumerate")
         assert batched.transcript.to_jsonl("full") == oracle.transcript.to_jsonl("full")
