@@ -42,20 +42,19 @@ def parities(groups, which, outcomes, payload_bits=None) -> np.ndarray:
     the tables of the groups between the least and the greatest index.  Index
     i + PAYLOAD_BIT reads ``payload_bits[i]``, laid out like ``outcomes`` (zero
     when it is None).  int8 wraps mod 256, keeping parity."""
-    width, one = len(outcomes), np.ndim(which) == 0
-    if one:
-        tables = parity_table(tuple(groups[which]), width)
-    else:
-        lo = which.min()
-        m = len(groups[lo])
-        rows = (which - lo)[:, None] * m + np.arange(m)  # each column's rows of the stacked tables
-        tables = list(zip(*(parity_table(tuple(g), width) for g in groups[lo:which.max() + 1])))
-
-    def product(k, bits):  # with table k (outcomes, payload); a shared table's matmul costs a sampled round less
-        return tables[k] @ bits if one else np.einsum("bmw,wb->mb", np.concatenate(tables[k])[rows], bits)
-
-    acc = product(0, np.asarray(outcomes, dtype=np.int8))
-    return (acc if payload_bits is None else acc + product(1, payload_bits)) & 1
+    outcomes, width = np.asarray(outcomes, dtype=np.int8), len(outcomes)
+    if getattr(which, "ndim", 0) == 0:  # a shared table: one matmul, cheaper than einsum for a sampled round
+        m_out, m_pay = parity_table(tuple(groups[which]), width)
+        acc = m_out @ outcomes
+        return (acc if payload_bits is None else acc + m_pay @ payload_bits) & 1
+    lo = which.min()
+    m = len(groups[lo])
+    rows = (which - lo)[:, None] * m + np.arange(m)  # each column's rows of the stacked tables
+    m_out, m_pay = zip(*(parity_table(tuple(g), width) for g in groups[lo:which.max() + 1]))
+    acc = np.einsum("bmw,wb->mb", np.concatenate(m_out)[rows], outcomes)
+    if payload_bits is not None:
+        acc += np.einsum("bmw,wb->mb", np.concatenate(m_pay)[rows], payload_bits)
+    return acc & 1
 
 
 @dataclass(frozen=True)
@@ -311,7 +310,7 @@ def frame_bits(frames, which, outcomes, payload_bits=None) -> tuple[np.ndarray, 
     tuple of m ``QubitCorrection``s: (m, B) arrays from (steps, B) bits."""
     groups = [[s for c in frame for s in (c.x_parity, c.z_parity)] for frame in frames]
     consts = np.array([[b for c in frame for b in (c.x_const, c.z_const)] for frame in frames], dtype=np.int8)
-    bits = parities(groups, which, outcomes, payload_bits) ^ consts.T[:, np.atleast_1d(which)]
+    bits = parities(groups, which, outcomes, payload_bits) ^ consts.T[:, which].reshape(len(consts.T), -1)
     return bits[0::2], bits[1::2]
 
 
