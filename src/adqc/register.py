@@ -201,7 +201,8 @@ def _apply_branches(states: np.ndarray, targets, blocks: np.ndarray, coeffs: np.
     """The (B, 2, 2^n, ...) unnormalized children of a (B, 2^n, ...) batch:
     row r's Kraus operator for outcome s, sum_q coeffs[r, s, q] blocks[q],
     formed on the targets only and applied there by ``_apply_rows``."""
-    ops = (coeffs.reshape(-1, 4) @ blocks.reshape(4, -1)).reshape((len(states), 2) + (2,) * (2 * len(targets)))
+    b, k = len(states), len(targets)
+    ops = (coeffs.reshape(-1, 4) @ blocks.reshape(4, -1)).reshape((b, 2) + (2,) * (2 * k))
     return _apply_rows(states, targets, ops)
 
 
