@@ -160,14 +160,11 @@ class _PatternBuilder:
     def __init__(self, num_qubits: int, variant: str):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        if not (1 <= num_qubits <= MAX_QUBITS):
-            raise ValueError(f"patterns support 1 to {MAX_QUBITS} qubits")
         self.n = num_qubits
         self.variant = variant
         self.steps: list[AdqcStep] = []
         self.slots: list[SlotSpec] = []
         self.frames = [QubitCorrection()] * num_qubits
-        self.target = np.eye(2**num_qubits, dtype=complex)
         self.boundary_corrections: list[tuple[QubitCorrection, ...]] = []
 
     # -- helpers ------------------------------------------------------------
@@ -176,10 +173,8 @@ class _PatternBuilder:
         self.steps.append(step)
         return len(self.steps) - 1
 
-    def _close_slot(self, gate: np.ndarray, slot: SlotSpec):
-        """Apply the slot's gate to the target; record the slot and the frame
-        at its boundary."""
-        self.target = apply_op(gate, self.target, slot.qubits)
+    def _close_slot(self, slot: SlotSpec):
+        """Record the slot and the frame at its boundary."""
         self.slots.append(slot)
         self.boundary_corrections.append(tuple(self.frames))
 
@@ -187,7 +182,7 @@ class _PatternBuilder:
         """Emit a one-qubit slot, carrying the frame of ``q`` through each
         step's kernel: X^s Rx(.) H for J_CANON, X^s Rx(.) for RX_CANON and
         Z^s Rz(.) for RZ_CANON."""
-        label, roles, gate = _ONE_QUBIT_SLOTS[kind]
+        label, roles, _ = _ONE_QUBIT_SLOTS[kind]
         on_z = label == "RZ_CANON"
         fr = self.frames[q]
         x_parity, x_const, z_parity, z_const = fr.x_parity, fr.x_const, fr.z_parity, fr.z_const
@@ -213,24 +208,14 @@ class _PatternBuilder:
                 x_parity = x_parity ^ {i}
         self.frames[q] = QubitCorrection(x_parity, x_const, z_parity, z_const)
         slot = SlotSpec(kind, (q,), theta_prime, indices, **theta_fields)
-        self._close_slot(gate(theta_prime), slot)
+        self._close_slot(slot)
 
     # -- slots ----------------------------------------------------------------
-
-    def add_rotation(self, kind: str, q: int, theta_prime: float):
-        if kind not in ("J", "RX", "RZ"):
-            raise ValueError(f"not a rotation slot kind: {kind}")
-        self._one_qubit_slot(kind, q, theta_prime)
-
-    def add_assist(self, q: int):
-        if self.variant != "single":
-            raise ValueError("assistant slots belong to the single-entangler variant")
-        self._one_qubit_slot("ASSIST", q, None)
 
     def add_cz(self, q1: int, q2: int):
         spec = cz2_spec(self.variant)
         for q, kind, ang in spec.pre_fixups:
-            self.add_rotation(kind, (q1, q2)[q], ang)
+            self._one_qubit_slot(kind, (q1, q2)[q], ang)
         i = self._emit(
             AdqcStep((q1, q2), spec.labels, CZ_SLOT_ANCILLA, _ZERO_ANGLE)
         )
@@ -254,21 +239,17 @@ class _PatternBuilder:
             out.append(reduce(xor, (c for _, c in chosen), 0))
         self.frames[q1] = QubitCorrection(*out[:4])
         self.frames[q2] = QubitCorrection(*out[4:])
-        self._close_slot(spec.slot_target, SlotSpec("CZ2", (q1, q2), None, {"couple": i}))
+        self._close_slot(SlotSpec("CZ2", (q1, q2), None, {"couple": i}))
         for q, kind, ang in spec.post_fixups:
-            self.add_rotation(kind, (q1, q2)[q], ang)
+            self._one_qubit_slot(kind, (q1, q2)[q], ang)
 
-    def finalize(self, target: np.ndarray | None = None) -> GatePattern:
-        built = self.target
-        if target is not None:
-            # allow an exact stated target differing only by a global phase
-            if not equal_up_to_global_phase(built, target, 1e-8):
-                raise RuntimeError("built pattern does not realize the stated target")
-            built = target
+    def finalize(self, target: np.ndarray) -> GatePattern:
+        """The built pattern, stating ``target`` as the unitary it realizes;
+        ``verify_pattern`` checks that its steps do."""
         return GatePattern(
             num_qubits=self.n,
             steps=tuple(self.steps),
-            target=built,
+            target=target,
             corrections=tuple(self.frames),
             slots=tuple(self.slots),
             slot_boundaries=tuple(self.boundary_corrections),
@@ -316,13 +297,10 @@ def standard_pattern(kind: str, theta_prime: float | None = None, variant: str =
         b = _PatternBuilder(2, variant)
         b.add_cz(0, 1)
         return b.finalize(CZ)
-    if kind == "ASSIST":
-        b = _PatternBuilder(1, variant)
-        b.add_assist(0)
-        return b.finalize()
+    theta = None if theta_prime is None else float(theta_prime)
     b = _PatternBuilder(1, variant)
-    b.add_rotation(kind, 0, float(theta_prime))
-    return b.finalize()
+    b._one_qubit_slot(kind, 0, theta)
+    return b.finalize(_ONE_QUBIT_SLOTS[kind][2](theta))
 
 
 def _add_unit(b: _PatternBuilder, q: int, zxz: np.ndarray):
@@ -330,12 +308,12 @@ def _add_unit(b: _PatternBuilder, q: int, zxz: np.ndarray):
     a, bb, c = (float(v) for v in zxz)
     if b.variant == "single":
         for ang in (a, bb, c):
-            b.add_rotation("J", q, ang)
-        b.add_assist(q)
+            b._one_qubit_slot("J", q, ang)
+        b._one_qubit_slot("ASSIST", q, None)
     else:
-        b.add_rotation("RZ", q, a)
-        b.add_rotation("RX", q, bb)
-        b.add_rotation("RZ", q, c)
+        b._one_qubit_slot("RZ", q, a)
+        b._one_qubit_slot("RX", q, bb)
+        b._one_qubit_slot("RZ", q, c)
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +440,13 @@ def compile_circuit(
     """
     n = circuit.num_qubits
     b = _PatternBuilder(n, variant)
-    emitted = 0
     for g in circuit.gates:
         if g.kind == "CZ":
             b.add_cz(*g.targets)
         else:
             angles = _UNIT_FILLING[g.kind](g.angle)
             _add_unit(b, g.targets[0], np.asarray(angles, dtype=float))
-        emitted += 1
-    if emitted == 0:
+    if not circuit.gates:
         for q in range(n):
             _add_unit(b, q, np.zeros(3))
     for _ in range(int(pad_layers)):

@@ -38,10 +38,10 @@ def parities(groups, which, outcomes, payload_bits=None) -> np.ndarray:
     """(m, ...) parities of (steps,) or (steps, B) bits, every column reading
     the m sets of ``groups[which]``, or, for a (B,) ``which``, column b those
     of ``groups[which[b]]``: each column then gathers its group's
-    ``parity_table`` rows, as ``walk_steps`` gathers its negate sets, from
-    the tables of the groups between the least and the greatest index.  Index
-    i + PAYLOAD_BIT reads ``payload_bits[i]``, laid out like ``outcomes`` (zero
-    when it is None).  int8 wraps mod 256, keeping parity."""
+    ``parity_table`` rows from the tables of the groups between the least
+    and the greatest index.  Index i + PAYLOAD_BIT reads ``payload_bits[i]``,
+    laid out like ``outcomes`` (zero when it is None).  int8 wraps mod 256,
+    keeping parity."""
     outcomes, width = np.asarray(outcomes, dtype=np.int8), len(outcomes)
     if getattr(which, "ndim", 0) == 0:  # a shared table: one matmul, cheaper than einsum for a sampled round
         m_out, m_pay = parity_table(tuple(groups[which]), width)
@@ -285,13 +285,12 @@ def walk_steps(steps, states, bits, plan):
     run = [steps[i] for i in used]
     payloads = param_kets("+", [s.ancilla.gamma for s in run], [s.ancilla.delta for s in run])
     values = np.array([s.basis_theta.value for s in run])
-    # each step's parity_table row of its negate set's outcome bits
-    negate = np.array([parity_table((s.basis_theta.negate,), len(bits))[0][0] for s in run], dtype=np.int8)
+    negates = [(s.basis_theta.negate,) for s in run]
     couplings: dict[tuple, int] = {}  # (labels, targets) -> its index
     coupling = np.array([couplings.setdefault((s.entangler_labels, s.targets), len(couplings)) for s in run])
     for entry in local:
         which = entry[origin]  # each row's step, as a position in run
-        theta = values[which] * (1 - 2 * (np.einsum("rs,sr->r", negate[which], bits) & 1))
+        theta = values[which] * (1 - 2 * parities(negates, which, bits)[0])
         coeffs = branch_coefficients(payloads[which], measurement_bras(theta))
         row_coupling = coupling[which]
         vecs = np.empty((len(which), 2) + states.shape[1:], dtype=complex)

@@ -21,7 +21,7 @@ from adqc.patterns import (
     standard_pattern,
     verify_pattern,
 )
-from adqc.register import PAYLOAD_BIT, AdaptiveAngle, AdqcStep, QubitCorrection, run_pattern
+from adqc.register import PAYLOAD_BIT, AdaptiveAngle, AdqcStep, GatePattern, QubitCorrection, run_pattern
 
 PI = math.pi
 
@@ -185,6 +185,14 @@ class TestSlotwiseVerification:
             ("J", 0.7, "single"), ("ASSIST", None, "single"), ("RX", 1.1, "two"), ("RZ", 2.0, "two"),
         ):
             assert verify_pattern(standard_pattern(kind, theta, variant)).mode == "flat", kind
+
+    def test_long_slotless_pattern_refused(self):
+        """A slotless pattern longer than MAX_FLAT_STEPS has no stages to walk
+        and is too long to enumerate whole."""
+        step = AdqcStep((0,), ("RX_CANON",), AncillaSpec(0.0, 0.0), AdaptiveAngle(0.0))
+        pat = GatePattern(1, (step,) * (patterns.MAX_FLAT_STEPS + 1), np.eye(2), (QubitCorrection(),))
+        with pytest.raises(ValueError, match="^pattern too long for flat enumeration and has no slots$"):
+            verify_pattern(pat)
 
     def test_verdicts_match_brute_force(self):
         """On multi-slot patterns of at most 13 steps and a seeded subset of
@@ -392,6 +400,23 @@ class TestCompile:
             assert rep.valid
             np.testing.assert_allclose(pat.target, c.unitary(), atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["single", "two"])
+    def test_a_wrong_compile_is_caught_downstream(self, monkeypatch, variant):
+        """The builder states ``circuit.unitary()`` as the target without
+        multiplying its slots; a compile that fills an H unit with Rx(pi/2)
+        still builds, and both the final product check of ``verify_pattern``
+        and the delegation fidelity refuse it."""
+        from adqc.protocol import ClientSecret, run_delegation
+
+        monkeypatch.setitem(patterns._UNIT_FILLING, "H", lambda ang: (0.0, PI / 2, 0.0))
+        c = CircuitDescription(1, (CircuitGate("H", (0,)),))
+        rep = verify_pattern(compile_circuit(c, variant))
+        assert not rep.valid
+        assert rep.detail.startswith("final corrections disagree with the target"), rep.detail
+        secret = ClientSecret(c, variant, 8, 3)
+        assert run_delegation(secret, seed=4, mode="sample").fidelity < 1 - 1e-9
+        assert run_delegation(secret, seed=4, mode="enumerate").worst_branch_fidelity < 1 - 1e-9
+
     def test_two_qubit_circuit_with_cz(self):
         c = CircuitDescription(2, (CircuitGate("H", (0,)), CircuitGate("CZ", (0, 1))))
         for variant in ("single", "two"):
@@ -500,6 +525,10 @@ class TestFrozenSlotData:
     def test_unknown_variant_refused(self):
         with pytest.raises(ValueError, match="unknown variant"):
             cz2_spec("three")
+        with pytest.raises(ValueError, match="^unknown variant 'three'$"):
+            compile_circuit(CircuitDescription(1, (CircuitGate("H", (0,)),)), "three")
+        with pytest.raises(ValueError, match="^unknown variant 'three'$"):
+            standard_pattern("J", 0.7, "three")
 
 
 def _canonical(pattern) -> list:

@@ -247,6 +247,8 @@ class TestServer:
         server = Server(pattern_shape(sec.pattern), 1, "0", 8, seed=0)
         with pytest.raises(ProtocolOrderError):
             server.handle(Message("ANGLE", 0, theta_grid=0))
+        with pytest.raises(ProtocolOrderError, match="^protocol already finished$"):
+            Server((), 1).handle(Message("ANGLE", 0, theta_grid=0))
 
     def test_outcome_message_rejected(self):
         sec = _secret([CircuitGate("Rx", (0,), PI / 4)])
@@ -365,6 +367,10 @@ class TestMalformedServerInput:
                     Message("ANCILLA", 0, payload=payload)
         with pytest.raises(ValueError, match="needs a payload"):
             Message("ANCILLA", 0, payload=None)
+
+    def test_unknown_message_kind_refused(self):
+        with pytest.raises(ValueError, match="^unknown message kind 'PING'$"):
+            Message("PING", 0)
 
     def test_from_dict_fuzz(self):
         """Seeded wire messages with at most one bad field: a valid one
@@ -560,6 +566,10 @@ class TestDelegation:
             text = res.transcript.to_jsonl(view="full")
             assert hashlib.sha256(text.encode()).hexdigest() == pinned, i
             assert res.fidelity >= 1 - 1e-9
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            run_delegation(_secret([CircuitGate("H", (0,))]), mode="bogus")
 
     def test_sampled_matches_reference_every_seed(self):
         circ = CircuitDescription(1, (CircuitGate("H", (0,)), CircuitGate("Rx", (0,), PI / 2)))

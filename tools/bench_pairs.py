@@ -19,7 +19,11 @@ back; then the number of pairs, in how many of them the change was
 better, and ``claim_rule_met``: true when the change was better in at least
 9 of the 10 pairs and its median is better than the parent's by more than
 the parent's interquartile range (q3 - q1), the rule a claimed gain must
-meet.  The file also
+meet; and the metric's ``bound`` from the ``end_to_end`` entry of
+``BENCHMARK.json`` with ``within_bound``: true when the change's median is
+no worse than the parent's by more than ``bound`` times the parent's median,
+the rule every metric must meet for the change to show no regression.  The
+file also
 records the seed, the run length, ``nproc`` and the Python and numpy versions
 the runs report, whether both sides gave the same output digest, and per
 workload and side the ops attempted and failed, summed over its runs, so the
@@ -85,6 +89,14 @@ def claim_rule(parent: list[float], change: list[float], better: str) -> tuple[i
     return wins, wins >= CLAIM_WINS and gain > q["q3"] - q["q1"]
 
 
+def within_bound(parent: list[float], change: list[float], better: str, bound: float) -> bool:
+    """Whether the change's median is no worse than the parent's by more
+    than ``bound`` times the parent's median."""
+    sign = 1 if better == "lower" else -1  # a positive difference is a regression
+    before = quartiles(parent)["median"]
+    return sign * (quartiles(change)["median"] - before) <= bound * abs(before)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit before the change")
@@ -95,7 +107,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     rows, envs, digests = [], set(), {}
     ops = {w: {side: {"attempted": 0, "failed": 0} for side in ("parent", "change")} for w in workloads}
@@ -117,8 +129,8 @@ def main(argv=None) -> int:
                         values[side][m].append(result["metrics"][m]["value"])
                     print(f"{workload} pair {i + 1}/{PAIRS} {side}: "
                           + " ".join(f"{m}={values[side][m][-1]:.4g}" for m in metrics), file=sys.stderr)
-            for m, better in metrics.items():
-                parent, change = values["parent"][m], values["change"][m]
+            for m, entry in metrics.items():
+                parent, change, better = values["parent"][m], values["change"][m], entry["better"]
                 wins, met = claim_rule(parent, change, better)
                 rows.append({
                     "workload": workload, "metric": m, "better": better, "pairs": PAIRS,
@@ -126,6 +138,8 @@ def main(argv=None) -> int:
                     "change": {**quartiles(change), "values": change},
                     "change_better_pairs": wins,
                     "claim_rule_met": met,
+                    "bound": entry["bound"],
+                    "within_bound": within_bound(parent, change, better, entry["bound"]),
                 })
 
     (nproc, python, numpy), *others = sorted(envs)
