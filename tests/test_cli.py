@@ -240,6 +240,9 @@ class TestMalformedCircuit:
             {"v": True, "qubits": 1, "gates": []},
             {"v": 1.0, "qubits": 1, "gates": []},
             [1, 2],
+            # a qubit count outside 1..MAX_QUBITS: the circuit is the only check of the range
+            {"v": 1, "qubits": 0, "gates": []},
+            {"v": 1, "qubits": 5, "gates": []},
         ],
     )
     def test_delegate_rejects_with_json_error(self, capsys, tmp_path, doc):
