@@ -6,17 +6,19 @@ is three steps (hidden-angle step, assistant step, rotation step) realizing
 ``Rx(theta')`` or ``Rz(theta')``.  A two-qubit slot couples the ancilla to both
 targets before measuring; local fixup slots shape it into an exact CZ.
 
-Byproduct Paulis are never applied mid-pattern: builders thread an
-outcome-parity frame through every slot, adapting later basis angles and
-accumulating the final per-qubit corrections.
+Byproduct Paulis are never applied mid-pattern: each slot records how it
+carries the Pauli frame of its qubits as a small binary map, and its angles
+read only its incoming frame bits and its own earlier outcomes (signal
+shifting, slot by slot).  The frame carried out of the last slot is the
+final per-qubit correction.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, reduce
-from operator import xor
+from itertools import groupby
 
 import numpy as np
 
@@ -36,16 +38,16 @@ from .linalg import (
 )
 from .register import (
     MAX_QUBITS,
-    PAYLOAD_BIT,
+    PRUNE_PROBABILITY,
     AdaptiveAngle,
     AdqcStep,
     GatePattern,
-    QubitCorrection,
     SlotSpec,
+    carry,
     frame_bits,
+    parity_table,
     run_pattern,
     step_branch_operators,
-    walk_steps,
 )
 
 VARIANTS = ("single", "two")
@@ -128,7 +130,7 @@ def _build_cz2(variant: str) -> Cz2Spec:
         for gen in ("XI", "ZI", "IX", "IZ")
     ]).T
     outcome_flip = byproduct[0, 1] ^ byproduct[0, 0]
-    frame_map = np.column_stack([conj, outcome_flip, payload_flip, byproduct[0, 0]])
+    frame_map = np.column_stack([conj, outcome_flip, payload_flip, byproduct[0, 0]]).astype(np.int8)
     return Cz2Spec(labels, target, frame_map, pre, post)
 
 
@@ -156,6 +158,30 @@ _ONE_QUBIT_SLOTS = {
 }
 
 
+@cache
+def _one_qubit_frames(kind: str) -> tuple[np.ndarray, frozenset[int], frozenset[int]]:
+    """The frame map and theta and gamma negate sets of a one-qubit slot
+    kind: the local bits X = {0} and Z = {1} carried through each step's
+    kernel, X^s Rx(.) H for J_CANON, X^s Rx(.) for RX_CANON and Z^s Rz(.)
+    for RZ_CANON, outcome t being local bit 2 + t."""
+    label, roles, _ = _ONE_QUBIT_SLOTS[kind]
+    x, z = frozenset({0}), frozenset({1})
+    theta_negate = gamma_negate = frozenset()
+    for t, role in enumerate(roles):
+        if label == "J_CANON":  # H swaps the frame's X and Z parts
+            x, z = z, x
+        if role == "theta":
+            # the Z part negates an X rotation, the X part a Z rotation; the
+            # payload's hidden angle is negated by every earlier outcome
+            theta_negate = x if label == "RZ_CANON" else z
+            gamma_negate = frozenset(range(2, 2 + t))
+        if label == "RZ_CANON":
+            z = z ^ {2 + t}
+        else:
+            x = x ^ {2 + t}
+    return parity_table((x, z), 3 + 2 * len(roles)), theta_negate, gamma_negate
+
+
 class _PatternBuilder:
     def __init__(self, num_qubits: int, variant: str):
         if variant not in VARIANTS:
@@ -164,96 +190,39 @@ class _PatternBuilder:
         self.variant = variant
         self.steps: list[AdqcStep] = []
         self.slots: list[SlotSpec] = []
-        self.frames = [QubitCorrection()] * num_qubits
-        self.boundary_corrections: list[tuple[QubitCorrection, ...]] = []
-
-    # -- helpers ------------------------------------------------------------
-
-    def _emit(self, step: AdqcStep) -> int:
-        self.steps.append(step)
-        return len(self.steps) - 1
+        self.const = [0] * (2 * num_qubits)  # the frame when every outcome and coin is 0
 
     def _close_slot(self, slot: SlotSpec):
-        """Record the slot and the frame at its boundary."""
         self.slots.append(slot)
-        self.boundary_corrections.append(tuple(self.frames))
+        carry(self.const, slot, [0] * (2 * len(slot.roles)))
 
     def _one_qubit_slot(self, kind: str, q: int, theta_prime: float | None):
-        """Emit a one-qubit slot, carrying the frame of ``q`` through each
-        step's kernel: X^s Rx(.) H for J_CANON, X^s Rx(.) for RX_CANON and
-        Z^s Rz(.) for RZ_CANON."""
         label, roles, _ = _ONE_QUBIT_SLOTS[kind]
-        on_z = label == "RZ_CANON"
-        fr = self.frames[q]
-        x_parity, x_const, z_parity, z_const = fr.x_parity, fr.x_const, fr.z_parity, fr.z_const
-        indices: dict[str, int] = {}
-        theta_fields = {}
+        frame_map, theta_negate, gamma_negate = _one_qubit_frames(kind)
+        indices = {}
         for role in roles:
-            if label == "J_CANON":  # H swaps the frame's X and Z parts
-                x_parity, x_const, z_parity, z_const = z_parity, z_const, x_parity, x_const
-            angle = _ZERO_ANGLE
-            if role == "theta":
-                # the Z part negates an X rotation, the X part a Z rotation; the
-                # payload's hidden angle is negated by every earlier outcome
-                negate, const = (x_parity, x_const) if on_z else (z_parity, z_const)
-                sign = -1.0 if const else 1.0
-                angle = AdaptiveAngle(sign * theta_prime, negate)
-                theta_fields = dict(
-                    theta_negate=negate, theta_sign=int(sign), gamma_negate=frozenset(indices.values())
-                )
-            i = indices[role] = self._emit(AdqcStep((q,), (label,), _BARE_ANCILLA, angle))
-            if on_z:
-                z_parity = z_parity ^ {i}
-            else:
-                x_parity = x_parity ^ {i}
-        self.frames[q] = QubitCorrection(x_parity, x_const, z_parity, z_const)
-        slot = SlotSpec(kind, (q,), theta_prime, indices, **theta_fields)
-        self._close_slot(slot)
-
-    # -- slots ----------------------------------------------------------------
+            angle = AdaptiveAngle(theta_prime, theta_negate) if role == "theta" else _ZERO_ANGLE
+            indices[role] = len(self.steps)
+            self.steps.append(AdqcStep((q,), (label,), _BARE_ANCILLA, angle))
+        fields = {}
+        if "theta" in roles:
+            sign = -1 if sum(self.const[2 * q + c] for c in theta_negate if c < 2) % 2 else 1
+            fields = dict(theta_negate=theta_negate, theta_sign=sign, gamma_negate=gamma_negate)
+        self._close_slot(SlotSpec(kind, (q,), theta_prime, indices, frame_map, **fields))
 
     def add_cz(self, q1: int, q2: int):
         spec = cz2_spec(self.variant)
         for q, kind, ang in spec.pre_fixups:
             self._one_qubit_slot(kind, (q1, q2)[q], ang)
-        i = self._emit(
-            AdqcStep((q1, q2), spec.labels, CZ_SLOT_ANCILLA, _ZERO_ANGLE)
-        )
-        # each outgoing frame bit xors incoming bits conjugated through the slot
-        # target, the outcome's byproduct and, through the step's payload bit,
-        # the fixed Pauli pair a flipped payload multiplies the step by
-        f1, f2 = self.frames[q1], self.frames[q2]
-        parts = (
-            (f1.x_parity, f1.x_const),
-            (f1.z_parity, f1.z_const),
-            (f2.x_parity, f2.x_const),
-            (f2.z_parity, f2.z_const),
-            (frozenset({i}), 0),
-            (frozenset({i + PAYLOAD_BIT}), 0),
-            (frozenset(), 1),
-        )
-        out = []
-        for row in spec.frame_map:
-            chosen = [part for part, on in zip(parts, row) if on]
-            out.append(reduce(xor, (p for p, _ in chosen), frozenset()))
-            out.append(reduce(xor, (c for _, c in chosen), 0))
-        self.frames[q1] = QubitCorrection(*out[:4])
-        self.frames[q2] = QubitCorrection(*out[4:])
-        self._close_slot(SlotSpec("CZ2", (q1, q2), None, {"couple": i}))
+        self.steps.append(AdqcStep((q1, q2), spec.labels, CZ_SLOT_ANCILLA, _ZERO_ANGLE))
+        self._close_slot(SlotSpec("CZ2", (q1, q2), None, {"couple": len(self.steps) - 1}, spec.frame_map))
         for q, kind, ang in spec.post_fixups:
             self._one_qubit_slot(kind, (q1, q2)[q], ang)
 
     def finalize(self, target: np.ndarray) -> GatePattern:
         """The built pattern, stating ``target`` as the unitary it realizes;
         ``verify_pattern`` checks that its steps do."""
-        return GatePattern(
-            num_qubits=self.n,
-            steps=tuple(self.steps),
-            target=target,
-            corrections=tuple(self.frames),
-            slots=tuple(self.slots),
-            slot_boundaries=tuple(self.boundary_corrections),
-        )
+        return GatePattern(self.n, tuple(self.steps), target, tuple(self.slots))
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +443,16 @@ def verify_pattern(pattern: GatePattern, tol: float = 1e-9) -> VerifyReport:
     realizes ``target`` up to a global phase, and the branches are complete.
 
     A pattern of more than one slot is checked slot by slot at the operator
-    level (``_verify_slotwise``): each slot's branch operators on its own
-    qubits, from one Choi input, under every history of earlier outcomes it
-    reads.  A failed report's ``detail`` names the slot, its outcome bits and
-    the earlier outcomes where it failed.  A pattern of at most one slot (a
-    slotless one of at most ``MAX_FLAT_STEPS`` steps) is checked whole, as one
-    stage: one ``run_pattern`` from the Choi input I/sqrt(d), each corrected
-    branch operator against target/sqrt(d), and probabilities summing to 1,
-    which with every branch proportional to the unitary target is
+    level (``_verify_slotwise``), each slot on its own qubits under every
+    incoming local frame.  That is sufficient, not necessary: a slot that
+    mishandles a frame no earlier slot can hand it is refused, though every
+    branch of the whole pattern may be right.  A failed report's ``detail``
+    names the slot, its outcome bits and the incoming frame where it
+    failed.  A pattern of at most one slot (a slotless one of at most
+    ``MAX_FLAT_STEPS`` steps) is checked whole, as one stage: one
+    ``run_pattern`` from the Choi input I/sqrt(d), each corrected branch
+    operator against target/sqrt(d), and probabilities summing to 1, which
+    with every branch proportional to the unitary target is
     sum_b K_b^dagger K_b = I.  Its ``detail`` names the worst branch's bits.
     """
     if len(pattern.slots) > 1:
@@ -500,140 +471,101 @@ def verify_pattern(pattern: GatePattern, tol: float = 1e-9) -> VerifyReport:
     return VerifyReport(worst <= tol, worst, probs, "flat", detail)
 
 
-def _pivot_bits(sets, inside) -> list[int]:
-    """Outcome bits outside ``inside`` whose settings, every other bit zero,
-    give the parities of ``sets`` every joint value the bits outside
-    ``inside`` can give them: one pivot per independent set, by GF(2)
-    elimination.  Payload bits are zero in verification and are skipped."""
-    basis: list[tuple[int, int]] = []
-    for s in sets:
-        m = sum(1 << i for i in s if i < PAYLOAD_BIT and i not in inside)
-        for p, v in basis:
-            if m >> p & 1:
-                m ^= v
-        if m:
-            basis.append((m.bit_length() - 1, m))
-    return [p for p, _ in basis]
+@cache
+def _leaf_bits(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (4^m 2^k, 2m + k) local bits of each (frame f, leaf l) of
+    an m-qubit k-step slot, bit c = f >> c & 1 and then step t's outcome
+    l >> (k - 1 - t) & 1, and the frames' Paulis P_in."""
+    rows, eye = np.arange(4**m << k)[:, None], np.broadcast_to(np.eye(2**m, dtype=complex), (4**m, 2**m, 2**m))
+    bits = np.concatenate((rows >> k >> np.arange(2 * m), rows >> np.arange(k - 1, -1, -1)), 1).astype(np.int8) & 1
+    frames = bits[::1 << k, :2 * m].T
+    paulis = apply_pauli_frame(eye, frames[0::2], frames[1::2])
+    bits.flags.writeable = paulis.flags.writeable = False
+    return bits, paulis
 
 
-@dataclass(frozen=True)
-class _Stage:
-    """One stage of the slot-wise check: a slot, or the final corrections as
-    an empty slot, restricted to its local qubits."""
-
-    label: str  # "slot {k} branches" or "final corrections"
-    steps: tuple[int, ...]
-    qubits: tuple[int, ...]  # local qubits, ascending
-    frame_in: tuple[QubitCorrection, ...]  # frames of the local qubits
-    frame_out: tuple[QubitCorrection, ...]
-    pivots: tuple[int, ...]
-
-
-def _stages(pattern: GatePattern) -> tuple[list[_Stage], list[AdqcStep]]:
-    """The pattern's stages, and its steps with targets renumbered onto their
-    stage's local qubits.  A stage's local qubits are the ones its steps
-    target plus any whose frame changes across it; a frame on any other qubit
-    appears on both sides and cancels exactly, since a Pauli squares to I."""
-    n = pattern.num_qubits
-    frames_in = ((QubitCorrection(),) * n,) + pattern.slot_boundaries
-    frames_out = pattern.slot_boundaries + (pattern.corrections,)
-    step_lists = [slot.step_indices for slot in pattern.slots] + [()]
-    stages, local_steps = [], list(pattern.steps)
-    for index, (steps, f_in, f_out) in enumerate(zip(step_lists, frames_in, frames_out)):
-        touched = {t for i in steps for t in pattern.steps[i].targets}
-        qubits = tuple(sorted(touched | {q for q in range(n) if f_in[q] != f_out[q]}))
-        if not qubits:
-            continue  # nothing acts and no frame changes
-        for i in steps:
-            targets = tuple(qubits.index(t) for t in pattern.steps[i].targets)
-            if targets != pattern.steps[i].targets:
-                local_steps[i] = replace(pattern.steps[i], targets=targets)
-        frame_in, frame_out = tuple(f_in[q] for q in qubits), tuple(f_out[q] for q in qubits)
-        sets = [s for c in frame_in + frame_out for s in (c.x_parity, c.z_parity)]
-        sets += [pattern.steps[i].basis_theta.negate for i in steps]
-        pivots = tuple(_pivot_bits(sets, set(steps)))
-        label = f"slot {index} branches" if index < len(pattern.slots) else "final corrections"
-        stages.append(_Stage(label, steps, qubits, frame_in, frame_out, pivots))
-    return stages, local_steps
-
-
-def _run_stages(stages: list[_Stage], local_steps: list[AdqcStep]):
-    """Run stages of one local size and step count in one batch, each history
-    of each stage started from the normalized identity on its local qubits
-    under its incoming frame.  Yields, per stage, its corrected branch
-    operators P_out K_b P_in (each of unit Frobenius norm) as a
-    (branches, 2^m, 2^m) array, their (steps, branches) outcome bits, each
-    branch's distance from the stage's first branch and the distance
-    ||sum_b K_b^dagger K_b - I|| of each history."""
-    m = len(stages[0].qubits)
-    dim = 2**m
-    offsets = np.cumsum([0] + [2 ** len(st.pivots) for st in stages])
-    bits = np.zeros((len(local_steps), offsets[-1]), dtype=np.int8)
-    plan = np.empty((len(stages[0].steps), offsets[-1]), dtype=int)
-    for st, lo, hi in zip(stages, offsets, offsets[1:]):
-        bits[list(st.pivots), lo:hi] = np.arange(hi - lo) >> np.arange(len(st.pivots))[:, None] & 1
-        plan[:, lo:hi] = np.array(st.steps, dtype=int)[:, None]
-    stage_of = np.repeat(np.arange(len(stages)), np.diff(offsets))  # each start row's stage
-    x, z = frame_bits([st.frame_in for st in stages], stage_of, bits)
-    choi = np.broadcast_to(np.eye(dim, dtype=complex) / math.sqrt(dim), (offsets[-1], dim, dim))
-    states, probs, bits, origin = walk_steps(local_steps, apply_pauli_frame(choi, x, z), bits, plan)
-    bounds = np.searchsorted(origin, offsets)  # branches stay in start-row order
-    ops = apply_pauli_frame(states, *frame_bits([st.frame_out for st in stages], stage_of[origin], bits))
-    flat = ops.reshape(len(ops), -1)
-    errs = phase_invariant_error(flat, flat[np.repeat(bounds[:-1], np.diff(bounds))])
-    gram = np.zeros((offsets[-1], dim, dim), dtype=complex)  # sum_b K_b^dagger K_b per history
-    np.add.at(gram, origin, np.einsum("bji,bjk->bik", states.conj(), states) * (dim * probs)[:, None, None])
-    incomplete = np.linalg.norm(gram - np.eye(dim), axis=(1, 2))
-    for i, st in enumerate(stages):
-        lo, hi = bounds[i], bounds[i + 1]
-        yield ops[lo:hi], bits[:, lo:hi], errs[lo:hi], incomplete[offsets[i]:offsets[i + 1]]
+def _check_slots(pattern: GatePattern, members: list[int], m: int, couplings: tuple):
+    """Every leaf of the slots ``members``, which share m local qubits and
+    their steps' ``couplings`` (local targets, labels, ancilla), under each
+    of the 4^m incoming frames (``_leaf_bits``).  A step has four Kraus
+    operators per slot (sign times outcome); each (frame, leaf) takes its
+    factor by a gather and one product, and is dropped where a conditional
+    probability falls below PRUNE_PROBABILITY.  Returns, per slot, its first
+    kept corrected leaf P_out K P_in of unit norm, ||sum K^dagger K - I||
+    per frame, and each leaf's distance from that first one (0 if pruned)."""
+    slots = [pattern.slots[j] for j in members]
+    count, d, k = len(slots), 2**m, len(couplings)
+    bits, paulis = _leaf_bits(m, k)
+    angles = [[pattern.steps[i].basis_theta for i in slot.step_indices] for slot in slots]
+    values = np.array([[a.value for a in row] for row in angles]).reshape(count, k)
+    kraus = np.empty((k, count, 2, 2, d, d), dtype=complex)  # (step, slot, sign, outcome)
+    for coupling in set(couplings):
+        at = [t for t, c in enumerate(couplings) if c == coupling]
+        thetas = np.stack([values[:, at].T, -values[:, at].T], -1)
+        kraus[at] = step_branch_operators(AdqcStep(*coupling, _ZERO_ANGLE), thetas, m)
+    ops = np.broadcast_to(paulis[None, :, None], (count, len(paulis), 1 << k, d, d)).reshape(count, -1, d, d)
+    weight, kept = float(d), True
+    for t, row in enumerate(zip(*angles)):
+        sign = parity_table(tuple(a.negate for a in row), 2 * m + k) @ bits.T & 1
+        ops = np.einsum("snij,snjk->snik", kraus[t][np.arange(count)[:, None], sign, bits[:, 2 * m + t]], ops)
+        flat = ops.reshape(count, len(bits), -1).view(float)
+        norms = np.einsum("snj,snj->sn", flat, flat)
+        kept = kept & (norms >= PRUNE_PROBABILITY * weight)
+        weight = norms
+    local, maps = bits.T[:, None], np.stack([slot.frame_map for slot in slots])[:, None]
+    out = frame_bits(maps, local[:2 * m], local[2 * m:], 0 * local[2 * m:])
+    corrected = apply_pauli_frame(ops.reshape(-1, d, d), out[0::2].reshape(m, -1), out[1::2].reshape(m, -1))
+    corrected = corrected.reshape(count, len(bits), d * d) / np.sqrt(np.where(kept, weight, 1.0))[..., None]
+    both = (ops * kept[..., None, None]).reshape(count, len(paulis), -1, d, d)
+    gram = np.einsum("sflji,sfljk->sfik", both.conj(), both)
+    incomplete = np.linalg.norm(gram - np.eye(d), axis=(2, 3))
+    first = np.argmax(kept, axis=1)
+    firsts = corrected[np.arange(count), first]
+    errs = phase_invariant_error(corrected, firsts[:, None]) * kept
+    return firsts.reshape(count, d, d), incomplete, errs.reshape(count, len(paulis), -1)
 
 
 def _verify_slotwise(pattern: GatePattern, tol: float) -> VerifyReport:
     """Check every slot at the operator level on its own qubits.
 
-    Each stage (a slot, then the final corrections as an empty slot) starts
-    from one Choi input, the normalized identity on its local qubits, for
-    every history of earlier outcomes on the pivot bits of its local frames
-    and angle terms.  Stages do not depend on one another, so all stages of
-    one local size and step count run in one batch.  Three checks must hold:
-    every corrected branch operator P_out K_b P_in is proportional to its
-    stage's first branch; sum_b K_b^dagger K_b = I for every history; and the
-    ordered product of the stages' first branches is proportional to
-    ``target``.
-
-    Batches run in order of their first stage, and after each batch the
-    stages are checked in order as far as results reach, so the check stops
-    at the first failing stage without running the batches after it.
+    Each slot starts from the identity on its m local qubits under each of
+    its 4^m incoming frames P_in, which covers every history an earlier slot
+    can lead to and more (so a valid pattern may be refused), and its frame
+    map gives each leaf's outgoing frame
+    P_out.  Slots of one shape (local size and step couplings) run in one
+    batch (``_check_slots``).  Three checks must hold: every corrected leaf
+    P_out K P_in of a slot is proportional to its first kept leaf; sum_b
+    K_b^dagger K_b = I under every incoming frame; and the ordered product
+    of the slots' first leaves is proportional to ``target``.  The report
+    names the first slot that fails.
     """
-    stages, local_steps = _stages(pattern)
-    groups: dict[tuple[int, int], list[int]] = {}  # in order of each batch's first stage
-    for i, st in enumerate(stages):
-        groups.setdefault((len(st.qubits), len(st.steps)), []).append(i)
-    results = {}
-    worst = 0.0
-    product = np.eye(2**pattern.num_qubits, dtype=complex)
-    i = 0  # the first stage not yet checked
-    for members in groups.values():
-        results.update(zip(members, _run_stages([stages[k] for k in members], local_steps)))
-        while i in results:
-            st = stages[i]
-            ops, bits, errs, incomplete = results.pop(i)
-            h = int(np.argmax(incomplete))
-            if incomplete[h] > 1e-9:
-                history = {p: h >> j & 1 for j, p in enumerate(st.pivots)}
-                detail = (f"{st.label} are incomplete: sum of K^dagger K is {incomplete[h]:.3e} from I"
-                          f" after earlier outcomes {history}")
-                return VerifyReport(False, 1.0, (), "slotwise", detail)
-            b = int(np.argmax(errs))
-            worst = max(worst, float(errs[b]))
-            if errs[b] > tol:
-                history = {p: int(bits[p, b]) for p in st.pivots}
-                detail = (f"{st.label} disagree after correction: outcomes {bits[list(st.steps), b].tolist()}"
-                          f" after earlier outcomes {history}, error {errs[b]:.3e}")
-                return VerifyReport(False, float(errs[b]), (), "slotwise", detail)
-            product = apply_op(ops[0], product, st.qubits)
-            i += 1
+    batches: dict[tuple, list[int]] = {}
+    for j, slot in enumerate(pattern.slots):
+        steps = [pattern.steps[i] for i in slot.step_indices]
+        couplings = tuple((tuple(map(slot.qubits.index, s.targets)), s.entangler_labels, s.ancilla) for s in steps)
+        batches.setdefault((len(slot.qubits), couplings), []).append(j)
+    checked = {}
+    for (m, couplings), members in batches.items():
+        checked.update(zip(members, zip(*_check_slots(pattern, members, m, couplings))))
+    firsts, incomplete, errs = zip(*(checked[j] for j in range(len(pattern.slots))))
+    worst_err = np.array([e.max() for e in errs])
+    bad = np.flatnonzero((np.array([i.max() for i in incomplete]) > 1e-9) | (worst_err > tol))
+    if bad.size:
+        j, slot = int(bad[0]), pattern.slots[bad[0]]
+        lost = incomplete[j].max() > 1e-9
+        f, leaf = (np.argmax(incomplete[j]), 0) if lost else np.unravel_index(np.argmax(errs[j]), errs[j].shape)
+        frame = {f"{'xz'[c % 2]}{q}": int(f) >> c & 1 for c, q in enumerate(np.repeat(slot.qubits, 2).tolist())}
+        if lost:
+            return VerifyReport(False, 1.0, (), "slotwise", f"slot {j} branches are incomplete: sum of K^dagger K"
+                                f" is {incomplete[j][f]:.3e} from I under incoming frame {frame}")
+        k, err = len(slot.roles), float(worst_err[j])
+        outcomes = [int(leaf) >> (k - 1 - t) & 1 for t in range(k)]
+        return VerifyReport(False, err, (), "slotwise", f"slot {j} branches disagree after correction: outcomes"
+                            f" {outcomes} under incoming frame {frame}, error {err:.3e}")
+    worst = float(worst_err.max(initial=0.0))
+    product = np.eye(2**pattern.num_qubits, dtype=complex)  # consecutive slots on the same qubits multiply locally
+    for qubits, run in groupby(zip(pattern.slots, firsts), key=lambda pair: pair[0].qubits):
+        product = apply_op(reduce(lambda acc, pair: pair[1] @ acc, run, np.eye(2 ** len(qubits))), product, qubits)
     unit = [m.reshape(-1) / np.linalg.norm(m) for m in (product, pattern.target)]
     err = float(phase_invariant_error(*unit))
     worst = max(worst, err)

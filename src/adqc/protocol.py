@@ -12,6 +12,7 @@ the client's coin) or a grid angle whose distribution is exactly uniform.
 from __future__ import annotations
 
 import cmath
+import copy
 import json
 import math
 from collections.abc import Sequence
@@ -24,7 +25,7 @@ from .core import param_kets, preset
 from .linalg import I2, H, TWO_PI, PureState, apply_pauli_frame
 from .patterns import CZ_SLOT_ANCILLA, CircuitDescription, CircuitGate, _is_int, compile_circuit
 from .register import PRUNE_PROBABILITY, GatePattern, _apply_branches, _apply_rows, branch_coefficients
-from .register import branch_step, coupling_blocks, frame_bits, init_register, measurement_bras, parities
+from .register import branch_step, carry, coupling_blocks, frame_bits, init_register, measurement_bras, parities
 
 DEFAULT_GRID = 8
 # largest grid size: its spacing 2 pi / 2^16 (about 1e-4) stays five orders of
@@ -35,8 +36,9 @@ MAX_GRID = 1 << 16
 # grids kept by each of grid_bras and gamma_kets: 64 * N bytes per table, so
 # 128 * N bytes per grid, 8 MiB at MAX_GRID and at most 32 MiB in all
 GRID_CACHE_SIZE = 4
-# bound on leaf rows times pattern steps in one run of an enumerated delegation
-ENUMERATED_ENTRIES = 1 << 20
+# slots in one run of an enumerated delegation: a slot has at most 16 leaves
+# and 4 steps, so a run's (steps, rows) client arrays hold at most 2^20 entries
+SLOTS_PER_RUN = 128
 STANDARD_PAYLOAD = (1 + 0j, 0j)  # |0>, the ancilla an ANGLE round couples
 ROLES = ("gamma", "theta", "assist", "couple")  # a slot's round roles, in the seed's draw order
 # register input of the audited hidden-rotation round: cos(pi/3)|+> + sin(pi/3) e^(i pi/5)|->
@@ -110,6 +112,14 @@ class Message:
                 raise ValueError(f"OUTCOME message bit must be 0 or 1, got {self.bit!r}")
         else:
             raise ValueError(f"unknown message kind {self.kind!r}")
+
+    @classmethod
+    def _build(cls, kind: str, slot: int, payload=None, theta_grid=None, bit=None) -> "Message":
+        """A message the dialogues build from the client's read-only tables
+        and the server's outcomes, which need none of the checks above."""
+        msg = cls.__new__(cls)
+        msg.__dict__.update(kind=kind, slot=slot, payload=payload, theta_grid=theta_grid, bit=bit)
+        return msg
 
     def to_dict(self) -> dict:
         d: dict = {"kind": self.kind, "slot": self.slot}
@@ -240,35 +250,84 @@ class Client:
     produces their outgoing messages and digests their outcomes.
 
     The client keeps the secret's hidden indices and coins next to its
-    (steps, B) int8 effective outcomes, each laid out like the outcome bits
-    of ``register.walk_steps``.  A coin is also a two-target step's payload
-    flip, which the parity sets read at ``PAYLOAD_BIT`` and above.  Each
-    method answers one slot's round on every column, or, given slot indices
-    and the columns ``rows`` to read, broadcasting together, each row's own
-    slot."""
+    (steps, B) int8 effective outcomes, laid out like the outcome bits of
+    ``register.run_pattern``, and each column's running frame: (2n, B) bits,
+    X and Z of qubit q in rows 2q and 2q + 1, at the input of the slot the
+    column is in.  ``advance`` carries it across a slot by the slot's frame
+    map, which reads a coin as a two-target step's payload flip; an angle
+    reads it and the slot's own outcomes only.  Each method answers one
+    slot's round on every column, or, given slot indices and the columns
+    ``rows`` to read, broadcasting together, each row's own slot.  A
+    ``window`` client holds the arrays of a run of slots only."""
 
     def __init__(self, secret: ClientSecret):
         self.secret = secret
         self.gamma_index, self.coins = secret.gamma_index, secret.coins
         self.eff_outcomes = np.zeros(secret.coins.shape, dtype=np.int8)
+        self.frame = np.zeros((2 * secret.pattern.num_qubits, secret.coins.shape[1]), dtype=np.int8)
         self.transcript = ProtocolTranscript()
+        self.first = self.lo = 0  # the first slot and the first step the arrays hold
 
     def take(self, rows) -> None:
         """Keep the given columns of every per-row array (a column may repeat)."""
         self.gamma_index = self.gamma_index[:, rows]
         self.coins = self.coins[:, rows]
         self.eff_outcomes = self.eff_outcomes[:, rows]
+        self.frame = self.frame[:, rows]
+
+    def window(self, first: int, last: int) -> "Client":
+        """A client of slots first..last-1 and their steps, sharing this
+        client's tables and transcript, with a copy of its frame."""
+        slots, _, _ = self.secret.pattern.slots, self._slot_tables, self._slot_kinds  # built once, shared
+        run, lo, hi = copy.copy(self), slots[first].step_indices[0], slots[last - 1].step_indices[-1] + 1
+        run.first, run.lo, run.frame = first, lo, self.frame.copy()
+        run.gamma_index = self.gamma_index[first - self.first:last - self.first]
+        steps = slice(lo - self.lo, hi - self.lo)
+        run.coins, run.eff_outcomes = self.coins[steps], self.eff_outcomes[steps]
+        return run
 
     @cached_property
     def _slot_tables(self) -> dict:
         """Per slot: each role's step (one past the last step where it has
-        none, so that reading it raises IndexError), the signed secret index
-        of its angle round and that round's two parity sets."""
-        slots, theta_index, none = self.secret.pattern.slots, self.secret.theta_index, len(self.coins)
+        none, so that reading it raises IndexError) and its angle's secret
+        index."""
+        slots, none = self.secret.pattern.slots, len(self.secret.coins)
         tables: dict = {role: np.array([s.roles.get(role, none) for s in slots], dtype=int) for role in ROLES}
-        tables["k_theta"] = np.array([s.theta_sign * k for s, k in zip(slots, theta_index)], dtype=np.int64)
-        tables["angle_sets"] = [(s.theta_negate, s.gamma_negate) for s in slots]
+        tables["k_theta"] = np.array(self.secret.theta_index, dtype=np.int64)
         return tables
+
+    @cached_property
+    def _slot_kinds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per slot, for rows from several slots: its kind (slots of one
+        kind share a frame map and angle sets), and its frame rows and
+        steps, each padded with zeros to the widest slot's."""
+        slots, kinds = self.secret.pattern.slots, {}
+        kind = np.array([kinds.setdefault((id(s.frame_map), s.theta_negate, s.gamma_negate), len(kinds))
+                         for s in slots], dtype=int)
+        padded = []
+        for lists in ([s.frame_rows for s in slots], [s.step_indices for s in slots]):
+            width = max(map(len, lists), default=0)
+            padded.append(np.array([[*x] + [0] * (width - len(x)) for x in lists], dtype=int).reshape(-1, width))
+        return kind, *padded
+
+    def _local(self, slot_idx, rows=slice(None)):
+        """The rows of each slot kind among the given ones: yields their
+        positions, a slot of the kind, and the index of their (2m, R)
+        incoming frame bits and of their (k, R) outcomes or coins."""
+        slots = self.secret.pattern.slots
+        if np.ndim(slot_idx) == 0:  # one slot, whose steps are consecutive
+            slot = slots[slot_idx]
+            frame_rows = slot.frame_rows if isinstance(rows, slice) else np.array(slot.frame_rows)[:, None]
+            steps = slice(slot.step_indices[0] - self.lo, slot.step_indices[-1] + 1 - self.lo)
+            yield slice(None), slot, (frame_rows, rows), (steps, rows)
+            return
+        (kind, frame_rows, steps), cols = self._slot_kinds, np.arange(self.frame.shape[1])[rows]
+        kinds = kind[slot_idx]
+        # the kinds present, by bincount: np.unique would import numpy.ma (about 0.5 MB)
+        for sel in (np.flatnonzero(kinds == k) for k in np.flatnonzero(np.bincount(kinds))):
+            j, slot = slot_idx[sel], slots[slot_idx[sel[0]]]
+            at = cols[sel]
+            yield sel, slot, (frame_rows[j, :2 * len(slot.qubits)].T, at), (steps[j, :len(slot.roles)].T - self.lo, at)
 
     # -- message producers ----------------------------------------------------
 
@@ -277,28 +336,30 @@ class Client:
         ``gamma_kets`` or of the assistant or coupling kets per coin."""
         if role == "theta":
             raise ValueError(f"no ancilla round for role {role!r}")
-        coins = self.coins[self._slot_tables[role][slot_idx], rows]
+        coins = self.coins[self._slot_tables[role][slot_idx] - self.lo, rows]
         if role == "gamma":
-            return gamma_kets(self.secret.grid_n)[self.gamma_index[slot_idx, rows], coins]
+            return gamma_kets(self.secret.grid_n)[self.gamma_index[slot_idx - self.first, rows], coins]
         return (_COUPLE_KETS if role == "couple" else _ASSIST_KETS)[coins]
 
     def angle_message(self, slot_idx, rows=slice(None)) -> np.ndarray:
         """(B,) grid indices of the basis angle, folding the secret and its
         hiding in exact integer arithmetic: with pi = N/2 grid steps,
-        k = s1*sign*k_theta' - s2*(k_gamma + c_gamma*N/2) + c_theta*N/2
-        (mod N), where s1 and s2 are the signs of the slot's two outcome
-        parities and c_gamma and c_theta the coins of its gamma and theta
-        rounds."""
-        sec = self.secret
-        half = sec.grid_n // 2
-        steps = [self._slot_tables["gamma"][slot_idx], self._slot_tables["theta"][slot_idx]]
+        k = s1*k_theta' - s2*(k_gamma + c_gamma*N/2) + c_theta*N/2
+        (mod N), where s1 and s2 are the signs of the parities of the slot's
+        two angle sets over its local bits (its incoming frame and its
+        earlier outcomes) and c_gamma and c_theta the coins of its gamma and
+        theta rounds."""
+        tables, half = self._slot_tables, self.secret.grid_n // 2
+        steps = [tables["gamma"][slot_idx] - self.lo, tables["theta"][slot_idx] - self.lo]
         c_gamma, c_theta = self.coins[steps, rows].astype(np.int64)
-        gamma = self.gamma_index[slot_idx, rows] + c_gamma * half
-        k_theta = self._slot_tables["k_theta"][slot_idx]
-        theta_odd, gamma_odd = parities(self._slot_tables["angle_sets"], slot_idx, self.eff_outcomes[:, rows],
-                                        self.coins[:, rows])
+        theta_odd, gamma_odd = odd = np.empty((2, len(c_gamma)), dtype=np.int8)
+        for sel, slot, frame, steps in self._local(slot_idx, rows):
+            local = np.concatenate((self.frame[frame], self.eff_outcomes[steps]))
+            odd[:, sel] = parities((slot.theta_negate, slot.gamma_negate), local)
+        gamma = self.gamma_index[slot_idx - self.first, rows] + c_gamma * half
+        k_theta = tables["k_theta"][slot_idx]
         k = np.where(theta_odd, -k_theta, k_theta) + np.where(gamma_odd, gamma, -gamma) + c_theta * half
-        return k % sec.grid_n
+        return k % self.secret.grid_n
 
     # -- outcome digestion ------------------------------------------------------
 
@@ -306,8 +367,14 @@ class Client:
         """Digest the (B,) outcome bits of a round: undo the coin of an
         assistant or theta round, whose half-turn flips the outcome (the
         angle folds the gamma coin, and the frame the payload flip)."""
-        step, flip = self._slot_tables[role][slot_idx], role in ("assist", "theta")
+        step, flip = self._slot_tables[role][slot_idx] - self.lo, role in ("assist", "theta")
         self.eff_outcomes[step, rows] = outcomes ^ self.coins[step, rows] if flip else outcomes
+
+    def advance(self, slot_idx, rows=slice(None)) -> None:
+        """Carry each column's running frame across its slot by the slot's map."""
+        for _, slot, frame, steps in self._local(slot_idx, rows):
+            bits = self.frame[frame], self.eff_outcomes[steps], self.coins[steps]
+            self.frame[frame] = frame_bits(slot.frame_map, *bits)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +450,7 @@ def server_step(
     coeffs = _message_coefficients(msg, shape, grid_n)
     blocks = coupling_blocks(shape.entangler_labels)
     vecs, _, out, p = branch_step(state[None], shape.targets, blocks, coeffs, outcome, rng)
-    return vecs[0], Message("OUTCOME", msg.slot, bit=int(out[0])), float(p[0])
+    return vecs[0], Message._build("OUTCOME", msg.slot, bit=int(out[0])), float(p[0])
 
 
 class Server:
@@ -449,16 +516,11 @@ def run_delegation(
         raw, worst = _enumerated_dialogue(client, start, shape)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    final = PureState(n, _corrected(raw[None], pattern.corrections, client)[0])
+    final = PureState(n, apply_pauli_frame(raw[None], client.frame[0::2], client.frame[1::2])[0])
     fid = final.fidelity(reference)
     return DelegationResult(
         final, reference, fid, client.transcript, None if worst is None else min(worst, fid)
     )
-
-
-def _corrected(states: np.ndarray, corrections, client: Client) -> np.ndarray:
-    """Apply to each row the byproduct frame of the client's row."""
-    return apply_pauli_frame(states, *frame_bits((corrections,), 0, client.eff_outcomes, client.coins))
 
 
 def _round_message(client: Client, slot_idx: int, kind: str, value) -> Message:
@@ -466,17 +528,19 @@ def _round_message(client: Client, slot_idx: int, kind: str, value) -> Message:
     ANGLE round also logs row 0's hidden index and the coins of its slot's
     gamma and theta rounds, as ``r_payload`` and ``r_angle``."""
     if kind == "ANCILLA":
-        return Message(kind, slot_idx, payload=tuple(value))
+        return Message._build(kind, slot_idx, payload=tuple(value))
     slot = client.secret.pattern.slots[slot_idx]
     client.transcript.client_log.append({
         "slot": slot_idx, "kind": slot.kind, "theta_prime": slot.theta_prime, "theta_sign": slot.theta_sign,
         "gamma_index": client.gamma_index.item(slot_idx, 0), "r_payload": client.coins.item(slot.roles["gamma"], 0),
         "r_angle": client.coins.item(slot.roles["theta"], 0),
     })
-    return Message(kind, slot_idx, theta_grid=int(value))
+    return Message._build(kind, slot_idx, theta_grid=int(value))
 
 
 def _dialogue(client: Client, server: Server, shape):
+    # one column: its running frame, a view, advances by ``register.carry`` in plain Python
+    frame, coins = client.frame[:, 0], client.coins[:, 0].tolist()
     for slot_idx, slot in enumerate(client.secret.pattern.slots):
         for role, step in slot.roles.items():
             kind = shape[step].expects
@@ -485,28 +549,29 @@ def _dialogue(client: Client, server: Server, shape):
             out = server.handle(msg)
             client.transcript.messages += [msg, out]
             client.record(slot_idx, role, out.bit)
+        lo, hi = slot.step_indices[0], slot.step_indices[-1] + 1
+        carry(frame, slot, client.eff_outcomes[lo:hi, 0].tolist() + coins[lo:hi])
 
 
 def _enumerated_dialogue(client: Client, state: np.ndarray, shape):
     """Expand every outcome combination (leaf) of each slot and carry the
     first, all-zero one into the transcript, ``_enumerate_run`` by run of
-    slots: a run's (steps, leaves) client arrays, at most 16 leaves a slot,
-    stay within ENUMERATED_ENTRIES entries however long the circuit.  Returns
-    the carried raw state and the worst fidelity between a leaf and its
-    slot's first leaf after the slot-boundary frame."""
+    SLOTS_PER_RUN slots, so that each run costs the same however long the
+    circuit.  Returns the carried raw state and the worst fidelity between a
+    leaf and its slot's first leaf after each leaf's outgoing frame."""
     slots, worst = len(client.secret.pattern.slots), 1.0
-    per_run = max(1, ENUMERATED_ENTRIES // (16 * len(shape) + 1))
-    for first in range(0, slots, per_run):
-        state, run_worst = _enumerate_run(client, state, shape, first, min(first + per_run, slots))
+    for first in range(0, slots, SLOTS_PER_RUN):
+        state, run_worst = _enumerate_run(client, state, shape, first, min(first + SLOTS_PER_RUN, slots))
         worst = min(worst, run_worst)
     return state, worst
 
 
 def _enumerate_run(client: Client, state: np.ndarray, shape, first: int, last: int):
     """Enumerate slots first..last-1 from the carried branch's one-column
-    client (README, ``adqc.protocol``): one client pass over every round,
-    slot j's leaf in row offsets[j - first] + leaf; each leaf's operator on
-    the slot's local qubits; one carry per slot; whole-run checks."""
+    client (README, ``adqc.protocol``): one pass of the run's ``window``
+    client over every round, slot j's leaf in row offsets[j - first] + leaf;
+    the running frame along the all-zero branch, and each leaf's outgoing
+    one; each leaf's operator on its slot's qubits; one carry per slot."""
     pattern, grid_n = client.secret.pattern, client.secret.grid_n
     slots = pattern.slots[first:last]
     rounds = np.array([len(slot.roles) for slot in slots])
@@ -522,22 +587,32 @@ def _enumerate_run(client: Client, state: np.ndarray, shape, first: int, last: i
     raw = np.where(step_slot[:, None] == row_slot, leaf >> shift[:, None] & 1, 0)
 
     # the client pass; an ancilla ket reads no outcome, so its slot's first row gives it
-    client.take(np.zeros(len(rows), dtype=int))
+    run = client.window(first, last)
+    run.take(np.zeros(len(rows), dtype=int))
     kets = np.empty((len(step_slot), 2), dtype=complex)
     for role in ROLES:
         steps = np.array([slot.roles[role] - lo for slot in slots if role in slot.roles], dtype=int)
         if steps.size:
-            client.record(first + step_slot[steps][:, None], role, raw[steps], rows)
+            run.record(first + step_slot[steps][:, None], role, raw[steps], rows)
             if role != "theta":
-                kets[steps] = client.prepare_ancilla(first + step_slot[steps], role, offsets[step_slot[steps]])
+                kets[steps] = run.prepare_ancilla(first + step_slot[steps], role, offsets[step_slot[steps]])
+    # the running frame along the carried branch, each slot's first row
+    frame, incoming = client.frame[:, 0].tolist(), []
+    carried = run.eff_outcomes[np.arange(len(step_slot)), offsets[step_slot]].tolist()
+    coins = run.coins[:, 0].tolist()
+    for slot in slots:
+        incoming.append(list(frame))
+        steps = [i - lo for i in slot.step_indices]
+        carry(frame, slot, [carried[i] for i in steps] + [coins[i] for i in steps])
+    run.frame = np.array(incoming, dtype=np.int8).T[:, row_slot]
     angles = np.zeros(len(rows), dtype=np.int64)
     angled = np.flatnonzero(np.array(["theta" in slot.roles for slot in slots])[row_slot])
     if angled.size:
-        angles[angled] = client.angle_message(first + row_slot[angled], angled)
+        angles[angled] = run.angle_message(first + row_slot[angled], angled)
     groups: dict[tuple, list[int]] = {}  # (round position, coupling, kind) -> its steps, counted from lo
     messages = []
     for j, slot in enumerate(slots):
-        outcome = Message("OUTCOME", first + j, bit=0)  # frozen, so the slot's rounds share it
+        outcome = Message._build("OUTCOME", first + j, bit=0)  # frozen, so the slot's rounds share it
         for pos, i in enumerate(slot.step_indices):
             kind = shape[i].expects
             messages.append(_round_message(client, first + j, kind, kets[i - lo] if kind == "ANCILLA"
@@ -580,10 +655,11 @@ def _enumerate_run(client: Client, state: np.ndarray, shape, first: int, last: i
     if p_first < PRUNE_PROBABILITY:
         raise RuntimeError(f"slot {first + j}: its carried branch has probability {p_first:.3e}, "
                            f"below {PRUNE_PROBABILITY}")
-    x, z = frame_bits(pattern.slot_boundaries[first:last], row_slot, client.eff_outcomes, client.coins)
-    corrected = apply_pauli_frame(leaves / np.sqrt(np.where(kept, probs, 1.0))[:, None], x, z)
+    run.advance(first + row_slot, rows)  # each leaf's outgoing frame
+    units = leaves / np.sqrt(np.where(kept, probs, 1.0))[:, None]
+    corrected = apply_pauli_frame(units, run.frame[0::2], run.frame[1::2])
     overlaps = np.einsum("bi,bi->b", corrected, corrected[offsets[row_slot]].conj())
-    client.take([0])
+    client.frame[:, 0] = frame
     return state, float(np.min(np.abs(overlaps[kept & (leaf > 0)]) ** 2, initial=1.0))
 
 
@@ -647,8 +723,8 @@ def audit_blindness(
         client.take(slice(None, None, 8))
         payload = client.prepare_ancilla(slot_idx, "gamma").reshape(grid_n, 2, 2)
         client = Client(secret)
-        # one earlier outcome sets the frame parity the angle reads
-        client.eff_outcomes[min(slot.theta_negate)] = frame
+        # the incoming frame bit the angle reads
+        client.frame[slot.frame_rows[min(slot.theta_negate)]] = frame
         client.record(slot_idx, "gamma", s)
         angles = client.angle_message(slot_idx)
         counts.append(np.bincount(frame * grid_n + angles, minlength=2 * grid_n).reshape(2, grid_n))

@@ -2,13 +2,16 @@
 
 A step couples one mobile ancilla to one or two register qubits with preset
 entanglers and measures the ancilla in an adaptively resolved basis.  Patterns
-are ordered step lists whose basis angles may depend on earlier outcomes and
-whose byproduct corrections are recorded per qubit as outcome-parity sets.
+are ordered step lists grouped into slots.  Byproduct Paulis are never
+applied mid-pattern: each slot's binary frame map carries the Pauli frame of
+its qubits across it, and each adaptive angle reads the slot's local bits,
+its incoming frame bits and its earlier outcomes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -17,54 +20,53 @@ from .linalg import PureState, apply_pauli_frame, dagger, embed
 
 PRUNE_PROBABILITY = 1e-12
 MAX_QUBITS = 4  # the largest register, pattern and circuit
-PAYLOAD_BIT = 1 << 20  # set index i + PAYLOAD_BIT refers to step i's payload flip
-# parity tables kept by parity_table: 2 * len(sets) * width bytes each, at most 20
-# per pattern step (2n <= 10 sets at n <= 5): 20 KiB per step of width, 2 MiB at 100
-PARITY_CACHE_SIZE = 1024
+PARITY_CACHE_SIZE = 1024  # incidence tables kept; each holds a few local bits of one slot shape
 
 
 @lru_cache(maxsize=PARITY_CACHE_SIZE)
-def parity_table(sets: tuple[frozenset[int], ...], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only int8 (len(sets), width) GF(2) incidence matrices: a 1 at (r, i)
-    for index i (outcome) or i + PAYLOAD_BIT (payload) of ``sets[r]``."""
-    tables = np.zeros((2, len(sets), width), dtype=np.int8)
+def parity_table(sets: tuple[frozenset[int], ...], width: int) -> np.ndarray:
+    """Read-only int8 (len(sets), width) GF(2) incidence matrix of ``sets``."""
+    table = np.zeros((len(sets), width), dtype=np.int8)
     for r, s in enumerate(sets):
-        tables[[i // PAYLOAD_BIT for i in s], r, [i % PAYLOAD_BIT for i in s]] = 1
-    tables.flags.writeable = False
-    return tables[0], tables[1]
+        table[r, list(s)] = 1
+    table.flags.writeable = False
+    return table
 
 
-def parities(groups, which, outcomes, payload_bits=None) -> np.ndarray:
-    """(m, ...) parities of (steps,) or (steps, B) bits, every column reading
-    the m sets of ``groups[which]``, or, for a (B,) ``which``, column b those
-    of ``groups[which[b]]``: each column then gathers its group's
-    ``parity_table`` rows from the tables of the groups between the least
-    and the greatest index.  Index i + PAYLOAD_BIT reads ``payload_bits[i]``,
-    laid out like ``outcomes`` (zero when it is None).  int8 wraps mod 256,
-    keeping parity."""
-    outcomes, width = np.asarray(outcomes, dtype=np.int8), len(outcomes)
-    if getattr(which, "ndim", 0) == 0:  # a shared table: one matmul, cheaper than einsum for a sampled round
-        m_out, m_pay = parity_table(tuple(groups[which]), width)
-        acc = m_out @ outcomes
-        return (acc if payload_bits is None else acc + m_pay @ payload_bits) & 1
-    lo = which.min()
-    m = len(groups[lo])
-    rows = (which - lo)[:, None] * m + np.arange(m)  # each column's rows of the stacked tables
-    m_out, m_pay = zip(*(parity_table(tuple(g), width) for g in groups[lo:which.max() + 1]))
-    acc = np.einsum("bmw,wb->mb", np.concatenate(m_out)[rows], outcomes)
-    if payload_bits is not None:
-        acc += np.einsum("bmw,wb->mb", np.concatenate(m_pay)[rows], payload_bits)
-    return acc & 1
+def parities(sets, bits) -> np.ndarray:
+    """(len(sets), ...) parities of the (width, ...) ``bits`` at each set's
+    indices, one ``parity_table`` product.  int8 wraps mod 256, keeping
+    parity."""
+    bits = np.asarray(bits, dtype=np.int8)
+    return (parity_table(tuple(sets), len(bits)) @ bits) & 1
+
+
+def frame_bits(frame_map: np.ndarray, frame, outcomes, coins) -> np.ndarray:
+    """The (2m, ...) frame bits of a slot's m qubits after it: its binary
+    (2m, 2m + 2k + 1) ``frame_map`` applied to the local bits, the incoming
+    (2m, ...) frame bits (X then Z of each qubit), the slot's (k, ...)
+    outcomes and coins, and a constant 1.  A (..., 2m, 2m + 2k + 1) stack of
+    maps gives each trailing index its own."""
+    frame = np.asarray(frame, dtype=np.int8)
+    ones = np.ones((1,) + frame.shape[1:], dtype=np.int8)
+    local = np.concatenate((frame, np.asarray(outcomes, dtype=np.int8), np.asarray(coins, dtype=np.int8), ones))
+    return np.einsum("...rc,c...->r...", frame_map, local) & 1
+
+
+def carry(frame, slot: "SlotSpec", bits: list[int]) -> None:
+    """``frame_bits`` for one register's 2n frame bits, a list or a 1-D
+    array changed in place, in plain Python for slot-by-slot loops; ``bits``
+    holds the slot's outcomes, then its coins."""
+    local = [frame[r] for r in slot.frame_rows] + bits + [1]
+    for r, row in zip(slot.frame_rows, slot.frame_map.tolist()):
+        frame[r] = sum(compress(local, row)) & 1
 
 
 @dataclass(frozen=True)
 class AdaptiveAngle:
-    """Angle value * (-1)^parity(bits at ``negate``).
-
-    Indices below PAYLOAD_BIT reference earlier step outcomes; larger ones
-    reference per-step payload-flip bits, which are zero outside delegated
-    runs.
-    """
+    """Angle value * (-1)^parity(local bits at ``negate``): bit 2i or
+    2i + 1 is the incoming X or Z frame bit of the slot's qubit i, and
+    2m + t the outcome of its step t (m qubits), which must be earlier."""
 
     value: float
     negate: frozenset[int] = frozenset()
@@ -96,58 +98,71 @@ class AdqcStep:
 
 
 @dataclass(frozen=True)
-class QubitCorrection:
-    """Byproduct Pauli on one qubit: X^(x) Z^(z) with each exponent given by a
-    constant bit xored with the parity of the listed bits.  Indices below
-    PAYLOAD_BIT refer to step outcomes; others to per-step payload-flip bits
-    (zero outside delegated runs)."""
-
-    x_parity: frozenset[int] = frozenset()
-    x_const: int = 0
-    z_parity: frozenset[int] = frozenset()
-    z_const: int = 0
-
-
-@dataclass(frozen=True)
 class SlotSpec:
-    """Protocol-facing grouping of steps into one delegable slot."""
+    """One delegable slot: consecutive steps on ``qubits`` and the binary
+    (2m, 2m + 2k + 1) ``frame_map`` giving the outgoing frame bits of its m
+    qubits from its local bits: the incoming frame bits (X then Z of each
+    qubit), its k steps' outcomes, their coins (a two-target step's payload
+    flip; zero elsewhere and outside delegated runs) and a constant 1.
+    ``theta_negate`` and ``gamma_negate`` name the local bits negating the
+    secret and the hidden angle of the angle round; ``theta_sign``, that
+    round's sign when every outcome and coin is 0, is only logged."""
 
     kind: str  # 'J' | 'RX' | 'RZ' | 'ASSIST' | 'CZ2'
     qubits: tuple[int, ...]
     theta_prime: float | None
     roles: dict[str, int]  # role -> step index, in step order
+    frame_map: np.ndarray
     theta_negate: frozenset[int] = frozenset()
     theta_sign: int = 1
     gamma_negate: frozenset[int] = frozenset()
 
-    @property
+    @cached_property
     def step_indices(self) -> tuple[int, ...]:
         return tuple(self.roles.values())
+
+    @cached_property
+    def frame_rows(self) -> list[int]:
+        """Rows 2q and 2q + 1 (X and Z) of each of its qubits in a register's
+        (2n, ...) frame bits."""
+        return [2 * q + b for q in self.qubits for b in (0, 1)]
 
 
 @dataclass(frozen=True)
 class GatePattern:
-    """Adaptive step sequence with a target unitary and byproduct corrections."""
+    """Adaptive step sequence with a target unitary, grouped into slots; the
+    frame the slot maps carry out of the last slot is the final correction.
+    Without slots, no frame is tracked and the steps form one slot."""
 
     num_qubits: int
     steps: tuple[AdqcStep, ...]
     target: np.ndarray
-    corrections: tuple[QubitCorrection, ...]
     slots: tuple[SlotSpec, ...] = ()
-    slot_boundaries: tuple[tuple[QubitCorrection, ...], ...] = ()
 
     def __post_init__(self):
         for i, step in enumerate(self.steps):
-            if any(i <= j < PAYLOAD_BIT for j in step.basis_theta.negate):
-                raise ValueError(f"step {i} depends on a non-earlier outcome")
             if any(t not in range(self.num_qubits) for t in step.targets):  # also refuses -1 and 0.5
                 raise ValueError(f"step {i} targets {step.targets} outside the {self.num_qubits}-qubit register")
         # slot-wise verification runs only the steps the slots list
         covered = [i for slot in self.slots for i in slot.step_indices]
         if self.slots and covered != list(range(len(self.steps))):
             raise ValueError("slots must list every step once, in order")
-        if len(self.slot_boundaries) != len(self.slots):
-            raise ValueError("one boundary frame per slot required")
+        for qubits, steps, frame_map in _frame_groups(self):
+            m = len(qubits)
+            for t, i in enumerate(steps):
+                negate = self.steps[i].basis_theta.negate
+                if negate and not 0 <= min(negate) <= max(negate) < 2 * m + t:
+                    raise ValueError(f"step {i} depends on a non-earlier outcome")
+                if any(q not in qubits for q in self.steps[i].targets):
+                    raise ValueError(f"step {i} targets a qubit outside its slot")
+            if frame_map is not None and frame_map.shape != (2 * m, 2 * m + 2 * len(steps) + 1):
+                raise ValueError(f"the frame map of the slot at step {steps[0]} is not (2m, 2m + 2k + 1)")
+
+
+def _frame_groups(pattern: GatePattern):
+    """(qubits, steps, frame map) of each slot, or all steps on every qubit."""
+    return [(slot.qubits, slot.step_indices, slot.frame_map) for slot in pattern.slots] or [
+        (tuple(range(pattern.num_qubits)), tuple(range(len(pattern.steps))), None)]
 
 
 def init_register(n: int, state="") -> PureState:
@@ -224,13 +239,15 @@ def _subscripts(n: int, targets: tuple[int, ...]) -> str:
     return f"zs{'vw'[:len(targets)]}{''.join(qubits[q] for q in targets)},z{qubits}...->zs{out}..."
 
 
-def step_branch_operators(step: AdqcStep, theta: float, n: int) -> np.ndarray:
+def step_branch_operators(step: AdqcStep, theta, n: int) -> np.ndarray:
     """The two register Kraus operators of a step (unnormalized), plus branch
     first, as a (2, 2^n, 2^n) array, for the step's canonical ancilla
-    measured at basis angle ``theta``.  ``n`` is the register size."""
+    measured at basis angle ``theta``, or a (..., 2, 2^n, 2^n) array at an
+    array of angles.  ``n`` is the register size."""
     coeffs = branch_coefficients(param_kets("+", step.ancilla.gamma, step.ancilla.delta), measurement_bras(theta))
     blocks = coupling_blocks(step.entangler_labels)
-    return _apply_branches(np.eye(2**n, dtype=complex)[None], step.targets, blocks, coeffs)[0]
+    eye = np.broadcast_to(np.eye(2**n, dtype=complex), (len(coeffs), 2**n, 2**n))
+    return _apply_branches(eye, step.targets, blocks, coeffs).reshape(np.shape(theta) + (2, 2**n, 2**n))
 
 
 def branch_step(states: np.ndarray, targets, blocks: np.ndarray, coeffs: np.ndarray, outcome=None, rng=None):
@@ -269,51 +286,6 @@ def _split(vecs: np.ndarray, outcome=None, rng=None):
     return vecs[parent, out] / scale, parent, out, p
 
 
-def walk_steps(steps, states, bits, plan):
-    """Run steps over a batch as ``branch_step`` does, splitting every branch.
-
-    ``states`` holds one row per branch with the register on axis 1, and the
-    targets of ``steps`` index that register; ``bits`` is the
-    (len(steps), B) outcome-bit array the adaptive angles read.  ``plan``
-    is a (steps run, B) array of step indices, one column per start row,
-    which its branches follow.  Rows split by coupling (labels and targets)
-    only.  Returns (states, probabilities, bits, the start row of each
-    branch)."""
-    probs, origin = np.ones(len(states)), np.arange(len(states))
-    used = np.array(sorted(set(plan.flat)))  # the steps the plan runs
-    local = np.searchsorted(used, plan)  # each entry's position among them
-    run = [steps[i] for i in used]
-    payloads = param_kets("+", [s.ancilla.gamma for s in run], [s.ancilla.delta for s in run])
-    values = np.array([s.basis_theta.value for s in run])
-    negates = [(s.basis_theta.negate,) for s in run]
-    couplings: dict[tuple, int] = {}  # (labels, targets) -> its index
-    coupling = np.array([couplings.setdefault((s.entangler_labels, s.targets), len(couplings)) for s in run])
-    for entry in local:
-        which = entry[origin]  # each row's step, as a position in run
-        theta = values[which] * (1 - 2 * parities(negates, which, bits)[0])
-        coeffs = branch_coefficients(payloads[which], measurement_bras(theta))
-        row_coupling = coupling[which]
-        vecs = np.empty((len(which), 2) + states.shape[1:], dtype=complex)
-        for (labels, targets), g in couplings.items():
-            rows = row_coupling == g
-            if rows.any():
-                vecs[rows] = _apply_branches(states[rows], targets, coupling_blocks(labels), coeffs[rows])
-        states, parent, out, p = _split(vecs)
-        probs, origin, bits = probs[parent] * p, origin[parent], bits[:, parent]
-        bits[used[which[parent]], np.arange(len(parent))] = out
-    return states, probs, bits, origin
-
-
-def frame_bits(frames, which, outcomes, payload_bits=None) -> tuple[np.ndarray, np.ndarray]:
-    """(x, z) byproduct bits of a batch whose column b takes the frame
-    ``frames[which[b]]`` (an integer ``which``: every column), each frame a
-    tuple of m ``QubitCorrection``s: (m, B) arrays from (steps, B) bits."""
-    groups = [[s for c in frame for s in (c.x_parity, c.z_parity)] for frame in frames]
-    consts = np.array([[b for c in frame for b in (c.x_const, c.z_const)] for frame in frames], dtype=np.int8)
-    bits = parities(groups, which, outcomes, payload_bits) ^ consts.T[:, which].reshape(len(consts.T), -1)
-    return bits[0::2], bits[1::2]
-
-
 @dataclass(frozen=True)
 class RunResult:
     """Every outcome branch of a run, as arrays with one entry per branch:
@@ -333,16 +305,30 @@ def run_pattern(state: np.ndarray, pattern: GatePattern) -> RunResult:
     """Execute a pattern on every outcome branch (probabilities summing to
     one) of a (2^n, ...) amplitude array of unit norm; trailing axes ride
     along, so the normalized identity runs every branch's operator.  Each
-    branch's corrected state is its raw final state with its resolved
-    byproduct frame applied."""
+    branch carries its own frame from slot to slot through the slot maps,
+    resolves each angle on its own local bits, and is corrected by the frame
+    it ends with."""
     if not isinstance(state, np.ndarray):
         raise ValueError(f"expected a (2^n, ...) amplitude array, got {type(state).__name__}")
     if state.shape[:1] != (2**pattern.num_qubits,):
         raise ValueError("pattern size does not match the register")
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("the register state does not have unit norm")
-    k = len(pattern.steps)
-    start = np.zeros((k, 1), dtype=np.int8)
-    states, probs, bits, _ = walk_steps(pattern.steps, state[None], start, np.arange(k)[:, None])
-    x, z = frame_bits((pattern.corrections,), 0, bits)
+    states, probs = state[None], np.ones(1)
+    bits = np.zeros((len(pattern.steps), 1), dtype=np.int8)
+    frame = np.zeros((2 * pattern.num_qubits, 1), dtype=np.int8)
+    for qubits, steps, frame_map in _frame_groups(pattern):
+        rows = [2 * q + b for q in qubits for b in (0, 1)]
+        for t, i in enumerate(steps):
+            step = pattern.steps[i]
+            local = np.concatenate((frame[rows], bits[list(steps[:t])]))
+            theta = step.basis_theta.value * (1 - 2 * parities((step.basis_theta.negate,), local)[0])
+            payload = param_kets("+", step.ancilla.gamma, step.ancilla.delta)
+            coeffs = branch_coefficients(payload, measurement_bras(theta))
+            states, parent, out, p = branch_step(states, step.targets, coupling_blocks(step.entangler_labels), coeffs)
+            probs, bits, frame = probs[parent] * p, bits[:, parent], frame[:, parent]
+            bits[i] = out
+        if frame_map is not None:
+            frame[rows] = frame_bits(frame_map, frame[rows], bits[list(steps)], np.zeros((len(steps), len(probs))))
+    x, z = frame[0::2], frame[1::2]
     return RunResult(apply_pauli_frame(states, x, z), states, probs, bits, x, z)

@@ -21,9 +21,19 @@ from adqc.patterns import (
     standard_pattern,
     verify_pattern,
 )
-from adqc.register import PAYLOAD_BIT, AdaptiveAngle, AdqcStep, GatePattern, QubitCorrection, run_pattern
+from adqc.register import AdaptiveAngle, AdqcStep, GatePattern, run_pattern
 
 PI = math.pi
+
+
+def _edit_map(pat, k, row, col):
+    """``pat`` with entry (row, col) of slot k's frame map toggled: row 2i
+    or 2i + 1 is the outgoing X or Z bit of the slot's qubit i, and column
+    -1 the constant 1."""
+    slot = pat.slots[k]
+    frame_map = slot.frame_map.copy()
+    frame_map[row, col] ^= 1
+    return replace(pat, slots=pat.slots[:k] + (replace(slot, frame_map=frame_map),) + pat.slots[k + 1:])
 
 
 class TestStandardPatterns:
@@ -64,37 +74,33 @@ class TestStandardPatterns:
             standard_pattern("ASSIST", None, "two")
 
     def test_corrupted_corrections_detected(self):
+        """The slot's map sets a constant X on its outgoing frame, which is
+        the final correction."""
         pat = standard_pattern("J", 0.7, "single")
-        flipped = tuple(
-            QubitCorrection(c.x_parity, c.x_const ^ 1, c.z_parity, c.z_const)
-            for c in pat.corrections
-        )
-        bad = replace(pat, corrections=flipped)
+        bad = _edit_map(pat, 0, 0, -1)
         rep = verify_pattern(bad)
         assert not rep.valid
         assert rep.worst_branch_error > 0.5
         assert "branch outcomes (" in rep.detail
 
     def test_broken_slot_boundary_named(self):
-        """A wrong frame at one slot boundary of a slot-wise verified pattern
-        is reported with that slot's index."""
+        """A wrong outgoing frame of one slot of a slot-wise verified pattern,
+        its first outcome read into its X bit, is reported with that slot's
+        index."""
         c = CircuitDescription(1, (CircuitGate("H", (0,)), CircuitGate("Rz", (0,), PI / 3)))
         pat = compile_circuit(c, "single")
         assert len(pat.steps) > 13
         for slot in range(len(pat.slots)):
-            first = pat.slots[slot].step_indices[0]
-            boundaries = list(pat.slot_boundaries)
-            c0 = boundaries[slot][0]
-            boundaries[slot] = (replace(c0, x_parity=c0.x_parity ^ {first}),)
-            rep = verify_pattern(replace(pat, slot_boundaries=tuple(boundaries)))
+            rep = verify_pattern(_edit_map(pat, slot, 0, 2))
             assert not rep.valid and rep.mode == "slotwise"
             assert rep.detail.startswith(f"slot {slot} branches disagree after correction")
-            assert "outcomes [" in rep.detail and "after earlier outcomes {" in rep.detail
+            assert "outcomes [" in rep.detail and "under incoming frame {" in rep.detail
 
     def test_cross_slot_angle_dependence_checked(self):
-        """Dropping the earlier-slot outcomes from one rotation step's angle
-        is caught slot-wise exactly where it changes the gate: wherever the
-        slot angle is not 0, at that slot."""
+        """Dropping the incoming frame bits from one rotation step's angle is
+        caught slot-wise exactly where it changes the gate: wherever the slot
+        angle is not 0, at that slot.  Every incoming frame is checked, so
+        this holds at the first slot too, whose incoming frame is 0."""
         circuits = (
             (CircuitDescription(1, (CircuitGate("H", (0,)), CircuitGate("Rz", (0,), PI / 3))), "single"),
             (CircuitDescription(1, tuple(CircuitGate(k, (0,), a) for k, a in
@@ -108,9 +114,8 @@ class TestStandardPatterns:
                     continue
                 i = slot.roles["theta"]
                 angle = pat.steps[i].basis_theta
-                kept = angle.negate & set(slot.step_indices)
-                if kept == angle.negate:
-                    continue
+                kept = frozenset(c for c in angle.negate if c >= 2 * len(slot.qubits))
+                assert kept != angle.negate
                 steps = list(pat.steps)
                 steps[i] = replace(steps[i], basis_theta=AdaptiveAngle(angle.value, kept))
                 rep = verify_pattern(replace(pat, steps=tuple(steps)))
@@ -120,8 +125,26 @@ class TestStandardPatterns:
                 if not rep.valid:
                     rejected += 1
                     assert rep.detail.startswith(f"slot {k} branches disagree after correction")
-                    assert "after earlier outcomes {" in rep.detail
-        assert (mutants, rejected) == (13, 6)
+                    assert "under incoming frame {" in rep.detail
+        assert (mutants, rejected) == (15, 7)
+
+    def test_a_valid_pattern_can_be_refused_for_an_unreachable_frame(self):
+        """Checking every incoming frame is sufficient, not necessary.  The
+        first slot of a variant-single H unit always starts from frame 0, so
+        its theta angle may ignore the frame bit: every branch of the whole
+        pattern stays right and brute force accepts it, but the slot check,
+        which also tries incoming frame x0 = 1, refuses it."""
+        pat = compile_circuit(CircuitDescription(1, (CircuitGate("H", (0,)),)), "single")
+        i = pat.slots[0].roles["theta"]
+        angle = pat.steps[i].basis_theta
+        kept = AdaptiveAngle(angle.value, frozenset(c for c in angle.negate if c >= 2))
+        assert kept != angle
+        mutant = replace(pat, steps=pat.steps[:i] + (replace(pat.steps[i], basis_theta=kept),) + pat.steps[i + 1:])
+        assert _brute_force_valid(mutant)
+        rep = verify_pattern(mutant)
+        assert not rep.valid and rep.mode == "slotwise"
+        assert rep.detail.startswith("slot 0 branches disagree after correction: outcomes [0, 0, 0] under incoming"
+                                     " frame {'x0': 1, 'z0': 0}"), rep.detail
 
     def test_four_qubit_circuits_verified(self):
         c = CircuitDescription(4, (CircuitGate("H", (3,)), CircuitGate("CZ", (0, 3)),
@@ -130,7 +153,8 @@ class TestStandardPatterns:
             pat = compile_circuit(c, variant)
             rep = verify_pattern(pat)
             assert rep.valid and rep.mode == "slotwise", (variant, rep)
-            broken = replace(pat, corrections=(QubitCorrection(x_const=1),) + pat.corrections[1:])
+            last = max(k for k, slot in enumerate(pat.slots) if 0 in slot.qubits)
+            broken = _edit_map(pat, last, 2 * pat.slots[last].qubits.index(0), -1)  # a constant X on qubit 0
             rep = verify_pattern(broken)
             assert not rep.valid and rep.detail.startswith("final corrections disagree"), rep
 
@@ -162,20 +186,21 @@ def _brute_force_valid(pat, tol=1e-9) -> bool:
 
 
 def _mutants(pat):
-    """Each angle with one outcome bit dropped or its sign flipped, and each
-    final correction with one outcome bit toggled in one parity."""
+    """Each angle with one outcome bit of its slot dropped or its sign
+    flipped, and each slot's frame map with one outcome bit toggled in one
+    row."""
+    local_qubits = {i: len(slot.qubits) for slot in pat.slots for i in slot.step_indices}
     for i, step in enumerate(pat.steps):
         value, negate = step.basis_theta.value, step.basis_theta.negate
-        changed = [AdaptiveAngle(value, negate - {b}) for b in sorted(negate)]
+        changed = [AdaptiveAngle(value, negate - {b}) for b in sorted(negate) if b >= 2 * local_qubits[i]]
         changed += [AdaptiveAngle(-value, negate)] if value else []
         for angle in changed:
             steps = pat.steps[:i] + (replace(step, basis_theta=angle),) + pat.steps[i + 1:]
             yield replace(pat, steps=steps)
-    for q, c in enumerate(pat.corrections):
-        for name in ("x_parity", "z_parity"):
-            for i in range(len(pat.steps)):
-                flipped = replace(c, **{name: getattr(c, name) ^ {i}})
-                yield replace(pat, corrections=pat.corrections[:q] + (flipped,) + pat.corrections[q + 1:])
+    for k, slot in enumerate(pat.slots):
+        for row in range(2 * len(slot.qubits)):
+            for t in range(len(slot.roles)):
+                yield _edit_map(pat, k, row, 2 * len(slot.qubits) + t)
 
 
 class TestSlotwiseVerification:
@@ -190,7 +215,7 @@ class TestSlotwiseVerification:
         """A slotless pattern longer than MAX_FLAT_STEPS has no stages to walk
         and is too long to enumerate whole."""
         step = AdqcStep((0,), ("RX_CANON",), AncillaSpec(0.0, 0.0), AdaptiveAngle(0.0))
-        pat = GatePattern(1, (step,) * (patterns.MAX_FLAT_STEPS + 1), np.eye(2), (QubitCorrection(),))
+        pat = GatePattern(1, (step,) * (patterns.MAX_FLAT_STEPS + 1), np.eye(2))
         with pytest.raises(ValueError, match="^pattern too long for flat enumeration and has no slots$"):
             verify_pattern(pat)
 
@@ -218,7 +243,7 @@ class TestSlotwiseVerification:
                 assert rep.mode == "slotwise"
                 assert rep.valid == _brute_force_valid(candidate), rep
                 verdicts.append(rep.valid)
-        assert (len(verdicts), verdicts.count(False)) == (45, 36)
+        assert (len(verdicts), verdicts.count(False)) == (45, 37)
 
     def test_flat_verdicts_match_brute_force(self):
         """On the four one-slot standard patterns and every one of their
@@ -234,10 +259,34 @@ class TestSlotwiseVerification:
                 verdicts.append(rep.valid)
         assert (len(verdicts), verdicts.count(False)) == (24, 20)
 
+    @staticmethod
+    def _widened(pat, k, q, row, t):
+        """``pat`` with qubit q added to slot k's frame map, which carries
+        q's frame across unchanged but for the slot's outcome t read into its
+        X (row 0) or Z (row 1) bit; the slot's outcome bits move up by two."""
+        slot = pat.slots[k]
+        m, steps = len(slot.qubits), slot.step_indices
+        old = slot.frame_map
+        frame_map = np.zeros((2 * m + 2, old.shape[1] + 2), dtype=np.int8)
+        frame_map[:2 * m, :2 * m], frame_map[:2 * m, 2 * m + 2:] = old[:, :2 * m], old[:, 2 * m:]
+        frame_map[2 * m, 2 * m] = frame_map[2 * m + 1, 2 * m + 1] = 1
+        frame_map[2 * m + row, 2 * m + 2 + t] = 1
+
+        def moved(cols):
+            return frozenset(c if c < 2 * m else c + 2 for c in cols)
+
+        wide = replace(slot, qubits=slot.qubits + (q,), frame_map=frame_map, theta_negate=moved(slot.theta_negate),
+                       gamma_negate=moved(slot.gamma_negate))
+        steps_out = list(pat.steps)
+        for i in steps:
+            angle = pat.steps[i].basis_theta
+            steps_out[i] = replace(pat.steps[i], basis_theta=AdaptiveAngle(angle.value, moved(angle.negate)))
+        return replace(pat, steps=tuple(steps_out), slots=pat.slots[:k] + (wide,) + pat.slots[k + 1:])
+
     def test_boundary_frame_of_an_untouched_qubit_checked(self):
-        """A slot's outcome bit toggled into its boundary frame on a qubit the
-        slot does not touch is rejected at that slot: the changed frame makes
-        the qubit local to the slot."""
+        """A slot's outcome bit toggled into the outgoing frame of a qubit the
+        slot does not touch is rejected at that slot: the map that changes
+        the qubit's frame makes it local to the slot."""
         rng = np.random.default_rng(31)
         mutants = rejected = 0
         for i in range(6):
@@ -252,14 +301,9 @@ class TestSlotwiseVerification:
             pat = compile_circuit(CircuitDescription(n, tuple(gates)), ("single", "two")[i % 2])
             for k, slot in enumerate(pat.slots):
                 for q in set(range(n)) - set(slot.qubits):
-                    for bit in slot.step_indices:
-                        for name in ("x_parity", "z_parity"):
-                            c = pat.slot_boundaries[k][q]
-                            frame = list(pat.slot_boundaries[k])
-                            frame[q] = replace(c, **{name: getattr(c, name) ^ {bit}})
-                            boundaries = list(pat.slot_boundaries)
-                            boundaries[k] = tuple(frame)
-                            rep = verify_pattern(replace(pat, slot_boundaries=tuple(boundaries)))
+                    for t in range(len(slot.step_indices)):
+                        for row in (0, 1):
+                            rep = verify_pattern(self._widened(pat, k, q, row, t))
                             mutants += 1
                             if not rep.valid:
                                 rejected += 1
@@ -269,21 +313,17 @@ class TestSlotwiseVerification:
     @staticmethod
     def _broken_boundaries(pat, slots):
         """``pat`` with each listed slot's last outcome bit toggled into the
-        X frame of its first qubit at the slot's boundary."""
-        boundaries = list(pat.slot_boundaries)
+        outgoing X bit of its first qubit."""
         for k in slots:
             slot = pat.slots[k]
-            q, c = slot.qubits[0], boundaries[k][slot.qubits[0]]
-            frame = list(boundaries[k])
-            frame[q] = replace(c, x_parity=c.x_parity ^ {slot.step_indices[-1]})
-            boundaries[k] = tuple(frame)
-        return replace(pat, slot_boundaries=tuple(boundaries))
+            pat = _edit_map(pat, k, 0, 2 * len(slot.qubits) + len(slot.roles) - 1)
+        return pat
 
     def test_first_failing_slot_named_across_batches(self):
-        """Slots 0-3 and 5-7 of the variant-two CZ are one-qubit slots in one
-        batch, which runs first; the CZ2 slot 4 runs in a later batch.  With
-        slots 4 and 6 both broken, the report names slot 4, exactly as when
-        only slot 4 is broken."""
+        """Slots 0-3 and 5-7 of the variant-two CZ are one-qubit slots, run in
+        the RZ and RX batches, and the CZ2 slot 4 runs in a batch of its own.
+        With slots 4 and 6 both broken, the report names slot 4, exactly as
+        when only slot 4 is broken."""
         pat = standard_pattern("CZ", None, "two")
         assert [sl.kind for sl in pat.slots][4] == "CZ2"
         both = verify_pattern(self._broken_boundaries(pat, (4, 6)))
@@ -292,22 +332,17 @@ class TestSlotwiseVerification:
         assert both == verify_pattern(self._broken_boundaries(pat, (4,)))
         assert verify_pattern(self._broken_boundaries(pat, (6,))).detail.startswith("slot 6 branches")
 
-    def test_later_batches_skipped_after_a_failure(self, monkeypatch):
-        """A failure at slot 1 lies below the CZ2 batch, which never runs."""
-        batches = []
-        run = patterns._run_stages
-
-        def counted(stages, local_steps):
-            batches.append([st.label for st in stages])
-            return run(stages, local_steps)
-
-        monkeypatch.setattr(patterns, "_run_stages", counted)
-        pat = standard_pattern("CZ", None, "two")
-        assert verify_pattern(pat).valid and len(batches) == 2
-        batches.clear()
-        rep = verify_pattern(self._broken_boundaries(pat, (1,)))
-        assert rep.detail.startswith("slot 1 branches disagree after correction")
-        assert batches == [[f"slot {k} branches" for k in (0, 1, 2, 3, 5, 6, 7)]]
+    def test_the_first_of_two_broken_slots_is_named(self):
+        """For every pair of broken slots of either CZ pattern, in whatever
+        batches they run, the report equals the one for the earlier slot
+        alone."""
+        for variant in ("single", "two"):
+            pat = standard_pattern("CZ", None, variant)
+            for b in range(len(pat.slots)):
+                for a in range(b):
+                    rep = verify_pattern(self._broken_boundaries(pat, (a, b)))
+                    assert rep.detail.startswith(f"slot {a} branches disagree after correction"), (variant, a, b)
+                    assert rep == verify_pattern(self._broken_boundaries(pat, (a,)))
 
     def test_incomplete_kraus_pairs_named(self, monkeypatch):
         """Coupling blocks scaled by 0.9 in one slot keep every branch
@@ -328,7 +363,7 @@ class TestSlotwiseVerification:
         rep = verify_pattern(pat)
         assert not rep.valid
         assert rep.detail.startswith(f"slot {slot} branches are incomplete"), rep.detail
-        assert "after earlier outcomes {" in rep.detail
+        assert "under incoming frame {" in rep.detail
 
     @pytest.mark.parametrize("kind, theta, variant", ONE_SLOT_PATTERNS)
     def test_incomplete_flat_pattern_refused(self, monkeypatch, kind, theta, variant):
@@ -348,15 +383,30 @@ class TestSlotwiseVerification:
         pattern whose slots miss, reorder or drop steps is refused."""
         pat = standard_pattern("CZ", None, "two")
         extra = AdqcStep((0,), ("J_CANON",), AncillaSpec(0.0, 0.0), AdaptiveAngle(0.0))
-        slots, boundaries = pat.slots, pat.slot_boundaries
+        slots = pat.slots
         for fields in (
             {"steps": pat.steps + (extra,)},
             {"slots": (slots[1], slots[0]) + slots[2:]},
-            {"slots": slots[:3] + slots[4:], "slot_boundaries": boundaries[:3] + boundaries[4:]},
-            {"slot_boundaries": boundaries[:-1]},
+            {"slots": slots[:3] + slots[4:]},
+            {"slots": (replace(slots[0], frame_map=slots[0].frame_map[:, :-1]),) + slots[1:]},
         ):
             with pytest.raises(ValueError):
                 replace(pat, **fields)
+
+
+class TestFrameDataSize:
+    @staticmethod
+    def _entries(pattern) -> int:
+        """Frame-map entries plus every angle-set index the pattern stores."""
+        slots = sum(slot.frame_map.size + len(slot.theta_negate) + len(slot.gamma_negate) for slot in pattern.slots)
+        return slots + sum(len(step.basis_theta.negate) for step in pattern.steps)
+
+    def test_grows_linearly_with_the_gate_count(self):
+        """One-qubit H circuits in variant two: ten times the gates store at
+        most eleven times the frame data, each slot holding its own map."""
+        small, large = (self._entries(compile_circuit(CircuitDescription(1, (CircuitGate("H", (0,)),) * gates), "two"))
+                        for gates in (100, 1000))
+        assert large <= 11 * small, (small, large)
 
 
 class TestCircuits:
@@ -531,23 +581,53 @@ class TestFrozenSlotData:
             standard_pattern("J", 0.7, "three")
 
 
-def _canonical(pattern) -> list:
-    """Steps, corrections, slots and slot boundaries, every set sorted."""
+PAYLOAD = 1 << 20  # index i + PAYLOAD names step i's coin in an absolute frame
 
-    def frames(corrections):
-        return [[sorted(c.x_parity), c.x_const, sorted(c.z_parity), c.z_const] for c in corrections]
+
+def _absolute(pattern):
+    """The pattern's frames as absolute (parity set, constant) pairs over
+    every outcome (index i) and coin (index i + PAYLOAD), carried through the
+    slot maps: each step's angle set, each slot's two angle sets, the frame
+    after each slot, and the final correction, the frame after the last."""
+    frame = [(frozenset(), 0)] * (2 * pattern.num_qubits)
+    angles, slot_sets, boundaries = {}, [], []
+    for slot in pattern.slots:
+        steps = slot.step_indices
+        local = ([frame[r] for r in slot.frame_rows] + [(frozenset({i}), 0) for i in steps]
+                 + [(frozenset({i + PAYLOAD}), 0) for i in steps] + [(frozenset(), 1)])
+
+        def resolve(cols):
+            return reduce(lambda a, b: (a[0] ^ b[0], a[1] ^ b[1]), (local[c] for c in cols), (frozenset(), 0))
+
+        angles.update((i, resolve(pattern.steps[i].basis_theta.negate)) for i in steps)
+        slot_sets.append((resolve(slot.theta_negate), resolve(slot.gamma_negate)))
+        for r, row in zip(slot.frame_rows, slot.frame_map):
+            frame[r] = resolve(np.flatnonzero(row))
+        boundaries.append(list(frame))
+    return angles, slot_sets, boundaries, frame
+
+
+def _canonical(pattern) -> list:
+    """Steps, corrections, slots and slot boundaries, every set sorted, in
+    the absolute form ``_absolute`` derives from the slot maps: an angle's
+    value carries the sign of its set's constant."""
+    angles, slot_sets, boundaries, final = _absolute(pattern)
+
+    def frames(frame):
+        return [[sorted(frame[2 * q][0]), frame[2 * q][1], sorted(frame[2 * q + 1][0]), frame[2 * q + 1][1]]
+                for q in range(pattern.num_qubits)]
 
     steps = [
         [list(s.targets), list(s.entangler_labels), s.ancilla.gamma, s.ancilla.delta,
-         [[s.basis_theta.value, sorted(s.basis_theta.negate)]], 0.0]
-        for s in pattern.steps
+         [[(-1.0 if angles[i][1] else 1.0) * s.basis_theta.value, sorted(angles[i][0])]], 0.0]
+        for i, s in enumerate(pattern.steps)
     ]
-    slots = [
-        [sl.kind, list(sl.qubits), sl.theta_prime, list(sl.step_indices), sorted(sl.roles.items()),
-         sorted(sl.theta_negate), sl.theta_sign, sorted(sl.gamma_negate)]
-        for sl in pattern.slots
-    ]
-    return [steps, frames(pattern.corrections), slots, [frames(b) for b in pattern.slot_boundaries]]
+    slots = []
+    for sl, (theta, gamma) in zip(pattern.slots, slot_sets):
+        assert sl.theta_sign == (-1 if theta[1] else 1) and not gamma[1]
+        slots.append([sl.kind, list(sl.qubits), sl.theta_prime, list(sl.step_indices), sorted(sl.roles.items()),
+                      sorted(theta[0]), sl.theta_sign, sorted(gamma[0])])
+    return [steps, frames(final), slots, [frames(b) for b in boundaries]]
 
 
 def _seeded_circuits(count: int, seed: int):
@@ -594,18 +674,20 @@ class TestPatternPin:
         assert hashlib.sha256(doc.encode()).hexdigest() == self.PINNED
 
     def test_payload_indices_name_two_target_steps(self):
-        """Every index at or above PAYLOAD_BIT in a correction, a slot
-        boundary or an angle's negate set names a two-target step: a
-        delegation reads each round's coin there as that step's payload flip,
-        so an index naming any other step would mis-fold the frame."""
+        """A slot map reads the coin of a two-target step only: a delegation
+        reads each round's coin there as that step's payload flip, so a coin
+        column of any other step would mis-fold the frame.  The absolute
+        frames derived from the maps name those coins only, too."""
         named = 0
         for p in self._patterns():
-            frames = p.corrections + tuple(c for boundary in p.slot_boundaries for c in boundary)
-            sets = [s for c in frames for s in (c.x_parity, c.z_parity)]
-            sets += [step.basis_theta.negate for step in p.steps]
-            sets += [s for slot in p.slots for s in (slot.theta_negate, slot.gamma_negate)]
-            for i in frozenset().union(*sets):
-                if i >= PAYLOAD_BIT:
-                    assert len(p.steps[i - PAYLOAD_BIT].targets) == 2, i
-                    named += 1
+            for slot in p.slots:
+                m, k = len(slot.qubits), len(slot.roles)
+                for t, i in enumerate(slot.step_indices):
+                    if slot.frame_map[:, 2 * m + k + t].any():
+                        assert len(p.steps[i].targets) == 2, i
+                        named += 1
+            angles, slot_sets, boundaries, final = _absolute(p)
+            sets = [s for s, _ in angles.values()] + [s for pair in slot_sets for s, _ in pair]
+            sets += [s for frame in boundaries for s, _ in frame]
+            assert all(len(p.steps[i - PAYLOAD].targets) == 2 for i in frozenset().union(*sets) if i >= PAYLOAD)
         assert named > 0

@@ -11,7 +11,7 @@ from adqc.core import AncillaSpec, _reduce_angle, basis_kets, param_kets
 from adqc.linalg import I2, PureState, apply_pauli_frame
 from adqc import protocol
 from adqc.patterns import CircuitDescription, CircuitGate
-from adqc.register import branch_step, coupling_blocks, frame_bits
+from adqc.register import branch_step, coupling_blocks
 from adqc.protocol import (
     Client,
     ClientSecret,
@@ -90,8 +90,8 @@ def _per_round_dialogue(client, state, shape):
         total = probs.sum()
         if abs(total - 1.0) > 1e-9:
             raise RuntimeError(f"slot {slot_idx} branch probabilities sum to {total}")
-        frame = frame_bits((pattern.slot_boundaries[slot_idx],), 0, client.eff_outcomes, client.coins)
-        corrected = apply_pauli_frame(states, *frame)
+        client.advance(slot_idx)
+        corrected = apply_pauli_frame(states, client.frame[0::2], client.frame[1::2])
         fids = np.abs(corrected[1:] @ corrected[0].conj()) ** 2
         worst = min(worst, float(np.min(fids, initial=1.0)))
         client.take([0])
@@ -215,9 +215,9 @@ class TestIntegerFold:
     def test_batched_index_equals_the_float_fold(self):
         """For every even grid size N in 4..32 and every (k_theta', k_gamma,
         r_payload, r_angle, theta parity, gamma parity, sign), the batched
-        angle_message index equals the float fold's."""
-        from dataclasses import replace
-
+        angle_message index equals the float fold's.  The RX slot's theta
+        parity reads the Z bit of its incoming frame, whose constant part is
+        the sign, and its gamma parity its gamma round's outcome."""
         for grid_n in range(4, 33, 2):
             rows = [a.ravel() for a in np.meshgrid(np.arange(grid_n), *[(0, 1)] * 4, indexing="ij")]
             k_gamma, r_payload, r_angle, p_theta, p_gamma = rows
@@ -227,13 +227,12 @@ class TestIntegerFold:
                 assert sec.theta_index[j] == k_theta
                 _zero_draws(sec, len(k_gamma))
                 _force_draw(sec, j, gamma_index=k_gamma, r_payload=r_payload, r_angle=r_angle)
-                pattern, slot = sec.pattern, sec.pattern.slots[j]
+                slot = sec.pattern.slots[j]
+                assert (slot.theta_negate, slot.gamma_negate) == ({1}, {2})
                 for sign in (1, -1):
-                    # outcome bits 0 and 1 drive the two parities
-                    spec = replace(slot, theta_sign=sign, theta_negate=frozenset({0}), gamma_negate=frozenset({1}))
-                    sec.pattern = replace(pattern, slots=pattern.slots[:j] + (spec,) + pattern.slots[j + 1:])
                     client = Client(sec)
-                    client.eff_outcomes[0], client.eff_outcomes[1] = p_theta, p_gamma
+                    client.frame[slot.frame_rows[1]] = p_theta ^ (sign < 0)
+                    client.eff_outcomes[slot.roles["gamma"]] = p_gamma
                     got = client.angle_message(j)
                     want = [self._float_fold(slot.theta_prime, sign, *row, grid_n)
                             for row in zip(p_theta.tolist(), p_gamma.tolist(), k_gamma.tolist(),
@@ -479,21 +478,49 @@ class TestDelegation:
             _secret([CircuitGate("Rz", (0,), 0.1234)])
 
     def test_enumerate_sees_a_flipped_boundary_frame_bit(self):
-        """One outcome bit added to a slot-boundary frame: the branches of
-        that outcome disagree after correction, while the carried branch,
-        whose outcomes are all zero, still reaches the target."""
+        """The first slot's map reading its gamma outcome into the X bit of
+        its qubit: the branches of that outcome disagree after correction,
+        while the carried branch, whose outcomes are all zero, still reaches
+        the target."""
         from dataclasses import replace
 
         gates = (CircuitGate("H", (0,)), CircuitGate("CZ", (0, 1)), CircuitGate("Rz", (1,), 3 * PI / 4))
         sec = _secret(gates, n=2, variant="two", seed=5)
         slot = sec.pattern.slots[0]
-        (q,) = slot.qubits
-        frame = list(sec.pattern.slot_boundaries[0])
-        frame[q] = replace(frame[q], x_parity=frame[q].x_parity ^ {slot.roles["gamma"]})
-        sec.pattern = replace(sec.pattern, slot_boundaries=(tuple(frame),) + sec.pattern.slot_boundaries[1:])
+        assert next(iter(slot.roles)) == "gamma"
+        frame_map = slot.frame_map.copy()
+        frame_map[0, 2] ^= 1  # local bit 2: the slot's first outcome
+        sec.pattern = replace(sec.pattern, slots=(replace(slot, frame_map=frame_map),) + sec.pattern.slots[1:])
         res = run_delegation(sec, seed=6, mode="enumerate")
         assert res.fidelity >= 1 - 1e-9
         assert res.worst_branch_fidelity < 1 - 1e-9
+
+    @pytest.mark.parametrize("mode", ["sample", "enumerate"])
+    @pytest.mark.parametrize("variant", ["single", "two"])
+    def test_a_frame_update_that_drops_the_coins_is_refused(self, mode, variant):
+        """Every CZ2 map with its coin column zeroed, so the running frame
+        loses the payload flip of each coupling round whose coin is 1.  The
+        leaves of a slot share that coin, so they still agree; the final
+        correction, read from the same running frame, does not."""
+        from dataclasses import replace
+
+        gates = (CircuitGate("H", (0,)), CircuitGate("H", (1,)), CircuitGate("CZ", (0, 1)),
+                 CircuitGate("Rx", (0,), PI / 4))
+        sec = _secret(gates, n=2, variant=variant, seed=5)
+        slots = list(sec.pattern.slots)
+        for j, slot in enumerate(slots):
+            if slot.kind == "CZ2":
+                sec.coins[slot.roles["couple"]] = 1
+                frame_map = slot.frame_map.copy()
+                frame_map[:, 5] = 0  # (x1, z1, x2, z2, outcome, coin, 1)
+                assert slot.frame_map[:, 5].any()
+                slots[j] = replace(slot, frame_map=frame_map)
+        assert run_delegation(sec, seed=6, mode=mode).fidelity >= 1 - 1e-9
+        sec.pattern = replace(sec.pattern, slots=tuple(slots))
+        res = run_delegation(sec, seed=6, mode=mode)
+        assert res.fidelity < 1 - 1e-9
+        if mode == "enumerate":
+            assert res.worst_branch_fidelity < 1 - 1e-9
 
     def test_enumerate_checks_the_branch_probability_sum(self, monkeypatch):
         """Coupling blocks scaled by 0.9 lose probability in every round, and
@@ -620,8 +647,8 @@ class TestBatchedEnumeration:
             n = 1 + case % 4
             sec = ClientSecret(self._circuit(rng, n, 8), ("single", "two")[case % 2], 8, case)
             results = []
-            for entries in (1, 16 * len(sec.pattern.steps) * 3, protocol.ENUMERATED_ENTRIES):
-                monkeypatch.setattr(protocol, "ENUMERATED_ENTRIES", entries)
+            for per_run in (1, 3, protocol.SLOTS_PER_RUN):
+                monkeypatch.setattr(protocol, "SLOTS_PER_RUN", per_run)
                 results.append(run_delegation(sec, seed=case, mode="enumerate"))
             for res in results[1:]:
                 assert res.transcript.to_jsonl("full") == results[0].transcript.to_jsonl("full"), case
@@ -630,8 +657,8 @@ class TestBatchedEnumeration:
 
     def test_a_long_circuit_matches_the_per_round_oracle(self, monkeypatch):
         """120 gates on three qubits: about 500 slots, which the default
-        bound splits into several runs, each holding client arrays of at
-        most ENUMERATED_ENTRIES entries, give the oracle's full transcript."""
+        run length splits into several runs, each holding client arrays of
+        at most 2^20 entries, give the oracle's full transcript."""
         rng = np.random.default_rng(11)
         gates = []
         while len(gates) < 120:
@@ -646,7 +673,7 @@ class TestBatchedEnumeration:
         monkeypatch.setattr(Client, "take", recorded_take)
         batched = run_delegation(sec, seed=2, mode="enumerate")
         assert sum(size > len(sec.pattern.steps) for size in sizes) > 4  # runs of several rows
-        assert max(sizes) <= protocol.ENUMERATED_ENTRIES
+        assert max(sizes) <= 1 << 20
         monkeypatch.setattr(protocol, "_enumerated_dialogue", _per_round_dialogue)
         oracle = run_delegation(sec, seed=2, mode="enumerate")
         assert batched.transcript.to_jsonl("full") == oracle.transcript.to_jsonl("full")

@@ -21,14 +21,14 @@ from adqc.linalg import (
 )
 from adqc.register import (
     PARITY_CACHE_SIZE,
-    PAYLOAD_BIT,
     AdaptiveAngle,
     AdqcStep,
     GatePattern,
-    QubitCorrection,
+    SlotSpec,
     _apply_branches,
     branch_coefficients,
     branch_step,
+    carry,
     coupling_blocks,
     frame_bits,
     init_register,
@@ -37,7 +37,6 @@ from adqc.register import (
     parity_table,
     run_pattern,
     step_branch_operators,
-    walk_steps,
 )
 from adqc.patterns import CircuitDescription, CircuitGate, compile_circuit, standard_pattern
 from adqc.protocol import Message, _message_coefficients, grid_angle, pattern_shape, server_step
@@ -49,19 +48,31 @@ def _gamma_step(q=0, gamma=0.0, theta=0.0, label="CZ_CANON"):
     return AdqcStep((q,), (label,), AncillaSpec(gamma, 0), AdaptiveAngle(theta))
 
 
-def _resolve(angle, outcomes):
-    """An adaptive angle at one record of earlier outcomes: its value negated
-    by the parity of its outcome bits (payload bits, zero outside delegated
-    runs, are skipped)."""
-    return angle.value * (1 - 2 * (sum(int(outcomes[i]) for i in angle.negate if i < PAYLOAD_BIT) & 1))
+def _resolve(angle, local):
+    """An adaptive angle at one record of its local bits: its value negated
+    by the parity of the bits it names."""
+    return angle.value * (1 - 2 * (sum(int(local[c]) for c in angle.negate) & 1))
 
 
-def _step_once(state, step, outcome=None, rng=None, outcomes=()):
+def _local_bits(pattern, outcomes, i):
+    """Step i's local bits after the earlier ``outcomes``: the incoming frame
+    bits of its slot, carried slot by slot through the frame maps, then the
+    slot's earlier outcomes."""
+    frame = np.zeros(2 * pattern.num_qubits, dtype=np.int8)
+    for slot in pattern.slots:
+        steps = list(slot.step_indices)
+        if i in steps:
+            return tuple(frame[slot.frame_rows]) + tuple(outcomes[j] for j in steps[:steps.index(i)])
+        bits = [outcomes[j] for j in steps]
+        frame[slot.frame_rows] = frame_bits(slot.frame_map, frame[slot.frame_rows], bits, [0] * len(bits))
+
+
+def _step_once(state, step, outcome=None, rng=None, local=()):
     """One forced or sampled step of a single register: a one-row
-    ``branch_step`` with the step's coefficients at the angle its earlier
-    ``outcomes`` resolve.  Returns (new state, outcome bit)."""
+    ``branch_step`` with the step's coefficients at the angle its ``local``
+    bits resolve.  Returns (new state, outcome bit)."""
     payload = param_kets("+", step.ancilla.gamma, step.ancilla.delta)
-    coeffs = branch_coefficients(payload, measurement_bras(_resolve(step.basis_theta, outcomes)))
+    coeffs = branch_coefficients(payload, measurement_bras(_resolve(step.basis_theta, local)))
     blocks = coupling_blocks(step.entangler_labels)
     vecs, _, out, _ = branch_step(state.amplitudes[None], step.targets, blocks, coeffs, outcome, rng)
     return PureState(state.num_qubits, vecs[0]), int(out[0])
@@ -202,8 +213,8 @@ class TestRunPattern:
         runs = []
         for _ in range(2):
             rng, state, outcomes = np.random.default_rng(5), init_register(1, "+"), ()
-            for step in pat.steps:
-                state, s = _step_once(state, step, rng=rng, outcomes=outcomes)
+            for i, step in enumerate(pat.steps):
+                state, s = _step_once(state, step, rng=rng, local=_local_bits(pat, outcomes, i))
                 outcomes += (s,)
             runs.append((outcomes, state))
         (a, state_a), (b, state_b) = runs
@@ -273,12 +284,7 @@ class TestStepValidation:
             AdaptiveAngle(1.0, frozenset({5})),
         )
         with pytest.raises(ValueError):
-            GatePattern(
-                num_qubits=1,
-                steps=(bad,),
-                target=np.eye(2, dtype=complex),
-                corrections=(QubitCorrection(),),
-            )
+            GatePattern(num_qubits=1, steps=(bad,), target=np.eye(2, dtype=complex))
 
     def test_duplicate_targets_rejected(self):
         with pytest.raises(ValueError):
@@ -289,7 +295,7 @@ class TestStepValidation:
         good = AdqcStep((0,), ("CZ_CANON",), AncillaSpec(0, 0), AdaptiveAngle(0))
         bad = AdqcStep((target,), ("CZ_CANON",), AncillaSpec(0, 0), AdaptiveAngle(0))
         with pytest.raises(ValueError, match="step 1 targets"):
-            GatePattern(2, (good, bad), np.eye(4, dtype=complex), (0, 1), (QubitCorrection(),) * 2)
+            GatePattern(2, (good, bad), np.eye(4, dtype=complex))
 
 
 def _uncached_branch_operators(step, theta, n, payload=None):
@@ -440,7 +446,8 @@ class TestKernelCrossCheck:
                     prefix = outcomes[: k + 1]
                     if prefix not in replayed:
                         replayed[prefix], _ = _step_once(
-                            replayed[prefix[:-1]], pat.steps[k], outcome=prefix[-1], outcomes=prefix[:-1]
+                            replayed[prefix[:-1]], pat.steps[k], outcome=prefix[-1],
+                            local=_local_bits(pat, prefix, k)
                         )
                 np.testing.assert_allclose(
                     replayed[outcomes].amplitudes, res.raw[b], rtol=0, atol=1e-12
@@ -474,20 +481,18 @@ class TestBranchStepKernel:
                 assert np.abs(got[i] - child / np.linalg.norm(child)).max() <= KERNEL_TOL, (targets, r, s)
 
 
-def _xor_parity(indices, outcomes, payload_bits):
-    """The parity of one set, one XOR per member, as the walker it replaces."""
-    p = np.zeros(outcomes.shape[1:], dtype=np.int64)
+def _xor_parity(indices, bits):
+    """The parity of one set, one XOR per member."""
+    p = np.zeros(bits.shape[1:], dtype=np.int64)
     for i in indices:
-        if i < PAYLOAD_BIT:
-            p ^= outcomes[i]
-        elif payload_bits is not None:
-            p ^= payload_bits[i - PAYLOAD_BIT]
+        p ^= bits[i]
     return p
 
 
 class TestParityTables:
-    """Every outcome parity is read from one cached GF(2) incidence table per
-    tuple of sets: (M_out @ bits + M_pay @ payload_bits) & 1."""
+    """Every parity of local bits is read from one cached GF(2) incidence
+    table per tuple of sets, (M @ bits) & 1, and every frame map acts as one
+    such table on a slot's local bits."""
 
     @pytest.mark.parametrize("batch", [1, 4096])
     def test_matches_an_xor_loop(self, batch):
@@ -496,72 +501,50 @@ class TestParityTables:
         for _ in range(20):
             sets = tuple(
                 frozenset(int(i) for i in rng.choice(width, size=rng.integers(0, 12), replace=False))
-                | frozenset(PAYLOAD_BIT + int(i) for i in rng.choice(width, size=rng.integers(0, 4), replace=False))
                 for _ in range(int(rng.integers(1, 7)))
             )
-            outcomes = rng.integers(2, size=(width, batch)).astype(np.int8)
-            payload = rng.integers(2, size=(width, batch)).astype(np.int8)
-            for pay in (payload, None):
-                want = np.array([_xor_parity(s, outcomes, pay) for s in sets])
-                assert np.array_equal(parities((sets,), 0, outcomes, pay), want)
-
-    def test_each_column_reads_its_own_group(self):
-        """Columns that name different groups get the parities each group
-        gives on its own."""
-        rng = np.random.default_rng(4)
-        width, batch = 12, 30
-        groups = [tuple(frozenset(int(i) for i in rng.choice(width, size=3, replace=False))
-                        | {PAYLOAD_BIT + int(rng.integers(width))} for _ in range(2)) for _ in range(5)]
-        which = rng.integers(len(groups), size=batch)
-        outcomes = rng.integers(2, size=(width, batch)).astype(np.int8)
-        payload = rng.integers(2, size=(width, batch)).astype(np.int8)
-        got = parities(groups, which, outcomes, payload)
-        for b, g in enumerate(which):
-            assert np.array_equal(got[:, b], parities(groups, g, outcomes[:, b], payload[:, b])), b
+            bits = rng.integers(2, size=(width, batch)).astype(np.int8)
+            want = np.array([_xor_parity(s, bits) for s in sets])
+            assert np.array_equal(parities(sets, bits), want)
 
     def test_more_members_than_int8_holds(self):
         """The int8 products wrap modulo 256, which keeps the parity: sets of
-        128, 255 and 300 members over all-one bits."""
+        128, 255, 300 and 299 members over all-one bits."""
         width = 300
-        sets = (frozenset(range(128)), frozenset(range(255)), frozenset(range(300)),
-                frozenset(range(1, 300)) | frozenset(PAYLOAD_BIT + i for i in range(200)))
+        sets = (frozenset(range(128)), frozenset(range(255)), frozenset(range(300)), frozenset(range(1, 300)))
         ones = np.ones((width, 3), dtype=np.int8)
-        assert parities((sets,), 0, ones, ones).tolist() == [[0] * 3, [1] * 3, [0] * 3, [1] * 3]
+        assert parities(sets, ones).tolist() == [[0] * 3, [1] * 3, [0] * 3, [1] * 3]
 
     def test_one_outcome_record(self):
-        """A (steps,) record, as a one-register replay resolves an angle."""
+        """A (width,) record, as one register resolves an angle."""
         sets = (frozenset({0, 2}), frozenset({1}), frozenset())
-        assert parities((sets,), 0, (1, 1, 0)).tolist() == [1, 1, 0]
+        assert parities(sets, (1, 1, 0)).tolist() == [1, 1, 0]
 
     def test_tables_are_cached_bounded_and_read_only(self):
-        sets = (frozenset({0, PAYLOAD_BIT + 1}),)
-        m_out, m_pay = parity_table(sets, 3)
-        assert parity_table(sets, 3)[0] is m_out
-        assert m_out.tolist() == [[1, 0, 0]] and m_pay.tolist() == [[0, 1, 0]]
-        assert m_out.dtype == np.int8 and not m_out.flags.writeable
+        sets = (frozenset({0, 2}),)
+        table = parity_table(sets, 3)
+        assert parity_table(sets, 3) is table
+        assert table.tolist() == [[1, 0, 1]]
+        assert table.dtype == np.int8 and not table.flags.writeable
         assert parity_table.cache_info().maxsize == PARITY_CACHE_SIZE
         with pytest.raises(IndexError):
             parity_table((frozenset({3}),), 3)
 
     def test_frame_bits_and_angles_read_the_tables(self):
+        """A random (2m, 2m + 2k + 1) map on random local bits: ``frame_bits``
+        on a batch, with one map or one per column, and ``carry`` on one
+        column each give every row's parity of the bits it names."""
         rng = np.random.default_rng(7)
-        outcomes = rng.integers(2, size=(9, 64)).astype(np.int8)
-        payload = rng.integers(2, size=(9, 64)).astype(np.int8)
-        corrections = (QubitCorrection(frozenset({0, 3}), 1, frozenset({PAYLOAD_BIT + 2, 5}), 0),
-                       QubitCorrection(frozenset(), 0, frozenset({8}), 1))
-        x, z = frame_bits((corrections,), 0, outcomes, payload)
-        for q, c in enumerate(corrections):
-            assert np.array_equal(x[q], c.x_const ^ _xor_parity(c.x_parity, outcomes, payload))
-            assert np.array_equal(z[q], c.z_const ^ _xor_parity(c.z_parity, outcomes, payload))
-        # walk_steps resolves each row's angle on that row's bits, as a
-        # one-row step at the angle of the scalar loop
-        angle = AdaptiveAngle(-1.1, frozenset({1, 4, 6}))
-        step = AdqcStep((1,), ("J_CANON",), AncillaSpec(0.4, 0.2), angle)
-        states = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
-        states /= np.linalg.norm(states, axis=1)[:, None]
-        got, _, bits, origin = walk_steps([step] * 9, states, outcomes, np.full((1, 64), 8))
-        for row, r in enumerate(origin):
-            s = int(bits[8, row])
-            want, _ = _step_once(PureState(2, states[r]), step, outcome=s, outcomes=outcomes[:, r])
-            np.testing.assert_allclose(got[row], want.amplitudes, rtol=0, atol=1e-15)
-
+        for m, k in ((1, 1), (1, 3), (2, 1), (2, 2)):
+            maps = rng.integers(2, size=(64, 2 * m, 2 * m + 2 * k + 1)).astype(np.int8)
+            frame, outcomes, coins = (rng.integers(2, size=(size, 64)).astype(np.int8) for size in (2 * m, k, k))
+            local = np.concatenate((frame, outcomes, coins, np.ones((1, 64), dtype=np.int8)))
+            want = np.array([[_xor_parity(np.flatnonzero(maps[b, r]), local[:, b:b + 1])[0] for b in range(64)]
+                             for r in range(2 * m)])
+            assert np.array_equal(frame_bits(maps, frame, outcomes, coins), want)
+            assert np.array_equal(frame_bits(maps[0], frame, outcomes, coins)[:, 0], want[:, 0])
+            for b in range(8):
+                slot = SlotSpec("X", tuple(range(m)), None, {f"r{t}": t for t in range(k)}, maps[b])
+                column = frame[:, b].tolist() + [0] * 2
+                carry(column, slot, outcomes[:, b].tolist() + coins[:, b].tolist())
+                assert column[:2 * m] == want[:, b].tolist() and column[2 * m:] == [0, 0]

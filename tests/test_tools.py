@@ -48,3 +48,18 @@ class TestClaimRule:
     def test_a_gain_inside_the_iqr_is_not_claimed(self):
         change = [v - 0.01 for v in PARENT]
         assert bench_pairs.claim_rule(PARENT, change, "lower") == (10, False)
+
+
+_SCALE = importlib.util.spec_from_file_location(
+    "scale_table", Path(__file__).resolve().parents[1] / "tools" / "scale_table.py"
+)
+scale_table = importlib.util.module_from_spec(_SCALE)
+_SCALE.loader.exec_module(scale_table)
+
+
+def test_scale_table_smoke(capsys):
+    """A 10-gate table: a header, a rule and one row of three measurements."""
+    assert scale_table.main(["10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["| gates | compile | compile peak | enumerated delegation |", "|---|---|---|---|"]
+    assert len(lines) == 3 and lines[2].startswith("| 10 | ") and lines[2].count(" s |") == 2, lines
