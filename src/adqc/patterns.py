@@ -22,6 +22,7 @@ from itertools import groupby
 
 import numpy as np
 
+from . import register
 from .core import AncillaSpec, rotation
 from .linalg import (
     CZ,
@@ -52,6 +53,8 @@ from .register import (
 
 VARIANTS = ("single", "two")
 MAX_FLAT_STEPS = 13  # longest slotless pattern enumerated flat
+SLOT_CACHE_SIZE = 1024  # slot-check results kept, oldest dropped first; each holds a few KB
+_SLOT_CACHE: dict[tuple, tuple] = {}  # slot content -> its _check_slots row and that row's two maxima
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +446,14 @@ def verify_pattern(pattern: GatePattern, tol: float = 1e-9) -> VerifyReport:
     realizes ``target`` up to a global phase, and the branches are complete.
 
     A pattern of more than one slot is checked slot by slot at the operator
-    level (``_verify_slotwise``), each slot on its own qubits under every
-    incoming local frame.  That is sufficient, not necessary: a slot that
-    mishandles a frame no earlier slot can hand it is refused, though every
-    branch of the whole pattern may be right.  A failed report's ``detail``
-    names the slot, its outcome bits and the incoming frame where it
-    failed.  A pattern of at most one slot (a slotless one of at most
-    ``MAX_FLAT_STEPS`` steps) is checked whole, as one stage: one
+    level (``_verify_slotwise``): each distinct slot content once (the results
+    are cached) on its own qubits under every incoming local frame, then the
+    slots' ordered product against ``target``.  That is sufficient, not
+    necessary: a slot that mishandles a frame no earlier slot can hand it is
+    refused, though every branch of the whole pattern may be right.  A failed
+    report's ``detail`` names the slot, its outcome bits and the incoming
+    frame where it failed.  A pattern of at most one slot (a slotless one of
+    at most ``MAX_FLAT_STEPS`` steps) is checked whole, as one stage: one
     ``run_pattern`` from the Choi input I/sqrt(d), each corrected branch
     operator against target/sqrt(d), and probabilities summing to 1, which
     with every branch proportional to the unitary target is
@@ -484,35 +488,35 @@ def _leaf_bits(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return bits, paulis
 
 
-def _check_slots(pattern: GatePattern, members: list[int], m: int, couplings: tuple):
-    """Every leaf of the slots ``members``, which share m local qubits and
-    their steps' ``couplings`` (local targets, labels, ancilla), under each
-    of the 4^m incoming frames (``_leaf_bits``).  A step has four Kraus
-    operators per slot (sign times outcome); each (frame, leaf) takes its
-    factor by a gather and one product, and is dropped where a conditional
-    probability falls below PRUNE_PROBABILITY.  Returns, per slot, its first
-    kept corrected leaf P_out K P_in of unit norm, ||sum K^dagger K - I||
-    per frame, and each leaf's distance from that first one (0 if pruned)."""
-    slots = [pattern.slots[j] for j in members]
-    count, d, k = len(slots), 2**m, len(couplings)
+def _check_slots(m: int, couplings: tuple, angles: list[tuple], maps: list[np.ndarray]):
+    """Every leaf of the slots given by their steps' (value, negate)
+    ``angles`` and their frame ``maps``, which share m local qubits and their
+    steps' ``couplings`` (local targets, labels, ancilla gamma and delta),
+    under each of the 4^m incoming frames (``_leaf_bits``).  A step has four
+    Kraus operators per slot (sign times outcome); each (frame, leaf) takes
+    its factor by a gather and one product, and is dropped where a
+    conditional probability falls below PRUNE_PROBABILITY.  Returns, per
+    slot, its first kept corrected leaf P_out K P_in of unit norm,
+    ||sum K^dagger K - I|| per frame, and each leaf's distance from that
+    first one (0 if pruned)."""
+    count, d, k = len(angles), 2**m, len(couplings)
     bits, paulis = _leaf_bits(m, k)
-    angles = [[pattern.steps[i].basis_theta for i in slot.step_indices] for slot in slots]
-    values = np.array([[a.value for a in row] for row in angles]).reshape(count, k)
+    values = np.array([[value for value, _ in row] for row in angles]).reshape(count, k)
     kraus = np.empty((k, count, 2, 2, d, d), dtype=complex)  # (step, slot, sign, outcome)
     for coupling in set(couplings):
         at = [t for t, c in enumerate(couplings) if c == coupling]
         thetas = np.stack([values[:, at].T, -values[:, at].T], -1)
-        kraus[at] = step_branch_operators(AdqcStep(*coupling, _ZERO_ANGLE), thetas, m)
+        kraus[at] = step_branch_operators(AdqcStep(*coupling[:2], AncillaSpec(*coupling[2]), _ZERO_ANGLE), thetas, m)
     ops = np.broadcast_to(paulis[None, :, None], (count, len(paulis), 1 << k, d, d)).reshape(count, -1, d, d)
     weight, kept = float(d), True
     for t, row in enumerate(zip(*angles)):
-        sign = parity_table(tuple(a.negate for a in row), 2 * m + k) @ bits.T & 1
+        sign = parity_table(tuple(negate for _, negate in row), 2 * m + k) @ bits.T & 1
         ops = np.einsum("snij,snjk->snik", kraus[t][np.arange(count)[:, None], sign, bits[:, 2 * m + t]], ops)
         flat = ops.reshape(count, len(bits), -1).view(float)
         norms = np.einsum("snj,snj->sn", flat, flat)
         kept = kept & (norms >= PRUNE_PROBABILITY * weight)
         weight = norms
-    local, maps = bits.T[:, None], np.stack([slot.frame_map for slot in slots])[:, None]
+    local, maps = bits.T[:, None], np.stack(maps)[:, None]
     out = frame_bits(maps, local[:2 * m], local[2 * m:], 0 * local[2 * m:])
     corrected = apply_pauli_frame(ops.reshape(-1, d, d), out[0::2].reshape(m, -1), out[1::2].reshape(m, -1))
     corrected = corrected.reshape(count, len(bits), d * d) / np.sqrt(np.where(kept, weight, 1.0))[..., None]
@@ -525,50 +529,80 @@ def _check_slots(pattern: GatePattern, members: list[int], m: int, couplings: tu
     return firsts.reshape(count, d, d), incomplete, errs.reshape(count, len(paulis), -1)
 
 
+def _slot_key(pattern: GatePattern, slot: SlotSpec, blocks: dict) -> tuple:
+    """Every input ``_check_slots`` reads for ``slot``: its batch's shape
+    (qubit count, steps' local targets, labels and ancillas), each step's
+    ``register.coupling_blocks`` bytes (read once per label tuple into
+    ``blocks``), its angles and its frame map's dtype, shape and bytes."""
+    steps = [pattern.steps[i] for i in slot.step_indices]
+    for labels in {s.entangler_labels for s in steps} - blocks.keys():
+        blocks[labels] = register.coupling_blocks(labels).tobytes()
+    couplings = tuple((tuple(map(slot.qubits.index, s.targets)), s.entangler_labels, (s.ancilla.gamma, s.ancilla.delta))
+                      for s in steps)  # plain tuples: a frozen dataclass hashes in Python
+    frame_map, angles = slot.frame_map, tuple((s.basis_theta.value, s.basis_theta.negate) for s in steps)
+    return (len(slot.qubits), couplings, tuple(blocks[s.entangler_labels] for s in steps), angles,
+            frame_map.dtype.str, frame_map.shape, frame_map.tobytes())
+
+
+def _rescaled(m: np.ndarray) -> np.ndarray:
+    """``m`` times the power of two putting its largest magnitude in [0.5, 1): exact."""
+    return m * 2.0 ** -max(math.frexp(float(np.abs(m).max()))[1], -1021)
+
+
 def _verify_slotwise(pattern: GatePattern, tol: float) -> VerifyReport:
     """Check every slot at the operator level on its own qubits.
 
     Each slot starts from the identity on its m local qubits under each of
     its 4^m incoming frames P_in, which covers every history an earlier slot
     can lead to and more (so a valid pattern may be refused), and its frame
-    map gives each leaf's outgoing frame
-    P_out.  Slots of one shape (local size and step couplings) run in one
-    batch (``_check_slots``).  Three checks must hold: every corrected leaf
-    P_out K P_in of a slot is proportional to its first kept leaf; sum_b
-    K_b^dagger K_b = I under every incoming frame; and the ordered product
-    of the slots' first leaves is proportional to ``target``.  The report
-    names the first slot that fails.
+    map gives each leaf's outgoing frame P_out.  Each distinct slot content
+    (``_slot_key``) is checked once, in one ``_check_slots`` batch per
+    shape, and kept read-only in a cache of SLOT_CACHE_SIZE entries, oldest
+    dropped first.  On every call, each corrected leaf P_out K P_in must be
+    proportional to its slot's first kept leaf, sum_b K_b^dagger K_b = I
+    under every incoming frame, and the ordered product of the unit-norm
+    first leaves, rescaled by an exact power of two after every factor so it
+    cannot underflow, proportional to ``target``; a NaN error fails.  The
+    report names the first slot that fails.
     """
-    batches: dict[tuple, list[int]] = {}
-    for j, slot in enumerate(pattern.slots):
-        steps = [pattern.steps[i] for i in slot.step_indices]
-        couplings = tuple((tuple(map(slot.qubits.index, s.targets)), s.entangler_labels, s.ancilla) for s in steps)
-        batches.setdefault((len(slot.qubits), couplings), []).append(j)
+    blocks: dict[tuple[str, ...], bytes] = {}
+    keys = [_slot_key(pattern, slot, blocks) for slot in pattern.slots]
+    found = [_SLOT_CACHE.get(key) for key in keys]
+    misses: dict[tuple, dict[tuple, np.ndarray]] = {}
+    for key, row, slot in zip(keys, found, pattern.slots):
+        if row is None:
+            misses.setdefault(key[:2], {})[key] = slot.frame_map
     checked = {}
-    for (m, couplings), members in batches.items():
-        checked.update(zip(members, zip(*_check_slots(pattern, members, m, couplings))))
-    firsts, incomplete, errs = zip(*(checked[j] for j in range(len(pattern.slots))))
-    worst_err = np.array([e.max() for e in errs])
-    bad = np.flatnonzero((np.array([i.max() for i in incomplete]) > 1e-9) | (worst_err > tol))
+    for (m, couplings), batch in misses.items():
+        results = _check_slots(m, couplings, [key[3] for key in batch], list(batch.values()))
+        for a in results:
+            a.flags.writeable = False  # each slot's results are views of these
+        checked.update(zip(batch, zip(*results, results[1].max(axis=1), results[2].max(axis=(1, 2)))))
+    firsts, incomplete, errs, most_incomplete, worst_err = zip(*(row or checked[key] for key, row in zip(keys, found)))
+    for key, row in checked.items():
+        _SLOT_CACHE[key] = row
+        if len(_SLOT_CACHE) > SLOT_CACHE_SIZE:
+            del _SLOT_CACHE[next(iter(_SLOT_CACHE))]
+    worst_err, lost = np.array(worst_err), ~(np.array(most_incomplete) <= 1e-9)
+    bad = np.flatnonzero(lost | ~(worst_err <= tol))
     if bad.size:
         j, slot = int(bad[0]), pattern.slots[bad[0]]
-        lost = incomplete[j].max() > 1e-9
-        f, leaf = (np.argmax(incomplete[j]), 0) if lost else np.unravel_index(np.argmax(errs[j]), errs[j].shape)
+        f, leaf = (np.argmax(incomplete[j]), 0) if lost[j] else np.unravel_index(np.argmax(errs[j]), errs[j].shape)
         frame = {f"{'xz'[c % 2]}{q}": int(f) >> c & 1 for c, q in enumerate(np.repeat(slot.qubits, 2).tolist())}
-        if lost:
+        if lost[j]:
             return VerifyReport(False, 1.0, (), "slotwise", f"slot {j} branches are incomplete: sum of K^dagger K"
                                 f" is {incomplete[j][f]:.3e} from I under incoming frame {frame}")
         k, err = len(slot.roles), float(worst_err[j])
         outcomes = [int(leaf) >> (k - 1 - t) & 1 for t in range(k)]
         return VerifyReport(False, err, (), "slotwise", f"slot {j} branches disagree after correction: outcomes"
                             f" {outcomes} under incoming frame {frame}, error {err:.3e}")
-    worst = float(worst_err.max(initial=0.0))
     product = np.eye(2**pattern.num_qubits, dtype=complex)  # consecutive slots on the same qubits multiply locally
     for qubits, run in groupby(zip(pattern.slots, firsts), key=lambda pair: pair[0].qubits):
-        product = apply_op(reduce(lambda acc, pair: pair[1] @ acc, run, np.eye(2 ** len(qubits))), product, qubits)
+        local = reduce(lambda acc, pair: _rescaled(pair[1] @ acc), run, np.eye(2 ** len(qubits)))
+        product = _rescaled(apply_op(local, product, qubits))
     unit = [m.reshape(-1) / np.linalg.norm(m) for m in (product, pattern.target)]
     err = float(phase_invariant_error(*unit))
-    worst = max(worst, err)
+    worst = float(np.maximum(worst_err.max(initial=0.0), err))  # a NaN err stays NaN, and fails
     valid = worst <= tol
     detail = "" if valid else f"final corrections disagree with the target: error {err:.3e}"
     return VerifyReport(valid, worst, (), "slotwise", detail)

@@ -195,17 +195,17 @@ class ClientSecret:
         # angles must be on-grid
         self.theta_index = tuple(0 if slot.theta_prime is None else grid_index(slot.theta_prime, self.grid_n)
                                  for slot in self.pattern.slots)
-        rng = np.random.default_rng(self.seed)
         self.gamma_index = np.zeros((len(self.pattern.slots), 1), dtype=np.int64)
         self.coins = np.zeros((len(self.pattern.steps), 1), dtype=np.int8)
-        # per slot, in the seed's draw order: the hidden index, then the
-        # coins of its gamma, theta, assist and couple rounds
+        # (row, is a coin) of each draw in the seed's order: per slot, the
+        # hidden index, then the coins of its gamma, theta, assist and couple
+        # rounds; one ``integers`` call with per-draw bounds draws them all
+        rows = []
         for j, slot in enumerate(self.pattern.slots):
-            if "gamma" in slot.roles:
-                self.gamma_index[j] = rng.integers(self.grid_n)
-            for role in ROLES:
-                if role in slot.roles:
-                    self.coins[slot.roles[role]] = rng.integers(2)
+            rows += [(j, 0)] * ("gamma" in slot.roles) + [(slot.roles[role], 1) for role in ROLES if role in slot.roles]
+        row, coin = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+        draws = np.random.default_rng(self.seed).integers(0, np.where(coin, 2, self.grid_n))
+        self.gamma_index[row[coin == 0], 0], self.coins[row[coin == 1], 0] = draws[coin == 0], draws[coin == 1]
 
 
 def _unit_rows(kets: np.ndarray) -> np.ndarray:

@@ -691,3 +691,117 @@ class TestPatternPin:
             sets += [s for frame in boundaries for s, _ in frame]
             assert all(len(p.steps[i - PAYLOAD].targets) == 2 for i in frozenset().union(*sets) if i >= PAYLOAD)
         assert named > 0
+
+
+class TestLongPatterns:
+    """The final product multiplies every slot's unit-norm first leaf, so
+    it shrinks by 2^(-1/2) per one-qubit slot; rescaled by exact powers of
+    two it neither underflows to 0 (a NaN error, once silently dropped) nor
+    overflows the 1/norm step (an error of inf)."""
+
+    @pytest.mark.parametrize("variant", ["single", "two"])
+    @pytest.mark.parametrize("gates", [400, 1001])
+    def test_long_h_circuits_verify_and_a_wrong_target_is_refused(self, variant, gates):
+        pat = compile_circuit(CircuitDescription(1, (CircuitGate("H", (0,)),) * gates), variant)
+        assert len(pat.slots) > 1100
+        rep = verify_pattern(pat)
+        assert rep.valid and rep.worst_branch_error < 1e-9, rep
+        wrong = H @ pat.target  # I for an odd gate count, H for an even one
+        rep = verify_pattern(replace(pat, target=wrong))
+        assert not rep.valid and rep.detail.startswith("final corrections disagree with the target: error 1.4"), rep
+
+    @pytest.mark.parametrize("variant", ["single", "two"])
+    def test_a_long_two_qubit_circuit_verifies(self, variant):
+        gates = (CircuitGate("H", (0,)), CircuitGate("H", (1,)), CircuitGate("CZ", (0, 1))) * 90
+        pat = compile_circuit(CircuitDescription(2, gates), variant)
+        assert len(pat.slots) > 1100
+        assert verify_pattern(pat).valid
+        rep = verify_pattern(replace(pat, target=CZ @ pat.target))
+        assert not rep.valid and rep.detail.startswith("final corrections disagree with the target"), rep
+
+    def test_a_zero_target_is_refused(self):
+        """Its unit vector is 0/0, a NaN error, which fails."""
+        pat = standard_pattern("CZ", None, "two")
+        with np.errstate(invalid="ignore"):
+            rep = verify_pattern(replace(pat, target=np.zeros((4, 4), dtype=complex)))
+        assert not rep.valid and rep.detail == "final corrections disagree with the target: error nan", rep
+
+    def test_a_nan_angle_is_refused_at_its_slot(self):
+        pat = standard_pattern("CZ", None, "two")
+        i = pat.slots[0].step_indices[-1]
+        angle = AdaptiveAngle(float("nan"), pat.steps[i].basis_theta.negate)
+        rep = verify_pattern(replace(pat, steps=pat.steps[:i] + (replace(pat.steps[i], basis_theta=angle),)
+                                     + pat.steps[i + 1:]))
+        assert not rep.valid and rep.detail.startswith("slot 0 branches are incomplete"), rep
+
+
+class TestSlotCache:
+    """``verify_pattern`` checks each distinct slot content once and keeps
+    the results in ``patterns._SLOT_CACHE``; every report must equal the one
+    a cold cache gives."""
+
+    @staticmethod
+    def _slotwise_reports(monkeypatch, run) -> list:
+        """The report of every slot-wise check ``run`` makes."""
+        reports = []
+        check = patterns._verify_slotwise
+
+        def recorded(pattern, tol):
+            reports.append(check(pattern, tol))
+            return reports[-1]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(patterns, "_verify_slotwise", recorded)
+            run()
+        return reports
+
+    @pytest.mark.parametrize("family", ["pinned", "brute_force", "flat", "untouched_qubit"])
+    def test_cold_and_warm_reports_are_equal(self, monkeypatch, family):
+        """The pinned patterns and the three mutant families (their own
+        assertions run too), on a cleared cache and then again warm."""
+        runs = {
+            "pinned": lambda: [verify_pattern(p) for p in TestPatternPin._patterns()],
+            "brute_force": TestSlotwiseVerification().test_verdicts_match_brute_force,
+            "flat": TestSlotwiseVerification().test_flat_verdicts_match_brute_force,
+            "untouched_qubit": TestSlotwiseVerification().test_boundary_frame_of_an_untouched_qubit_checked,
+        }
+        patterns._SLOT_CACHE.clear()
+        cold = self._slotwise_reports(monkeypatch, runs[family])
+        warm = self._slotwise_reports(monkeypatch, runs[family])
+        assert cold == warm
+        assert (len(cold) > 0) == (family != "flat")
+
+    @pytest.mark.parametrize("variant", ["single", "two"])
+    def test_a_mutant_after_its_original_gets_its_cold_report(self, variant):
+        """Every ``_mutants`` edit of a CZ pattern and of a compiled circuit,
+        verified on a cleared cache and then right after its valid original
+        has filled the cache with the slots it shares."""
+        circuit = CircuitDescription(2, (CircuitGate("Rz", (0,), PI / 4), CircuitGate("CZ", (0, 1))))
+        refused = 0
+        for pat in (standard_pattern("CZ", None, variant), compile_circuit(circuit, variant)):
+            for mutant in _mutants(pat):
+                patterns._SLOT_CACHE.clear()
+                cold = verify_pattern(mutant)
+                assert verify_pattern(pat).valid
+                assert verify_pattern(mutant) == cold
+                refused += not cold.valid
+        assert refused > 0
+
+    def test_a_sabotaged_kernel_misses_a_warm_cache(self, monkeypatch):
+        """The key holds the coupling blocks' bytes, so scaled blocks are
+        checked afresh even after the exact ones were cached."""
+        patterns._SLOT_CACHE.clear()
+        assert verify_pattern(standard_pattern("CZ", None, "two")).valid
+        TestSlotwiseVerification().test_incomplete_kraus_pairs_named(monkeypatch)
+
+    def test_entries_stay_at_the_bound_and_are_read_only(self):
+        """A circuit of more distinct slots than the bound (Rz gates at
+        distinct off-grid angles) leaves exactly the bound's entries."""
+        patterns._SLOT_CACHE.clear()
+        gates = tuple(CircuitGate("Rz", (0,), 0.001 * (g + 1)) for g in range(patterns.SLOT_CACHE_SIZE + 10))
+        pat = compile_circuit(CircuitDescription(1, gates), "two")
+        assert verify_pattern(pat).valid
+        assert len(patterns._SLOT_CACHE) == patterns.SLOT_CACHE_SIZE
+        assert verify_pattern(pat).valid
+        assert len(patterns._SLOT_CACHE) == patterns.SLOT_CACHE_SIZE
+        assert not any(a.flags.writeable for row in patterns._SLOT_CACHE.values() for a in row)

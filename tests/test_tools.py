@@ -58,8 +58,8 @@ _SCALE.loader.exec_module(scale_table)
 
 
 def test_scale_table_smoke(capsys):
-    """A 10-gate table: a header, a rule and one row of three measurements."""
+    """A 10-gate table: a header, a rule and one row of four measurements."""
     assert scale_table.main(["10"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["| gates | compile | compile peak | enumerated delegation |", "|---|---|---|---|"]
-    assert len(lines) == 3 and lines[2].startswith("| 10 | ") and lines[2].count(" s |") == 2, lines
+    assert lines[:2] == ["| gates | compile | compile peak | verify | enumerated delegation |", "|---|---|---|---|---|"]
+    assert len(lines) == 3 and lines[2].startswith("| 10 | ") and lines[2].count(" s |") == 3, lines

@@ -4,11 +4,14 @@
 
 For each gate count it builds the circuit of that many H gates on one qubit
 in variant ``two`` and prints one row of a Markdown table: the compile time
-of ``compile_circuit``, the ``tracemalloc`` peak of that compile, and the
-time of one ``run_delegation`` in ``enumerate`` mode on an 8-point grid (its
-secret, which compiles the circuit again, is built before the clock
-starts).  Each time is the best of REPEATS runs.  Standard library and
-numpy only; it imports ``adqc`` from this checkout's ``src``.
+of ``compile_circuit``, the ``tracemalloc`` peak of that compile, the time
+of one ``verify_pattern`` of the compiled pattern (which must be valid; the
+slot checks are cached after the first of the runs, so the best run times
+the keys and the final product), and the time of one ``run_delegation`` in
+``enumerate`` mode on an 8-point grid (its secret, which compiles the
+circuit again, is built before the clock starts).  Each time is the best
+of REPEATS runs.  Standard library and numpy only; it imports ``adqc`` from
+this checkout's ``src``.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from adqc.patterns import CircuitDescription, CircuitGate, compile_circuit  # noqa: E402
+from adqc.patterns import CircuitDescription, CircuitGate, compile_circuit, verify_pattern  # noqa: E402
 from adqc.protocol import ClientSecret, run_delegation  # noqa: E402
 
 VARIANT, GRID, SEED, REPEATS = "two", 8, 1, 3
@@ -37,10 +40,16 @@ def best_time(run) -> float:
 
 
 def row(gates: int) -> dict:
-    """Compile time, compile memory peak and enumerated-delegation time at
-    ``gates`` H gates; the delegation must reach fidelity 1."""
+    """Compile time, compile memory peak, verify time and enumerated-delegation
+    time at ``gates`` H gates; the pattern must verify and the delegation
+    reach fidelity 1."""
     circuit = CircuitDescription(1, (CircuitGate("H", (0,)),) * gates)
     compile_s = best_time(lambda: compile_circuit(circuit, VARIANT))
+    pattern = compile_circuit(circuit, VARIANT)
+    reports = []
+    verify_s = best_time(lambda: reports.append(verify_pattern(pattern)))
+    if not all(rep.valid for rep in reports):
+        raise RuntimeError(f"the pattern of {gates} gates was refused: {reports[0].detail}")
     tracemalloc.start()
     compile_circuit(circuit, VARIANT)
     peak = tracemalloc.get_traced_memory()[1]
@@ -50,7 +59,8 @@ def row(gates: int) -> dict:
     enumerate_s = best_time(lambda: results.append(run_delegation(secret, seed=SEED, mode="enumerate")))
     if min(res.worst_branch_fidelity for res in results) < 1 - 1e-9:
         raise RuntimeError(f"the enumerated delegation of {gates} gates lost fidelity")
-    return {"gates": gates, "compile_s": compile_s, "peak_mib": peak / 2**20, "enumerate_s": enumerate_s}
+    return {"gates": gates, "compile_s": compile_s, "peak_mib": peak / 2**20, "verify_s": verify_s,
+            "enumerate_s": enumerate_s}
 
 
 def main(argv=None) -> int:
@@ -59,12 +69,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if min(args.gates) < 1:
         parser.error("gate counts must be at least 1")
-    print("| gates | compile | compile peak | enumerated delegation |")
-    print("|---|---|---|---|")
+    print("| gates | compile | compile peak | verify | enumerated delegation |")
+    print("|---|---|---|---|---|")
     for gates in args.gates:
         r = row(gates)
-        print(f"| {r['gates']:,} | {r['compile_s']:.3f} s | {r['peak_mib']:.1f} MiB | {r['enumerate_s']:.3f} s |",
-              flush=True)
+        print(f"| {r['gates']:,} | {r['compile_s']:.3f} s | {r['peak_mib']:.1f} MiB | {r['verify_s']:.3f} s"
+              f" | {r['enumerate_s']:.3f} s |", flush=True)
     return 0
 
 
