@@ -9,9 +9,10 @@ of one ``verify_pattern`` of the compiled pattern (which must be valid; the
 slot checks are cached after the first of the runs, so the best run times
 the keys and the final product), and the time of one ``run_delegation`` in
 ``enumerate`` mode on an 8-point grid (its secret, which compiles the
-circuit again, is built before the clock starts).  Each time is the best
-of REPEATS runs.  Standard library and numpy only; it imports ``adqc`` from
-this checkout's ``src``.
+circuit again, is built before the clock starts).  The verify runs come
+last and check the secret's pattern.  Each time is the best of REPEATS
+runs.  Standard library and numpy only; it imports ``adqc`` from this
+checkout's ``src``.
 """
 from __future__ import annotations
 
@@ -45,11 +46,6 @@ def row(gates: int) -> dict:
     reach fidelity 1."""
     circuit = CircuitDescription(1, (CircuitGate("H", (0,)),) * gates)
     compile_s = best_time(lambda: compile_circuit(circuit, VARIANT))
-    pattern = compile_circuit(circuit, VARIANT)
-    reports = []
-    verify_s = best_time(lambda: reports.append(verify_pattern(pattern)))
-    if not all(rep.valid for rep in reports):
-        raise RuntimeError(f"the pattern of {gates} gates was refused: {reports[0].detail}")
     tracemalloc.start()
     compile_circuit(circuit, VARIANT)
     peak = tracemalloc.get_traced_memory()[1]
@@ -59,6 +55,10 @@ def row(gates: int) -> dict:
     enumerate_s = best_time(lambda: results.append(run_delegation(secret, seed=SEED, mode="enumerate")))
     if min(res.worst_branch_fidelity for res in results) < 1 - 1e-9:
         raise RuntimeError(f"the enumerated delegation of {gates} gates lost fidelity")
+    reports = []
+    verify_s = best_time(lambda: reports.append(verify_pattern(secret.pattern)))
+    if not all(rep.valid for rep in reports):
+        raise RuntimeError(f"the pattern of {gates} gates was refused: {reports[0].detail}")
     return {"gates": gates, "compile_s": compile_s, "peak_mib": peak / 2**20, "verify_s": verify_s,
             "enumerate_s": enumerate_s}
 
