@@ -12,7 +12,6 @@ the client's coin) or a grid angle whose distribution is exactly uniform.
 from __future__ import annotations
 
 import cmath
-import copy
 import json
 import math
 from collections.abc import Sequence
@@ -36,11 +35,13 @@ MAX_GRID = 1 << 16
 # grids kept by each of grid_bras and gamma_kets: 64 * N bytes per table, so
 # 128 * N bytes per grid, 8 MiB at MAX_GRID and at most 32 MiB in all
 GRID_CACHE_SIZE = 4
-# slots in one run of an enumerated delegation: a slot has at most 16 leaves
-# and 4 steps, so a run's (steps, rows) client arrays hold at most 2^20 entries
+# slots in one run of an enumerated delegation: a slot has at most 16 leaves,
+# so a run's arrays, a few entries or one register state per leaf, have at
+# most 2,048 rows however long the circuit
 SLOTS_PER_RUN = 128
 STANDARD_PAYLOAD = (1 + 0j, 0j)  # |0>, the ancilla an ANGLE round couples
 ROLES = ("gamma", "theta", "assist", "couple")  # a slot's round roles, in the seed's draw order
+COIN_FLIPPED = ("assist", "theta")  # the roles whose coin's half-turn flips the outcome
 # register input of the audited hidden-rotation round: cos(pi/3)|+> + sin(pi/3) e^(i pi/5)|->
 AUDIT_INPUT = H @ np.array([math.cos(math.pi / 3), math.sin(math.pi / 3) * cmath.exp(1j * math.pi / 5)])
 
@@ -256,9 +257,9 @@ class Client:
     column is in.  ``advance`` carries it across a slot by the slot's frame
     map, which reads a coin as a two-target step's payload flip; an angle
     reads it and the slot's own outcomes only.  Each method answers one
-    slot's round on every column, or, given slot indices and the columns
-    ``rows`` to read, broadcasting together, each row's own slot.  A
-    ``window`` client holds the arrays of a run of slots only."""
+    slot's round on every column; ``prepare_ancilla`` and ``fold`` also take
+    an array of slots, one per row, as an enumerated run asks for its
+    leaves."""
 
     def __init__(self, secret: ClientSecret):
         self.secret = secret
@@ -266,7 +267,6 @@ class Client:
         self.eff_outcomes = np.zeros(secret.coins.shape, dtype=np.int8)
         self.frame = np.zeros((2 * secret.pattern.num_qubits, secret.coins.shape[1]), dtype=np.int8)
         self.transcript = ProtocolTranscript()
-        self.first = self.lo = 0  # the first slot and the first step the arrays hold
 
     def take(self, rows) -> None:
         """Keep the given columns of every per-row array (a column may repeat)."""
@@ -274,17 +274,6 @@ class Client:
         self.coins = self.coins[:, rows]
         self.eff_outcomes = self.eff_outcomes[:, rows]
         self.frame = self.frame[:, rows]
-
-    def window(self, first: int, last: int) -> "Client":
-        """A client of slots first..last-1 and their steps, sharing this
-        client's tables and transcript, with a copy of its frame."""
-        slots, _, _ = self.secret.pattern.slots, self._slot_tables, self._slot_kinds  # built once, shared
-        run, lo, hi = copy.copy(self), slots[first].step_indices[0], slots[last - 1].step_indices[-1] + 1
-        run.first, run.lo, run.frame = first, lo, self.frame.copy()
-        run.gamma_index = self.gamma_index[first - self.first:last - self.first]
-        steps = slice(lo - self.lo, hi - self.lo)
-        run.coins, run.eff_outcomes = self.coins[steps], self.eff_outcomes[steps]
-        return run
 
     @cached_property
     def _slot_tables(self) -> dict:
@@ -296,85 +285,58 @@ class Client:
         tables["k_theta"] = np.array(self.secret.theta_index, dtype=np.int64)
         return tables
 
-    @cached_property
-    def _slot_kinds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per slot, for rows from several slots: its kind (slots of one
-        kind share a frame map and angle sets), and its frame rows and
-        steps, each padded with zeros to the widest slot's."""
-        slots, kinds = self.secret.pattern.slots, {}
-        kind = np.array([kinds.setdefault((id(s.frame_map), s.theta_negate, s.gamma_negate), len(kinds))
-                         for s in slots], dtype=int)
-        padded = []
-        for lists in ([s.frame_rows for s in slots], [s.step_indices for s in slots]):
-            width = max(map(len, lists), default=0)
-            padded.append(np.array([[*x] + [0] * (width - len(x)) for x in lists], dtype=int).reshape(-1, width))
-        return kind, *padded
-
-    def _local(self, slot_idx, rows=slice(None)):
-        """The rows of each slot kind among the given ones: yields their
-        positions, a slot of the kind, and the index of their (2m, R)
-        incoming frame bits and of their (k, R) outcomes or coins."""
-        slots = self.secret.pattern.slots
-        if np.ndim(slot_idx) == 0:  # one slot, whose steps are consecutive
-            slot = slots[slot_idx]
-            frame_rows = slot.frame_rows if isinstance(rows, slice) else np.array(slot.frame_rows)[:, None]
-            steps = slice(slot.step_indices[0] - self.lo, slot.step_indices[-1] + 1 - self.lo)
-            yield slice(None), slot, (frame_rows, rows), (steps, rows)
-            return
-        (kind, frame_rows, steps), cols = self._slot_kinds, np.arange(self.frame.shape[1])[rows]
-        kinds = kind[slot_idx]
-        # the kinds present, by bincount: np.unique would import numpy.ma (about 0.5 MB)
-        for sel in (np.flatnonzero(kinds == k) for k in np.flatnonzero(np.bincount(kinds))):
-            j, slot = slot_idx[sel], slots[slot_idx[sel[0]]]
-            at = cols[sel]
-            yield sel, slot, (frame_rows[j, :2 * len(slot.qubits)].T, at), (steps[j, :len(slot.roles)].T - self.lo, at)
-
     # -- message producers ----------------------------------------------------
 
-    def prepare_ancilla(self, slot_idx, role: str, rows=slice(None)) -> np.ndarray:
+    def prepare_ancilla(self, slot_idx, role: str) -> np.ndarray:
         """(B, 2) kets of the ancilla sent in the given round, one row of
-        ``gamma_kets`` or of the assistant or coupling kets per coin."""
+        ``gamma_kets`` or of the assistant or coupling kets per coin; an
+        (R,) array of slots gives (R, B, 2)."""
         if role == "theta":
             raise ValueError(f"no ancilla round for role {role!r}")
-        coins = self.coins[self._slot_tables[role][slot_idx] - self.lo, rows]
+        coins = self.coins[self._slot_tables[role][slot_idx]]
         if role == "gamma":
-            return gamma_kets(self.secret.grid_n)[self.gamma_index[slot_idx - self.first, rows], coins]
+            return gamma_kets(self.secret.grid_n)[self.gamma_index[slot_idx], coins]
         return (_COUPLE_KETS if role == "couple" else _ASSIST_KETS)[coins]
 
-    def angle_message(self, slot_idx, rows=slice(None)) -> np.ndarray:
-        """(B,) grid indices of the basis angle, folding the secret and its
-        hiding in exact integer arithmetic: with pi = N/2 grid steps,
-        k = s1*k_theta' - s2*(k_gamma + c_gamma*N/2) + c_theta*N/2
-        (mod N), where s1 and s2 are the signs of the parities of the slot's
-        two angle sets over its local bits (its incoming frame and its
-        earlier outcomes) and c_gamma and c_theta the coins of its gamma and
-        theta rounds."""
+    def fold(self, slot_idx, theta_odd, gamma_odd) -> np.ndarray:
+        """Grid indices of the basis angle, folding the secret and its hiding
+        in exact integer arithmetic: with pi = N/2 grid steps,
+        k = s1*k_theta' - s2*(k_gamma + c_gamma*N/2) + c_theta*N/2 (mod N),
+        where s1 = (-1)^theta_odd and s2 = (-1)^gamma_odd are the signs of
+        the parities of the slot's two angle sets and c_gamma and c_theta the
+        coins of its gamma and theta rounds.  One slot and (B,) parities give
+        (B,) indices; an (R,) array of slots and (R, B) parities, (R, B)."""
         tables, half = self._slot_tables, self.secret.grid_n // 2
-        steps = [tables["gamma"][slot_idx] - self.lo, tables["theta"][slot_idx] - self.lo]
-        c_gamma, c_theta = self.coins[steps, rows].astype(np.int64)
-        theta_odd, gamma_odd = odd = np.empty((2, len(c_gamma)), dtype=np.int8)
-        for sel, slot, frame, steps in self._local(slot_idx, rows):
-            local = np.concatenate((self.frame[frame], self.eff_outcomes[steps]))
-            odd[:, sel] = parities((slot.theta_negate, slot.gamma_negate), local)
-        gamma = self.gamma_index[slot_idx - self.first, rows] + c_gamma * half
-        k_theta = tables["k_theta"][slot_idx]
+        steps = np.stack((tables["gamma"][slot_idx], tables["theta"][slot_idx]))
+        c_gamma, c_theta = self.coins[steps].astype(np.int64)
+        gamma = self.gamma_index[slot_idx] + c_gamma * half
+        k_theta = tables["k_theta"][slot_idx, None]
         k = np.where(theta_odd, -k_theta, k_theta) + np.where(gamma_odd, gamma, -gamma) + c_theta * half
         return k % self.secret.grid_n
 
+    def angle_message(self, slot_idx: int) -> np.ndarray:
+        """(B,) grid indices of the slot's basis angle: ``fold`` at the
+        parities of its two angle sets over its local bits (its incoming
+        frame and its earlier outcomes)."""
+        slot = self.secret.pattern.slots[slot_idx]
+        local = np.concatenate((self.frame[slot.frame_rows], self.eff_outcomes[list(slot.step_indices)]))
+        return self.fold(slot_idx, *parities((slot.theta_negate, slot.gamma_negate), local))
+
     # -- outcome digestion ------------------------------------------------------
 
-    def record(self, slot_idx, role: str, outcomes, rows=slice(None)):
+    def record(self, slot_idx: int, role: str, outcomes):
         """Digest the (B,) outcome bits of a round: undo the coin of an
         assistant or theta round, whose half-turn flips the outcome (the
         angle folds the gamma coin, and the frame the payload flip)."""
-        step, flip = self._slot_tables[role][slot_idx] - self.lo, role in ("assist", "theta")
-        self.eff_outcomes[step, rows] = outcomes ^ self.coins[step, rows] if flip else outcomes
+        step, flip = self._slot_tables[role][slot_idx], role in COIN_FLIPPED
+        self.eff_outcomes[step] = outcomes ^ self.coins[step] if flip else outcomes
 
-    def advance(self, slot_idx, rows=slice(None)) -> None:
-        """Carry each column's running frame across its slot by the slot's map."""
-        for _, slot, frame, steps in self._local(slot_idx, rows):
-            bits = self.frame[frame], self.eff_outcomes[steps], self.coins[steps]
-            self.frame[frame] = frame_bits(slot.frame_map, *bits)
+    def advance(self, slot_idx: int) -> None:
+        """Carry each column's running frame across the slot by its map."""
+        slot = self.secret.pattern.slots[slot_idx]
+        steps = list(slot.step_indices)
+        bits = self.frame[slot.frame_rows], self.eff_outcomes[steps], self.coins[steps]
+        self.frame[slot.frame_rows] = frame_bits(slot.frame_map, *bits)
 
 
 # ---------------------------------------------------------------------------
@@ -568,78 +530,79 @@ def _enumerated_dialogue(client: Client, state: np.ndarray, shape):
 
 def _enumerate_run(client: Client, state: np.ndarray, shape, first: int, last: int):
     """Enumerate slots first..last-1 from the carried branch's one-column
-    client (README, ``adqc.protocol``): one pass of the run's ``window``
-    client over every round, slot j's leaf in row offsets[j - first] + leaf;
-    the running frame along the all-zero branch, and each leaf's outgoing
-    one; each leaf's operator on its slot's qubits; one carry per slot."""
+    client (README, ``adqc.protocol``): slot j's leaves in rows
+    offsets[j - first] + leaf; the running frame along the all-zero branch;
+    each leaf's local bits, angle and outgoing frame, slot kind by slot
+    kind; the carried branch's transcript; each leaf's operator on its
+    slot's qubits; one carry per slot."""
     pattern, grid_n = client.secret.pattern, client.secret.grid_n
     slots = pattern.slots[first:last]
     rounds = np.array([len(slot.roles) for slot in slots])
     offsets = np.concatenate(([0], np.cumsum(1 << rounds)))
-    rows = np.arange(offsets[-1])
     row_slot = np.repeat(np.arange(len(slots)), 1 << rounds)  # each row's slot, counted from first
-    leaf = rows - offsets[row_slot]
-    lo = slots[0].step_indices[0]  # slots list their steps in order, so the run's are lo..lo+len(step_slot)-1
-    step_slot = np.array([sh.slot - first for sh in shape[lo:slots[-1].step_indices[-1] + 1]])
-    # every run step's raw outcome on every row: the leaf's bit in the row's
-    # own slot, 0 (the carried branch) in every other
-    shift = np.array([slot.step_indices[-1] - lo for slot in slots])[step_slot] - np.arange(len(step_slot))
-    raw = np.where(step_slot[:, None] == row_slot, leaf >> shift[:, None] & 1, 0)
-
-    # the client pass; an ancilla ket reads no outcome, so its slot's first row gives it
-    run = client.window(first, last)
-    run.take(np.zeros(len(rows), dtype=int))
-    kets = np.empty((len(step_slot), 2), dtype=complex)
-    for role in ROLES:
-        steps = np.array([slot.roles[role] - lo for slot in slots if role in slot.roles], dtype=int)
-        if steps.size:
-            run.record(first + step_slot[steps][:, None], role, raw[steps], rows)
-            if role != "theta":
-                kets[steps] = run.prepare_ancilla(first + step_slot[steps], role, offsets[step_slot[steps]])
-    # the running frame along the carried branch, each slot's first row
-    frame, incoming = client.frame[:, 0].tolist(), []
-    carried = run.eff_outcomes[np.arange(len(step_slot)), offsets[step_slot]].tolist()
-    coins = run.coins[:, 0].tolist()
+    leaf = np.arange(offsets[-1]) - offsets[row_slot]
+    lo = slots[0].step_indices[0]  # slots list their steps in order, so the run's steps start at lo
+    # the running frame along the carried branch, whose outcomes are all 0
+    frame, incoming, coins = client.frame[:, 0].tolist(), [], client.coins[:, 0].tolist()
     for slot in slots:
         incoming.append(list(frame))
-        steps = [i - lo for i in slot.step_indices]
-        carry(frame, slot, [carried[i] for i in steps] + [coins[i] for i in steps])
-    run.frame = np.array(incoming, dtype=np.int8).T[:, row_slot]
-    angles = np.zeros(len(rows), dtype=np.int64)
-    angled = np.flatnonzero(np.array(["theta" in slot.roles for slot in slots])[row_slot])
-    if angled.size:
-        angles[angled] = run.angle_message(first + row_slot[angled], angled)
-    groups: dict[tuple, list[int]] = {}  # (round position, coupling, kind) -> its steps, counted from lo
+        bits = [coins[i] for i in slot.step_indices]
+        carry(frame, slot, [c * (role in COIN_FLIPPED) for role, c in zip(slot.roles, bits)] + bits)
+    frames = np.array(incoming, dtype=np.int8).T[:, row_slot]  # each leaf's incoming, then outgoing
+    kinds: dict[tuple, list[int]] = {}  # slots sharing a frame map, angle sets and rounds
+    for j, slot in enumerate(slots):
+        kinds.setdefault((id(slot.frame_map), slot.theta_negate, slot.gamma_negate, tuple(slot.roles)), []).append(j)
+
+    # each leaf's local bits: its slot's incoming frame, its outcomes (the
+    # leaf's bits, the first round most significant, each assistant or theta
+    # round's undone by its coin), its coins, and 1
+    angles, parts = np.zeros(len(leaf), dtype=np.int64), []
+    kets = np.empty((slots[-1].step_indices[-1] + 1 - lo, 2), dtype=complex)
+    for js in kinds.values():
+        slot, js = slots[js[0]], np.array(js)
+        k = len(slot.roles)
+        sel = (offsets[js][:, None] + np.arange(1 << k)).ravel()  # the kind's rows, slot by slot
+        steps = np.array([slots[j].step_indices for j in js]).T  # (k, the kind's slots)
+        rows = np.repeat(np.array([slots[j].frame_rows for j in js]).T, 1 << k, axis=1)
+        coin = np.repeat(client.coins[steps, 0], 1 << k, axis=1)
+        raw = (leaf[sel] >> np.arange(k - 1, -1, -1)[:, None] & 1).astype(np.int8)
+        eff = raw ^ coin * np.array([role in COIN_FLIPPED for role in slot.roles], dtype=np.int8)[:, None]
+        before = frames[rows, sel]
+        if "theta" in slot.roles:
+            odd = parities((slot.theta_negate, slot.gamma_negate), np.concatenate((before, eff)))
+            angles[sel] = client.fold(first + row_slot[sel], *odd[:, :, None])[:, 0]
+        for role, step in zip(slot.roles, steps):
+            if role != "theta":  # an ancilla ket reads no outcome
+                kets[step - lo] = client.prepare_ancilla(first + js, role)[:, 0]
+        frames[rows, sel] = frame_bits(slot.frame_map, before, eff, coin)
+        parts.append((js, sel, steps, raw))
     messages = []
     for j, slot in enumerate(slots):
         outcome = Message._build("OUTCOME", first + j, bit=0)  # frozen, so the slot's rounds share it
-        for pos, i in enumerate(slot.step_indices):
+        for i in slot.step_indices:
             kind = shape[i].expects
             messages.append(_round_message(client, first + j, kind, kets[i - lo] if kind == "ANCILLA"
                                            else angles[offsets[j]]))
             client.transcript.messages += [messages[-1], outcome]
-            groups.setdefault((pos, shape[i].entangler_labels, kind), []).append(i - lo)
 
-    # leaf operators, round position by round position
-    ops = {}  # local dimension -> (rows, d, d) leaf operators
-    for (_, labels, kind), steps in sorted(groups.items(), key=lambda group: group[0][0]):
-        d = 2 ** len(labels)
-        if d not in ops:
-            ops[d] = np.broadcast_to(np.eye(d, dtype=complex), (len(rows), d, d)).copy()
-        slot_step = np.full(len(slots), -1)  # each slot's round in the group, -1 outside it
-        slot_step[step_slot[steps]] = steps
-        sel = np.flatnonzero(slot_step[row_slot] >= 0)
-        step = slot_step[row_slot[sel]]  # each row's round
-        coeffs = _message_coefficients(messages[steps[0]], shape[lo + steps[0]], grid_n,
-                                       kets[step] if kind == "ANCILLA" else angles[sel])
-        kids = _apply_branches(ops[d][sel], range(len(labels)), coupling_blocks(labels), coeffs)
-        ops[d][sel] = kids[np.arange(len(sel)), raw[step, sel]]
+    # leaf operators, slot kind by slot kind, round by round
+    ops = {}  # slot -> its (leaves, d, d) leaf operators
+    for js, sel, steps, raw in parts:
+        d = 2 ** len(shape[steps[0, 0]].targets)
+        op = np.broadcast_to(np.eye(d, dtype=complex), (len(sel), d, d)).copy()
+        for step, bits in zip(steps, raw):
+            msg, at = messages[step[0] - lo], shape[step[0]]
+            values = kets[np.repeat(step - lo, 1 << len(steps))] if msg.kind == "ANCILLA" else angles[sel]
+            kids = _apply_branches(op, range(len(at.targets)), coupling_blocks(at.entangler_labels),
+                                   _message_coefficients(msg, at, grid_n, values))
+            op = kids[np.arange(len(sel)), bits]
+        ops.update(zip(js.tolist(), np.split(op, len(js))))
 
     # carry the first leaf of each slot, then check every leaf at once
-    leaves = np.empty((len(rows), len(state)), dtype=complex)
+    leaves = np.empty((len(leaf), len(state)), dtype=complex)
     for j, (start, stop) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
         targets = shape[slots[j].step_indices[0]].targets
-        leaf_ops = ops[2 ** len(targets)][start:stop].reshape((1, stop - start) + (2,) * (2 * len(targets)))
+        leaf_ops = ops[j].reshape((1, stop - start) + (2,) * (2 * len(targets)))
         leaves[start:stop] = _apply_rows(state[None], targets, leaf_ops)[0]
         p_first = np.vdot(leaves[start], leaves[start]).real
         if p_first < PRUNE_PROBABILITY:
@@ -655,9 +618,8 @@ def _enumerate_run(client: Client, state: np.ndarray, shape, first: int, last: i
     if p_first < PRUNE_PROBABILITY:
         raise RuntimeError(f"slot {first + j}: its carried branch has probability {p_first:.3e}, "
                            f"below {PRUNE_PROBABILITY}")
-    run.advance(first + row_slot, rows)  # each leaf's outgoing frame
     units = leaves / np.sqrt(np.where(kept, probs, 1.0))[:, None]
-    corrected = apply_pauli_frame(units, run.frame[0::2], run.frame[1::2])
+    corrected = apply_pauli_frame(units, frames[0::2], frames[1::2])
     overlaps = np.einsum("bi,bi->b", corrected, corrected[offsets[row_slot]].conj())
     client.frame[:, 0] = frame
     return state, float(np.min(np.abs(overlaps[kept & (leaf > 0)]) ** 2, initial=1.0))

@@ -11,7 +11,7 @@ from adqc.core import AncillaSpec, _reduce_angle, basis_kets, param_kets
 from adqc.linalg import I2, PureState, apply_pauli_frame
 from adqc import protocol
 from adqc.patterns import CircuitDescription, CircuitGate
-from adqc.register import branch_step, coupling_blocks
+from adqc.register import branch_step, coupling_blocks, parities
 from adqc.protocol import (
     Client,
     ClientSecret,
@@ -657,28 +657,53 @@ class TestBatchedEnumeration:
 
     def test_a_long_circuit_matches_the_per_round_oracle(self, monkeypatch):
         """120 gates on three qubits: about 500 slots, which the default
-        run length splits into several runs, each holding client arrays of
-        at most 2^20 entries, give the oracle's full transcript."""
+        run length splits into several runs of at most SLOTS_PER_RUN slots,
+        give the oracle's full transcript."""
         rng = np.random.default_rng(11)
         gates = []
         while len(gates) < 120:
             gates += self._circuit(rng, 3, 8).gates
         sec = ClientSecret(CircuitDescription(3, tuple(gates[:120])), "two", 8, 9)
-        sizes, take = [], Client.take
+        runs, enumerate_run = [], protocol._enumerate_run
 
-        def recorded_take(client, rows):
-            take(client, rows)
-            sizes.append(client.eff_outcomes.size)
+        def recorded_run(client, state, shape, first, last):
+            runs.append(last - first)
+            return enumerate_run(client, state, shape, first, last)
 
-        monkeypatch.setattr(Client, "take", recorded_take)
+        monkeypatch.setattr(protocol, "_enumerate_run", recorded_run)
         batched = run_delegation(sec, seed=2, mode="enumerate")
-        assert sum(size > len(sec.pattern.steps) for size in sizes) > 4  # runs of several rows
-        assert max(sizes) <= 1 << 20
+        assert len(runs) > 4 and max(runs) <= protocol.SLOTS_PER_RUN
+        assert sum(runs) == len(sec.pattern.slots)
         monkeypatch.setattr(protocol, "_enumerated_dialogue", _per_round_dialogue)
         oracle = run_delegation(sec, seed=2, mode="enumerate")
         assert batched.transcript.to_jsonl("full") == oracle.transcript.to_jsonl("full")
         assert abs(batched.fidelity - oracle.fidelity) <= 1e-12
         assert abs(batched.worst_branch_fidelity - oracle.worst_branch_fidelity) <= 1e-12
+
+    @pytest.mark.parametrize("variant", ["single", "two"])
+    def test_a_half_turn_on_the_leaves_it_does_not_carry_is_seen(self, monkeypatch, variant):
+        """Every leaf's angle but each slot's carried leaf's shifted by half
+        a turn: the transcript, which shows the carried leaf only, stays byte
+        for byte, and the worst branch fidelity falls."""
+        fold = Client.fold
+
+        def shifted(client, slot_idx, theta_odd, gamma_odd):
+            k = fold(client, slot_idx, theta_odd, gamma_odd)
+            if np.ndim(slot_idx):  # a run's leaves, each slot's in leaf order, the carried one first
+                half = np.full(len(slot_idx), client.secret.grid_n // 2)
+                half[np.unique(slot_idx, return_index=True)[1]] = 0
+                k = (k + half[:, None]) % client.secret.grid_n
+            return k
+
+        gates = (CircuitGate("H", (0,)), CircuitGate("CZ", (0, 1)), CircuitGate("Rz", (1,), 3 * PI / 4))
+        sec = _secret(gates, n=2, variant=variant, seed=5)
+        clean = run_delegation(sec, seed=6, mode="enumerate")
+        monkeypatch.setattr(Client, "fold", shifted)
+        res = run_delegation(sec, seed=6, mode="enumerate")
+        assert res.transcript.to_jsonl("full") == clean.transcript.to_jsonl("full")
+        assert res.fidelity == clean.fidelity >= 1 - 1e-9
+        assert clean.worst_branch_fidelity >= 1 - 1e-9
+        assert res.worst_branch_fidelity < 1 - 1e-9
 
     def test_a_lost_carried_branch_is_refused(self, monkeypatch):
         """Rounds that always give outcome 1 keep each slot's branch
@@ -695,39 +720,39 @@ class TestBatchedEnumeration:
             run_delegation(_secret([CircuitGate("Rx", (0,), PI / 4)]), seed=1, mode="enumerate")
 
     def test_rows_from_several_slots_equal_one_slot_at_a_time(self):
-        """Each generalised client method, given rows from several slots,
-        answers every row as a call for that row's slot alone."""
+        """``prepare_ancilla`` and ``fold``, given an array of slots, answer
+        every row as a call for that row's slot alone."""
         sec = _secret([CircuitGate("H", (0,)), CircuitGate("Rx", (1,), PI / 4), CircuitGate("CZ", (0, 1))], n=2)
         rng = np.random.default_rng(5)
         _zero_draws(sec, 6)
         sec.gamma_index[:] = rng.integers(8, size=sec.gamma_index.shape)
         sec.coins[:] = rng.integers(2, size=sec.coins.shape)
         outcomes = rng.integers(2, size=sec.coins.shape)
-        batched, single = Client(sec), Client(sec)
+        client = Client(sec)
         slots = sec.pattern.slots
-        rows = np.arange(6)
-        for role in protocol.ROLES:
-            js = np.array([j for j, slot in enumerate(slots) if role in slot.roles], dtype=int)
-            steps = [slots[j].roles[role] for j in js]
-            batched.record(js[:, None], role, outcomes[steps], rows)
-            for j, step in zip(js.tolist(), steps):
-                single.record(j, role, outcomes[step])
-        assert np.array_equal(batched.eff_outcomes, single.eff_outcomes)
+        for j, slot in enumerate(slots):
+            for role, step in slot.roles.items():
+                client.record(j, role, outcomes[step])
+        client.frame[:] = rng.integers(2, size=client.frame.shape)
         which = rng.integers(len(slots), size=40)
-        cols = rng.integers(6, size=40)
         for role in ("gamma", "assist", "couple"):
-            has = [j for j in range(len(slots)) if role in slots[j].roles]
-            picks = np.flatnonzero(np.isin(which, has))
+            picks = which[np.isin(which, [j for j in range(len(slots)) if role in slots[j].roles])]
             if picks.size:
-                got = batched.prepare_ancilla(which[picks], role, cols[picks])
-                want = [single.prepare_ancilla(int(j), role)[c] for j, c in zip(which[picks], cols[picks])]
+                got = client.prepare_ancilla(picks, role)
+                want = [client.prepare_ancilla(j, role) for j in picks.tolist()]
                 assert np.array_equal(got, np.array(want)), role
-        picks = np.flatnonzero(np.isin(which, [j for j, slot in enumerate(slots) if "theta" in slot.roles]))
-        got = batched.angle_message(which[picks], cols[picks])
-        want = [single.angle_message(int(j))[c] for j, c in zip(which[picks], cols[picks])]
-        assert picks.size and got.tolist() == want
+        # the per-row fold at each row's slot's parities is that slot's angle message
+        picks = which[np.isin(which, [j for j, slot in enumerate(slots) if "theta" in slot.roles])]
+        odd = []
+        for j in picks.tolist():
+            slot, steps = slots[j], list(slots[j].step_indices)
+            local = np.concatenate((client.frame[slot.frame_rows], client.eff_outcomes[steps]))
+            odd.append(parities((slot.theta_negate, slot.gamma_negate), local))
+        got = client.fold(picks, *np.stack(odd, axis=1))
+        want = [client.angle_message(j) for j in picks.tolist()]
+        assert picks.size and np.array_equal(got, np.array(want))
         with pytest.raises(IndexError):
-            batched.prepare_ancilla(np.array([0]), "couple")
+            client.prepare_ancilla(np.array([0]), "couple")
 
 
 class TestTranscript:

@@ -1,5 +1,6 @@
-"""The decision rules of ``tools/bench_pairs.py``, loaded by path; no
-benchmark is run."""
+"""The decision rules of ``tools/bench_pairs.py``, the scale table and the
+compare step of ``tools/same_outputs.py``, loaded by path; no benchmark is
+run."""
 
 import importlib.util
 from pathlib import Path
@@ -61,5 +62,32 @@ def test_scale_table_smoke(capsys):
     """A 10-gate table: a header, a rule and one row of four measurements."""
     assert scale_table.main(["10"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["| gates | compile | compile peak | verify | enumerated delegation |", "|---|---|---|---|---|"]
+    assert lines[:2] == ["| gates | compile | compile peak | verify | enumerated delegation | enumerate peak |",
+                         "|---|---|---|---|---|---|"]
     assert len(lines) == 3 and lines[2].startswith("| 10 | ") and lines[2].count(" s |") == 3, lines
+    assert lines[2].count(" MiB |") == 2, lines
+
+
+_SAME = importlib.util.spec_from_file_location(
+    "same_outputs", Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
+)
+same_outputs = importlib.util.module_from_spec(_SAME)
+_SAME.loader.exec_module(same_outputs)
+
+
+def test_same_outputs_compares_exit_codes_stdout_and_transcripts():
+    """This checkout's outputs read equal to themselves; a doctored stdout,
+    exit code or transcript, or a command one side lacks, reads different."""
+    first = same_outputs.outputs(Path(__file__).resolve().parents[1])
+    assert len(first) == len(same_outputs.COMMANDS)
+    assert all(out["exit"] == 0 for out in first.values())
+    assert sum(out["transcript"] is not None for out in first.values()) == 4
+    doctored = {command: dict(out) for command, out in first.items()}
+    assert same_outputs.differences(first, doctored) == []
+    commands = sorted(first)
+    doctored[commands[0]]["stdout"] += " "
+    doctored[commands[1]]["exit"] = 1
+    delegate = next(command for command in commands if first[command]["transcript"] is not None)
+    doctored[delegate]["transcript"] = first[delegate]["transcript"][:-1]
+    del doctored[commands[-1]]
+    assert same_outputs.differences(first, doctored) == sorted({commands[0], commands[1], delegate, commands[-1]})
